@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
+    BadSetting,
     CapExceeded,
     DuplicateGenerator,
     NotDisjoint,
@@ -51,10 +52,14 @@ def enumeration_cap() -> int:
     raw = os.environ.get("STONEWORK_CAP")
     if raw is None:
         return DEFAULT_CAP
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadSetting(f"STONEWORK_CAP must be an integer, got {raw!r}") from None
 
 
-def _check_cap(n: int, cap: Optional[int]) -> None:
+def check_cap(n: int, cap: Optional[int]) -> None:
+    """Raise CapExceeded when 2^n exceeds 2^cap (the configured cap if None)."""
     limit = enumeration_cap() if cap is None else cap
     if n > limit:
         raise CapExceeded(n, limit)
@@ -139,7 +144,7 @@ def spectrum(p: Presentation, cap: Optional[int] = None) -> FinBoolAlg:
     The enumeration is pure in the presentation and cached; the cap is
     checked on every call so environment overrides keep taking effect.
     """
-    _check_cap(len(p.gens), cap)
+    check_cap(len(p.gens), cap)
     return _enumerate_spectrum(p)
 
 
@@ -183,7 +188,7 @@ def check_duality(p: Presentation, cap: Optional[int] = None) -> DualityReport:
     2^|points| elements when the check passes.
     """
     a = spectrum(p, cap)
-    _check_cap(a.n_points, cap)
+    check_cap(a.n_points, cap)
     failures = []
     for v in itertools.product((0, 1), repeat=a.n_points):
         if evaluate(realize(v, a), a) != v:

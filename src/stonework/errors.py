@@ -14,6 +14,10 @@ class CapExceeded(StoneworkError):
         super().__init__(f"enumeration over 2^{needed} exceeds cap 2^{cap}")
 
 
+class BadSetting(StoneworkError):
+    """An environment setting, such as STONEWORK_CAP, is malformed."""
+
+
 class UnknownGenerator(StoneworkError):
     def __init__(self, name: str):
         self.name = name

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .boolalg import enumeration_cap
-from .errors import CapExceeded, OutOfRange
+from .boolalg import check_cap
+from .errors import OutOfRange
 from .profinite import RelGraph, RelGraphTower
 
 
@@ -141,15 +141,9 @@ def near_companion(n: int, s: BitWord, t: BitWord) -> bool:
     return False
 
 
-def _check_level_cap(n: int, cap: Optional[int]) -> None:
-    limit = enumeration_cap() if cap is None else cap
-    if n > limit:
-        raise CapExceeded(n, limit)
-
-
 def interval_graph(n: int, cap: Optional[int] = None) -> RelGraph:
     """Vertices 0..2^n-1 with |i-j| <= 1 related."""
-    _check_level_cap(n, cap)
+    check_cap(n, cap)
     size = 2**n
     related = set()
     for i in range(size):
@@ -172,7 +166,7 @@ def circle_graph(n: int, cap: Optional[int] = None) -> RelGraph:
 
 def restrict_graph_map(n: int, cap: Optional[int] = None) -> dict[int, int]:
     """Drop-last-bit vertex map from level n+1 down to level n."""
-    _check_level_cap(n + 1, cap)
+    check_cap(n + 1, cap)
     return {k: k // 2 for k in range(2 ** (n + 1))}
 
 
@@ -272,40 +266,24 @@ def decidable_image(ws: Sequence[BitWord]) -> IntervalUnion:
     return closed_union(parts)
 
 
+def _gaps(parts: tuple[tuple[Dyadic, Dyadic], ...]) -> tuple[tuple[Dyadic, Dyadic], ...]:
+    """The stretches of [0,1] before, between and after sorted disjoint parts."""
+    edges = [D0, *itertools.chain.from_iterable(parts), D1]
+    return tuple((lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if lo < hi)
+
+
 def complement_closed_union(u: IntervalUnion) -> IntervalUnion:
     """Relative complement in [0,1] of a closed union, as open parts."""
     if u.kind != "closed":
         raise ValueError("expected a closed union")
-    if not u.parts:
-        return IntervalUnion("open", ((D0, D1),))
-    gaps = []
-    first_lo = u.parts[0][0]
-    if D0 < first_lo:
-        gaps.append((D0, first_lo))
-    for (_, hi), (lo, _) in zip(u.parts, u.parts[1:]):
-        gaps.append((hi, lo))
-    last_hi = u.parts[-1][1]
-    if last_hi < D1:
-        gaps.append((last_hi, D1))
-    return IntervalUnion("open", tuple(gaps))
+    return IntervalUnion("open", _gaps(u.parts))
 
 
 def complement_open_union(u: IntervalUnion) -> IntervalUnion:
     """Relative complement in [0,1] of an open union, as closed parts."""
     if u.kind != "open":
         raise ValueError("expected an open union")
-    if not u.parts:
-        return IntervalUnion("closed", ((D0, D1),))
-    pieces = []
-    first_lo = u.parts[0][0]
-    if D0 < first_lo:
-        pieces.append((D0, first_lo))
-    for (_, hi), (lo, _) in zip(u.parts, u.parts[1:]):
-        pieces.append((hi, lo))
-    last_hi = u.parts[-1][1]
-    if last_hi < D1:
-        pieces.append((last_hi, D1))
-    return IntervalUnion("closed", tuple(pieces))
+    return IntervalUnion("closed", _gaps(u.parts))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InvariantViolated, RelationNotPreserved
@@ -79,145 +78,18 @@ class IntMatrix:
         return all(x == 0 for r in self.rows for x in r)
 
 
-def rational_rank(m: IntMatrix) -> int:
-    """Rank over the rationals by Gaussian elimination (independent oracle)."""
-    rows = [[Fraction(x) for x in r] for r in m.rows]
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < m.ncols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col] / pv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+def _diagonalize(
+    m: IntMatrix, track_u: bool = False, track_v: bool = False
+) -> tuple[list[tuple[int, int, int]], dict[int, dict[int, int]], dict[int, dict[int, int]]]:
+    """Sparse unimodular diagonalization (Dumas-Saunders-Villard, 2001).
 
-
-def _eliminate(
-    m: IntMatrix, track_u: bool, track_v: bool
-) -> tuple[list[list[int]], Optional[list[list[int]]], Optional[list[list[int]]]]:
-    """Diagonalize by unimodular row/column operations, optionally tracking them.
-
-    Returns the worked matrix together with the accumulated row operations U
-    and column operations V (when requested), so that the result equals
-    U * m * V.  The diagonal is nonnegative and forms a divisibility chain;
-    pivots are chosen by smallest nonzero absolute value to limit growth.
-    """
-    a = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
-    u = [list(r) for r in IntMatrix.identity(nr).rows] if track_u else None
-    v = [list(r) for r in IntMatrix.identity(nc).rows] if track_v else None
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, k):
-        # row dst += k * row src
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        if u is not None:
-            u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, k):
-        for row in a:
-            row[dst] += k * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] += k * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-
-    def smallest_pivot(t):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-                    if abs(x) == 1:
-                        return best
-        return best
-
-    t = 0
-    while t < min(nr, nc):
-        best = smallest_pivot(t)
-        if best is None:
-            break
-        while True:
-            swap_rows(t, best[0])
-            swap_cols(t, best[1])
-            clear = True
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t] != 0:
-                        clear = False
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j] != 0:
-                        clear = False
-            if not clear:
-                # residues are strictly smaller than the pivot, so the next
-                # pick strictly shrinks it and the loop terminates
-                best = smallest_pivot(t)
-                continue
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-            best = (t, t)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-    return a, u, v
-
-
-def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: unimodular U, V with D = U * m * V."""
-    a, u, v = _eliminate(m, track_u=True, track_v=True)
-    return (
-        IntMatrix.from_rows(u, m.nrows),
-        IntMatrix.from_rows(a, m.ncols),
-        IntMatrix.from_rows(v, m.ncols),
-    )
-
-
-def _sparse_diagonalize(
-    m: IntMatrix, track_v: bool
-) -> tuple[list[int], list[int], dict[int, dict[int, int]]]:
-    """Unimodular diagonalization tuned for sparse incidence-style matrices.
-
-    Returns the diagonal values (one per pivot), the column indices never
-    used as pivots, and (when tracked) the accumulated column operations as
-    sparse columns, whose never-pivoted members generate the kernel lattice.
-    The diagonal is a valid decomposition of the cokernel but is not forced
-    into a divisibility chain.
+    Returns the pivots as (row, column, value) in elimination order and,
+    when requested, the accumulated row operations U as sparse rows and the
+    column operations V as sparse columns: U * m * V is zero away from the
+    pivot positions.  A non-unit pivot is made to divide every entry left
+    after it, so the absolute pivot values form an ascending divisibility
+    chain, the nonzero invariant factors of ``m``.  The never-pivoted
+    columns of V generate the kernel lattice.
     """
     rows: dict[int, dict[int, int]] = {}
     colrows: dict[int, set[int]] = {j: set() for j in range(m.ncols)}
@@ -227,9 +99,8 @@ def _sparse_diagonalize(
             rows[i] = entries
             for j in entries:
                 colrows[j].add(i)
-    vcols: dict[int, dict[int, int]] = (
-        {j: {j: 1} for j in range(m.ncols)} if track_v else {}
-    )
+    urows = {i: {i: 1} for i in range(m.nrows)} if track_u else {}
+    vcols = {j: {j: 1} for j in range(m.ncols)} if track_v else {}
 
     def add_row(dst: int, src: int, k: int) -> None:
         drow = rows.setdefault(dst, {})
@@ -243,6 +114,8 @@ def _sparse_diagonalize(
                 colrows[j].discard(dst)
         if not drow:
             del rows[dst]
+        if track_u:
+            _add_scaled(urows[dst], urows[src], k)
 
     def add_col(dst: int, src: int, k: int) -> None:
         for i in list(colrows[src]):
@@ -255,17 +128,12 @@ def _sparse_diagonalize(
                 del row[dst]
                 colrows[dst].discard(i)
         if track_v:
-            dcol = vcols[dst]
-            for i, x in vcols[src].items():
-                val = dcol.get(i, 0) + k * x
-                if val:
-                    dcol[i] = val
-                elif i in dcol:
-                    del dcol[i]
+            _add_scaled(vcols[dst], vcols[src], k)
 
+    # a finished pivot's row and column are zero elsewhere, so the entries of
+    # the active rows all lie in active columns
     active_rows = set(rows)
-    active_cols = set(range(m.ncols))
-    diag: list[int] = []
+    pivots: list[tuple[int, int, int]] = []
     while True:
         # pivot choice: a unit entry with the least fill-in if one exists,
         # otherwise any entry of smallest absolute value
@@ -273,8 +141,6 @@ def _sparse_diagonalize(
         best_key = None
         for i in active_rows & rows.keys():
             for j, x in rows[i].items():
-                if j not in active_cols:
-                    continue
                 score = (
                     (0, (len(rows[i]) - 1) * (len(colrows[j]) - 1))
                     if abs(x) == 1
@@ -284,7 +150,7 @@ def _sparse_diagonalize(
                     best, best_key = (i, j), score
                     if score == (0, 0):
                         break
-            if best_key is not None and best_key == (0, 0):
+            if best_key == (0, 0):
                 break
         if best is None:
             break
@@ -300,45 +166,78 @@ def _sparse_diagonalize(
             # clear row r with column operations; only row r is touched
             # because column c is now zero elsewhere
             swapped = False
-            for j in [j for j in rows.get(r, {}) if j != c and j in active_cols]:
-                while j != c and j in rows.get(r, {}):
+            for j in [j for j in rows[r] if j != c]:
+                while j != c and j in rows[r]:
                     q = rows[r][j] // rows[r][c]
                     add_col(j, c, -q)
-                    if j in rows.get(r, {}):
+                    if j in rows[r]:
                         c, j = j, c
                         swapped = True
-            if not swapped:
+            if swapped:
+                continue
+            # a pivot that does not divide some active entry absorbs that
+            # entry's row; clearing again leaves a strictly smaller pivot
+            p = rows[r][c]
+            offender = None
+            if abs(p) != 1:
+                offender = next(
+                    (
+                        i
+                        for i in active_rows & rows.keys()
+                        if i != r and any(x % p for x in rows[i].values())
+                    ),
+                    None,
+                )
+            if offender is None:
                 break
-        diag.append(abs(rows[r][c]))
+            add_row(r, offender, 1)
+        pivots.append((r, c, rows[r][c]))
         active_rows.discard(r)
-        active_cols.discard(c)
-    free_cols = sorted(active_cols)
-    return diag, free_cols, vcols
+    return pivots, urows, vcols
 
 
-def _divisibility_chain(values: list[int]) -> list[int]:
-    """Canonical invariant factors of a direct sum of cyclic groups Z/d."""
-    vals = [abs(x) for x in values]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                a, b = vals[i], vals[j]
-                g = math.gcd(a, b)
-                l = a * b // g if g else 0
-                if (a, b) != (g, l):
-                    vals[i], vals[j] = g, l
-                    changed = True
-    return vals
+def _add_scaled(dst: dict[int, int], src: dict[int, int], k: int) -> None:
+    """Sparse vector update dst += k * src, dropping zeros."""
+    for i, x in src.items():
+        val = dst.get(i, 0) + k * x
+        if val:
+            dst[i] = val
+        else:
+            dst.pop(i, None)
+
+
+def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form: unimodular U, V with D = U * m * V.
+
+    The pivot rows and columns are permuted onto the diagonal in elimination
+    order, and a negative pivot's row of U is negated.
+    """
+    pivots, u, v = _diagonalize(m, track_u=True, track_v=True)
+    prows = [r for r, _, _ in pivots]
+    pcols = [c for _, c, _ in pivots]
+    row_order = prows + sorted(set(range(m.nrows)) - set(prows))
+    col_order = pcols + sorted(set(range(m.ncols)) - set(pcols))
+    sign = {r: -1 if x < 0 else 1 for r, _, x in pivots}
+    u_rows = [
+        [sign.get(r, 1) * u[r].get(k, 0) for k in range(m.nrows)] for r in row_order
+    ]
+    v_rows = [[v[c].get(i, 0) for c in col_order] for i in range(m.ncols)]
+    diag = [abs(x) for _, _, x in pivots]
+    d_rows = [
+        [diag[i] if i == j and i < len(diag) else 0 for j in range(m.ncols)]
+        for i in range(m.nrows)
+    ]
+    return (
+        IntMatrix.from_rows(u_rows, m.nrows),
+        IntMatrix.from_rows(d_rows, m.ncols),
+        IntMatrix.from_rows(v_rows, m.ncols),
+    )
 
 
 def snf_invariants(m: IntMatrix) -> list[int]:
     """Diagonal of the Smith form without tracking the transforms."""
-    diag, _, _ = _sparse_diagonalize(m, track_v=False)
-    chain = sorted(x for x in _divisibility_chain(diag) if x != 0)
-    zeros = min(m.nrows, m.ncols) - len(chain)
-    return chain + [0] * zeros
+    pivots, _, _ = _diagonalize(m)
+    return [abs(x) for _, _, x in pivots] + [0] * (min(m.nrows, m.ncols) - len(pivots))
 
 
 def snf_diagonal(d: IntMatrix) -> list[int]:
@@ -347,7 +246,9 @@ def snf_diagonal(d: IntMatrix) -> list[int]:
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Columns generating the integer kernel lattice of ``m``."""
-    _, free_cols, vcols = _sparse_diagonalize(m, track_v=True)
+    pivots, _, vcols = _diagonalize(m, track_v=True)
+    pivoted = {c for _, c, _ in pivots}
+    free_cols = [j for j in range(m.ncols) if j not in pivoted]
     rows = tuple(
         tuple(vcols[j].get(i, 0) for j in free_cols) for i in range(m.ncols)
     )
@@ -413,9 +314,7 @@ def quotient_invariants(ambient_rank: int, relations: IntMatrix) -> AbInvariants
     """Invariants of Z^r modulo the column lattice of ``relations``."""
     if relations.nrows != ambient_rank:
         raise ValueError("relation matrix has wrong height")
-    _, d, _ = snf(relations)
-    diag = snf_diagonal(d)
-    nonzero = [x for x in diag if x != 0]
+    nonzero = [x for x in snf_invariants(relations) if x != 0]
     return AbInvariants(
         rank=ambient_rank - len(nonzero),
         torsion=tuple(x for x in nonzero if x > 1),
@@ -696,19 +595,8 @@ def stabilization_report(tower: RelGraphTower, depth: int) -> StabilizationRepor
     return StabilizationReport(tuple(results), tuple(h0_iso), tuple(h1_iso))
 
 
-def interval_cohomology(n: int, cap: Optional[int] = None) -> LevelCohomology:
-    """Cohomology of the level-n interval graph; must come out (Z, 0)."""
-    from .interval import interval_graph
-
-    cx = graph_cech_complex(interval_graph(n, cap))
+def graph_cohomology(g: RelGraph, level: int) -> LevelCohomology:
+    """Cohomology of one level of a graph tower, such as the interval's or the circle's."""
+    cx = graph_cech_complex(g)
     h = homology(cx)
-    return LevelCohomology(n, cx.dims, h.h0, h.h1, h.exact_at)
-
-
-def circle_cohomology(n: int, cap: Optional[int] = None) -> LevelCohomology:
-    """Cohomology of the level-n circle graph; (Z, Z) once the wrap is real."""
-    from .interval import circle_graph
-
-    cx = graph_cech_complex(circle_graph(n, cap))
-    h = homology(cx)
-    return LevelCohomology(n, cx.dims, h.h0, h.h1, h.exact_at)
+    return LevelCohomology(level, cx.dims, h.h0, h.h1, h.exact_at)

@@ -1,12 +1,14 @@
-"""Shared helpers: random term generation and hypothesis strategies."""
+"""Shared helpers: random term generation, hypothesis strategies and oracles."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from stonework.terms import And, Gen, Not, ONE, Or, Term, ZERO
+from stonework.zhomology import IntMatrix
 
 
 def random_term(rng: random.Random, gens: list[str], depth: int) -> Term:
@@ -37,3 +39,24 @@ def term_strategy(gens: list[str], max_depth: int = 4) -> st.SearchStrategy[Term
         ),
         max_leaves=2**max_depth,
     )
+
+
+def rational_rank(m: IntMatrix) -> int:
+    """Rank over the rationals by Gaussian elimination (independent oracle)."""
+    rows = [[Fraction(x) for x in r] for r in m.rows]
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < m.ncols:
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                factor = rows[i][col] / pv
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank

@@ -72,6 +72,29 @@ class TestMorphismFormat:
         with pytest.raises(ParseError):
             parse_morphism_file("src-gens: g0\ndst-gens: h0\nmap: g0 = h0\n")
 
+    def test_error_reports_its_line(self):
+        with pytest.raises(ParseError) as e:
+            parse_morphism_file(
+                "# two algebras\nsrc-gens: g0\nsrc-rels:\ndst-gens: h0\ndst-rels:\n"
+                "map: g0 -> h0 &\n"
+            )
+        assert e.value.line == 6
+
+    def test_generator_mapped_twice(self):
+        with pytest.raises(ParseError) as e:
+            parse_morphism_file("src-gens: g0\ndst-gens: h0 h1\nmap: g0 -> h0, g0 -> h1\n")
+        assert e.value.line == 3
+
+    def test_source_generator_without_image(self):
+        with pytest.raises(ParseError) as e:
+            parse_morphism_file("src-gens: g0 g1\ndst-gens: h0\nmap: g0 -> h0\n")
+        assert e.value.line == 3
+
+    def test_map_entry_for_unknown_source_generator(self):
+        with pytest.raises(ParseError) as e:
+            parse_morphism_file("src-gens: g0\ndst-gens: h0\nmap: g0 -> h0, g9 -> h0\n")
+        assert e.value.line == 3
+
 
 class TestTowerFormat:
     def test_family_selection(self):
@@ -122,6 +145,13 @@ class TestExitCodes:
         monkeypatch.setenv("STONEWORK_CAP", "1")
         assert main(["duality", str(self._free2(tmp_path))]) == EXIT_CAP
 
+    def test_non_integer_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("STONEWORK_CAP", "abc")
+        assert main(["spectrum", str(self._free2(tmp_path))]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "STONEWORK_CAP" in err
+
     @staticmethod
     def _free2(tmp_path):
         f = tmp_path / "free2.txt"
@@ -166,6 +196,16 @@ class TestExitCodes:
         assert main(["separate", str(f)]) == EXIT_OK
         assert "1100" in capsys.readouterr().out
 
+    def test_markov_without_gens_is_usage_error(self, tmp_path):
+        f = tmp_path / "markov.txt"
+        f.write_text("rels:\nseq: 0 , 1\n")
+        assert main(["markov", str(f), "--bound", "5"]) == EXIT_USAGE
+
+    def test_separate_without_rels_is_usage_error(self, tmp_path):
+        f = tmp_path / "sep.txt"
+        f.write_text("gens: g0\nfs: g0\ngs: ~g0\n")
+        assert main(["separate", str(f)]) == EXIT_USAGE
+
     def test_separate_intersecting_fails(self, tmp_path):
         f = tmp_path / "sep.txt"
         f.write_text("gens: g0\nrels:\nfs: g0\ngs: g0\n")
@@ -182,6 +222,12 @@ class TestExitCodes:
         f.write_text("family: none\n")
         assert main(["tower", str(f), "--depth", "2"]) == EXIT_OK
         assert "[2, 4]" in capsys.readouterr().out
+
+    def test_tower_non_integer_depth_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "tower.txt"
+        f.write_text("family: none\ndepth: x\n")
+        assert main(["tower", str(f)]) == EXIT_USAGE
+        assert "line 2" in capsys.readouterr().err
 
     def test_tower_without_depth_is_usage_error(self, tmp_path):
         f = tmp_path / "tower.txt"

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stonework.cli import EXIT_OK, main
+from stonework.cli import EXIT_OK, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -66,8 +66,6 @@ def test_report_matches_golden(name, tmp_path, capsys):
 
 
 def test_every_subcommand_has_a_golden():
-    from stonework.cli import build_parser
-
     sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
     assert set(sub.choices) == {argv[0] for argv in CASES.values()}
     assert {p.stem for p in GOLDEN.glob("*.json")} == set(CASES)

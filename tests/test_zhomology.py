@@ -1,12 +1,14 @@
 """Integer matrices, Smith normal form and graph/cover cohomology."""
 
-import random
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rational_rank
 from stonework.errors import InvariantViolated, RelationNotPreserved
 from stonework.interval import circle_graph, circle_tower, interval_graph, interval_tower
 from stonework.profinite import RelGraph, equality_graph
@@ -18,14 +20,12 @@ from stonework.zhomology import (
     TRIVIAL_GROUP,
     Z,
     cech_complex,
-    circle_cohomology,
     graph_cech_complex,
+    graph_cohomology,
     homology,
     induced_cochain_map,
-    interval_cohomology,
     kernel_basis,
     quotient_invariants,
-    rational_rank,
     snf,
     snf_diagonal,
     snf_invariants,
@@ -59,6 +59,36 @@ matrix_strategy = st.integers(1, 5).flatmap(
     lambda nr: st.integers(1, 5).flatmap(
         lambda nc: st.lists(
             st.lists(st.integers(-9, 9), min_size=nc, max_size=nc),
+            min_size=nr,
+            max_size=nr,
+        ).map(IntMatrix.from_rows)
+    )
+)
+
+
+def determinantal_invariants(m: IntMatrix) -> list[int]:
+    """Invariant factors s_k = d_k / d_(k-1), d_k the gcd of all k x k minors."""
+    size = min(m.nrows, m.ncols)
+    out = []
+    prev = 1
+    for k in range(1, size + 1):
+        d = 0
+        for rs in itertools.combinations(range(m.nrows), k):
+            for cs in itertools.combinations(range(m.ncols), k):
+                minor = IntMatrix.from_rows([[m.rows[i][j] for j in cs] for i in rs])
+                d = math.gcd(d, int(det(minor)))
+        if d == 0:
+            # every larger minor vanishes too
+            return out + [0] * (size - len(out))
+        out.append(d // prev)
+        prev = d
+    return out
+
+
+small_matrix_strategy = st.integers(1, 4).flatmap(
+    lambda nr: st.integers(1, 4).flatmap(
+        lambda nc: st.lists(
+            st.lists(st.integers(-40, 40), min_size=nc, max_size=nc),
             min_size=nr,
             max_size=nr,
         ).map(IntMatrix.from_rows)
@@ -142,6 +172,21 @@ class TestSnf:
         assert snf_invariants(m) == sorted(
             x for x in snf_diagonal(d) if x != 0
         ) + [0] * sum(1 for x in snf_diagonal(d) if x == 0)
+
+
+    def test_determinantal_divisors_example(self):
+        # d1 = 2, d2 = 24: invariants (2, 12), not the (4, 6) on the diagonal
+        m = IntMatrix.from_rows([[4, 0], [0, 6]])
+        assert determinantal_invariants(m) == [2, 12]
+        assert snf_invariants(m) == [2, 12]
+
+    @given(small_matrix_strategy)
+    @settings(max_examples=150, deadline=None)
+    def test_invariants_match_determinantal_divisors(self, m: IntMatrix):
+        expected = determinantal_invariants(m)
+        assert snf_invariants(m) == expected
+        _, d, _ = snf(m)
+        assert snf_diagonal(d) == expected
 
 
 class TestKernel:
@@ -324,18 +369,18 @@ class TestInducedMaps:
 class TestLevelCohomology:
     def test_interval_levels_are_contractible(self):
         for n in (0, 1, 3):
-            lc = interval_cohomology(n)
+            lc = graph_cohomology(interval_graph(n), n)
             assert lc.h0 == Z
             assert lc.h1 == TRIVIAL_GROUP
             assert lc.exact_at == (True, True, True)
 
     def test_circle_level_one_not_yet_a_circle(self):
-        lc = circle_cohomology(1)
+        lc = graph_cohomology(circle_graph(1), 1)
         assert (lc.h0, lc.h1) == (Z, TRIVIAL_GROUP)
 
     def test_circle_levels_two_plus(self):
         for n in (2, 3):
-            lc = circle_cohomology(n)
+            lc = graph_cohomology(circle_graph(n), n)
             assert (lc.h0, lc.h1) == (Z, Z)
 
 

@@ -4,10 +4,11 @@ A presentation is a list of named generators plus relation terms, each
 relation ``r`` meaning ``r = 0`` in the quotient.  The spectrum of a
 presentation is the finite set of 0/1 assignments satisfying every
 relation, kept in lexicographic order of their bit-strings under the
-presentation's generator order.  Elements of the algebra are represented
-canonically as bit-vectors over the spectrum points, so that equality of
-elements is equality of vectors and the duality check is an exhaustive
-bijection test.
+presentation's generator order; it is found by evaluating each relation
+once, as a truth table with one bit per assignment.  Elements of the algebra
+are represented canonically as bit-vectors over the spectrum points, so that
+equality of elements is equality of vectors and the duality check is an
+exhaustive bijection test.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
-    BadSetting,
+    BadArgument,
     CapExceeded,
     DuplicateGenerator,
     NotDisjoint,
@@ -55,7 +56,7 @@ def enumeration_cap() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise BadSetting(f"STONEWORK_CAP must be an integer, got {raw!r}") from None
+        raise BadArgument(f"STONEWORK_CAP must be an integer, got {raw!r}") from None
 
 
 def check_cap(n: int, cap: Optional[int]) -> None:
@@ -111,15 +112,24 @@ class FinBoolAlg:
     source: Presentation
     points: tuple[Point, ...]
 
-    def assignment(self, i: int) -> dict[str, int]:
-        return dict(zip(self.source.gens, self.points[i]))
-
     @property
     def n_points(self) -> int:
         return len(self.points)
 
     def point_index(self, point: Point) -> int:
-        return self.points.index(point)
+        return self._index[point]
+
+    @functools.cached_property
+    def _index(self) -> dict[Point, int]:
+        return {pt: i for i, pt in enumerate(self.points)}
+
+    @functools.cached_property
+    def masks(self) -> dict[str, int]:
+        """Truth tables of the generators: bit i of masks[g] is g at point i."""
+        n = len(self.source.gens)
+        bits = bytes(itertools.chain.from_iterable(self.points))
+        digits = bits.translate(bytes.maketrans(b"\0\1", b"01"))  # as int(..., 2) reads them
+        return {g: int(digits[j::n][::-1] or b"0", 2) for j, g in enumerate(self.source.gens)}
 
     def zero(self) -> Bits:
         return (0,) * self.n_points
@@ -128,21 +138,36 @@ class FinBoolAlg:
         return (1,) * self.n_points
 
 
+def _bits_of(v: int, n: int) -> Bits:
+    """The low ``n`` bits of ``v``, least significant first."""
+    return tuple(map(int, format(v | 1 << n, "b")[:0:-1]))
+
+
 @functools.lru_cache(maxsize=512)
 def _enumerate_spectrum(p: Presentation) -> FinBoolAlg:
-    pts = []
-    for bits in itertools.product((0, 1), repeat=len(p.gens)):
-        a = dict(zip(p.gens, bits))
-        if all(eval_term(r, a) == 0 for r in p.rels):
-            pts.append(bits)
-    return FinBoolAlg(p, tuple(pts))
+    """Clear each relation's truth table from the set of all 2^n assignments.
+
+    Assignment k, the k-th in product order, gives generator i bit n-1-i of k.
+    """
+    masks, size = {}, 1
+    for g in reversed(p.gens):  # each generator doubles the table
+        masks = {h: m | m << size for h, m in masks.items()}
+        masks[g] = ((1 << size) - 1) << size
+        size *= 2
+    full = alive = (1 << size) - 1
+    for r in p.rels:
+        alive &= ~eval_term(r, masks, full)
+    points = itertools.compress(itertools.product((0, 1), repeat=len(p.gens)), _bits_of(alive, size))
+    return FinBoolAlg(p, tuple(points))
 
 
 def spectrum(p: Presentation, cap: Optional[int] = None) -> FinBoolAlg:
-    """Enumerate all assignments and keep those killing every relation.
+    """All assignments killing every relation, in lexicographic order.
 
-    The enumeration is pure in the presentation and cached; the cap is
-    checked on every call so environment overrides keep taking effect.
+    Each relation is evaluated once, as a truth table of 2^n bits, so the
+    cap bounds the size of those tables.  The enumeration is pure in the
+    presentation and cached; the cap is checked on every call so
+    environment overrides keep taking effect.
     """
     check_cap(len(p.gens), cap)
     return _enumerate_spectrum(p)
@@ -150,7 +175,7 @@ def spectrum(p: Presentation, cap: Optional[int] = None) -> FinBoolAlg:
 
 def evaluate(t: Term, a: FinBoolAlg) -> Bits:
     """Bit-vector of ``t`` over the spectrum points (the evaluation map)."""
-    return tuple(eval_term(t, a.assignment(i)) for i in range(a.n_points))
+    return _bits_of(eval_term(t, a.masks, (1 << a.n_points) - 1), a.n_points)
 
 
 def minterm(a: FinBoolAlg, i: int) -> Term:
@@ -245,12 +270,10 @@ def point_map(m: Morphism, cap: Optional[int] = None) -> list[int]:
     """Induced map Sp(dst) -> Sp(src) by precomposition, as point indices."""
     src_alg = spectrum(m.src, cap)
     dst_alg = spectrum(m.dst, cap)
-    out = []
-    for i in range(dst_alg.n_points):
-        a = dst_alg.assignment(i)
-        pt = tuple(eval_term(m.images[g], a) for g in m.src.gens)
-        out.append(src_alg.point_index(pt))
-    return out
+    # column g of the composed points is the evaluation of g's image
+    columns = [evaluate(m.images[g], dst_alg) for g in m.src.gens]
+    points = zip(*columns) if columns else [()] * dst_alg.n_points
+    return [src_alg.point_index(pt) for pt in points]
 
 
 @dataclass(frozen=True)
@@ -402,7 +425,7 @@ def llpo_split(n: int, cap: Optional[int] = None) -> LlpoReport:
     empty support, Right for odd) with the preimage point on that side.
     """
     if n < 1:
-        raise ValueError("stage must be >= 1")
+        raise BadArgument(f"stage must be >= 1, got {n}")
     src = binfty(2 * n)
     dst = llpo_product_presentation(n)
     images: dict[str, Term] = {}
@@ -516,11 +539,8 @@ def separate_closed(
     D(x) holds iff x evaluates the join of the selected g's to 1.
     """
     a = spectrum(p, cap)
-    f_vecs = [evaluate(f, a) for f in fs]
-    g_vecs = [evaluate(g, a) for g in gs]
-    in_f = [all(v[i] == 0 for v in f_vecs) for i in range(a.n_points)]
-    in_g = [all(v[i] == 0 for v in g_vecs) for i in range(a.n_points)]
-    if any(f and g for f, g in zip(in_f, in_g)):
+    # a point of both sets kills every f and every g
+    if not all(evaluate(join([*fs, *gs]), a)):
         raise NotDisjoint("the closed sets intersect")
 
     interleaved: list[tuple[str, Term]] = []

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import boolalg, interval, profinite, zhomology
 from .errors import (
-    BadSetting,
+    BadArgument,
     CapExceeded,
     DuplicateGenerator,
     NotDisjoint,
@@ -30,6 +30,24 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+
+def _read(path: str) -> str:
+    """Text of an input file; bytes that are not UTF-8 are a parse error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        lines = e.object[: e.start].split(b"\n")  # the last one ends at the bad byte
+        column = len(lines[-1]) + 1
+        raise ParseError(f"byte {e.object[e.start]:#04x} is not UTF-8", len(lines), column) from None
+
+
+def _natural(value: int, flag: str) -> int:
+    """A count argument, such as --level, which must not be negative."""
+    if value < 0:
+        raise BadArgument(f"{flag} must be >= 0, got {value}")
+    return value
 
 
 def _key_lines(text: str) -> dict[str, tuple[str, int]]:
@@ -89,7 +107,7 @@ def parse_morphism_file(text: str) -> boolalg.Morphism:
             raise ParseError(f"map entry for unknown source generator {name!r}", line, 1)
         if name in images:
             raise ParseError(f"source generator {name!r} is mapped twice", line, 1)
-        images[name] = parse_term(expr, line)
+        images[name] = parse_term(expr, line, dst.gens)
     missing = [g for g in src.gens if g not in images]
     if missing:
         raise ParseError(f"source generator {missing[0]!r} has no image", line, 1)
@@ -117,7 +135,7 @@ def _bits(v: Sequence[int]) -> str:
 
 
 def cmd_spectrum(args) -> tuple[dict, list[str]]:
-    text = open(args.file).read()
+    text = _read(args.file)
     p = parse_presentation(text)
     alg = boolalg.spectrum(p)
     points = [_bits(pt) for pt in alg.points]
@@ -136,7 +154,7 @@ def cmd_spectrum(args) -> tuple[dict, list[str]]:
 
 
 def cmd_duality(args) -> tuple[dict, list[str]]:
-    text = open(args.file).read()
+    text = _read(args.file)
     p = parse_presentation(text)
     rep = boolalg.check_duality(p)
     report = {
@@ -156,7 +174,7 @@ def cmd_duality(args) -> tuple[dict, list[str]]:
 
 
 def cmd_morphism(args) -> tuple[dict, list[str]]:
-    text = open(args.file).read()
+    text = _read(args.file)
     m = parse_morphism_file(text)
     rep = boolalg.analyze_morphism(m)
     report = {
@@ -223,11 +241,11 @@ def cmd_wlpo(args) -> tuple[dict, list[str]]:
 
 
 def cmd_markov(args) -> tuple[dict, list[str]]:
-    text = open(args.file).read()
+    text = _read(args.file)
     entries = _key_lines(text)
     p = _presentation(entries)
     seq = parse_term_list(*_require(entries, "seq"))
-    k = boolalg.minimal_join_witness(p, seq, args.bound)
+    k = boolalg.minimal_join_witness(p, seq, _natural(args.bound, "--bound"))
     report = {
         "command": "markov",
         "input": _digest(text),
@@ -242,11 +260,11 @@ def cmd_markov(args) -> tuple[dict, list[str]]:
 
 
 def cmd_separate(args) -> tuple[dict, list[str]]:
-    text = open(args.file).read()
+    text = _read(args.file)
     entries = _key_lines(text)
     p = _presentation(entries)
-    fs = parse_term_list(*_require(entries, "fs"))
-    gs = parse_term_list(*_require(entries, "gs"))
+    fs = parse_term_list(*_require(entries, "fs"), p.gens)
+    gs = parse_term_list(*_require(entries, "gs"), p.gens)
     d = boolalg.separate_closed(p, fs, gs)
     report = {
         "command": "separate",
@@ -270,7 +288,7 @@ def parse_tower_file(text: str) -> profinite.CountablePresentation:
 
 
 def cmd_tower(args) -> tuple[dict, list[str]]:
-    text = open(args.file).read()
+    text = _read(args.file)
     cp = parse_tower_file(text)
     entries = _key_lines(text)
     depth = args.depth
@@ -282,7 +300,7 @@ def cmd_tower(args) -> tuple[dict, list[str]]:
             raise ParseError(f"depth must be an integer, got {value!r}", line, 1) from None
     if depth is None:
         raise ParseError("no depth given (file 'depth:' line or --depth)", 1, 1)
-    tower = profinite.truncation_tower(cp, depth)
+    tower = profinite.truncation_tower(cp, _natural(depth, "depth"))
     diagram = profinite.spectrum_tower(tower)
     sizes = [len(level) for level in diagram.levels]
     report = {
@@ -298,7 +316,7 @@ def cmd_tower(args) -> tuple[dict, list[str]]:
 def cmd_cohomology(args) -> tuple[dict, list[str]]:
     # looked up by name on the module at call time, so a wrapper installed on
     # interval.<space>_graph (as the benchmark's tracer does) sees the call
-    graph = getattr(interval, f"{args.space}_graph")(args.level)
+    graph = getattr(interval, f"{args.space}_graph")(_natural(args.level, "--level"))
     rep = zhomology.graph_cohomology(graph, args.level)
     report = {
         "command": "cohomology",
@@ -340,7 +358,7 @@ def cmd_interval_image(args) -> tuple[dict, list[str]]:
 
 
 def cmd_stabilize(args) -> tuple[dict, list[str]]:
-    tower = getattr(interval, f"{args.space}_tower")(args.depth)
+    tower = getattr(interval, f"{args.space}_tower")(_natural(args.depth, "--depth"))
     rep = zhomology.stabilization_report(tower, args.depth)
     report = {
         "command": "stabilize",
@@ -454,7 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
-    except (ParseError, BadSetting, DuplicateGenerator, UnknownGenerator, OSError) as e:
+    except (ParseError, BadArgument, DuplicateGenerator, UnknownGenerator, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (RelationNotKilled, NotDisjoint) as e:

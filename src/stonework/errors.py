@@ -14,8 +14,8 @@ class CapExceeded(StoneworkError):
         super().__init__(f"enumeration over 2^{needed} exceeds cap 2^{cap}")
 
 
-class BadSetting(StoneworkError):
-    """An environment setting, such as STONEWORK_CAP, is malformed."""
+class BadArgument(StoneworkError, ValueError):
+    """A setting or argument, such as STONEWORK_CAP or --stage, is malformed or out of range."""
 
 
 class UnknownGenerator(StoneworkError):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .boolalg import check_cap
-from .errors import OutOfRange
+from .errors import BadArgument, OutOfRange
 from .profinite import RelGraph, RelGraphTower
 
 
@@ -82,7 +82,10 @@ class BitWord:
 
     @staticmethod
     def parse(text: str) -> "BitWord":
-        return BitWord(tuple(int(c) for c in text.strip()))
+        word = text.strip()
+        if word.strip("01"):
+            raise BadArgument(f"bit word {word!r} has a character other than 0 or 1")
+        return BitWord(tuple(map(int, word)))
 
     @property
     def length(self) -> int:

@@ -17,10 +17,11 @@ from .boolalg import (
     Morphism,
     Presentation,
     hom,
+    point_map,
     spectrum,
 )
-from .errors import RelationNotPreserved, SquareNotCommuting
-from .terms import And, Gen, Term, eval_term, generators_of
+from .errors import BadArgument, RelationNotPreserved, SquareNotCommuting
+from .terms import And, Gen, Term, generators_of
 
 Vertex = Hashable
 
@@ -106,7 +107,7 @@ FAMILIES: dict[str, Optional[Callable[[int], Term]]] = {
 
 def _gen_index(name: str) -> int:
     if not name.startswith("g") or not name[1:].isdigit():
-        raise ValueError(f"countable presentations use generators g0,g1,...; got {name!r}")
+        raise BadArgument(f"countable presentations use generators g0,g1,...; got {name!r}")
     return int(name[1:])
 
 
@@ -135,17 +136,11 @@ def truncation_tower(
 def spectrum_tower(t: AlgebraTower, cap: Optional[int] = None) -> SeqDiagram:
     """Dualize: level sets are spectra, transitions precompose the inclusions."""
     levels = tuple(alg.points for alg in t.levels)
-    transitions = []
-    for n, m in enumerate(t.connecting):
-        upper = t.levels[n + 1]
-        lower = t.levels[n]
-        tr = {}
-        for pt in upper.points:
-            a = dict(zip(upper.source.gens, pt))
-            image = tuple(eval_term(m.images[g], a) for g in lower.source.gens)
-            tr[pt] = lower.points[lower.point_index(image)]
-        transitions.append(tr)
-    return SeqDiagram(levels, tuple(transitions))
+    transitions = tuple(
+        {upper.points[i]: lower.points[j] for i, j in enumerate(point_map(m, cap))}
+        for m, lower, upper in zip(t.connecting, t.levels, t.levels[1:])
+    )
+    return SeqDiagram(levels, transitions)
 
 
 def points_at_depth(d: SeqDiagram, depth: int) -> list[tuple]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Collection, Iterator, Mapping, Optional
 
 from .errors import DuplicateGenerator, ParseError, UnknownGenerator
 
@@ -95,24 +95,38 @@ ZERO = Zero()
 ONE = One()
 
 
-def eval_term(t: Term, assignment: Mapping[str, int]) -> int:
-    """Evaluate ``t`` to 0 or 1 under a generator assignment."""
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, One):
-        return 1
-    if isinstance(t, Gen):
-        try:
-            return assignment[t.name]
-        except KeyError:
-            raise UnknownGenerator(t.name) from None
-    if isinstance(t, Not):
-        return 1 - eval_term(t.arg, assignment)
-    if isinstance(t, And):
-        return eval_term(t.left, assignment) and eval_term(t.right, assignment)
-    if isinstance(t, Or):
-        return eval_term(t.left, assignment) or eval_term(t.right, assignment)
-    raise TypeError(f"not a term: {t!r}")
+def eval_term(t: Term, masks: Mapping[str, int], full: int = 1) -> int:
+    """Truth table of ``t``: bit k is its value in assignment k.
+
+    Bit k of ``masks[g]`` is g's value in assignment k and ``full`` has every
+    assignment's bit set, so the default evaluates one 0/1 assignment;
+    ``~ & |`` become word operations (Knuth, TAOCP 4A, 7.1.3).  An explicit
+    stack, not recursion, walks the term.
+    """
+    values: list[int] = []
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        cls = type(s)
+        if cls is Gen:
+            try:
+                values.append(masks[s.name])
+            except KeyError:
+                raise UnknownGenerator(s.name) from None
+        elif cls is And or cls is Or or cls is Not:
+            # the class goes below its operands and combines their tables when popped
+            todo += (cls, s.arg) if cls is Not else (cls, s.right, s.left)
+        elif cls is Zero or cls is One:
+            values.append(0 if cls is Zero else full)
+        elif s is And:
+            values.append(values.pop() & values.pop())
+        elif s is Or:
+            values.append(values.pop() | values.pop())
+        elif s is Not:
+            values.append(full ^ values.pop())
+        else:
+            raise TypeError(f"not a term: {s!r}")
+    return values[0]
 
 
 def generators_of(t: Term) -> set[str]:
@@ -175,8 +189,9 @@ _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[01|&~()]))
 
 
 class _Tokens:
-    def __init__(self, text: str, line: int = 1, col_offset: int = 0):
+    def __init__(self, text: str, line: int = 1, col_offset: int = 0, gens=None):
         self.text = text
+        self.gens = gens
         self.pos = 0
         self.line = line
         self.col_offset = col_offset
@@ -244,25 +259,27 @@ def _parse_atom(tk: _Tokens) -> Term:
         tk.expect(")")
         return t
     if _IDENT.fullmatch(tok):
+        if tk.gens is not None and tok not in tk.gens:
+            raise ParseError(f"unknown generator {tok!r}", tk.line, tk._col(tk.token_pos))
         tk.advance()
         return Gen(tok)
     raise ParseError(f"unexpected token {tok!r}", tk.line, tk._col(tk.pos))
 
 
-def parse_term(text: str, line: int = 1) -> Term:
-    """Parse a single Boolean expression."""
-    tk = _Tokens(text, line=line)
+def parse_term(text: str, line: int = 1, gens: Optional[Collection[str]] = None) -> Term:
+    """Parse a single Boolean expression, naming only ``gens`` if given."""
+    tk = _Tokens(text, line=line, gens=gens)
     t = _parse_expr(tk)
     if tk.current is not None:
         raise ParseError(f"trailing input {tk.current!r}", line, tk._col(tk.pos))
     return t
 
 
-def parse_term_list(text: str, line: int = 1) -> list[Term]:
+def parse_term_list(text: str, line: int = 1, gens: Optional[Collection[str]] = None) -> list[Term]:
     """Parse a comma-separated list of expressions (possibly empty)."""
     if not text.strip():
         return []
-    return [parse_term(chunk, line=line) for chunk in text.split(",")]
+    return [parse_term(chunk, line, gens) for chunk in text.split(",")]
 
 
 def parse_gen_list(text: str, line: int = 1) -> list[str]:

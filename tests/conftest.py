@@ -7,7 +7,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from stonework.terms import And, Gen, Not, ONE, Or, Term, ZERO
+from stonework.errors import UnknownGenerator
+from stonework.terms import And, Gen, Not, ONE, One, Or, Term, ZERO, Zero
 from stonework.zhomology import IntMatrix
 
 
@@ -39,6 +40,26 @@ def term_strategy(gens: list[str], max_depth: int = 4) -> st.SearchStrategy[Term
         ),
         max_leaves=2**max_depth,
     )
+
+
+def eval_term_reference(t: Term, assignment: dict[str, int]) -> int:
+    """One assignment at a time, by recursion on the term (independent oracle)."""
+    if isinstance(t, Zero):
+        return 0
+    if isinstance(t, One):
+        return 1
+    if isinstance(t, Gen):
+        try:
+            return assignment[t.name]
+        except KeyError:
+            raise UnknownGenerator(t.name) from None
+    if isinstance(t, Not):
+        return 1 - eval_term_reference(t.arg, assignment)
+    if isinstance(t, And):
+        return eval_term_reference(t.left, assignment) and eval_term_reference(t.right, assignment)
+    if isinstance(t, Or):
+        return eval_term_reference(t.left, assignment) or eval_term_reference(t.right, assignment)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def rational_rank(m: IntMatrix) -> int:

@@ -1,0 +1,138 @@
+"""Truth-table evaluation checked against one-assignment-at-a-time brute force.
+
+``eval_term`` evaluates a term on every assignment at once; spectra,
+``evaluate``, ``point_map`` and tower transitions are built on it.  Each is
+compared here with ``eval_term_reference`` run on one assignment at a time.
+"""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import eval_term_reference, term_strategy
+from stonework.boolalg import (
+    Presentation,
+    evaluate,
+    free,
+    hom,
+    point_map,
+    spectrum,
+)
+from stonework.profinite import CountablePresentation, spectrum_tower, truncation_tower
+from stonework.terms import Gen, Not, ONE, ZERO, eval_term, substitute
+
+GENS = [f"g{i}" for i in range(8)]
+
+
+def assignments(gens):
+    return [dict(zip(gens, bits)) for bits in itertools.product((0, 1), repeat=len(gens))]
+
+
+def brute_spectrum(p: Presentation) -> list[tuple]:
+    return [
+        bits
+        for bits in itertools.product((0, 1), repeat=len(p.gens))
+        if all(eval_term_reference(r, dict(zip(p.gens, bits))) == 0 for r in p.rels)
+    ]
+
+
+def terms_over(n: int, max_depth: int = 4):
+    return term_strategy(GENS[:n], max_depth=max_depth)
+
+
+@st.composite
+def presentations(draw, max_gens: int = 8):
+    n = draw(st.integers(0, max_gens))
+    rels = draw(st.lists(terms_over(n, 3), max_size=4))
+    return Presentation.make(GENS[:n], rels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), terms_over(n))))
+def test_eval_term_matches_reference_on_every_assignment(case):
+    n, t = case
+    rows = assignments(GENS[:n])
+    masks = {g: sum(a[g] << k for k, a in enumerate(rows)) for g in GENS[:n]}
+    table = eval_term(t, masks, (1 << len(rows)) - 1)
+    for k, a in enumerate(rows):
+        assert (table >> k) & 1 == eval_term_reference(t, a)
+        assert eval_term(t, a) == eval_term_reference(t, a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(presentations(), st.data())
+def test_spectrum_and_evaluate_match_brute_force(p, data):
+    a = spectrum(p)
+    assert list(a.points) == brute_spectrum(p)
+    t = data.draw(terms_over(len(p.gens)))
+    assert evaluate(t, a) == tuple(eval_term_reference(t, dict(zip(p.gens, pt))) for pt in a.points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(), st.integers(0, 4), st.data())
+def test_point_map_matches_brute_force(dst, m, data):
+    src_gens = [f"s{i}" for i in range(m)]
+    images = {g: data.draw(terms_over(len(dst.gens), 3)) for g in src_gens}
+    dst_points = brute_spectrum(dst)
+    # keep the candidate source relations that the images send to 0
+    candidates = data.draw(st.lists(term_strategy(src_gens, max_depth=3), max_size=3))
+    rels = [
+        r
+        for r in candidates
+        if all(
+            eval_term_reference(substitute(r, images), dict(zip(dst.gens, pt))) == 0
+            for pt in dst_points
+        )
+    ]
+    src = Presentation.make(src_gens, rels)
+    src_points = brute_spectrum(src)
+    expected = []
+    for pt in dst_points:
+        a = dict(zip(dst.gens, pt))
+        expected.append(src_points.index(tuple(eval_term_reference(images[g], a) for g in src_gens)))
+    assert point_map(hom(src, images, dst)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(terms_over(6, 3), max_size=5), st.integers(0, 5))
+def test_tower_transitions_match_brute_force(rels, depth):
+    tower = truncation_tower(CountablePresentation(explicit_rels=tuple(rels)), depth)
+    diagram = spectrum_tower(tower)
+    for n, m in enumerate(tower.connecting):
+        lower, upper = tower.levels[n], tower.levels[n + 1]
+        assert list(upper.points) == brute_spectrum(upper.source)
+        for pt in upper.points:
+            a = dict(zip(upper.source.gens, pt))
+            image = tuple(eval_term_reference(m.images[g], a) for g in lower.source.gens)
+            assert image in lower.points
+            assert diagram.transitions[n][pt] == image
+
+
+def test_no_generators():
+    a = spectrum(free(0))
+    assert a.points == ((),)
+    assert evaluate(ONE, a) == (1,)
+    assert evaluate(ZERO, a) == (0,)
+    assert point_map(hom(free(0), {}, free(2))) == [0, 0, 0, 0]
+
+
+def test_relation_one_empties_the_spectrum():
+    a = spectrum(Presentation.make(["g0", "g1"], [ONE]))
+    assert a.points == ()
+    assert evaluate(Gen("g1") | ONE, a) == ()
+    assert evaluate(ZERO, a) == ()
+
+
+def test_relation_zero_keeps_every_assignment():
+    a = spectrum(Presentation.make(["g0", "g1"], [ZERO]))
+    assert a.points == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert evaluate(Gen("g0") & ~Gen("g1"), a) == (0, 0, 1, 0)
+
+
+def test_deep_term_does_not_hit_the_recursion_limit():
+    t = Gen("g0")
+    for _ in range(5000):
+        t = Not(t)
+    assert evaluate(t, spectrum(free(1, "g"))) == (0, 1)
+    assert eval_term(Not(t), {"g0": 1}) == 0

@@ -191,7 +191,7 @@ class TestMorphisms:
         src_alg, dst_alg = spectrum(free(1)), spectrum(free(2))
         pm = point_map(m)
         for i, pt in enumerate(dst_alg.points):
-            expected = (eval_term(And(G0, G1), dst_alg.assignment(i)),)
+            expected = (eval_term(And(G0, G1), dict(zip(dst_alg.source.gens, pt))),)
             assert src_alg.points[pm[i]] == expected
 
     def test_epi_mono_factor_diagonal(self):

@@ -95,6 +95,13 @@ class TestMorphismFormat:
             parse_morphism_file("src-gens: g0\ndst-gens: h0\nmap: g0 -> h0, g9 -> h0\n")
         assert e.value.line == 3
 
+    def test_image_naming_unknown_target_generator(self):
+        # checked when parsing, so a term that never needs the name still fails
+        with pytest.raises(ParseError) as e:
+            parse_morphism_file("src-gens: s0\ndst-gens: d0\n\nmap: s0 -> 0 & bogus\n")
+        assert e.value.line == 4
+        assert "'bogus'" in str(e.value)
+
 
 class TestTowerFormat:
     def test_family_selection(self):
@@ -205,6 +212,52 @@ class TestExitCodes:
         f = tmp_path / "sep.txt"
         f.write_text("gens: g0\nfs: g0\ngs: ~g0\n")
         assert main(["separate", str(f)]) == EXIT_USAGE
+
+    def test_separate_term_naming_unknown_generator_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "sep.txt"
+        f.write_text("gens: g0\nrels:\nfs: g0\ngs: ~g0 , 0 & bogus\n")
+        assert main(["separate", str(f)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and "line 4" in err
+
+    def test_file_not_utf8_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "pres.txt"
+        f.write_bytes(b"gens: g0\nrels: g0 \xff\n")
+        assert main(["spectrum", str(f)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "0xff" in err and "line 2, column 10" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["llpo", "--stage", "0"],
+            ["interval-image", "--cylinders", "12"],
+            ["cohomology", "interval", "--level", "-1"],
+            ["stabilize", "circle", "--depth", "-1"],
+        ],
+    )
+    def test_out_of_range_argument_is_usage_error(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_negative_markov_bound_is_usage_error(self, tmp_path):
+        f = tmp_path / "markov.txt"
+        f.write_text("gens: g0\nrels:\nseq: g0 , ~g0\n")
+        assert main(["markov", str(f), "--bound", "-2"]) == EXIT_USAGE
+
+    def test_tower_generator_outside_g0_g1_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "tower.txt"
+        f.write_text("rels: g0 & h0\ndepth: 2\n")
+        assert main(["tower", str(f)]) == EXIT_USAGE
+        assert "'h0'" in capsys.readouterr().err
+
+    def test_negative_tower_depth_is_usage_error(self, tmp_path):
+        f = tmp_path / "tower.txt"
+        f.write_text("family: none\ndepth: -1\n")
+        assert main(["tower", str(f)]) == EXIT_USAGE
 
     def test_separate_intersecting_fails(self, tmp_path):
         f = tmp_path / "sep.txt"

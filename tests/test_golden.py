@@ -17,6 +17,13 @@ GOLDEN = Path(__file__).parent / "golden"
 FILES = {
     "pres": "gens: g0 g1 g2 g3\nrels: g0 & g1 , g2 & ~g3\n",
     "binfty": "gens: g0 g1 g2\nrels: g0 & g1 , g0 & g2 , g1 & g2\n",
+    "no-gens": "gens:\nrels:\n",
+    "empty": "gens: g0 g1 g2\nrels: g0 & g1 , ~g0 , ~g1 & g2 , ~g2\n",
+    "twelve": (
+        "gens: g0 g1 g2 g3 g4 g5 g6 g7 g8 g9 g10 g11\n"
+        "rels: g0 & g1 , g2 & ~g3 , g4 & g5 & g6 , ~g7 & ~g8 , g9 & ~g10 | g10 & ~g9 ,"
+        " g11 & g0 , ~(g2 | g4) & g11 , g1 & g3 & ~g5\n"
+    ),
     "morphism": (
         "src-gens: a0 a1\nsrc-rels: a0 & a1\n"
         "dst-gens: b0 b1 b2\ndst-rels: b0 & b1 , b0 & b2 , b1 & b2\n"
@@ -31,6 +38,9 @@ FILES = {
 # case name -> argv after --json; "@name" stands for the path of FILES[name]
 CASES = {
     "spectrum": ["spectrum", "@pres"],
+    "spectrum-no-gens": ["spectrum", "@no-gens"],
+    "spectrum-empty": ["spectrum", "@empty"],
+    "spectrum-12": ["spectrum", "@twelve"],
     "duality": ["duality", "@binfty"],
     "morphism": ["morphism", "@morphism"],
     "llpo": ["llpo", "--stage", "3"],

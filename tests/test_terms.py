@@ -56,6 +56,14 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_term("")
 
+    def test_generators_outside_gens_rejected_where_they_stand(self):
+        assert parse_term("g0 & ~g1", gens=["g0", "g1"]) == And(G0, Not(G1))
+        with pytest.raises(ParseError) as e:
+            parse_term("0 & bogus", 4, gens=["g0"])
+        assert "'bogus'" in str(e.value) and (e.value.line, e.value.column) == (4, 5)
+        with pytest.raises(ParseError):
+            parse_term_list("g0, g1", gens=["g0"])
+
     def test_nested_negation(self):
         assert parse_term("~~g0") == Not(Not(G0))
 

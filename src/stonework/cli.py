@@ -11,25 +11,30 @@ import argparse
 import hashlib
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import boolalg, interval, profinite, zhomology
-from .errors import (
-    BadArgument,
-    CapExceeded,
-    DuplicateGenerator,
-    NotDisjoint,
-    ParseError,
-    RelationNotKilled,
-    StoneworkError,
-    UnknownGenerator,
-)
+from . import boolalg, errors, interval, profinite, zhomology
 from .terms import Term, parse_gen_list, parse_term, parse_term_list
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+# the first class an error is an instance of gives its exit code
+EXIT_CODES = (
+    (errors.CapExceeded, EXIT_CAP),
+    (errors.ParseError, EXIT_USAGE),
+    (errors.BadArgument, EXIT_USAGE),
+    (errors.DuplicateGenerator, EXIT_USAGE),
+    (errors.UnknownGenerator, EXIT_USAGE),
+    (OSError, EXIT_USAGE),
+    (errors.StoneworkError, EXIT_PROPERTY_FAILED),  # RelationNotKilled, NotDisjoint, ...
+)
+
+# a cmd_* function returns the text that the report's "input" digest covers, the
+# other report fields, the text lines, and whether the checked property held
+Result = tuple[str, dict, list[str], bool]
 
 
 def _read(path: str) -> str:
@@ -40,43 +45,45 @@ def _read(path: str) -> str:
     except UnicodeDecodeError as e:
         lines = e.object[: e.start].split(b"\n")  # the last one ends at the bad byte
         column = len(lines[-1]) + 1
-        raise ParseError(f"byte {e.object[e.start]:#04x} is not UTF-8", len(lines), column) from None
+        raise errors.ParseError(f"byte {e.object[e.start]:#04x} is not UTF-8", len(lines), column) from None
 
 
 def _natural(value: int, flag: str) -> int:
     """A count argument, such as --level, which must not be negative."""
     if value < 0:
-        raise BadArgument(f"{flag} must be >= 0, got {value}")
+        raise errors.BadArgument(f"{flag} must be >= 0, got {value}")
     return value
 
 
-def _key_lines(text: str) -> dict[str, tuple[str, int]]:
-    """Split a file into "key: value" entries, ignoring blanks and comments."""
-    out: dict[str, tuple[str, int]] = {}
+def _key_lines(text: str) -> dict[str, tuple[str, int, int]]:
+    """Split a file into "key: value" entries, ignoring blanks and comments;
+    each is the value, its line and the number of characters before it."""
+    out: dict[str, tuple[str, int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if ":" not in line:
-            raise ParseError("expected 'key: value'", lineno, 1)
-        key, _, value = line.partition(":")
+            raise errors.ParseError("expected 'key: value'", lineno, 1)
+        key, _, value = raw.partition(":")
         key = key.strip()
         if key in out:
-            raise ParseError(f"duplicate key {key!r}", lineno, 1)
-        out[key] = (value.strip(), lineno)
+            raise errors.ParseError(f"duplicate key {key!r}", lineno, 1)
+        value = value.lstrip()
+        out[key] = (value.rstrip(), lineno, len(raw) - len(value))
     return out
 
 
-def _require(entries: dict, key: str) -> tuple[str, int]:
-    """Value and line number of a key the file must have."""
+def _require(entries: dict, key: str) -> tuple[str, int, int]:
+    """Value, line number and column offset of a key the file must have."""
     if key not in entries:
-        raise ParseError(f"missing '{key}:' line", 1, 1)
+        raise errors.ParseError(f"missing '{key}:' line", 1, 1)
     return entries[key]
 
 
 def _presentation(entries: dict) -> boolalg.Presentation:
     gens = parse_gen_list(*_require(entries, "gens"))
-    rels = parse_term_list(*_require(entries, "rels"))
+    rels = parse_term_list(*_require(entries, "rels"), gens)
     return boolalg.Presentation.make(gens, rels)
 
 
@@ -90,28 +97,46 @@ def parse_morphism_file(text: str) -> boolalg.Morphism:
     src, dst = (
         boolalg.Presentation.make(
             parse_gen_list(*_require(entries, f"{side}-gens")),
-            parse_term_list(*entries.get(f"{side}-rels", ("", 1))),
+            parse_term_list(*entries.get(f"{side}-rels", ("", 1, 0))),
         )
         for side in ("src", "dst")
     )
-    value, line = _require(entries, "map")
+    value, line, col = _require(entries, "map")
     images: dict[str, Term] = {}
     for chunk in value.split(","):
+        name, arrow, expr = chunk.partition("->")
+        at = col + len(name) - len(name.lstrip()) + 1  # the entry's column
+        expr_col = col + len(name) + len(arrow)
+        col += len(chunk) + 1
         if not chunk.strip():
             continue
-        if "->" not in chunk:
-            raise ParseError("map entries look like 'gen -> expr'", line, 1)
-        name, _, expr = chunk.partition("->")
+        if not arrow:
+            raise errors.ParseError("map entries look like 'gen -> expr'", line, at)
         name = name.strip()
         if name not in src.gens:
-            raise ParseError(f"map entry for unknown source generator {name!r}", line, 1)
+            raise errors.ParseError(f"map entry for unknown source generator {name!r}", line, at)
         if name in images:
-            raise ParseError(f"source generator {name!r} is mapped twice", line, 1)
-        images[name] = parse_term(expr, line, dst.gens)
+            raise errors.ParseError(f"source generator {name!r} is mapped twice", line, at)
+        images[name] = parse_term(expr, line, expr_col, dst.gens)
     missing = [g for g in src.gens if g not in images]
     if missing:
-        raise ParseError(f"source generator {missing[0]!r} has no image", line, 1)
+        raise errors.ParseError(f"source generator {missing[0]!r} has no image", line, 1)
     return boolalg.hom(src, images, dst)
+
+
+def _countable(entries: dict) -> profinite.CountablePresentation:
+    family_name, line, col = entries.get("family", ("none", 0, 0))
+    if family_name not in profinite.FAMILIES:
+        raise errors.ParseError(f"unknown family {family_name!r}", line, col + 1)
+    rels = parse_term_list(*entries.get("rels", ("", 1, 0)))
+    return profinite.CountablePresentation(
+        explicit_rels=tuple(rels),
+        family=profinite.FAMILIES[family_name],
+    )
+
+
+def parse_tower_file(text: str) -> profinite.CountablePresentation:
+    return _countable(_key_lines(text))
 
 
 def _digest(text: str) -> str:
@@ -122,64 +147,45 @@ def _group_json(g: zhomology.AbInvariants) -> dict:
     return {"rank": g.rank, "torsion": list(g.torsion)}
 
 
-class CommandFailure(Exception):
-    """A checked property failed; carries the report for rendering."""
+def _level_json(lc: zhomology.LevelCohomology) -> dict:
+    return {"level": lc.level, "dims": list(lc.dims), "h0": _group_json(lc.h0), "h1": _group_json(lc.h1)}
 
-    def __init__(self, report: dict, lines: list[str]):
-        self.report = report
-        self.lines = lines
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _bits(v: Sequence[int]) -> str:
-    return "".join(str(b) for b in v)
+    return bytes(v).translate(_DIGITS).decode()
 
 
-def cmd_spectrum(args) -> tuple[dict, list[str]]:
+def cmd_spectrum(args) -> Result:
     text = _read(args.file)
     p = parse_presentation(text)
     alg = boolalg.spectrum(p)
     points = [_bits(pt) for pt in alg.points]
-    report = {
-        "command": "spectrum",
-        "input": _digest(text),
-        "gens": list(p.gens),
-        "n_points": alg.n_points,
-        "points": points,
-    }
+    fields = {"gens": list(p.gens), "n_points": alg.n_points, "points": points}
     lines = [
         f"presentation with {len(p.gens)} generators, {len(p.rels)} relations",
         f"spectrum has {alg.n_points} points: {' '.join(points) if points else '(none)'}",
     ]
-    return report, lines
+    return text, fields, lines, True
 
 
-def cmd_duality(args) -> tuple[dict, list[str]]:
+def cmd_duality(args) -> Result:
     text = _read(args.file)
-    p = parse_presentation(text)
-    rep = boolalg.check_duality(p)
-    report = {
-        "command": "duality",
-        "input": _digest(text),
-        "n_points": rep.n_points,
-        "n_elements": rep.n_elements,
-        "bijective": rep.bijective,
-    }
+    rep = boolalg.check_duality(parse_presentation(text))
+    fields = {"n_points": rep.n_points, "n_elements": rep.n_elements, "bijective": rep.bijective}
     lines = [
         f"spectrum: {rep.n_points} points; algebra has {rep.n_elements} elements",
         f"evaluation map bijective: {rep.bijective}",
     ]
-    if not rep.bijective:
-        raise CommandFailure(report, lines)
-    return report, lines
+    return text, fields, lines, rep.bijective
 
 
-def cmd_morphism(args) -> tuple[dict, list[str]]:
+def cmd_morphism(args) -> Result:
     text = _read(args.file)
-    m = parse_morphism_file(text)
-    rep = boolalg.analyze_morphism(m)
-    report = {
-        "command": "morphism",
-        "input": _digest(text),
+    rep = boolalg.analyze_morphism(parse_morphism_file(text))
+    fields = {
         "injective": rep.injective,
         "kernel_size": rep.kernel_size,
         "kernel_top": _bits(rep.kernel_top),
@@ -192,22 +198,16 @@ def cmd_morphism(args) -> tuple[dict, list[str]]:
         f"dual point map surjective: {rep.point_map_surjective}",
         f"injectivity matches dual surjectivity: {rep.axiom2_consistent}",
     ]
-    if not rep.axiom2_consistent:
-        raise CommandFailure(report, lines)
-    return report, lines
+    return text, fields, lines, rep.axiom2_consistent
 
 
-def cmd_llpo(args) -> tuple[dict, list[str]]:
+def cmd_llpo(args) -> Result:
     rep = boolalg.llpo_split(args.stage)
-    report = {
-        "command": "llpo",
-        "input": _digest(str(args.stage)),
+    fields = {
         "stage": rep.stage,
         "injective": rep.injective,
         "spectrum_map_surjective": rep.spectrum_map_surjective,
-        "decode": [
-            {"side": side, "point": _bits(beta)} for side, beta in rep.decode
-        ],
+        "decode": [{"side": side, "point": _bits(beta)} for side, beta in rep.decode],
         "decode_consistent": rep.decode_consistent,
     }
     lines = [
@@ -215,17 +215,13 @@ def cmd_llpo(args) -> tuple[dict, list[str]]:
         f"spectrum surjection: {rep.spectrum_map_surjective}; "
         f"decode consistent: {rep.decode_consistent}",
     ]
-    if not (rep.injective and rep.spectrum_map_surjective and rep.decode_consistent):
-        raise CommandFailure(report, lines)
-    return report, lines
+    ok = rep.injective and rep.spectrum_map_surjective and rep.decode_consistent
+    return str(args.stage), fields, lines, ok
 
 
-def cmd_wlpo(args) -> tuple[dict, list[str]]:
-    c = parse_term(args.term)
-    rep = boolalg.wlpo_counterexample(c)
-    report = {
-        "command": "wlpo",
-        "input": _digest(args.term),
+def cmd_wlpo(args) -> Result:
+    rep = boolalg.wlpo_counterexample(parse_term(args.term))
+    fields = {
         "k": rep.k,
         "beta": _bits(rep.beta),
         "gamma": _bits(rep.gamma),
@@ -237,116 +233,74 @@ def cmd_wlpo(args) -> tuple[dict, list[str]]:
         f"candidate sees generators up to index {rep.k}",
         f"c(beta) = {rep.value_beta}, c(gamma) = {rep.value_gamma}: {rep.verdict}",
     ]
-    return report, lines
+    return args.term, fields, lines, True
 
 
-def cmd_markov(args) -> tuple[dict, list[str]]:
+def cmd_markov(args) -> Result:
     text = _read(args.file)
     entries = _key_lines(text)
     p = _presentation(entries)
-    seq = parse_term_list(*_require(entries, "seq"))
+    seq = parse_term_list(*_require(entries, "seq"), p.gens)
     k = boolalg.minimal_join_witness(p, seq, _natural(args.bound, "--bound"))
-    report = {
-        "command": "markov",
-        "input": _digest(text),
-        "bound": args.bound,
-        "witness": k,
-    }
-    lines = [
-        f"minimal trivializing prefix within bound {args.bound}: "
-        + ("none" if k is None else str(k))
-    ]
-    return report, lines
+    witness = "none" if k is None else str(k)
+    lines = [f"minimal trivializing prefix within bound {args.bound}: {witness}"]
+    return text, {"bound": args.bound, "witness": k}, lines, True
 
 
-def cmd_separate(args) -> tuple[dict, list[str]]:
+def cmd_separate(args) -> Result:
     text = _read(args.file)
     entries = _key_lines(text)
     p = _presentation(entries)
     fs = parse_term_list(*_require(entries, "fs"), p.gens)
     gs = parse_term_list(*_require(entries, "gs"), p.gens)
-    d = boolalg.separate_closed(p, fs, gs)
-    report = {
-        "command": "separate",
-        "input": _digest(text),
-        "separator": _bits(d),
-    }
-    lines = [f"decidable separator D (bit per spectrum point): {_bits(d)}"]
-    return report, lines
+    separator = _bits(boolalg.separate_closed(p, fs, gs))
+    lines = [f"decidable separator D (bit per spectrum point): {separator}"]
+    return text, {"separator": separator}, lines, True
 
 
-def parse_tower_file(text: str) -> profinite.CountablePresentation:
-    entries = _key_lines(text)
-    family_name = entries.get("family", ("none", 0))[0]
-    if family_name not in profinite.FAMILIES:
-        raise ParseError(f"unknown family {family_name!r}", entries["family"][1], 1)
-    rels = parse_term_list(*entries.get("rels", ("", 1)))
-    return profinite.CountablePresentation(
-        explicit_rels=tuple(rels),
-        family=profinite.FAMILIES[family_name],
-    )
-
-
-def cmd_tower(args) -> tuple[dict, list[str]]:
+def cmd_tower(args) -> Result:
     text = _read(args.file)
-    cp = parse_tower_file(text)
     entries = _key_lines(text)
+    cp = _countable(entries)
     depth = args.depth
     if depth is None and "depth" in entries:
-        value, line = entries["depth"]
+        value, line, col = entries["depth"]
         try:
             depth = int(value)
         except ValueError:
-            raise ParseError(f"depth must be an integer, got {value!r}", line, 1) from None
+            raise errors.ParseError(f"depth must be an integer, got {value!r}", line, col + 1) from None
     if depth is None:
-        raise ParseError("no depth given (file 'depth:' line or --depth)", 1, 1)
+        raise errors.ParseError("no depth given (file 'depth:' line or --depth)", 1, 1)
     tower = profinite.truncation_tower(cp, _natural(depth, "depth"))
     diagram = profinite.spectrum_tower(tower)
     sizes = [len(level) for level in diagram.levels]
-    report = {
-        "command": "tower",
-        "input": _digest(text),
-        "depth": depth,
-        "level_sizes": sizes,
-    }
     lines = [f"tower of depth {depth}; spectrum sizes per level: {sizes}"]
-    return report, lines
+    return text, {"depth": depth, "level_sizes": sizes}, lines, True
 
 
-def cmd_cohomology(args) -> tuple[dict, list[str]]:
+def cmd_cohomology(args) -> Result:
     # looked up by name on the module at call time, so a wrapper installed on
     # interval.<space>_graph (as the benchmark's tracer does) sees the call
     graph = getattr(interval, f"{args.space}_graph")(_natural(args.level, "--level"))
     rep = zhomology.graph_cohomology(graph, args.level)
-    report = {
-        "command": "cohomology",
-        "input": _digest(f"{args.space}:{args.level}"),
-        "space": args.space,
-        "level": rep.level,
-        "dims": list(rep.dims),
-        "h0": _group_json(rep.h0),
-        "h1": _group_json(rep.h1),
-        "exact": list(rep.exact_at),
-    }
+    exact = list(rep.exact_at)
+    fields = {"space": args.space, **_level_json(rep), "exact": exact}
     lines = [
         f"{args.space} at level {rep.level}: dims {rep.dims}",
         f"h0 = {rep.h0}, h1 = {rep.h1}",
-        f"augmented complex exact at: {list(rep.exact_at)}",
+        f"augmented complex exact at: {exact}",
     ]
     if rep.h0.torsion or rep.h1.torsion:
         lines.append("warning: torsion appeared where none was expected")
-    if args.space == "interval" and not all(rep.exact_at):
-        raise CommandFailure(report, lines)
-    return report, lines
+    ok = args.space != "interval" or all(rep.exact_at)
+    return f"{args.space}:{args.level}", fields, lines, ok
 
 
-def cmd_interval_image(args) -> tuple[dict, list[str]]:
+def cmd_interval_image(args) -> Result:
     words = [interval.BitWord.parse(w) for w in args.cylinders.split(",") if w.strip()]
     image = interval.decidable_image(words)
     complement = interval.complement_closed_union(image)
-    report = {
-        "command": "interval-image",
-        "input": _digest(args.cylinders),
+    fields = {
         "image": [[str(lo), str(hi)] for lo, hi in image.parts],
         "complement": [[str(lo), str(hi)] for lo, hi in complement.parts],
     }
@@ -354,34 +308,52 @@ def cmd_interval_image(args) -> tuple[dict, list[str]]:
         f"image of {len(words)} cylinders: {image}",
         f"relative complement: {complement}",
     ]
-    return report, lines
+    return args.cylinders, fields, lines, True
 
 
-def cmd_stabilize(args) -> tuple[dict, list[str]]:
+def cmd_stabilize(args) -> Result:
     tower = getattr(interval, f"{args.space}_tower")(_natural(args.depth, "--depth"))
     rep = zhomology.stabilization_report(tower, args.depth)
-    report = {
-        "command": "stabilize",
-        "input": _digest(f"{args.space}:{args.depth}"),
+    fields = {
         "space": args.space,
-        "levels": [
-            {
-                "level": lc.level,
-                "dims": list(lc.dims),
-                "h0": _group_json(lc.h0),
-                "h1": _group_json(lc.h1),
-            }
-            for lc in rep.levels
-        ],
+        "levels": [_level_json(lc) for lc in rep.levels],
         "h0_iso": list(rep.h0_iso),
         "h1_iso": list(rep.h1_iso),
     }
     lines = [f"{args.space} tower through depth {args.depth}:"]
     for lc in rep.levels:
         lines.append(f"  level {lc.level}: h0 = {lc.h0}, h1 = {lc.h1}")
-    lines.append(f"h0 induced maps iso: {list(rep.h0_iso)}")
-    lines.append(f"h1 induced maps iso: {list(rep.h1_iso)}")
-    return report, lines
+    lines.append(f"h0 induced maps iso: {fields['h0_iso']}")
+    lines.append(f"h1 induced maps iso: {fields['h1_iso']}")
+    return f"{args.space}:{args.depth}", fields, lines, True
+
+
+class Command(NamedTuple):
+    name: str
+    help: str
+    args: tuple  # (name or flag, add_argument keywords) pairs
+    run: Callable[..., Result]
+
+
+FILE = ("file", {})
+SPACE = ("space", {"choices": ["interval", "circle"]})
+CYLINDERS = ("--cylinders", {"required": True, "help": "comma-separated bit-strings"})
+INT = {"type": int, "required": True}
+
+
+COMMANDS = (
+    Command("spectrum", "enumerate the spectrum of a presentation", (FILE,), cmd_spectrum),
+    Command("duality", "exhaustive finite Stone duality check", (FILE,), cmd_duality),
+    Command("morphism", "analyze a morphism between presentations", (FILE,), cmd_morphism),
+    Command("llpo", "stage-n interleaving split and decode", (("--stage", INT),), cmd_llpo),
+    Command("wlpo", "refute a candidate all-zero decider term", (("term", {}),), cmd_wlpo),
+    Command("markov", "minimal trivializing prefix of a relation sequence", (FILE, ("--bound", INT)), cmd_markov),
+    Command("separate", "decidable separator of two disjoint closed sets", (FILE,), cmd_separate),
+    Command("tower", "truncation tower of a countable presentation", (FILE, ("--depth", {"type": int})), cmd_tower),
+    Command("cohomology", "graph cohomology of the interval or circle", (SPACE, ("--level", INT)), cmd_cohomology),
+    Command("interval-image", "image of cylinder sets in [0,1]", (CYLINDERS,), cmd_interval_image),
+    Command("stabilize", "cohomology stabilization across a tower", (SPACE, ("--depth", INT)), cmd_stabilize),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,91 +370,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the JSON report",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("spectrum", parents=[common], help="enumerate the spectrum of a presentation")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_spectrum)
-
-    p = sub.add_parser("duality", parents=[common], help="exhaustive finite Stone duality check")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_duality)
-
-    p = sub.add_parser("morphism", parents=[common], help="analyze a morphism between presentations")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_morphism)
-
-    p = sub.add_parser("llpo", parents=[common], help="stage-n interleaving split and decode")
-    p.add_argument("--stage", type=int, required=True)
-    p.set_defaults(fn=cmd_llpo)
-
-    p = sub.add_parser("wlpo", parents=[common], help="refute a candidate all-zero decider term")
-    p.add_argument("term")
-    p.set_defaults(fn=cmd_wlpo)
-
-    p = sub.add_parser("markov", parents=[common], help="minimal trivializing prefix of a relation sequence")
-    p.add_argument("file")
-    p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(fn=cmd_markov)
-
-    p = sub.add_parser("separate", parents=[common], help="decidable separator of two disjoint closed sets")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_separate)
-
-    p = sub.add_parser("tower", parents=[common], help="truncation tower of a countable presentation")
-    p.add_argument("file")
-    p.add_argument("--depth", type=int)
-    p.set_defaults(fn=cmd_tower)
-
-    p = sub.add_parser("cohomology", parents=[common], help="graph cohomology of the interval or circle")
-    p.add_argument("space", choices=["interval", "circle"])
-    p.add_argument("--level", type=int, required=True)
-    p.set_defaults(fn=cmd_cohomology)
-
-    p = sub.add_parser("interval-image", parents=[common], help="image of cylinder sets in [0,1]")
-    p.add_argument("--cylinders", required=True, help="comma-separated bit-strings")
-    p.set_defaults(fn=cmd_interval_image)
-
-    p = sub.add_parser("stabilize", parents=[common], help="cohomology stabilization across a tower")
-    p.add_argument("space", choices=["interval", "circle"])
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(fn=cmd_stabilize)
-
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, parents=[common], help=command.help)
+        for name, spec in command.args:
+            p.add_argument(name, **spec)
+        p.set_defaults(run=command.run)
     return parser
 
 
-def _emit(report: dict, lines: list[str], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        report, lines = args.fn(args)
-    except CommandFailure as f:
-        _emit(f.report, f.lines + ["CHECK FAILED"], args.json)
-        return EXIT_PROPERTY_FAILED
-    except CapExceeded as e:
+        source, fields, lines, ok = args.run(args)
+    except tuple(cls for cls, _ in EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAP
-    except (ParseError, BadArgument, DuplicateGenerator, UnknownGenerator, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RelationNotKilled, NotDisjoint) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PROPERTY_FAILED
-    except StoneworkError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PROPERTY_FAILED
-    _emit(report, lines, args.json)
-    return EXIT_OK
+        return next(code for cls, code in EXIT_CODES if isinstance(e, cls))
+    if args.json:
+        print(json.dumps({"command": args.subcommand, "input": _digest(source), **fields}, indent=2))
+    else:
+        for line in lines if ok else [*lines, "CHECK FAILED"]:
+            print(line)
+    return EXIT_OK if ok else EXIT_PROPERTY_FAILED
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .boolalg import (
     point_map,
     spectrum,
 )
-from .errors import BadArgument, RelationNotPreserved, SquareNotCommuting
+from .errors import BadArgument, InvariantViolated, RelationNotPreserved, SquareNotCommuting
 from .terms import And, Gen, Term, generators_of
 
 Vertex = Hashable
@@ -34,7 +34,8 @@ class SeqDiagram:
     transitions: tuple[dict, ...]  # transitions[n]: level n+1 -> level n
 
     def __post_init__(self):
-        assert len(self.transitions) == max(len(self.levels) - 1, 0)
+        if len(self.transitions) != max(len(self.levels) - 1, 0):
+            raise InvariantViolated("need one transition between each pair of adjacent levels")
         for n, tr in enumerate(self.transitions):
             upper = set(self.levels[n + 1])
             lower = set(self.levels[n])
@@ -62,7 +63,8 @@ class ClosedTower:
     selected: tuple[frozenset, ...]
 
     def __post_init__(self):
-        assert len(self.selected) == self.base.depth
+        if len(self.selected) != self.base.depth:
+            raise InvariantViolated("need one selected set per level")
         for n, tr in enumerate(self.base.transitions):
             image = {tr[x] for x in self.selected[n + 1]}
             if not image <= self.selected[n]:
@@ -261,7 +263,8 @@ class RelGraphTower:
     transitions: tuple[dict, ...]
 
     def __post_init__(self):
-        assert len(self.transitions) == max(len(self.levels) - 1, 0)
+        if len(self.transitions) != max(len(self.levels) - 1, 0):
+            raise InvariantViolated("need one transition between each pair of adjacent levels")
         for n, tr in enumerate(self.transitions):
             upper, lower = self.levels[n + 1], self.levels[n]
             if set(tr) != set(upper.vertices):

@@ -18,9 +18,15 @@ from .errors import DuplicateGenerator, ParseError, UnknownGenerator
 
 
 class Term:
-    """Base class; instances are immutable syntax trees."""
+    """Base class; instances are immutable syntax trees, equal and hashed by preorder."""
 
-    __slots__ = ()
+    __slots__ = ("_key",)  # the preorder, once computed
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Term) and _preorder(self) == _preorder(other)
+
+    def __hash__(self) -> int:
+        return hash(_preorder(self))
 
     def __and__(self, other: "Term") -> "Term":
         return And(self, other)
@@ -32,19 +38,19 @@ class Term:
         return Not(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Zero(Term):
     def __str__(self) -> str:
         return "0"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class One(Term):
     def __str__(self) -> str:
         return "1"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Gen(Term):
     name: str
 
@@ -52,7 +58,7 @@ class Gen(Term):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Not(Term):
     arg: Term
 
@@ -60,7 +66,7 @@ class Not(Term):
         return f"~{_atom(self.arg)}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class And(Term):
     left: Term
     right: Term
@@ -70,7 +76,7 @@ class And(Term):
         return f"{_conj(self.left)} & {_atom(self.right)}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Or(Term):
     left: Term
     right: Term
@@ -93,6 +99,28 @@ def _conj(t: Term) -> str:
 
 ZERO = Zero()
 ONE = One()
+
+
+def _preorder(t: Term) -> tuple:
+    """Node classes and generator names of ``t`` in preorder, kept on ``t``;
+    fixed arities make it determine the term, and a stack walks any depth."""
+    key = getattr(t, "_key", None)
+    if key is not None:
+        return key
+    out: list = []
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        cls = type(s)
+        if cls is Gen:
+            out.append(s.name)
+        else:
+            out.append(cls)
+            if cls is And or cls is Or or cls is Not:
+                todo += (s.arg,) if cls is Not else (s.right, s.left)
+    key = tuple(out)
+    object.__setattr__(t, "_key", key)
+    return key
 
 
 def eval_term(t: Term, masks: Mapping[str, int], full: int = 1) -> int:
@@ -131,36 +159,33 @@ def eval_term(t: Term, masks: Mapping[str, int], full: int = 1) -> int:
 
 def generators_of(t: Term) -> set[str]:
     """Names of all generators mentioned in ``t``."""
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Gen):
-            out.add(s.name)
-        elif isinstance(s, Not):
-            stack.append(s.arg)
-        elif isinstance(s, (And, Or)):
-            stack.append(s.left)
-            stack.append(s.right)
-    return out
+    return {x for x in _preorder(t) if type(x) is str}
 
 
 def substitute(t: Term, images: Mapping[str, Term]) -> Term:
-    """Replace each generator by its image term."""
-    if isinstance(t, (Zero, One)):
-        return t
-    if isinstance(t, Gen):
-        try:
-            return images[t.name]
-        except KeyError:
-            raise UnknownGenerator(t.name) from None
-    if isinstance(t, Not):
-        return Not(substitute(t.arg, images))
-    if isinstance(t, And):
-        return And(substitute(t.left, images), substitute(t.right, images))
-    if isinstance(t, Or):
-        return Or(substitute(t.left, images), substitute(t.right, images))
-    raise TypeError(f"not a term: {t!r}")
+    """Replace each generator by its image term, walking as ``eval_term`` does."""
+    values: list[Term] = []
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        cls = type(s)
+        if cls is Gen:
+            try:
+                values.append(images[s.name])
+            except KeyError:
+                raise UnknownGenerator(s.name) from None
+        elif cls is And or cls is Or or cls is Not:
+            todo += (cls, s.arg) if cls is Not else (cls, s.right, s.left)
+        elif cls is Zero or cls is One:
+            values.append(s)
+        elif s is Not:
+            values.append(Not(values.pop()))
+        elif s is And or s is Or:
+            right = values.pop()
+            values.append(s(values.pop(), right))
+        else:
+            raise TypeError(f"not a term: {s!r}")
+    return values[0]
 
 
 def join(terms: list[Term]) -> Term:
@@ -183,6 +208,8 @@ def meet(terms: list[Term]) -> Term:
     return out
 
 
+Gens = Optional[Collection[str]]
+
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[01|&~()]))")
@@ -198,25 +225,27 @@ class _Tokens:
         self.current: str | None = None
         self.advance()
 
-    def _col(self, pos: int) -> int:
-        return pos + 1 + self.col_offset
+    def error(self, message: str) -> ParseError:
+        """A parse error at the current token, or at the end of the text."""
+        return ParseError(message, self.line, self.col_offset + self.token_pos + 1)
 
     def advance(self) -> None:
         m = _TOKEN.match(self.text, self.pos)
         if m is None:
-            rest = self.text[self.pos:].strip()
-            if rest:
-                raise ParseError(f"unexpected character {rest[0]!r}", self.line, self._col(self.pos))
+            rest = self.text[self.pos:]
+            self.token_pos = self.pos + len(rest) - len(rest.lstrip())
+            if rest.strip():
+                raise self.error(f"unexpected character {rest.lstrip()[0]!r}")
             self.current = None
             self.pos = len(self.text)
             return
-        self.current = m.group("ident") or m.group("op")
-        self.token_pos = m.start() if m.group("ident") is None else m.start("ident")
+        self.current = m.group(m.lastgroup)
+        self.token_pos = m.start(m.lastgroup)
         self.pos = m.end()
 
     def expect(self, tok: str) -> None:
         if self.current != tok:
-            raise ParseError(f"expected {tok!r}", self.line, self._col(self.pos))
+            raise self.error(f"expected {tok!r}")
         self.advance()
 
 
@@ -237,16 +266,20 @@ def _parse_conj(tk: _Tokens) -> Term:
 
 
 def _parse_unary(tk: _Tokens) -> Term:
-    if tk.current == "~":
+    negations = 0
+    while tk.current == "~":
         tk.advance()
-        return Not(_parse_unary(tk))
-    return _parse_atom(tk)
+        negations += 1
+    t = _parse_atom(tk)
+    for _ in range(negations):
+        t = Not(t)
+    return t
 
 
 def _parse_atom(tk: _Tokens) -> Term:
     tok = tk.current
     if tok is None:
-        raise ParseError("unexpected end of input", tk.line, tk._col(tk.pos))
+        raise tk.error("unexpected end of input")
     if tok == "0":
         tk.advance()
         return ZERO
@@ -260,33 +293,39 @@ def _parse_atom(tk: _Tokens) -> Term:
         return t
     if _IDENT.fullmatch(tok):
         if tk.gens is not None and tok not in tk.gens:
-            raise ParseError(f"unknown generator {tok!r}", tk.line, tk._col(tk.token_pos))
+            raise tk.error(f"unknown generator {tok!r}")
         tk.advance()
         return Gen(tok)
-    raise ParseError(f"unexpected token {tok!r}", tk.line, tk._col(tk.pos))
+    raise tk.error(f"unexpected token {tok!r}")
 
 
-def parse_term(text: str, line: int = 1, gens: Optional[Collection[str]] = None) -> Term:
-    """Parse a single Boolean expression, naming only ``gens`` if given."""
-    tk = _Tokens(text, line=line, gens=gens)
+def parse_term(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> Term:
+    """Parse one Boolean expression that starts ``offset`` characters into
+    its line, naming only ``gens`` if given."""
+    tk = _Tokens(text, line, offset, gens)
     t = _parse_expr(tk)
     if tk.current is not None:
-        raise ParseError(f"trailing input {tk.current!r}", line, tk._col(tk.pos))
+        raise tk.error(f"trailing input {tk.current!r}")
     return t
 
 
-def parse_term_list(text: str, line: int = 1, gens: Optional[Collection[str]] = None) -> list[Term]:
+def parse_term_list(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> list[Term]:
     """Parse a comma-separated list of expressions (possibly empty)."""
     if not text.strip():
         return []
-    return [parse_term(chunk, line, gens) for chunk in text.split(",")]
+    terms = []
+    for chunk in text.split(","):
+        terms.append(parse_term(chunk, line, offset, gens))
+        offset += len(chunk) + 1
+    return terms
 
 
-def parse_gen_list(text: str, line: int = 1) -> list[str]:
+def parse_gen_list(text: str, line: int = 1, offset: int = 0) -> list[str]:
     names: list[str] = []
-    for chunk in text.split():
+    for m in re.finditer(r"\S+", text):
+        chunk = m.group()
         if not _IDENT.fullmatch(chunk):
-            raise ParseError(f"bad generator name {chunk!r}", line, 1)
+            raise ParseError(f"bad generator name {chunk!r}", line, offset + m.start() + 1)
         if chunk in names:
             raise DuplicateGenerator(chunk)
         names.append(chunk)

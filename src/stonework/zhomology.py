@@ -25,8 +25,8 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        assert len(self.rows) == self.nrows
-        assert all(len(r) == self.ncols for r in self.rows)
+        if len(self.rows) != self.nrows or any(len(r) != self.ncols for r in self.rows):
+            raise InvariantViolated(f"rows do not form a {self.nrows}x{self.ncols} matrix")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> "IntMatrix":
@@ -288,9 +288,8 @@ class AbInvariants:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            assert b % a == 0
-        assert all(t > 1 for t in self.torsion)
+        if any(t <= 1 for t in self.torsion) or any(b % a for a, b in zip(self.torsion, self.torsion[1:])):
+            raise InvariantViolated(f"torsion {self.torsion} is not a divisibility chain of factors > 1")
 
     @property
     def trivial(self) -> bool:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from stonework import boolalg
 from stonework.boolalg import Presentation
 from stonework.cli import (
     EXIT_CAP,
@@ -52,6 +53,36 @@ class TestPresentationFormat:
     def test_multiple_relations_comma_separated(self):
         p = parse_presentation("gens: g0 g1\nrels: g0 & g1 , ~g0\n")
         assert p.rels == (And(Gen("g0"), Gen("g1")), Not(Gen("g0")))
+
+
+class TestErrorColumns:
+    """Columns count from the start of the line, not of the value or chunk."""
+
+    def test_bad_token_in_rels(self):
+        with pytest.raises(ParseError) as e:
+            parse_presentation("gens: g0\nrels: g0 & )\n")
+        assert (e.value.line, e.value.column) == (2, 12)
+
+    def test_bad_token_in_a_later_chunk(self):
+        with pytest.raises(ParseError) as e:
+            parse_presentation("gens: g0\nrels:  g0 , g0 | & g0\n")
+        assert (e.value.line, e.value.column) == (2, 18)
+
+    def test_unknown_generator_in_map_image(self):
+        with pytest.raises(ParseError) as e:
+            parse_morphism_file("src-gens: a\ndst-gens: b\nmap: a -> b & c\n")
+        assert (e.value.line, e.value.column) == (3, 15)
+
+    def test_unknown_generator_in_rels(self):
+        with pytest.raises(ParseError) as e:
+            parse_presentation("gens: g0\nrels: g0 , g0 & g7\n")
+        assert "'g7'" in str(e.value) and (e.value.line, e.value.column) == (2, 17)
+
+    def test_unknown_generator_in_seq(self, capsys, tmp_path):
+        f = tmp_path / "markov.txt"
+        f.write_text("gens: g0\nrels:\nseq: g0 , ~g9\n")
+        assert main(["markov", str(f), "--bound", "3"]) == EXIT_USAGE
+        assert "'g9' (line 3, column 12)" in capsys.readouterr().err
 
 
 class TestMorphismFormat:
@@ -335,3 +366,103 @@ class TestJsonReports:
         report = json.loads(capsys.readouterr().out)
         assert report["k"] == -1
         assert report["verdict"] == "fails_on_beta"
+
+
+class TestFailedCheck:
+    """A checked property that fails prints its report and exits 1."""
+
+    @pytest.fixture(autouse=True)
+    def failing_duality(self, monkeypatch):
+        report = boolalg.DualityReport(n_gens=2, n_points=3, n_elements=8, bijective=False)
+        monkeypatch.setattr(boolalg, "check_duality", lambda p: report)
+
+    def test_text_report_ends_with_check_failed(self, capsys, pres_file):
+        assert main(["duality", pres_file]) == EXIT_PROPERTY_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "spectrum: 3 points; algebra has 8 elements\n"
+            "evaluation map bijective: False\n"
+            "CHECK FAILED\n"
+        )
+        assert captured.err == ""
+
+    def test_json_report_is_printed_bare(self, capsys, pres_file):
+        assert main(["--json", "duality", pres_file]) == EXIT_PROPERTY_FAILED
+        out = capsys.readouterr().out
+        assert "CHECK FAILED" not in out
+        report = json.loads(out)
+        assert report["command"] == "duality"
+        assert (report["n_points"], report["n_elements"], report["bijective"]) == (3, 8, False)
+
+
+def truth_tables(n: int) -> tuple[list[int], int]:
+    """Generator i's table over the 2^n assignments in lexicographic order
+    (g0 most significant, as spectra list points), and the all-ones table."""
+    size = 1 << n
+    return [sum(1 << a for a in range(size) if a >> (n - 1 - i) & 1) for i in range(n)], (1 << size) - 1
+
+
+def surviving_points(n: int, tables: list[int]) -> list[str]:
+    """Assignments, as bit strings, at which every relation's table is 0."""
+    alive = truth_tables(n)[1]
+    for t in tables:
+        alive &= ~t
+    return [format(a, f"0{n}b") for a in range(1 << n) if alive >> a & 1]
+
+
+class TestLongTerms:
+    """Relations far deeper than the recursion limit, checked against truth tables."""
+
+    def test_spectrum_of_a_600_operand_relation(self, capsys, tmp_path):
+        names = [f"g{i % 3}" for i in range(600)]
+        f = tmp_path / "long.txt"
+        f.write_text(f"gens: g0 g1 g2\nrels: {' & '.join(names)}\n")
+        masks, full = truth_tables(3)
+        table = full
+        for name in names:
+            table &= masks[int(name[1:])]
+        assert main(["--json", "spectrum", str(f)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["points"] == surviving_points(3, [table])
+
+    def test_spectrum_of_5001_nested_negations(self, capsys, tmp_path):
+        f = tmp_path / "deep.txt"
+        f.write_text("gens: g0 g1\nrels: " + "~" * 5001 + "g0\n")
+        masks, full = truth_tables(2)
+        table = masks[0]
+        for _ in range(5001):
+            table ^= full
+        assert main(["--json", "spectrum", str(f)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["points"] == surviving_points(2, [table])
+
+    def test_markov_on_a_700_operand_sequence_term(self, capsys, tmp_path):
+        names = [f"~g{i % 2}" for i in range(700)]
+        f = tmp_path / "markov.txt"
+        f.write_text(f"gens: g0 g1\nrels:\nseq: {' | '.join(names)} , g0\n")
+        masks, full = truth_tables(2)
+        first = 0
+        for name in names:
+            first |= full ^ masks[int(name[2:])]
+        prefixes = [[first], [first, masks[0]]]
+        expected = next(k for k, rels in enumerate(prefixes) if not surviving_points(2, rels))
+        assert main(["--json", "markov", str(f), "--bound", "5"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["witness"] == expected
+
+    def test_morphism_with_a_3000_operand_source_relation(self, capsys, tmp_path):
+        names = [f"a{i % 2}" for i in range(3000)]
+        f = tmp_path / "mor.txt"
+        f.write_text(
+            f"src-gens: a0 a1\nsrc-rels: {' & '.join(names)}\n"
+            "dst-gens: b0 b1\ndst-rels: b0 & b1\nmap: a0 -> b0, a1 -> b1\n"
+        )
+        masks, full = truth_tables(2)
+        table = full
+        for name in names:
+            table &= masks[int(name[1:])]
+        src = surviving_points(2, [table])
+        dst = surviving_points(2, [masks[0] & masks[1]])
+        # the images are the generators, so a target point restricts to itself
+        point_map = [src.index(p) for p in dst]
+        assert main(["--json", "morphism", str(f)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["point_map"] == point_map
+        assert report["point_map_surjective"] == report["injective"] == (sorted(point_map) == list(range(len(src))))

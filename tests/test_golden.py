@@ -1,7 +1,8 @@
-"""Byte-for-byte JSON reports of every subcommand on fixed inputs.
+"""Byte-for-byte reports of every subcommand on fixed inputs.
 
-Each case runs ``stonework --json`` in-process and compares its stdout with
-``tests/golden/<case>.json``.  The goldens pin the reports across refactors:
+Each case runs ``stonework`` in-process, with and without ``--json``, and
+compares its stdout with ``tests/golden/<case>.json`` and
+``tests/golden/<case>.txt``.  The goldens pin the reports across refactors:
 a change that alters any of them changes what a user sees.
 """
 
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from stonework.cli import EXIT_OK, build_parser, main
+from stonework import cli
+from stonework.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -75,7 +77,14 @@ def test_report_matches_golden(name, tmp_path, capsys):
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_text_matches_golden(name, tmp_path, capsys):
+    assert main(case_argv(name, tmp_path)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
 def test_every_subcommand_has_a_golden():
-    sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
-    assert set(sub.choices) == {argv[0] for argv in CASES.values()}
-    assert {p.stem for p in GOLDEN.glob("*.json")} == set(CASES)
+    assert {c.name for c in cli.COMMANDS} == {argv[0] for argv in CASES.values()}
+    for suffix in ("json", "txt"):
+        assert {p.stem for p in GOLDEN.glob(f"*.{suffix}")} == set(CASES)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from stonework.boolalg import spectrum, free
-from stonework.errors import RelationNotPreserved, SquareNotCommuting
+from stonework.errors import InvariantViolated, RelationNotPreserved, SquareNotCommuting
 from stonework.profinite import (
     ClosedTower,
     CountablePresentation,
@@ -34,6 +34,23 @@ ATMOSTONE = CountablePresentation(family=pairwise_meet_zero_family)
 
 def cantor_diagram(depth: int) -> SeqDiagram:
     return spectrum_tower(truncation_tower(CANTOR, depth))
+
+
+class TestInvariants:
+    """Shape checks raise errors, which ``python -O`` keeps, not asserts."""
+
+    def test_seq_diagram_needs_one_transition_per_step(self):
+        with pytest.raises(InvariantViolated):
+            SeqDiagram(levels=((0,), (0,)), transitions=())
+
+    def test_closed_tower_needs_a_selected_set_per_level(self):
+        with pytest.raises(InvariantViolated):
+            ClosedTower(cantor_diagram(2), selected=(frozenset(),))
+
+    def test_rel_graph_tower_needs_one_transition_per_step(self):
+        g = equality_graph([0])
+        with pytest.raises(InvariantViolated):
+            RelGraphTower(levels=(g, g), transitions=())
 
 
 class TestFamilies:

@@ -100,6 +100,36 @@ class TestPrinter:
         assert parse_term(str(t)) == t
 
 
+class TestEquality:
+    """Terms compare and hash by structure, with term_to_json as the reference."""
+
+    @given(term_strategy(["g0", "g1"]), term_strategy(["g0", "g1"]))
+    def test_equal_iff_same_structure(self, a: Term, b: Term):
+        assert (a == b) == (term_to_json(a) == term_to_json(b))
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(term_strategy(["g0", "g1", "g2"]))
+    def test_rebuilt_term_is_equal_and_hashes_equal(self, t: Term):
+        copy = term_from_json(term_to_json(t))
+        assert copy == t and hash(copy) == hash(t)
+        assert {t: 1}[copy] == 1
+
+    def test_order_and_operator_matter(self):
+        distinct = [And(G0, G1), And(G1, G0), Or(G0, G1), Not(Not(G0)), G0, ZERO, ONE, Not(ZERO)]
+        for i, a in enumerate(distinct):
+            for b in distinct[i + 1:]:
+                assert a != b
+        assert G0 != "g0"
+
+    def test_deep_terms_compare_and_hash(self):
+        deep = [parse_term("~" * 5000 + "g0"), parse_term(" & ".join(["g0"] * 3000))]
+        for t in deep:
+            copy = substitute(t, {"g0": G0})
+            assert copy == t and hash(copy) == hash(t)
+        assert deep[0] != deep[1]
+
+
 class TestEval:
     def test_truth_table_of_core_ops(self):
         a = {"g0": 1, "g1": 0}

@@ -121,6 +121,11 @@ class TestIntMatrix:
         assert a.column(1) == (2, 4)
         assert a.columns() == [(1, 3), (2, 4)]
 
+    @pytest.mark.parametrize("nrows, ncols, rows", [(2, 2, ((1, 2),)), (2, 2, ((1, 2), (3,)))])
+    def test_wrong_shape_is_an_invariant_violation(self, nrows, ncols, rows):
+        with pytest.raises(InvariantViolated):
+            IntMatrix(nrows, ncols, rows)
+
 
 class TestRationalRank:
     def test_examples(self):
@@ -253,6 +258,11 @@ class TestAbInvariants:
     def test_trivial(self):
         assert TRIVIAL_GROUP.trivial
         assert not Z.trivial
+
+    @pytest.mark.parametrize("torsion", [(1,), (0, 2), (2, 3), (4, 2)])
+    def test_bad_torsion_is_an_invariant_violation(self, torsion):
+        with pytest.raises(InvariantViolated):
+            AbInvariants(0, torsion)
 
 
 class TestChainComplex:

@@ -59,9 +59,9 @@ def enumeration_cap() -> int:
         raise BadArgument(f"STONEWORK_CAP must be an integer, got {raw!r}") from None
 
 
-def check_cap(n: int, cap: Optional[int]) -> None:
-    """Raise CapExceeded when 2^n exceeds 2^cap (the configured cap if None)."""
-    limit = enumeration_cap() if cap is None else cap
+def check_cap(n: int) -> None:
+    """Raise CapExceeded when 2^n exceeds 2^cap, the cap read from STONEWORK_CAP now."""
+    limit = enumeration_cap()
     if n > limit:
         raise CapExceeded(n, limit)
 
@@ -89,9 +89,9 @@ class Presentation:
         return Presentation(tuple(gens), tuple(rels))
 
 
-def free(n: int, prefix: str = "g") -> Presentation:
+def free(n: int) -> Presentation:
     """Free algebra on ``n`` generators g0..g{n-1}."""
-    return Presentation.make([f"{prefix}{i}" for i in range(n)])
+    return Presentation.make([f"g{i}" for i in range(n)])
 
 
 def binfty(n: int) -> Presentation:
@@ -143,12 +143,14 @@ def _bits_of(v: int, n: int) -> Bits:
     return tuple(map(int, format(v | 1 << n, "b")[:0:-1]))
 
 
-@functools.lru_cache(maxsize=512)
-def _enumerate_spectrum(p: Presentation) -> FinBoolAlg:
-    """Clear each relation's truth table from the set of all 2^n assignments.
+def spectrum(p: Presentation) -> FinBoolAlg:
+    """All assignments killing every relation, in lexicographic order.
 
-    Assignment k, the k-th in product order, gives generator i bit n-1-i of k.
+    Each relation's truth table is cleared from the set of all 2^n
+    assignments, so the cap bounds the size of those tables.  Assignment k,
+    the k-th in product order, gives generator i bit n-1-i of k.
     """
+    check_cap(len(p.gens))
     masks, size = {}, 1
     for g in reversed(p.gens):  # each generator doubles the table
         masks = {h: m | m << size for h, m in masks.items()}
@@ -159,18 +161,6 @@ def _enumerate_spectrum(p: Presentation) -> FinBoolAlg:
         alive &= ~eval_term(r, masks, full)
     points = itertools.compress(itertools.product((0, 1), repeat=len(p.gens)), _bits_of(alive, size))
     return FinBoolAlg(p, tuple(points))
-
-
-def spectrum(p: Presentation, cap: Optional[int] = None) -> FinBoolAlg:
-    """All assignments killing every relation, in lexicographic order.
-
-    Each relation is evaluated once, as a truth table of 2^n bits, so the
-    cap bounds the size of those tables.  The enumeration is pure in the
-    presentation and cached; the cap is checked on every call so
-    environment overrides keep taking effect.
-    """
-    check_cap(len(p.gens), cap)
-    return _enumerate_spectrum(p)
 
 
 def evaluate(t: Term, a: FinBoolAlg) -> Bits:
@@ -205,15 +195,15 @@ class DualityReport:
     failures: tuple[Bits, ...] = ()
 
 
-def check_duality(p: Presentation, cap: Optional[int] = None) -> DualityReport:
+def check_duality(p: Presentation) -> DualityReport:
     """Exhaustively check that evaluation is a bijection onto 2^points.
 
     Surjectivity is checked via realize on every bit-vector; injectivity is
     bit-vector equality of canonical elements, so the algebra has exactly
     2^|points| elements when the check passes.
     """
-    a = spectrum(p, cap)
-    check_cap(a.n_points, cap)
+    a = spectrum(p)
+    check_cap(a.n_points)
     failures = []
     for v in itertools.product((0, 1), repeat=a.n_points):
         if evaluate(realize(v, a), a) != v:
@@ -244,17 +234,12 @@ class Morphism:
         return substitute(t, self.images)
 
 
-def hom(
-    src: Presentation,
-    images: Mapping[str, Term],
-    dst: Presentation,
-    cap: Optional[int] = None,
-) -> Morphism:
+def hom(src: Presentation, images: Mapping[str, Term], dst: Presentation) -> Morphism:
     """Build a morphism, rejecting it if some source relation is not killed."""
     for g in src.gens:
         if g not in images:
             raise UnknownGenerator(g)
-    dst_alg = spectrum(dst, cap)
+    dst_alg = spectrum(dst)
     for idx, r in enumerate(src.rels):
         image = substitute(r, images)
         if any(evaluate(image, dst_alg)):
@@ -266,10 +251,10 @@ def identity(p: Presentation) -> Morphism:
     return Morphism(p, p, {g: Gen(g) for g in p.gens})
 
 
-def point_map(m: Morphism, cap: Optional[int] = None) -> list[int]:
+def point_map(m: Morphism) -> list[int]:
     """Induced map Sp(dst) -> Sp(src) by precomposition, as point indices."""
-    src_alg = spectrum(m.src, cap)
-    dst_alg = spectrum(m.dst, cap)
+    src_alg = spectrum(m.src)
+    dst_alg = spectrum(m.dst)
     # column g of the composed points is the evaluation of g's image
     columns = [evaluate(m.images[g], dst_alg) for g in m.src.gens]
     points = zip(*columns) if columns else [()] * dst_alg.n_points
@@ -286,7 +271,7 @@ class MorphismReport:
     axiom2_consistent: bool
 
 
-def analyze_morphism(m: Morphism, cap: Optional[int] = None) -> MorphismReport:
+def analyze_morphism(m: Morphism) -> MorphismReport:
     """Kernel, injectivity and the dual point map, checked for consistency.
 
     Injectivity is decided by pushing every minterm element through the
@@ -294,15 +279,15 @@ def analyze_morphism(m: Morphism, cap: Optional[int] = None) -> MorphismReport:
     minterms that map to 0); surjectivity of the point map is computed
     independently by precomposition, and the two must agree.
     """
-    src_alg = spectrum(m.src, cap)
-    dst_alg = spectrum(m.dst, cap)
+    src_alg = spectrum(m.src)
+    dst_alg = spectrum(m.dst)
     killed = []
     for i in range(src_alg.n_points):
         img = evaluate(m.apply(minterm(src_alg, i)), dst_alg)
         if not any(img):
             killed.append(i)
     kernel_top = tuple(1 if i in killed else 0 for i in range(src_alg.n_points))
-    pm = point_map(m, cap)
+    pm = point_map(m)
     surjective = set(pm) == set(range(src_alg.n_points))
     injective = not killed
     return MorphismReport(
@@ -315,23 +300,21 @@ def analyze_morphism(m: Morphism, cap: Optional[int] = None) -> MorphismReport:
     )
 
 
-def epi_mono_factor(
-    m: Morphism, cap: Optional[int] = None
-) -> tuple[Morphism, FinBoolAlg, Morphism]:
+def epi_mono_factor(m: Morphism) -> tuple[Morphism, FinBoolAlg, Morphism]:
     """Factor ``m`` as quotient-then-inclusion.
 
     The middle algebra is src quotiented by the complement of the image of
     the induced point map; its spectrum is exactly that image.
     """
-    src_alg = spectrum(m.src, cap)
-    pm = point_map(m, cap)
+    src_alg = spectrum(m.src)
+    pm = point_map(m)
     image = set(pm)
     cokernel_vec = tuple(0 if i in image else 1 for i in range(src_alg.n_points))
     extra = realize(cokernel_vec, src_alg)
     middle_pres = Presentation.make(m.src.gens, list(m.src.rels) + [extra])
-    middle = spectrum(middle_pres, cap)
-    epi = hom(m.src, {g: Gen(g) for g in m.src.gens}, middle_pres, cap)
-    mono = hom(middle_pres, dict(m.images), m.dst, cap)
+    middle = spectrum(middle_pres)
+    epi = hom(m.src, {g: Gen(g) for g in m.src.gens}, middle_pres)
+    mono = hom(middle_pres, dict(m.images), m.dst)
     return epi, middle, mono
 
 
@@ -370,14 +353,14 @@ def _binfty_point_roles(a: FinBoolAlg) -> tuple[int, dict[int, int]]:
     return zero_idx, onehot
 
 
-def binfty_normal_form(v: Bits, n: int, cap: Optional[int] = None) -> NormalFormBInfty:
+def binfty_normal_form(v: Bits, n: int) -> NormalFormBInfty:
     """Classify an element of binfty(n) as Join(I) or MeetNeg(I).
 
     MeetNeg(I) iff the all-zero point is selected, with I the generator
     indices of the deselected one-hot points; Join(I) otherwise with I the
     indices of the selected ones.
     """
-    a = spectrum(binfty(n), cap)
+    a = spectrum(binfty(n))
     if len(v) != a.n_points:
         raise ValueError(f"vector length {len(v)} != {a.n_points} points")
     zero_idx, onehot = _binfty_point_roles(a)
@@ -416,7 +399,7 @@ def llpo_product_presentation(n: int) -> Presentation:
     return Presentation.make(gens, rels)
 
 
-def llpo_split(n: int, cap: Optional[int] = None) -> LlpoReport:
+def llpo_split(n: int) -> LlpoReport:
     """Interleaving map binfty(2n) -> binfty(n) x binfty(n) and its dual.
 
     Even generators go to the first factor, odd ones to the second; the map
@@ -432,14 +415,14 @@ def llpo_split(n: int, cap: Optional[int] = None) -> LlpoReport:
     for m in range(2 * n):
         k, parity = divmod(m, 2)
         images[f"g{m}"] = Gen(f"a{k}") if parity == 0 else Gen(f"b{k}")
-    f = hom(src, images, dst, cap)
-    report = analyze_morphism(f, cap)
+    f = hom(src, images, dst)
+    report = analyze_morphism(f)
 
-    src_alg = spectrum(src, cap)
+    src_alg = spectrum(src)
     pm = report.point_map
     decode: list[tuple[str, Point]] = []
     consistent = True
-    dst_alg = spectrum(dst, cap)
+    dst_alg = spectrum(dst)
     for i, pt in enumerate(src_alg.points):
         support = [j for j, b in enumerate(pt) if b]
         if not support:
@@ -514,13 +497,12 @@ def minimal_join_witness(
     p: Presentation,
     rels: Sequence[Term],
     bound: int,
-    cap: Optional[int] = None,
 ) -> Optional[int]:
     """Least k <= bound with p quotiented by rels[0..k] trivial, if any."""
     current = list(p.rels)
     for k, r in enumerate(rels[: bound + 1]):
         current.append(r)
-        if is_trivial(spectrum(Presentation.make(p.gens, current), cap)):
+        if is_trivial(spectrum(Presentation.make(p.gens, current))):
             return k
     return None
 
@@ -529,7 +511,6 @@ def separate_closed(
     p: Presentation,
     fs: Sequence[Term],
     gs: Sequence[Term],
-    cap: Optional[int] = None,
 ) -> Bits:
     """Decidable separator of two disjoint closed sets.
 
@@ -538,7 +519,7 @@ def separate_closed(
     whose quotient is trivial; with I,J the f/g indices of that prefix,
     D(x) holds iff x evaluates the join of the selected g's to 1.
     """
-    a = spectrum(p, cap)
+    a = spectrum(p)
     # a point of both sets kills every f and every g
     if not all(evaluate(join([*fs, *gs]), a)):
         raise NotDisjoint("the closed sets intersect")
@@ -556,6 +537,6 @@ def separate_closed(
         if tag == "g":
             selected_gs.append(h)
         quotient = Presentation.make(p.gens, list(p.rels) + prefix)
-        if is_trivial(spectrum(quotient, cap)):
+        if is_trivial(spectrum(quotient)):
             break
     return evaluate(join(selected_gs), a)

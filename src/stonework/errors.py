@@ -8,10 +8,10 @@ class StoneworkError(Exception):
 class CapExceeded(StoneworkError):
     """An exhaustive enumeration would exceed the configured cap."""
 
-    def __init__(self, needed: int, cap: int):
+    def __init__(self, needed: int, limit: int):
         self.needed = needed
-        self.cap = cap
-        super().__init__(f"enumeration over 2^{needed} exceeds cap 2^{cap}")
+        self.cap = limit
+        super().__init__(f"enumeration over 2^{needed} exceeds cap 2^{limit}")
 
 
 class BadArgument(StoneworkError, ValueError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .boolalg import check_cap
 from .errors import BadArgument, OutOfRange
@@ -144,9 +144,9 @@ def near_companion(n: int, s: BitWord, t: BitWord) -> bool:
     return False
 
 
-def interval_graph(n: int, cap: Optional[int] = None) -> RelGraph:
+def interval_graph(n: int) -> RelGraph:
     """Vertices 0..2^n-1 with |i-j| <= 1 related."""
-    check_cap(n, cap)
+    check_cap(n)
     size = 2**n
     related = set()
     for i in range(size):
@@ -157,9 +157,9 @@ def interval_graph(n: int, cap: Optional[int] = None) -> RelGraph:
     return RelGraph(tuple(range(size)), frozenset(related))
 
 
-def circle_graph(n: int, cap: Optional[int] = None) -> RelGraph:
+def circle_graph(n: int) -> RelGraph:
     """Interval graph plus the wrap-around pair between 0 and 2^n - 1."""
-    g = interval_graph(n, cap)
+    g = interval_graph(n)
     size = 2**n
     related = set(g.related)
     related.add((0, size - 1))
@@ -167,22 +167,22 @@ def circle_graph(n: int, cap: Optional[int] = None) -> RelGraph:
     return RelGraph(g.vertices, frozenset(related))
 
 
-def restrict_graph_map(n: int, cap: Optional[int] = None) -> dict[int, int]:
+def restrict_graph_map(n: int) -> dict[int, int]:
     """Drop-last-bit vertex map from level n+1 down to level n."""
-    check_cap(n + 1, cap)
+    check_cap(n + 1)
     return {k: k // 2 for k in range(2 ** (n + 1))}
 
 
-def interval_tower(depth: int, cap: Optional[int] = None) -> RelGraphTower:
+def interval_tower(depth: int) -> RelGraphTower:
     """Levels interval_graph(0..depth-1) with bit-truncation transitions."""
-    levels = tuple(interval_graph(n, cap) for n in range(depth))
-    transitions = tuple(restrict_graph_map(n, cap) for n in range(depth - 1))
+    levels = tuple(interval_graph(n) for n in range(depth))
+    transitions = tuple(restrict_graph_map(n) for n in range(depth - 1))
     return RelGraphTower(levels, transitions)
 
 
-def circle_tower(depth: int, cap: Optional[int] = None) -> RelGraphTower:
-    levels = tuple(circle_graph(n, cap) for n in range(depth))
-    transitions = tuple(restrict_graph_map(n, cap) for n in range(depth - 1))
+def circle_tower(depth: int) -> RelGraphTower:
+    levels = tuple(circle_graph(n) for n in range(depth))
+    transitions = tuple(restrict_graph_map(n) for n in range(depth - 1))
     return RelGraphTower(levels, transitions)
 
 

@@ -12,14 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
-from .boolalg import (
-    FinBoolAlg,
-    Morphism,
-    Presentation,
-    hom,
-    point_map,
-    spectrum,
-)
+from .boolalg import FinBoolAlg, Morphism, Presentation, spectrum
 from .errors import BadArgument, InvariantViolated, RelationNotPreserved, SquareNotCommuting
 from .terms import And, Gen, Term, generators_of
 
@@ -113,36 +106,36 @@ def _gen_index(name: str) -> int:
     return int(name[1:])
 
 
-def truncation_tower(
-    p: CountablePresentation, depth: int, cap: Optional[int] = None
-) -> AlgebraTower:
-    """Finite truncations at levels 0..depth-1 with generator-inclusion maps."""
+def truncation_tower(p: CountablePresentation, depth: int) -> AlgebraTower:
+    """Finite truncations at levels 0..depth-1 with generator-inclusion maps.
+
+    Level n's generators are among level n+1's and its relations are a
+    prefix of level n+1's, so each inclusion kills every source relation.
+    """
     levels: list[FinBoolAlg] = []
-    presentations: list[Presentation] = []
     for n in range(depth):
         rels = [r for r in (p.relation(i) for i in range(n + 1)) if r is not None]
         indices = set(range(n + 1))
         for r in rels:
             indices.update(_gen_index(g) for g in generators_of(r))
         gens = [f"g{i}" for i in sorted(indices)]
-        pres = Presentation.make(gens, rels)
-        presentations.append(pres)
-        levels.append(spectrum(pres, cap))
-    connecting = []
-    for n in range(depth - 1):
-        images = {g: Gen(g) for g in presentations[n].gens}
-        connecting.append(hom(presentations[n], images, presentations[n + 1], cap))
-    return AlgebraTower(tuple(levels), tuple(connecting))
-
-
-def spectrum_tower(t: AlgebraTower, cap: Optional[int] = None) -> SeqDiagram:
-    """Dualize: level sets are spectra, transitions precompose the inclusions."""
-    levels = tuple(alg.points for alg in t.levels)
-    transitions = tuple(
-        {upper.points[i]: lower.points[j] for i, j in enumerate(point_map(m, cap))}
-        for m, lower, upper in zip(t.connecting, t.levels, t.levels[1:])
+        levels.append(spectrum(Presentation.make(gens, rels)))
+    connecting = tuple(
+        Morphism(lower.source, upper.source, {g: Gen(g) for g in lower.source.gens})
+        for lower, upper in zip(levels, levels[1:])
     )
-    return SeqDiagram(levels, transitions)
+    return AlgebraTower(tuple(levels), connecting)
+
+
+def spectrum_tower(t: AlgebraTower) -> SeqDiagram:
+    """Dualize: level sets are spectra, and each transition restricts a point
+    to the lower level's generators, which is precomposing the inclusion."""
+    levels = tuple(alg.points for alg in t.levels)
+    transitions = []
+    for lower, upper in zip(t.levels, t.levels[1:]):
+        at = [upper.source.gens.index(g) for g in lower.source.gens]
+        transitions.append({pt: tuple(pt[i] for i in at) for pt in upper.points})
+    return SeqDiagram(levels, tuple(transitions))
 
 
 def points_at_depth(d: SeqDiagram, depth: int) -> list[tuple]:

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Collection, Iterator, Mapping, Optional
 
-from .errors import DuplicateGenerator, ParseError, UnknownGenerator
+from .errors import ParseError, UnknownGenerator
 
 
 class Term:
@@ -250,53 +250,50 @@ class _Tokens:
 
 
 def _parse_expr(tk: _Tokens) -> Term:
-    t = _parse_conj(tk)
-    while tk.current == "|":
+    """Parse one ``expr`` in a loop: each ``(`` pushes the enclosing
+    disjunction, conjunction and pending negations, and its ``)`` pops them,
+    so nesting depth costs no recursion."""
+    frames: list[tuple] = []
+    disj = conj = None
+    while True:
+        negations = 0
+        while tk.current == "~":
+            tk.advance()
+            negations += 1
+        tok = tk.current
+        if tok == "(":
+            tk.advance()
+            frames.append((disj, conj, negations))
+            disj = conj = None
+            continue
+        if tok is None:
+            raise tk.error("unexpected end of input")
+        if tok == "0" or tok == "1":
+            t = ZERO if tok == "0" else ONE
+        elif _IDENT.fullmatch(tok):
+            if tk.gens is not None and tok not in tk.gens:
+                raise tk.error(f"unknown generator {tok!r}")
+            t = Gen(tok)
+        else:
+            raise tk.error(f"unexpected token {tok!r}")
         tk.advance()
-        t = Or(t, _parse_conj(tk))
-    return t
-
-
-def _parse_conj(tk: _Tokens) -> Term:
-    t = _parse_unary(tk)
-    while tk.current == "&":
+        # t is a complete atom: fold it in, closing every ")" that follows it
+        while True:
+            for _ in range(negations):
+                t = Not(t)
+            conj = t if conj is None else And(conj, t)
+            if tk.current == "&":
+                break
+            disj = conj if disj is None else Or(disj, conj)
+            conj = None
+            if tk.current == "|":
+                break
+            if not frames:
+                return disj
+            tk.expect(")")
+            t = disj
+            disj, conj, negations = frames.pop()
         tk.advance()
-        t = And(t, _parse_unary(tk))
-    return t
-
-
-def _parse_unary(tk: _Tokens) -> Term:
-    negations = 0
-    while tk.current == "~":
-        tk.advance()
-        negations += 1
-    t = _parse_atom(tk)
-    for _ in range(negations):
-        t = Not(t)
-    return t
-
-
-def _parse_atom(tk: _Tokens) -> Term:
-    tok = tk.current
-    if tok is None:
-        raise tk.error("unexpected end of input")
-    if tok == "0":
-        tk.advance()
-        return ZERO
-    if tok == "1":
-        tk.advance()
-        return ONE
-    if tok == "(":
-        tk.advance()
-        t = _parse_expr(tk)
-        tk.expect(")")
-        return t
-    if _IDENT.fullmatch(tok):
-        if tk.gens is not None and tok not in tk.gens:
-            raise tk.error(f"unknown generator {tok!r}")
-        tk.advance()
-        return Gen(tok)
-    raise tk.error(f"unexpected token {tok!r}")
 
 
 def parse_term(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> Term:
@@ -327,7 +324,7 @@ def parse_gen_list(text: str, line: int = 1, offset: int = 0) -> list[str]:
         if not _IDENT.fullmatch(chunk):
             raise ParseError(f"bad generator name {chunk!r}", line, offset + m.start() + 1)
         if chunk in names:
-            raise DuplicateGenerator(chunk)
+            raise ParseError(f"duplicate generator {chunk!r}", line, offset + m.start() + 1)
         names.append(chunk)
     return names
 

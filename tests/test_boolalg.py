@@ -78,9 +78,12 @@ class TestSpectrum:
         a = spectrum(Presentation.make(["g0"], [G0, Not(G0)]))
         assert is_trivial(a)
 
-    def test_cap_enforced(self):
-        with pytest.raises(CapExceeded):
-            spectrum(free(5), cap=4)
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("STONEWORK_CAP", "4")
+        assert spectrum(free(4)).n_points == 16
+        with pytest.raises(CapExceeded) as e:
+            spectrum(free(5))
+        assert (e.value.needed, e.value.cap) == (5, 4)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("STONEWORK_CAP", "2")
@@ -90,10 +93,14 @@ class TestSpectrum:
         monkeypatch.delenv("STONEWORK_CAP")
         assert enumeration_cap() == DEFAULT_CAP
 
-    def test_cap_checked_even_after_caching(self):
-        spectrum(free(4))  # populate the cache
+    def test_changed_cap_takes_effect_on_next_call(self, monkeypatch):
+        p = free(4)
+        spectrum(p)
+        monkeypatch.setenv("STONEWORK_CAP", "3")
         with pytest.raises(CapExceeded):
-            spectrum(free(4), cap=3)
+            spectrum(p)
+        monkeypatch.setenv("STONEWORK_CAP", "4")
+        assert spectrum(p).n_points == 16
 
 
 class TestEvaluateRealize:

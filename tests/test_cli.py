@@ -78,6 +78,18 @@ class TestErrorColumns:
             parse_presentation("gens: g0\nrels: g0 , g0 & g7\n")
         assert "'g7'" in str(e.value) and (e.value.line, e.value.column) == (2, 17)
 
+    def test_duplicate_generator_in_gens(self, capsys, tmp_path):
+        f = tmp_path / "dup.txt"
+        f.write_text("gens: g0 g1  g0\nrels:\n")
+        assert main(["spectrum", str(f)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: duplicate generator 'g0' (line 1, column 14)\n"
+
+    def test_duplicate_generator_in_src_gens(self):
+        with pytest.raises(ParseError) as e:
+            parse_morphism_file("dst-gens: c\nsrc-gens: a b a\nmap: a -> c, b -> c\n")
+        assert "duplicate generator 'a'" in str(e.value)
+        assert (e.value.line, e.value.column) == (2, 15)
+
     def test_unknown_generator_in_seq(self, capsys, tmp_path):
         f = tmp_path / "markov.txt"
         f.write_text("gens: g0\nrels:\nseq: g0 , ~g9\n")
@@ -433,6 +445,16 @@ class TestLongTerms:
             table ^= full
         assert main(["--json", "spectrum", str(f)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["points"] == surviving_points(2, [table])
+
+    def test_spectrum_of_1000_nested_parentheses(self, capsys, tmp_path):
+        masks, full = truth_tables(3)
+        deep, table = "g1", masks[1]
+        for i in range(1000):
+            deep, table = f"(~{deep} | g{i % 2})", (full ^ table) | masks[i % 2]
+        f = tmp_path / "parens.txt"
+        f.write_text(f"gens: g0 g1 g2\nrels: {'(' * 1000}g2{')' * 1000}, {deep}\n")
+        assert main(["--json", "spectrum", str(f)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["points"] == surviving_points(3, [masks[2], table])
 
     def test_markov_on_a_700_operand_sequence_term(self, capsys, tmp_path):
         names = [f"~g{i % 2}" for i in range(700)]

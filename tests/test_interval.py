@@ -175,11 +175,13 @@ class TestGraphs:
         for k in range(8):
             assert m1[m2[k]] == k // 4
 
-    def test_level_cap(self):
+    def test_level_cap(self, monkeypatch):
         with pytest.raises(CapExceeded):
             interval_graph(25)
+        monkeypatch.setenv("STONEWORK_CAP", "5")
+        assert len(interval_graph(5).vertices) == 32
         with pytest.raises(CapExceeded):
-            interval_graph(6, cap=5)
+            interval_graph(6)
 
 
 class TestIntervalUnions:

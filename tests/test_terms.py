@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import term_strategy
-from stonework.errors import DuplicateGenerator, ParseError
+from stonework.errors import ParseError
 from stonework.terms import (
     And,
     Gen,
@@ -77,8 +77,10 @@ class TestParser:
         assert parse_gen_list("") == []
 
     def test_gen_list_duplicate(self):
-        with pytest.raises(DuplicateGenerator):
-            parse_gen_list("g0 g0")
+        with pytest.raises(ParseError) as e:
+            parse_gen_list("g0 g1 g0", 3, 6)
+        assert "duplicate generator 'g0'" in str(e.value)
+        assert (e.value.line, e.value.column) == (3, 13)
 
     def test_gen_list_bad_identifier(self):
         with pytest.raises(ParseError):

@@ -7,8 +7,8 @@ relation, kept in lexicographic order of their bit-strings under the
 presentation's generator order; it is found by evaluating each relation
 once, as a truth table with one bit per assignment.  Elements of the algebra
 are represented canonically as bit-vectors over the spectrum points, so that
-equality of elements is equality of vectors and the duality check is an
-exhaustive bijection test.
+equality of elements is equality of vectors.  The duality check certifies
+the bijection with one truth table per point, not one per vector.
 """
 
 from __future__ import annotations
@@ -59,11 +59,12 @@ def enumeration_cap() -> int:
         raise BadArgument(f"STONEWORK_CAP must be an integer, got {raw!r}") from None
 
 
-def check_cap(n: int) -> None:
-    """Raise CapExceeded when 2^n exceeds 2^cap, the cap read from STONEWORK_CAP now."""
+def check_cap(n: int, stage: str) -> None:
+    """Raise CapExceeded, naming ``stage``, when 2^n exceeds 2^cap, the cap
+    read from STONEWORK_CAP now."""
     limit = enumeration_cap()
     if n > limit:
-        raise CapExceeded(n, limit)
+        raise CapExceeded(n, limit, stage)
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ def spectrum(p: Presentation) -> FinBoolAlg:
     assignments, so the cap bounds the size of those tables.  Assignment k,
     the k-th in product order, gives generator i bit n-1-i of k.
     """
-    check_cap(len(p.gens))
+    check_cap(len(p.gens), f"spectrum of {len(p.gens)} generators")
     masks, size = {}, 1
     for g in reversed(p.gens):  # each generator doubles the table
         masks = {h: m | m << size for h, m in masks.items()}
@@ -196,23 +197,32 @@ class DualityReport:
 
 
 def check_duality(p: Presentation) -> DualityReport:
-    """Exhaustively check that evaluation is a bijection onto 2^points.
+    """Check that evaluation is a bijection onto all 2^points bit-vectors.
 
-    Surjectivity is checked via realize on every bit-vector; injectivity is
-    bit-vector equality of canonical elements, so the algebra has exactly
-    2^|points| elements when the check passes.
+    Evaluation is a homomorphism and ``realize(v)`` is the join of the
+    minterms that ``v`` selects, so ``realize(v)`` evaluates to the OR of
+    those minterms' truth tables.  Each minterm evaluating to its own point's
+    unit vector therefore proves that every vector is realized, at the cost
+    of one table per point.  Injectivity is bit-vector equality of canonical
+    elements, so the algebra has exactly 2^points elements when this holds.
+    The vectors that fail are listed only when some minterm is wrong.
     """
     a = spectrum(p)
-    check_cap(a.n_points)
+    check_cap(a.n_points, f"duality over {a.n_points} points")
+    full = (1 << a.n_points) - 1
+    tables = [eval_term(minterm(a, i), a.masks, full) for i in range(a.n_points)]
+    bijective = all(t == 1 << i for i, t in enumerate(tables))
     failures = []
-    for v in itertools.product((0, 1), repeat=a.n_points):
-        if evaluate(realize(v, a), a) != v:
-            failures.append(v)
+    if not bijective:
+        for v in itertools.product((0, 1), repeat=a.n_points):
+            image = functools.reduce(int.__or__, itertools.compress(tables, v), 0)
+            if _bits_of(image, a.n_points) != v:
+                failures.append(v)
     return DualityReport(
         n_gens=len(p.gens),
         n_points=a.n_points,
         n_elements=2 ** a.n_points,
-        bijective=not failures,
+        bijective=bijective,
         failures=tuple(failures),
     )
 
@@ -224,11 +234,22 @@ def is_trivial(a: FinBoolAlg) -> bool:
 
 @dataclass(frozen=True)
 class Morphism:
-    """Algebra map determined by generator images, checked well-defined."""
+    """Algebra map determined by generator images, checked well-defined.
+
+    It carries the spectra of both ends, each computed on first use.
+    """
 
     src: Presentation
     dst: Presentation
     images: Mapping[str, Term]
+
+    @functools.cached_property
+    def src_alg(self) -> FinBoolAlg:
+        return spectrum(self.src)
+
+    @functools.cached_property
+    def dst_alg(self) -> FinBoolAlg:
+        return spectrum(self.dst)
 
     def apply(self, t: Term) -> Term:
         return substitute(t, self.images)
@@ -239,12 +260,12 @@ def hom(src: Presentation, images: Mapping[str, Term], dst: Presentation) -> Mor
     for g in src.gens:
         if g not in images:
             raise UnknownGenerator(g)
-    dst_alg = spectrum(dst)
+    m = Morphism(src, dst, dict(images))
+    dst_alg = m.dst_alg
     for idx, r in enumerate(src.rels):
-        image = substitute(r, images)
-        if any(evaluate(image, dst_alg)):
+        if any(evaluate(m.apply(r), dst_alg)):
             raise RelationNotKilled(idx)
-    return Morphism(src, dst, dict(images))
+    return m
 
 
 def identity(p: Presentation) -> Morphism:
@@ -253,8 +274,7 @@ def identity(p: Presentation) -> Morphism:
 
 def point_map(m: Morphism) -> list[int]:
     """Induced map Sp(dst) -> Sp(src) by precomposition, as point indices."""
-    src_alg = spectrum(m.src)
-    dst_alg = spectrum(m.dst)
+    src_alg, dst_alg = m.src_alg, m.dst_alg
     # column g of the composed points is the evaluation of g's image
     columns = [evaluate(m.images[g], dst_alg) for g in m.src.gens]
     points = zip(*columns) if columns else [()] * dst_alg.n_points
@@ -279,8 +299,7 @@ def analyze_morphism(m: Morphism) -> MorphismReport:
     minterms that map to 0); surjectivity of the point map is computed
     independently by precomposition, and the two must agree.
     """
-    src_alg = spectrum(m.src)
-    dst_alg = spectrum(m.dst)
+    src_alg, dst_alg = m.src_alg, m.dst_alg
     killed = []
     for i in range(src_alg.n_points):
         img = evaluate(m.apply(minterm(src_alg, i)), dst_alg)
@@ -306,16 +325,14 @@ def epi_mono_factor(m: Morphism) -> tuple[Morphism, FinBoolAlg, Morphism]:
     The middle algebra is src quotiented by the complement of the image of
     the induced point map; its spectrum is exactly that image.
     """
-    src_alg = spectrum(m.src)
-    pm = point_map(m)
-    image = set(pm)
+    src_alg = m.src_alg
+    image = set(point_map(m))
     cokernel_vec = tuple(0 if i in image else 1 for i in range(src_alg.n_points))
     extra = realize(cokernel_vec, src_alg)
     middle_pres = Presentation.make(m.src.gens, list(m.src.rels) + [extra])
-    middle = spectrum(middle_pres)
     epi = hom(m.src, {g: Gen(g) for g in m.src.gens}, middle_pres)
     mono = hom(middle_pres, dict(m.images), m.dst)
-    return epi, middle, mono
+    return epi, epi.dst_alg, mono
 
 
 @dataclass(frozen=True)
@@ -418,11 +435,10 @@ def llpo_split(n: int) -> LlpoReport:
     f = hom(src, images, dst)
     report = analyze_morphism(f)
 
-    src_alg = spectrum(src)
+    src_alg, dst_alg = f.src_alg, f.dst_alg
     pm = report.point_map
     decode: list[tuple[str, Point]] = []
     consistent = True
-    dst_alg = spectrum(dst)
     for i, pt in enumerate(src_alg.points):
         support = [j for j, b in enumerate(pt) if b]
         if not support:

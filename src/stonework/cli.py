@@ -8,10 +8,12 @@ Reports are deterministic: identical inputs give byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
 from . import boolalg, errors, interval, profinite, zhomology
 from .terms import Term, parse_gen_list, parse_term, parse_term_list
@@ -356,7 +358,9 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: Optional[Collection[str]] = None) -> argparse.ArgumentParser:
+    """The command-line parser, with the subcommands named in ``commands``
+    or, by default, all of them."""
     parser = argparse.ArgumentParser(
         prog="stonework",
         description="finite-stage Boolean algebra, tower and cohomology computations",
@@ -371,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for command in COMMANDS:
+        if commands is not None and command.name not in commands:
+            continue
         p = sub.add_parser(command.name, parents=[common], help=command.help)
         for name, spec in command.args:
             p.add_argument(name, **spec)
@@ -378,9 +384,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse with a parser for the named subcommand alone, which is quicker
+    to build; on help or a usage error, parse again with the full parser so
+    that every message is the full parser's."""
+    first = next((a for a in argv if a != "--json"), None)
+    if any(command.name == first for command in COMMANDS):
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                return build_parser({first}).parse_args(argv)
+        except SystemExit:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:

@@ -6,12 +6,13 @@ class StoneworkError(Exception):
 
 
 class CapExceeded(StoneworkError):
-    """An exhaustive enumeration would exceed the configured cap."""
+    """An exhaustive enumeration would exceed the configured cap; the message
+    names the stage that hit it, such as ``spectrum of 24 generators``."""
 
-    def __init__(self, needed: int, limit: int):
+    def __init__(self, needed: int, limit: int, stage: str):
         self.needed = needed
         self.cap = limit
-        super().__init__(f"enumeration over 2^{needed} exceeds cap 2^{limit}")
+        super().__init__(f"{stage}: enumeration over 2^{needed} exceeds cap 2^{limit}")
 
 
 class BadArgument(StoneworkError, ValueError):

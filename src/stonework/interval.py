@@ -146,7 +146,7 @@ def near_companion(n: int, s: BitWord, t: BitWord) -> bool:
 
 def interval_graph(n: int) -> RelGraph:
     """Vertices 0..2^n-1 with |i-j| <= 1 related."""
-    check_cap(n)
+    check_cap(n, f"interval graph at level {n}")
     size = 2**n
     related = set()
     for i in range(size):
@@ -169,7 +169,7 @@ def circle_graph(n: int) -> RelGraph:
 
 def restrict_graph_map(n: int) -> dict[int, int]:
     """Drop-last-bit vertex map from level n+1 down to level n."""
-    check_cap(n + 1)
+    check_cap(n + 1, f"graph map from level {n + 1}")
     return {k: k // 2 for k in range(2 ** (n + 1))}
 
 

@@ -28,6 +28,9 @@ class Term:
     def __hash__(self) -> int:
         return hash(_preorder(self))
 
+    def __str__(self) -> str:
+        return _render(self)
+
     def __and__(self, other: "Term") -> "Term":
         return And(self, other)
 
@@ -40,30 +43,22 @@ class Term:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Zero(Term):
-    def __str__(self) -> str:
-        return "0"
+    pass
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class One(Term):
-    def __str__(self) -> str:
-        return "1"
+    pass
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Gen(Term):
     name: str
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Not(Term):
     arg: Term
-
-    def __str__(self) -> str:
-        return f"~{_atom(self.arg)}"
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -71,34 +66,47 @@ class And(Term):
     left: Term
     right: Term
 
-    def __str__(self) -> str:
-        # the right operand re-associates if printed bare, so atomize it
-        return f"{_conj(self.left)} & {_atom(self.right)}"
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Or(Term):
     left: Term
     right: Term
 
-    def __str__(self) -> str:
-        return f"{self.left} | {_conj(self.right)}"
-
-
-def _atom(t: Term) -> str:
-    if isinstance(t, (And, Or)):
-        return f"({t})"
-    return str(t)
-
-
-def _conj(t: Term) -> str:
-    if isinstance(t, Or):
-        return f"({t})"
-    return str(t)
-
 
 ZERO = Zero()
 ONE = One()
+
+
+def _operand(t: Term, bracketed: tuple) -> tuple:
+    """``t`` as stack items, in parentheses if its class is in ``bracketed``."""
+    return (")", t, "(") if type(t) in bracketed else (t,)
+
+
+def _render(t: Term) -> str:
+    """Concrete syntax of ``t`` with the fewest parentheses that parse back
+    to it; an explicit stack of terms and text pieces walks any depth."""
+    out: list[str] = []
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        cls = type(s)
+        if cls is str:
+            out.append(s)
+        elif cls is Gen:
+            out.append(s.name)
+        elif cls is Not:
+            out.append("~")
+            todo += _operand(s.arg, (And, Or))
+        elif cls is And:
+            # the right operand re-associates if printed bare, so bracket it
+            todo += (*_operand(s.right, (And, Or)), " & ", *_operand(s.left, (Or,)))
+        elif cls is Or:
+            todo += (*_operand(s.right, (Or,)), " | ", s.left)
+        elif cls is Zero or cls is One:
+            out.append("0" if cls is Zero else "1")
+        else:
+            raise TypeError(f"not a term: {s!r}")
+    return "".join(out)
 
 
 def _preorder(t: Term) -> tuple:
@@ -328,36 +336,3 @@ def parse_gen_list(text: str, line: int = 1, offset: int = 0) -> list[str]:
         names.append(chunk)
     return names
 
-
-def term_to_json(t: Term):
-    """Serialize a term as nested lists (round-trips with term_from_json)."""
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, One):
-        return "1"
-    if isinstance(t, Gen):
-        return t.name
-    if isinstance(t, Not):
-        return ["~", term_to_json(t.arg)]
-    if isinstance(t, And):
-        return ["&", term_to_json(t.left), term_to_json(t.right)]
-    if isinstance(t, Or):
-        return ["|", term_to_json(t.left), term_to_json(t.right)]
-    raise TypeError(f"not a term: {t!r}")
-
-
-def term_from_json(obj) -> Term:
-    if obj == "0":
-        return ZERO
-    if obj == "1":
-        return ONE
-    if isinstance(obj, str):
-        return Gen(obj)
-    op = obj[0]
-    if op == "~":
-        return Not(term_from_json(obj[1]))
-    if op == "&":
-        return And(term_from_json(obj[1]), term_from_json(obj[2]))
-    if op == "|":
-        return Or(term_from_json(obj[1]), term_from_json(obj[2]))
-    raise ValueError(f"bad term encoding: {obj!r}")

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from stonework.boolalg import Bits, FinBoolAlg, Presentation, evaluate, realize
 from stonework.errors import UnknownGenerator
 from stonework.terms import And, Gen, Not, ONE, One, Or, Term, ZERO, Zero
 from stonework.zhomology import IntMatrix
@@ -42,6 +44,13 @@ def term_strategy(gens: list[str], max_depth: int = 4) -> st.SearchStrategy[Term
     )
 
 
+@st.composite
+def presentations(draw, max_gens: int = 8):
+    """Generators g0..g{n-1} for some n <= max_gens, with up to 4 random relations."""
+    gens = [f"g{i}" for i in range(draw(st.integers(0, max_gens)))]
+    return Presentation.make(gens, draw(st.lists(term_strategy(gens, max_depth=3), max_size=4)))
+
+
 def eval_term_reference(t: Term, assignment: dict[str, int]) -> int:
     """One assignment at a time, by recursion on the term (independent oracle)."""
     if isinstance(t, Zero):
@@ -60,6 +69,48 @@ def eval_term_reference(t: Term, assignment: dict[str, int]) -> int:
     if isinstance(t, Or):
         return eval_term_reference(t.left, assignment) or eval_term_reference(t.right, assignment)
     raise TypeError(f"not a term: {t!r}")
+
+
+def term_to_json(t: Term):
+    """Serialize a term as nested lists (round-trips with term_from_json)."""
+    if isinstance(t, Zero):
+        return "0"
+    if isinstance(t, One):
+        return "1"
+    if isinstance(t, Gen):
+        return t.name
+    if isinstance(t, Not):
+        return ["~", term_to_json(t.arg)]
+    if isinstance(t, And):
+        return ["&", term_to_json(t.left), term_to_json(t.right)]
+    if isinstance(t, Or):
+        return ["|", term_to_json(t.left), term_to_json(t.right)]
+    raise TypeError(f"not a term: {t!r}")
+
+
+def term_from_json(obj) -> Term:
+    if obj == "0":
+        return ZERO
+    if obj == "1":
+        return ONE
+    if isinstance(obj, str):
+        return Gen(obj)
+    op = obj[0]
+    if op == "~":
+        return Not(term_from_json(obj[1]))
+    if op == "&":
+        return And(term_from_json(obj[1]), term_from_json(obj[2]))
+    if op == "|":
+        return Or(term_from_json(obj[1]), term_from_json(obj[2]))
+    raise ValueError(f"bad term encoding: {obj!r}")
+
+
+def duality_failures_exhaustive(a: FinBoolAlg) -> tuple[Bits, ...]:
+    """Every bit-vector over the spectrum that ``realize`` then ``evaluate``
+    does not give back, one vector at a time (independent oracle)."""
+    return tuple(
+        v for v in itertools.product((0, 1), repeat=a.n_points) if evaluate(realize(v, a), a) != v
+    )
 
 
 def rational_rank(m: IntMatrix) -> int:

@@ -10,7 +10,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import eval_term_reference, term_strategy
+from conftest import eval_term_reference, presentations, term_strategy
 from stonework.boolalg import (
     Presentation,
     evaluate,
@@ -39,13 +39,6 @@ def brute_spectrum(p: Presentation) -> list[tuple]:
 
 def terms_over(n: int, max_depth: int = 4):
     return term_strategy(GENS[:n], max_depth=max_depth)
-
-
-@st.composite
-def presentations(draw, max_gens: int = 8):
-    n = draw(st.integers(0, max_gens))
-    rels = draw(st.lists(terms_over(n, 3), max_size=4))
-    return Presentation.make(GENS[:n], rels)
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_term
+from conftest import duality_failures_exhaustive, presentations, random_term
+from stonework import boolalg
 from stonework.boolalg import (
     DEFAULT_CAP,
     Morphism,
@@ -155,6 +156,30 @@ class TestDuality:
         assert (rep.n_points, rep.n_elements) == (0, 1)
         assert rep.bijective
 
+    @settings(max_examples=100, deadline=None)
+    @given(presentations(max_gens=3))
+    def test_certificate_agrees_with_exhaustive_check(self, p):
+        # up to 3 generators: spectra of up to 8 points, 256 vectors
+        rep = check_duality(p)
+        assert rep.failures == duality_failures_exhaustive(spectrum(p))
+        assert rep.bijective == (rep.failures == ())
+
+    @pytest.mark.parametrize("point", range(4))
+    @pytest.mark.parametrize("wrong", [
+        lambda a, i, real: ZERO,
+        lambda a, i, real: ONE,
+        lambda a, i, real: real(a, (i + 1) % 4),
+        lambda a, i, real: Or(real(a, i), real(a, (i + 1) % 4)),
+    ])
+    def test_wrong_minterm_is_caught(self, monkeypatch, point, wrong):
+        real = boolalg.minterm
+        monkeypatch.setattr(boolalg, "minterm", lambda a, i: wrong(a, i, real) if i == point else real(a, i))
+        rep = check_duality(free(2))
+        assert rep.bijective is False
+        # realize builds its terms from the same corrupted minterm
+        assert rep.failures == duality_failures_exhaustive(spectrum(free(2)))
+        assert rep.failures
+
 
 class TestMorphisms:
     def test_hom_requires_all_images(self):
@@ -295,6 +320,31 @@ class TestBinftyNormalForm:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             binfty_normal_form((0, 0), 3)
+
+
+class TestSpectrumReuse:
+    """A morphism computes the spectrum of each end once, whoever asks."""
+
+    @pytest.fixture
+    def spectrum_calls(self, monkeypatch):
+        calls = []
+        real = boolalg.spectrum
+        monkeypatch.setattr(boolalg, "spectrum", lambda p: calls.append(p) or real(p))
+        return calls
+
+    def test_llpo_split(self, spectrum_calls):
+        llpo_split(3)
+        assert spectrum_calls == [llpo_product_presentation(3), binfty(6)]
+
+    def test_parsed_morphism(self, spectrum_calls):
+        from stonework.cli import parse_morphism_file
+
+        m = parse_morphism_file(
+            "src-gens: g0 g1\nsrc-rels: g0 & g1\ndst-gens: h0 h1\ndst-rels:\n"
+            "map: g0 -> h0 & h1, g1 -> ~h0\n"
+        )
+        analyze_morphism(m)
+        assert spectrum_calls == [m.dst, m.src]
 
 
 class TestLlpo:

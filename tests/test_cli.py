@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from stonework import boolalg
+from stonework import boolalg, cli
 from stonework.boolalg import Presentation
 from stonework.cli import (
+    COMMANDS,
     EXIT_CAP,
     EXIT_OK,
     EXIT_PROPERTY_FAILED,
@@ -195,6 +196,23 @@ class TestExitCodes:
         monkeypatch.setenv("STONEWORK_CAP", "1")
         assert main(["duality", str(self._free2(tmp_path))]) == EXIT_CAP
 
+    @pytest.mark.parametrize(
+        "cap, argv, stage",
+        [
+            ("1", ["spectrum", "FREE2"], "spectrum of 2 generators: enumeration over 2^2 exceeds cap 2^1"),
+            ("2", ["duality", "FREE2"], "duality over 4 points: enumeration over 2^4 exceeds cap 2^2"),
+            ("2", ["cohomology", "circle", "--level", "3"], "interval graph at level 3: enumeration over 2^3"),
+            ("2", ["stabilize", "interval", "--depth", "4"], "interval graph at level 3: enumeration over 2^3"),
+        ],
+    )
+    def test_cap_message_names_the_stage(self, capsys, tmp_path, monkeypatch, cap, argv, stage):
+        monkeypatch.setenv("STONEWORK_CAP", cap)
+        argv = [str(self._free2(tmp_path)) if a == "FREE2" else a for a in argv]
+        assert main(argv) == EXIT_CAP
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {stage}") and captured.err.count("\n") == 1
+
     def test_non_integer_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("STONEWORK_CAP", "abc")
         assert main(["spectrum", str(self._free2(tmp_path))]) == EXIT_USAGE
@@ -347,6 +365,54 @@ class TestExitCodes:
         assert main(["stabilize", "circle", "--depth", "4"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "h1 induced maps iso: [True, False, True]" in out
+
+
+def _argv_corpus(file: str) -> list[list[str]]:
+    """Help, usage errors and valid calls, before and after each subcommand."""
+    corpus = [
+        [], ["--json"], ["-h"], ["--help"], ["--js"], ["--bogus"], ["frobnicate"],
+        ["--json", "frobnicate"], ["--bogus", "spectrum", file], ["--", "spectrum", file],
+        ["spectrum", file], ["--json", "duality", file], ["duality", file, "--js"],
+        ["--js", "spectrum", file], ["--json", "--json", "spectrum", file], ["spectrum", file, "extra"],
+        ["llpo", "--stage", "2"], ["llpo", "--stage", "x"], ["llpo", "--stage=1", "--json"],
+        ["wlpo", "g0 & g3"], ["cohomology", "torus", "--level", "2"],
+        ["interval-image", "--cylinders", "01,1"], ["tower", file, "--depth"],
+    ]
+    for command in COMMANDS:
+        name = command.name
+        corpus += [
+            [name, "--help"], ["-h", name], ["--json", name, "-h"], [name],
+            [name, "--bogus"], ["--bogus", name], [name, "--js"], ["--js", name],
+        ]
+    return corpus
+
+
+class TestLazyParser:
+    """main parses with a parser for the named subcommand alone, and every
+    result matches the full parser's."""
+
+    def test_corpus_matches_the_full_parser(self, capsys, monkeypatch, pres_file):
+        def run(argv):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        corpus = _argv_corpus(pres_file)
+        lazy = [run(argv) for argv in corpus]
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda commands=None: full_parser())
+        for argv, got in zip(corpus, lazy):
+            assert got == run(argv), argv
+        assert {code for code, _, _ in lazy} == {EXIT_OK, EXIT_USAGE}
+
+    def test_valid_call_builds_one_subcommand(self, capsys, monkeypatch, pres_file):
+        built = []
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda commands=None: built.append(commands) or full_parser(commands))
+        assert main(["--json", "spectrum", pres_file]) == EXIT_OK
+        assert built == [{"spectrum"}]
+        assert main(["spectrum", "--help"]) == EXIT_OK
+        assert built == [{"spectrum"}, {"spectrum"}, None]
 
 
 class TestJsonReports:

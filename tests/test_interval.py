@@ -183,6 +183,12 @@ class TestGraphs:
         with pytest.raises(CapExceeded):
             interval_graph(6)
 
+    def test_restriction_cap_names_its_level(self, monkeypatch):
+        monkeypatch.setenv("STONEWORK_CAP", "5")
+        assert len(restrict_graph_map(4)) == 32
+        with pytest.raises(CapExceeded, match=r"^graph map from level 6: enumeration over 2\^6 exceeds cap 2\^5$"):
+            restrict_graph_map(5)
+
 
 class TestIntervalUnions:
     def test_cylinder_image_examples(self):

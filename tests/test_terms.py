@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given
 
-from conftest import term_strategy
+from conftest import term_from_json, term_strategy, term_to_json
 from stonework.errors import ParseError
 from stonework.terms import (
     And,
@@ -23,8 +23,6 @@ from stonework.terms import (
     parse_term,
     parse_term_list,
     substitute,
-    term_from_json,
-    term_to_json,
 )
 
 G0, G1, G2 = Gen("g0"), Gen("g1"), Gen("g2")
@@ -100,6 +98,18 @@ class TestPrinter:
     @given(term_strategy(["g0", "g1", "g2"]))
     def test_parse_str_round_trip(self, t: Term):
         assert parse_term(str(t)) == t
+
+    def test_str_of_deep_terms(self):
+        negations = G0
+        for _ in range(5000):
+            negations = Not(negations)
+        assert str(negations) == "~" * 5000 + "g0"
+        nested = G0
+        for _ in range(3000):
+            nested = Or(G1, And(G2, nested))
+        assert str(nested).startswith("g1 | g2 & (g1 | g2 & (")
+        for t in (negations, nested, Not(nested), meet([G0] * 3000)):
+            assert parse_term(str(t)) == t
 
 
 class TestEquality:

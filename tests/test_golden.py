@@ -53,9 +53,12 @@ CASES = {
     "tower-rels": ["tower", "@tower-rels", "--depth", "3"],
     "cohomology-interval-3": ["cohomology", "interval", "--level", "3"],
     "cohomology-circle-6": ["cohomology", "circle", "--level", "6"],
+    "cohomology-interval-8": ["cohomology", "interval", "--level", "8"],
+    "cohomology-circle-8": ["cohomology", "circle", "--level", "8"],
     "interval-image": ["interval-image", "--cylinders", "01,0010,111,1"],
     "stabilize-interval-4": ["stabilize", "interval", "--depth", "4"],
     "stabilize-circle-5": ["stabilize", "circle", "--depth", "5"],
+    "stabilize-circle-8": ["stabilize", "circle", "--depth", "8"],
 }
 
 

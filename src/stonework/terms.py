@@ -31,6 +31,9 @@ class Term:
     def __str__(self) -> str:
         return _render(self)
 
+    def __repr__(self) -> str:
+        return f"parse_term({_render(self)!r})"
+
     def __and__(self, other: "Term") -> "Term":
         return And(self, other)
 
@@ -41,33 +44,33 @@ class Term:
         return Not(self)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class One(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Gen(Term):
     name: str
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Not(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class And(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Or(Term):
     left: Term
     right: Term
@@ -105,7 +108,7 @@ def _render(t: Term) -> str:
         elif cls is Zero or cls is One:
             out.append("0" if cls is Zero else "1")
         else:
-            raise TypeError(f"not a term: {s!r}")
+            raise TypeError(f"not a term: {cls.__name__}")
     return "".join(out)
 
 

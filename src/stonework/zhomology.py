@@ -20,62 +20,85 @@ from .profinite import RelGraph, RelGraphTower
 
 @dataclass(frozen=True)
 class IntMatrix:
+    """Integer matrix stored as sparse rows.
+
+    ``rows[i]`` holds the nonzero entries of row i as (column, value) pairs
+    in ascending column order.  The form is canonical, so ``==`` compares
+    matrices.
+    """
+
     nrows: int
     ncols: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        if len(self.rows) != self.nrows or any(len(r) != self.ncols for r in self.rows):
-            raise InvariantViolated(f"rows do not form a {self.nrows}x{self.ncols} matrix")
+        if len(self.rows) != self.nrows:
+            raise InvariantViolated(f"{len(self.rows)} rows for a {self.nrows}x{self.ncols} matrix")
+        for r in self.rows:
+            prev = -1
+            for j, x in r:
+                if not prev < j < self.ncols or not x:
+                    raise InvariantViolated(f"row {r} is not a sparse row of {self.ncols} columns")
+                prev = j
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        """Matrix from dense rows of integers, as written in a literal."""
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        return IntMatrix(len(rows), ncols, rows)
+        if any(len(r) != ncols for r in rows):
+            raise InvariantViolated(f"dense rows do not all have {ncols} entries")
+        return IntMatrix(
+            len(rows), ncols, tuple(tuple((j, int(x)) for j, x in enumerate(r) if x) for r in rows)
+        )
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "IntMatrix":
-        return IntMatrix(nrows, ncols, tuple((0,) * ncols for _ in range(nrows)))
+        return IntMatrix(nrows, ncols, ((),) * nrows)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix(n, n, tuple(((i, 1),) for i in range(n)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        # accumulate row combinations, skipping zero coefficients
         rows = []
         for r in self.rows:
-            acc = [0] * other.ncols
-            for coeff, orow in zip(r, other.rows):
-                if coeff:
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += coeff * b
-            rows.append(tuple(acc))
+            acc: dict[int, int] = {}
+            for k, coeff in r:
+                for j, b in other.rows[k]:
+                    acc[j] = acc.get(j, 0) + coeff * b
+            rows.append(_sparse_row(acc))
         return IntMatrix(self.nrows, other.ncols, tuple(rows))
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.ncols)]
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.nrows != other.nrows:
             raise ValueError("row mismatch in hstack")
-        rows = tuple(a + b for a, b in zip(self.rows, other.rows)) if self.nrows else ()
+        shift = self.ncols
+        rows = tuple(a + tuple((j + shift, x) for j, x in b) for a, b in zip(self.rows, other.rows))
         return IntMatrix(self.nrows, self.ncols + other.ncols, rows)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(self.rows)
+
+
+def _sparse_row(entries: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The canonical row of a {column: value} map, zeros dropped."""
+    return tuple(sorted((j, x) for j, x in entries.items() if x))
+
+
+def _from_columns(nrows: int, cols: Sequence[dict[int, int]]) -> IntMatrix:
+    """The matrix whose column k has the nonzero entries ``cols[k]``."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(nrows)]
+    for k, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i].append((k, x))
+    return IntMatrix(nrows, len(cols), tuple(map(tuple, rows)))
 
 
 def _diagonalize(
@@ -91,14 +114,11 @@ def _diagonalize(
     chain, the nonzero invariant factors of ``m``.  The never-pivoted
     columns of V generate the kernel lattice.
     """
-    rows: dict[int, dict[int, int]] = {}
+    rows = {i: dict(r) for i, r in enumerate(m.rows) if r}
     colrows: dict[int, set[int]] = {j: set() for j in range(m.ncols)}
-    for i, r in enumerate(m.rows):
-        entries = {j: x for j, x in enumerate(r) if x}
-        if entries:
-            rows[i] = entries
-            for j in entries:
-                colrows[j].add(i)
+    for i, r in rows.items():
+        for j in r:
+            colrows[j].add(i)
     urows = {i: {i: 1} for i in range(m.nrows)} if track_u else {}
     vcols = {j: {j: 1} for j in range(m.ncols)} if track_v else {}
 
@@ -218,19 +238,14 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     row_order = prows + sorted(set(range(m.nrows)) - set(prows))
     col_order = pcols + sorted(set(range(m.ncols)) - set(pcols))
     sign = {r: -1 if x < 0 else 1 for r, _, x in pivots}
-    u_rows = [
-        [sign.get(r, 1) * u[r].get(k, 0) for k in range(m.nrows)] for r in row_order
-    ]
-    v_rows = [[v[c].get(i, 0) for c in col_order] for i in range(m.ncols)]
-    diag = [abs(x) for _, _, x in pivots]
-    d_rows = [
-        [diag[i] if i == j and i < len(diag) else 0 for j in range(m.ncols)]
-        for i in range(m.nrows)
-    ]
+    u_rows = tuple(
+        tuple(sorted((k, sign.get(r, 1) * x) for k, x in u[r].items())) for r in row_order
+    )
+    d_rows = tuple(((i, abs(x)),) for i, (_, _, x) in enumerate(pivots))
     return (
-        IntMatrix.from_rows(u_rows, m.nrows),
-        IntMatrix.from_rows(d_rows, m.ncols),
-        IntMatrix.from_rows(v_rows, m.ncols),
+        IntMatrix(m.nrows, m.nrows, u_rows),
+        IntMatrix(m.nrows, m.ncols, d_rows + ((),) * (m.nrows - len(pivots))),
+        _from_columns(m.ncols, [v[c] for c in col_order]),
     )
 
 
@@ -241,18 +256,14 @@ def snf_invariants(m: IntMatrix) -> list[int]:
 
 
 def snf_diagonal(d: IntMatrix) -> list[int]:
-    return [d.rows[i][i] for i in range(min(d.nrows, d.ncols))]
+    return [dict(d.rows[i]).get(i, 0) for i in range(min(d.nrows, d.ncols))]
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Columns generating the integer kernel lattice of ``m``."""
     pivots, _, vcols = _diagonalize(m, track_v=True)
     pivoted = {c for _, c, _ in pivots}
-    free_cols = [j for j in range(m.ncols) if j not in pivoted]
-    rows = tuple(
-        tuple(vcols[j].get(i, 0) for j in free_cols) for i in range(m.ncols)
-    )
-    return IntMatrix(m.ncols, len(free_cols), rows)
+    return _from_columns(m.ncols, [vcols[j] for j in range(m.ncols) if j not in pivoted])
 
 
 def solve_exact(k: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -261,22 +272,10 @@ def solve_exact(k: IntMatrix, b: IntMatrix) -> IntMatrix:
     diag = snf_diagonal(d)
     rank = sum(1 for x in diag if x != 0)
     c = u @ b
-    y_rows = []
-    for i in range(k.ncols):
-        row = []
-        for j in range(b.ncols):
-            if i < rank:
-                num = c.rows[i][j]
-                if num % diag[i] != 0:
-                    raise ValueError("no integer solution")
-                row.append(num // diag[i])
-            else:
-                row.append(0)
-        y_rows.append(tuple(row))
-    for i in range(rank, k.nrows):
-        if any(c.rows[i][j] != 0 for j in range(b.ncols)):
-            raise ValueError("no integer solution")
-    y = IntMatrix(k.ncols, b.ncols, tuple(y_rows))
+    if any(x % diag[i] for i in range(rank) for _, x in c.rows[i]) or any(c.rows[rank:]):
+        raise ValueError("no integer solution")
+    y_rows = tuple(tuple((j, x // diag[i]) for j, x in c.rows[i]) for i in range(rank))
+    y = IntMatrix(k.ncols, b.ncols, y_rows + ((),) * (k.ncols - rank))
     return v @ y
 
 
@@ -375,8 +374,7 @@ def homology(c: ChainComplexZ) -> HomologyResult:
     aug_injective = None
     flags: list[bool] = []
     if c.aug is not None:
-        entries = [r[0] for r in c.aug.rows]
-        g = math.gcd(*entries) if entries else 0
+        g = math.gcd(*(x for r in c.aug.rows for _, x in r))
         aug_injective = g != 0
         rank_aug = 1 if aug_injective else 0
         h0_reduced = AbInvariants(
@@ -428,68 +426,67 @@ def _cover_basis(cov: FiniteCover, degree: int) -> list[tuple]:
     return out
 
 
+def _faces(t: tuple) -> list[tuple]:
+    """The tuples left by deleting each entry of ``t`` in turn."""
+    return [t[:i] + t[i + 1 :] for i in range(len(t))]
+
+
+def _coboundary(upper: Sequence, lower: Sequence, faces=_faces) -> IntMatrix:
+    """Row k is the alternating face sum of upper[k]: sum over i of (-1)^i e_(face i)."""
+    index = {b: j for j, b in enumerate(lower)}
+    rows = []
+    for b in upper:
+        acc: dict[int, int] = {}
+        for i, f in enumerate(faces(b)):
+            j = index[f]
+            acc[j] = acc.get(j, 0) + (-1) ** i
+        rows.append(_sparse_row(acc))
+    return IntMatrix(len(upper), len(lower), tuple(rows))
+
+
 def cech_complex(cov: FiniteCover) -> ChainComplexZ:
     """Cech complex of a finite cover, degenerate tuples included.
 
-    d0 takes differences along the pair; d1 is the alternating sum over the
-    three faces of a triple (third term with a plus sign, as the cocycle
-    identity requires).
+    A face of (x, tuple, c) deletes one entry of the tuple over the same
+    point x with the same coefficient c.
     """
-    b0 = _cover_basis(cov, 0)
-    b1 = _cover_basis(cov, 1)
-    b2 = _cover_basis(cov, 2)
-    idx0 = {b: i for i, b in enumerate(b0)}
-    idx1 = {b: i for i, b in enumerate(b1)}
-    d0 = [[0] * len(b0) for _ in b1]
-    for i, (x, (u, v), c) in enumerate(b1):
-        d0[i][idx0[(x, (v,), c)]] += 1
-        d0[i][idx0[(x, (u,), c)]] -= 1
-    d1 = [[0] * len(b1) for _ in b2]
-    for i, (x, (u, v, w), c) in enumerate(b2):
-        d1[i][idx1[(x, (v, w), c)]] += 1
-        d1[i][idx1[(x, (u, w), c)]] -= 1
-        d1[i][idx1[(x, (u, v), c)]] += 1
+    b0, b1, b2 = (_cover_basis(cov, degree) for degree in range(3))
+
+    def faces(b: tuple) -> list[tuple]:
+        x, tup, c = b
+        return [(x, f, c) for f in _faces(tup)]
+
     return ChainComplexZ(
-        d0=IntMatrix.from_rows(d0, len(b0)),
-        d1=IntMatrix.from_rows(d1, len(b1)),
+        d0=_coboundary(b1, b0, faces),
+        d1=_coboundary(b2, b1, faces),
         labels=(tuple(b0), tuple(b1), tuple(b2)),
     )
 
 
-def _graph_pairs(g: RelGraph) -> list[tuple]:
-    order = {v: i for i, v in enumerate(g.vertices)}
-    return sorted(g.related, key=lambda p: (order[p[0]], order[p[1]]))
-
-
-def _graph_triples(g: RelGraph) -> list[tuple]:
-    out = []
-    for u, v, w in itertools.product(g.vertices, repeat=3):
-        if (u, v) in g.related and (v, w) in g.related and (u, w) in g.related:
-            out.append((u, v, w))
-    return out
+def _graph_triples(g: RelGraph, pairs: list[tuple]) -> list[tuple]:
+    """Related triples (u, v, w) in vertex order, walking the neighbour lists of ``pairs``."""
+    neighbours: dict = {}
+    for u, v in pairs:
+        neighbours.setdefault(u, []).append(v)
+    return [
+        (u, v, w)
+        for u, nu in neighbours.items()
+        for v in nu
+        for w in neighbours[v]
+        if (u, w) in g.related
+    ]
 
 
 def graph_cech_complex(g: RelGraph) -> ChainComplexZ:
     """Augmented complex Z -> Z^V -> Z^(related pairs) -> Z^(related triples)."""
-    b0 = list(g.vertices)
-    b1 = _graph_pairs(g)
-    b2 = _graph_triples(g)
-    idx0 = {v: i for i, v in enumerate(b0)}
-    idx1 = {p: i for i, p in enumerate(b1)}
-    d0 = [[0] * len(b0) for _ in b1]
-    for i, (u, v) in enumerate(b1):
-        d0[i][idx0[v]] += 1
-        d0[i][idx0[u]] -= 1
-    d1 = [[0] * len(b1) for _ in b2]
-    for i, (u, v, w) in enumerate(b2):
-        d1[i][idx1[(v, w)]] += 1
-        d1[i][idx1[(u, w)]] -= 1
-        d1[i][idx1[(u, v)]] += 1
-    aug = IntMatrix.from_rows([[1]] * len(b0), 1)
+    b0 = g.vertices
+    order = {v: i for i, v in enumerate(b0)}
+    b1 = sorted(g.related, key=lambda p: (order[p[0]], order[p[1]]))
+    b2 = _graph_triples(g, b1)
     return ChainComplexZ(
-        d0=IntMatrix.from_rows(d0, len(b0)),
-        d1=IntMatrix.from_rows(d1, len(b1)),
-        aug=aug,
+        d0=_coboundary(b1, [(v,) for v in b0]),
+        d1=_coboundary(b2, b1),
+        aug=IntMatrix(len(b0), 1, (((0, 1),),) * len(b0)),
         labels=(tuple(b0), tuple(b1), tuple(b2)),
     )
 
@@ -514,26 +511,21 @@ def induced_cochain_map(
     """
     maps = []
     for degree in range(3):
-        fine_basis = fine.labels[degree]
-        coarse_basis = coarse.labels[degree]
-        coarse_idx = {b: i for i, b in enumerate(coarse_basis)}
+        coarse_idx = {b: i for i, b in enumerate(coarse.labels[degree])}
         rows = []
-        for b in fine_basis:
-            mapped = tuple(vertex_map[v] for v in (b if isinstance(b, tuple) else (b,)))
-            key = mapped if degree > 0 else mapped[0]
+        for b in fine.labels[degree]:
+            key = tuple(vertex_map[v] for v in b) if degree else vertex_map[b]
             if key not in coarse_idx:
                 raise RelationNotPreserved(f"image tuple {key!r} not in the coarse complex")
-            row = [0] * len(coarse_basis)
-            row[coarse_idx[key]] = 1
-            rows.append(tuple(row))
-        maps.append(IntMatrix.from_rows(rows, len(coarse_basis)))
+            rows.append(((coarse_idx[key], 1),))
+        maps.append(IntMatrix(len(rows), len(coarse.labels[degree]), tuple(rows)))
     m0, m1, m2 = maps
-    if (m1 @ coarse.d0).rows != (fine.d0 @ m0).rows:
+    if m1 @ coarse.d0 != fine.d0 @ m0:
         raise RelationNotPreserved("pullback does not commute with d0")
-    if (m2 @ coarse.d1).rows != (fine.d1 @ m1).rows:
+    if m2 @ coarse.d1 != fine.d1 @ m1:
         raise RelationNotPreserved("pullback does not commute with d1")
     if fine.aug is not None and coarse.aug is not None:
-        if (m0 @ coarse.aug).rows != fine.aug.rows:
+        if m0 @ coarse.aug != fine.aug:
             raise RelationNotPreserved("pullback does not commute with the augmentation")
     return CochainMap(m0, m1, m2)
 

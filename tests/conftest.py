@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from stonework.boolalg import Bits, FinBoolAlg, Presentation, evaluate, realize
 from stonework.errors import UnknownGenerator
+from stonework.profinite import RelGraph
 from stonework.terms import And, Gen, Not, ONE, One, Or, Term, ZERO, Zero
 from stonework.zhomology import IntMatrix
 
@@ -113,9 +114,39 @@ def duality_failures_exhaustive(a: FinBoolAlg) -> tuple[Bits, ...]:
     )
 
 
+@st.composite
+def rel_graphs(draw, max_vertices: int = 8):
+    """Reflexive symmetric relations on up to ``max_vertices`` distinct
+    vertices, listed in the order drawn (not sorted)."""
+    vertices = tuple(draw(st.lists(st.integers(-20, 20), unique=True, max_size=max_vertices)))
+    related = {(v, v) for v in vertices}
+    for u, v in itertools.combinations(vertices, 2):
+        if draw(st.booleans()):
+            related |= {(u, v), (v, u)}
+    return RelGraph(vertices, frozenset(related))
+
+
+def graph_triples_exhaustive(g: RelGraph) -> list[tuple]:
+    """Related triples from a scan of all V^3 vertex triples (independent oracle)."""
+    out = []
+    for u, v, w in itertools.product(g.vertices, repeat=3):
+        if (u, v) in g.related and (v, w) in g.related and (u, w) in g.related:
+            out.append((u, v, w))
+    return out
+
+
+def dense(m: IntMatrix) -> list[list[int]]:
+    """The entries of ``m`` as dense rows, for the oracles that read a matrix."""
+    out = [[0] * m.ncols for _ in range(m.nrows)]
+    for i, row in enumerate(m.rows):
+        for j, x in row:
+            out[i][j] = x
+    return out
+
+
 def rational_rank(m: IntMatrix) -> int:
     """Rank over the rationals by Gaussian elimination (independent oracle)."""
-    rows = [[Fraction(x) for x in r] for r in m.rows]
+    rows = [[Fraction(x) for x in r] for r in dense(m)]
     rank = 0
     col = 0
     while rank < len(rows) and col < m.ncols:

@@ -9,7 +9,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from conftest import random_term, rational_rank
+from conftest import dense, random_term, rational_rank
 from stonework.boolalg import (
     Presentation,
     analyze_morphism,
@@ -374,7 +374,7 @@ def test_12_circle_cohomology_stabilizes_from_level_two():
 
 def _det(m: IntMatrix) -> Fraction:
     n = m.nrows
-    rows = [[Fraction(x) for x in r] for r in m.rows]
+    rows = [[Fraction(x) for x in r] for r in dense(m)]
     out = Fraction(1)
     for col in range(n):
         pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
@@ -399,7 +399,7 @@ def test_13_smith_form_on_random_matrices():
             [[rng.randint(-20, 20) for _ in range(nc)] for _ in range(nr)]
         )
         u, d, v = snf(m)
-        assert (u @ m @ v).rows == d.rows
+        assert u @ m @ v == d
         assert abs(_det(u)) == 1
         assert abs(_det(v)) == 1
         diag = snf_diagonal(d)

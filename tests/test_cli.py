@@ -355,6 +355,17 @@ class TestExitCodes:
         assert main(["cohomology", "circle", "--level", "2"]) == EXIT_OK
         assert "h0 = Z, h1 = Z" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("space, h1, exact", [
+        ("circle", {"rank": 1, "torsion": []}, [True, True, False]),
+        ("interval", {"rank": 0, "torsion": []}, [True, True, True]),
+    ])
+    def test_cohomology_level_ten(self, capsys, space, h1, exact):
+        assert main(["--json", "cohomology", space, "--level", "10"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["dims"][0] == 1024
+        assert report["h0"] == {"rank": 1, "torsion": []}
+        assert (report["h1"], report["exact"]) == (h1, exact)
+
     def test_interval_image(self, capsys):
         assert main(["interval-image", "--cylinders", "01"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -111,6 +111,14 @@ class TestPrinter:
         for t in (negations, nested, Not(nested), meet([G0] * 3000)):
             assert parse_term(str(t)) == t
 
+    def test_repr_of_deep_terms(self):
+        assert repr(Not(Not(G0))) == "parse_term('~~g0')"
+        assert repr(And(G0, Or(G1, ONE))) == "parse_term('g0 & (g1 | 1)')"
+        negations = G0
+        for _ in range(5000):
+            negations = Not(negations)
+        assert repr(negations) == f"parse_term('{'~' * 5000}g0')"
+
 
 class TestEquality:
     """Terms compare and hash by structure, with term_to_json as the reference."""

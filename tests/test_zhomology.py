@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rational_rank
+from conftest import dense, graph_triples_exhaustive, rational_rank, rel_graphs
 from stonework.errors import InvariantViolated, RelationNotPreserved
 from stonework.interval import circle_graph, circle_tower, interval_graph, interval_tower
 from stonework.profinite import RelGraph, equality_graph
@@ -38,7 +38,7 @@ def det(m: IntMatrix) -> Fraction:
     """Determinant over the rationals (test-side oracle)."""
     assert m.nrows == m.ncols
     n = m.nrows
-    rows = [[Fraction(x) for x in r] for r in m.rows]
+    rows = [[Fraction(x) for x in r] for r in dense(m)]
     out = Fraction(1)
     for col in range(n):
         pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
@@ -69,13 +69,14 @@ matrix_strategy = st.integers(1, 5).flatmap(
 def determinantal_invariants(m: IntMatrix) -> list[int]:
     """Invariant factors s_k = d_k / d_(k-1), d_k the gcd of all k x k minors."""
     size = min(m.nrows, m.ncols)
+    entries = dense(m)
     out = []
     prev = 1
     for k in range(1, size + 1):
         d = 0
         for rs in itertools.combinations(range(m.nrows), k):
             for cs in itertools.combinations(range(m.ncols), k):
-                minor = IntMatrix.from_rows([[m.rows[i][j] for j in cs] for i in rs])
+                minor = IntMatrix.from_rows([[entries[i][j] for j in cs] for i in rs])
                 d = math.gcd(d, int(det(minor)))
         if d == 0:
             # every larger minor vanishes too
@@ -100,31 +101,44 @@ class TestIntMatrix:
     def test_matmul(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         b = IntMatrix.from_rows([[0, 1], [1, 0]])
-        assert (a @ b).rows == ((2, 1), (4, 3))
+        assert a @ b == IntMatrix.from_rows([[2, 1], [4, 3]])
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
             IntMatrix.zero(2, 3) @ IntMatrix.zero(2, 3)
 
     def test_identity_and_zero(self):
-        assert IntMatrix.identity(2).rows == ((1, 0), (0, 1))
-        assert IntMatrix.zero(2, 1).rows == ((0,), (0,))
+        assert IntMatrix.identity(2) == IntMatrix.from_rows([[1, 0], [0, 1]])
+        assert IntMatrix.zero(2, 1) == IntMatrix.from_rows([[0], [0]])
         assert IntMatrix.zero(2, 1).is_zero()
 
     def test_hstack(self):
         a = IntMatrix.from_rows([[1], [2]])
         b = IntMatrix.from_rows([[3], [4]])
-        assert a.hstack(b).rows == ((1, 3), (2, 4))
+        assert a.hstack(b) == IntMatrix.from_rows([[1, 3], [2, 4]])
 
-    def test_columns(self):
-        a = IntMatrix.from_rows([[1, 2], [3, 4]])
-        assert a.column(1) == (2, 4)
-        assert a.columns() == [(1, 3), (2, 4)]
+    def test_rows_are_sparse(self):
+        m = IntMatrix.from_rows([[0, 3, 0], [0, 0, 0], [-1, 0, 2]])
+        assert m.rows == (((1, 3),), (), ((0, -1), (2, 2)))
 
-    @pytest.mark.parametrize("nrows, ncols, rows", [(2, 2, ((1, 2),)), (2, 2, ((1, 2), (3,)))])
+    @pytest.mark.parametrize(
+        "nrows, ncols, rows",
+        [
+            (2, 2, (((0, 1), (1, 2)),)),  # one row short
+            (2, 2, (((2, 1),), ())),  # column past the last
+            (2, 2, (((-1, 1),), ())),  # negative column
+            (2, 2, (((1, 1), (0, 2)), ())),  # columns descend
+            (2, 2, (((0, 1), (0, 2)), ())),  # column repeated
+            (2, 2, (((0, 0),), ())),  # stored zero
+        ],
+    )
     def test_wrong_shape_is_an_invariant_violation(self, nrows, ncols, rows):
         with pytest.raises(InvariantViolated):
             IntMatrix(nrows, ncols, rows)
+
+    def test_ragged_dense_rows_are_an_invariant_violation(self):
+        with pytest.raises(InvariantViolated):
+            IntMatrix.from_rows([[1, 2], [3]])
 
 
 class TestRationalRank:
@@ -139,7 +153,7 @@ class TestSnf:
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
         u, d, v = snf(m)
         assert snf_diagonal(d) == [2, 4]
-        assert (u @ m @ v).rows == d.rows
+        assert u @ m @ v == d
 
     def test_identity(self):
         _, d, _ = snf(IntMatrix.identity(3))
@@ -153,7 +167,7 @@ class TestSnf:
     @settings(max_examples=60, deadline=None)
     def test_decomposition_properties(self, m: IntMatrix):
         u, d, v = snf(m)
-        assert (u @ m @ v).rows == d.rows
+        assert u @ m @ v == d
         assert abs(det(u)) == 1
         assert abs(det(v)) == 1
         diag = snf_diagonal(d)
@@ -165,7 +179,7 @@ class TestSnf:
             assert b % a == 0
         assert len(nonzero) == rational_rank(m)
         # off-diagonal entries vanish
-        for i, row in enumerate(d.rows):
+        for i, row in enumerate(dense(d)):
             for j, x in enumerate(row):
                 if i != j:
                     assert x == 0
@@ -221,7 +235,7 @@ class TestSolveExact:
         k = IntMatrix.from_rows([[2, 0], [0, 3]])
         b = IntMatrix.from_rows([[4], [9]])
         x = solve_exact(k, b)
-        assert (k @ x).rows == b.rows
+        assert k @ x == b
 
     def test_divisibility_obstruction(self):
         k = IntMatrix.from_rows([[2]])
@@ -319,6 +333,13 @@ class TestGraphComplex:
         # three components: the constants do not exhaust ker d0
         assert h.exact_at == (True, False, True)
 
+    @given(rel_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_bases_match_exhaustive_scan(self, g: RelGraph):
+        pairs = tuple(p for p in itertools.product(g.vertices, repeat=2) if p in g.related)
+        triples = tuple(graph_triples_exhaustive(g))
+        assert graph_cech_complex(g).labels == (g.vertices, pairs, triples)
+
     def test_interval_level_two_dimensions(self):
         cx = graph_cech_complex(interval_graph(2))
         assert cx.dims == (4, 10, 22)
@@ -356,8 +377,8 @@ class TestInducedMaps:
     def test_identity_map(self):
         cx = graph_cech_complex(interval_graph(1))
         cm = induced_cochain_map(cx, cx, {v: v for v in interval_graph(1).vertices})
-        assert cm.m0.rows == IntMatrix.identity(cx.dims[0]).rows
-        assert cm.m1.rows == IntMatrix.identity(cx.dims[1]).rows
+        assert cm.m0 == IntMatrix.identity(cx.dims[0])
+        assert cm.m1 == IntMatrix.identity(cx.dims[1])
 
     def test_non_preserving_map_rejected(self):
         fine = graph_cech_complex(interval_graph(2))
@@ -372,8 +393,8 @@ class TestInducedMaps:
         a = induced_cochain_map(cx[1], cx[0], t0)
         b = induced_cochain_map(cx[2], cx[1], t1)
         composed = induced_cochain_map(cx[2], cx[0], {k: k // 4 for k in range(4)})
-        assert (b.m0 @ a.m0).rows == composed.m0.rows
-        assert (b.m1 @ a.m1).rows == composed.m1.rows
+        assert b.m0 @ a.m0 == composed.m0
+        assert b.m1 @ a.m1 == composed.m1
 
 
 class TestLevelCohomology:

@@ -426,6 +426,26 @@ class TestLazyParser:
         assert built == [{"spectrum"}, {"spectrum"}, None]
 
 
+class TestEmptySpectra:
+    """No generators: the one point is the empty assignment, printed as ""."""
+
+    @pytest.mark.parametrize(
+        "rels, text, points",
+        [
+            ("", "presentation with 0 generators, 0 relations\nspectrum has 1 points: \n", [""]),
+            ("1", "presentation with 0 generators, 1 relations\nspectrum has 0 points: (none)\n", []),
+        ],
+    )
+    def test_no_generators(self, capsys, tmp_path, rels, text, points):
+        f = tmp_path / "empty.txt"
+        f.write_text(f"gens:\nrels: {rels}\n")
+        assert main(["spectrum", str(f)]) == EXIT_OK
+        assert capsys.readouterr().out == text
+        assert main(["--json", "spectrum", str(f)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert (report["gens"], report["n_points"], report["points"]) == ([], len(points), points)
+
+
 class TestJsonReports:
     def test_flag_before_subcommand(self, capsys, pres_file):
         assert main(["--json", "spectrum", pres_file]) == EXIT_OK

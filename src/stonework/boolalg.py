@@ -3,9 +3,11 @@
 A presentation is a list of named generators plus relation terms, each
 relation ``r`` meaning ``r = 0`` in the quotient.  The spectrum of a
 presentation is the finite set of 0/1 assignments satisfying every
-relation, kept in lexicographic order of their bit-strings under the
-presentation's generator order; it is found by evaluating each relation
-once, as a truth table with one bit per assignment.  Elements of the algebra
+relation.  A point is kept as its integer code: generator i of n is bit
+n-1-i, so ascending codes are the lexicographic order of the bit-strings
+under the presentation's generator order, and ``point_string`` gives that
+string.  The spectrum is found by evaluating each relation once, as a truth
+table with one bit per assignment.  Elements of the algebra
 are represented canonically as bit-vectors over the spectrum points, so that
 equality of elements is equality of vectors.  The duality check certifies
 the bijection with one truth table per point, not one per vector.
@@ -43,8 +45,8 @@ from .terms import (
 )
 
 DEFAULT_CAP = 20
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
-Point = tuple[int, ...]
 Bits = tuple[int, ...]
 
 
@@ -108,29 +110,29 @@ def binfty(n: int) -> Presentation:
 
 @dataclass(frozen=True)
 class FinBoolAlg:
-    """Spectrum of a presentation: the relation-satisfying points, lex-ordered."""
+    """Spectrum of a presentation: the codes of the relation-satisfying
+    points, ascending."""
 
     source: Presentation
-    points: tuple[Point, ...]
+    codes: tuple[int, ...]
 
     @property
     def n_points(self) -> int:
-        return len(self.points)
+        return len(self.codes)
 
-    def point_index(self, point: Point) -> int:
-        return self._index[point]
+    def point_index(self, code: int) -> int:
+        return self._index[code]
 
     @functools.cached_property
-    def _index(self) -> dict[Point, int]:
-        return {pt: i for i, pt in enumerate(self.points)}
+    def _index(self) -> dict[int, int]:
+        return {c: i for i, c in enumerate(self.codes)}
 
     @functools.cached_property
     def masks(self) -> dict[str, int]:
         """Truth tables of the generators: bit i of masks[g] is g at point i."""
         n = len(self.source.gens)
-        bits = bytes(itertools.chain.from_iterable(self.points))
-        digits = bits.translate(bytes.maketrans(b"\0\1", b"01"))  # as int(..., 2) reads them
-        return {g: int(digits[j::n][::-1] or b"0", 2) for j, g in enumerate(self.source.gens)}
+        digits = "".join([point_string(c, n) for c in self.codes])
+        return {g: int(digits[j::n][::-1] or "0", 2) for j, g in enumerate(self.source.gens)}
 
     def zero(self) -> Bits:
         return (0,) * self.n_points
@@ -139,17 +141,22 @@ class FinBoolAlg:
         return (1,) * self.n_points
 
 
+def point_string(code: int, n: int) -> str:
+    """The bit-string of a point of ``n`` generators, generator 0 first."""
+    return format(code | 1 << n, "b")[1:]
+
+
 def _bits_of(v: int, n: int) -> Bits:
     """The low ``n`` bits of ``v``, least significant first."""
-    return tuple(map(int, format(v | 1 << n, "b")[:0:-1]))
+    return tuple(format(v | 1 << n, "b")[:0:-1].encode().translate(_BIT_VALUES))
 
 
 def spectrum(p: Presentation) -> FinBoolAlg:
     """All assignments killing every relation, in lexicographic order.
 
     Each relation's truth table is cleared from the set of all 2^n
-    assignments, so the cap bounds the size of those tables.  Assignment k,
-    the k-th in product order, gives generator i bit n-1-i of k.
+    assignments, so the cap bounds the size of those tables.  Bit k of a
+    table is the assignment whose code is k.
     """
     check_cap(len(p.gens), f"spectrum of {len(p.gens)} generators")
     masks, size = {}, 1
@@ -160,8 +167,7 @@ def spectrum(p: Presentation) -> FinBoolAlg:
     full = alive = (1 << size) - 1
     for r in p.rels:
         alive &= ~eval_term(r, masks, full)
-    points = itertools.compress(itertools.product((0, 1), repeat=len(p.gens)), _bits_of(alive, size))
-    return FinBoolAlg(p, tuple(points))
+    return FinBoolAlg(p, tuple(itertools.compress(range(size), _bits_of(alive, size))))
 
 
 def evaluate(t: Term, a: FinBoolAlg) -> Bits:
@@ -172,8 +178,8 @@ def evaluate(t: Term, a: FinBoolAlg) -> Bits:
 def minterm(a: FinBoolAlg, i: int) -> Term:
     """Full conjunction selecting exactly point ``i`` of the spectrum."""
     parts = []
-    for g, bit in zip(a.source.gens, a.points[i]):
-        parts.append(Gen(g) if bit else Not(Gen(g)))
+    for g, bit in zip(a.source.gens, point_string(a.codes[i], len(a.source.gens))):
+        parts.append(Gen(g) if bit == "1" else Not(Gen(g)))
     return meet(parts)
 
 
@@ -208,12 +214,14 @@ def check_duality(p: Presentation) -> DualityReport:
     The vectors that fail are listed only when some minterm is wrong.
     """
     a = spectrum(p)
-    check_cap(a.n_points, f"duality over {a.n_points} points")
+    stage = f"duality over {a.n_points} points"
+    check_cap(2 * max(a.n_points - 1, 0).bit_length(), stage)  # points^2 table bits
     full = (1 << a.n_points) - 1
     tables = [eval_term(minterm(a, i), a.masks, full) for i in range(a.n_points)]
     bijective = all(t == 1 << i for i, t in enumerate(tables))
     failures = []
     if not bijective:
+        check_cap(a.n_points, stage)
         for v in itertools.product((0, 1), repeat=a.n_points):
             image = functools.reduce(int.__or__, itertools.compress(tables, v), 0)
             if _bits_of(image, a.n_points) != v:
@@ -275,10 +283,10 @@ def identity(p: Presentation) -> Morphism:
 def point_map(m: Morphism) -> list[int]:
     """Induced map Sp(dst) -> Sp(src) by precomposition, as point indices."""
     src_alg, dst_alg = m.src_alg, m.dst_alg
-    # column g of the composed points is the evaluation of g's image
-    columns = [evaluate(m.images[g], dst_alg) for g in m.src.gens]
-    points = zip(*columns) if columns else [()] * dst_alg.n_points
-    return [src_alg.point_index(pt) for pt in points]
+    codes = [0] * dst_alg.n_points
+    for g in m.src.gens:  # g's image evaluated at each point is its next bit
+        codes = [c << 1 | b for c, b in zip(codes, evaluate(m.images[g], dst_alg))]
+    return [src_alg.point_index(c) for c in codes]
 
 
 @dataclass(frozen=True)
@@ -353,21 +361,13 @@ class NormalFormBInfty:
         return ("Join" if self.kind == "join" else "MeetNeg") + "{" + inner + "}"
 
 
-def _binfty_point_roles(a: FinBoolAlg) -> tuple[int, dict[int, int]]:
-    """Index of the all-zero point and map point-index -> generator index."""
-    zero_idx = None
-    onehot: dict[int, int] = {}
-    for i, pt in enumerate(a.points):
-        support = [j for j, b in enumerate(pt) if b]
-        if not support:
-            zero_idx = i
-        elif len(support) == 1:
-            onehot[i] = support[0]
-        else:
-            raise ValueError("not a binfty spectrum")
-    if zero_idx is None:
+def _binfty_point_roles(a: FinBoolAlg) -> dict[int, int]:
+    """Map point-index -> generator index of the one-hot points (generator j
+    of n is bit n-1-j); the all-zero point, the least code, is point 0."""
+    n = len(a.source.gens)
+    if not a.codes or a.codes[0] or any(c & (c - 1) for c in a.codes):
         raise ValueError("not a binfty spectrum")
-    return zero_idx, onehot
+    return {i: n - c.bit_length() for i, c in enumerate(a.codes) if c}
 
 
 def binfty_normal_form(v: Bits, n: int) -> NormalFormBInfty:
@@ -380,8 +380,8 @@ def binfty_normal_form(v: Bits, n: int) -> NormalFormBInfty:
     a = spectrum(binfty(n))
     if len(v) != a.n_points:
         raise ValueError(f"vector length {len(v)} != {a.n_points} points")
-    zero_idx, onehot = _binfty_point_roles(a)
-    if v[zero_idx]:
+    onehot = _binfty_point_roles(a)
+    if v[0]:
         indices = frozenset(g for i, g in onehot.items() if not v[i])
         return NormalFormBInfty("meetneg", indices)
     indices = frozenset(g for i, g in onehot.items() if v[i])
@@ -394,7 +394,7 @@ class LlpoReport:
     injective: bool
     spectrum_map: tuple[int, ...]  # Sp(dst) -> Sp(src) point indices
     spectrum_map_surjective: bool
-    decode: tuple[tuple[str, Point], ...]  # per src point: (side, stage-n point)
+    decode: tuple[tuple[str, Bits], ...]  # per src point: (side, stage-n point)
     decode_consistent: bool
 
 
@@ -437,23 +437,16 @@ def llpo_split(n: int) -> LlpoReport:
 
     src_alg, dst_alg = f.src_alg, f.dst_alg
     pm = report.point_map
-    decode: list[tuple[str, Point]] = []
+    decode: list[tuple[str, Bits]] = []
     consistent = True
-    for i, pt in enumerate(src_alg.points):
-        support = [j for j, b in enumerate(pt) if b]
-        if not support:
-            side, beta = "left", (0,) * n
-        elif support[0] % 2 == 0:
-            side, beta = "left", tuple(1 if 2 * j == support[0] else 0 for j in range(n))
-        else:
-            side, beta = "right", tuple(1 if 2 * j + 1 == support[0] else 0 for j in range(n))
-        decode.append((side, beta))
-        # the decoded point, seen as a product-spectrum point, must map back to pt
-        if side == "left":
-            dst_pt = (1,) + beta + (0,) * n
-        else:
-            dst_pt = (0,) + (0,) * n + beta
-        if pm[dst_alg.point_index(dst_pt)] != i:
+    for i, code in enumerate(src_alg.codes):
+        first = 2 * n - code.bit_length()  # least generator a nonzero point hits
+        side = "right" if code and first % 2 else "left"
+        beta = 1 << n - 1 - first // 2 if code else 0
+        decode.append((side, tuple(map(int, point_string(beta, n)))))
+        # the decoded point, as a product-spectrum point e a0.. b0.., must map back
+        dst_code = 1 << 2 * n | beta << n if side == "left" else beta
+        if pm[dst_alg.point_index(dst_code)] != i:
             consistent = False
     return LlpoReport(
         stage=n,

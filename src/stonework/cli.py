@@ -164,7 +164,7 @@ def cmd_spectrum(args) -> Result:
     text = _read(args.file)
     p = parse_presentation(text)
     alg = boolalg.spectrum(p)
-    points = [_bits(pt) for pt in alg.points]
+    points = [boolalg.point_string(c, len(p.gens)) for c in alg.codes]
     fields = {"gens": list(p.gens), "n_points": alg.n_points, "points": points}
     lines = [
         f"presentation with {len(p.gens)} generators, {len(p.rels)} relations",

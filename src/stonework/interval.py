@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .boolalg import check_cap
@@ -236,13 +235,9 @@ class IntervalUnion:
         return " u ".join(rendered)
 
 
-def _dyadic_key(d: Dyadic) -> Fraction:
-    return Fraction(d.num, 2**d.exp)
-
-
 def closed_union(parts: Iterable[tuple[Dyadic, Dyadic]]) -> IntervalUnion:
     """Sort and maximally merge closed parts (overlapping or touching)."""
-    items = sorted(parts, key=lambda p: (_dyadic_key(p[0]), _dyadic_key(p[1])))
+    items = sorted(parts)
     merged: list[list[Dyadic]] = []
     for lo, hi in items:
         if merged and lo <= merged[-1][1]:

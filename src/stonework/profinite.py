@@ -3,8 +3,10 @@
 Levels are finite point lists; transitions map level n+1 down to level n.
 Algebra towers follow the truncation schedule: level n keeps generators
 g0..gn together with anything mentioned by the first n+1 relations, and
-quotients by those relations.  Relation graphs carry a reflexive symmetric
-relation used as a finite approximation of a compact Hausdorff quotient.
+quotients by those relations; their spectra keep each point as its
+``boolalg`` integer code, generator i of n being bit n-1-i.  Relation graphs
+carry a reflexive symmetric relation used as a finite approximation of a
+compact Hausdorff quotient.
 """
 
 from __future__ import annotations
@@ -129,12 +131,20 @@ def truncation_tower(p: CountablePresentation, depth: int) -> AlgebraTower:
 
 def spectrum_tower(t: AlgebraTower) -> SeqDiagram:
     """Dualize: level sets are spectra, and each transition restricts a point
-    to the lower level's generators, which is precomposing the inclusion."""
-    levels = tuple(alg.points for alg in t.levels)
+    to the lower level's generators, which is precomposing the inclusion: it
+    drops the bits of the generators that level lacks, highest bit first."""
+    levels = tuple(alg.codes for alg in t.levels)
     transitions = []
     for lower, upper in zip(t.levels, t.levels[1:]):
-        at = [upper.source.gens.index(g) for g in lower.source.gens]
-        transitions.append({pt: tuple(pt[i] for i in at) for pt in upper.points})
+        n, kept = len(upper.source.gens), set(lower.source.gens)
+        lacking = [n - 1 - i for i, g in enumerate(upper.source.gens) if g not in kept]
+        restrict = {}
+        for code in upper.codes:
+            low = code
+            for b in lacking:
+                low = low >> b + 1 << b | low & (1 << b) - 1
+            restrict[code] = low
+        transitions.append(restrict)
     return SeqDiagram(levels, tuple(transitions))
 
 

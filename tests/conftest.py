@@ -72,6 +72,20 @@ def eval_term_reference(t: Term, assignment: dict[str, int]) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
+def code_of(bits) -> int:
+    """The integer code of a point given as 0/1 bits, generator 0 first: the
+    first bit is the most significant."""
+    code = 0
+    for b in bits:
+        code = code << 1 | b
+    return code
+
+
+def point_of(code: int, n: int) -> tuple[int, ...]:
+    """The 0/1 bits of an ``n``-generator point code, generator 0 first."""
+    return tuple(code >> (n - 1 - i) & 1 for i in range(n))
+
+
 def term_to_json(t: Term):
     """Serialize a term as nested lists (round-trips with term_from_json)."""
     if isinstance(t, Zero):

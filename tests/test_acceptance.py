@@ -9,7 +9,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from conftest import dense, random_term, rational_rank
+from conftest import code_of, dense, random_term, rational_rank
 from stonework.boolalg import (
     Presentation,
     analyze_morphism,
@@ -163,7 +163,7 @@ def test_04_interleaving_split_is_injective_with_exact_decode():
                 dst_pt = (1,) + beta + (0,) * n
             else:
                 dst_pt = (0,) + (0,) * n + beta
-            assert rep.spectrum_map[dst.point_index(dst_pt)] == i
+            assert rep.spectrum_map[dst.point_index(code_of(dst_pt))] == i
         assert set(rep.spectrum_map) == set(range(src.n_points))
 
 

@@ -10,7 +10,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import eval_term_reference, presentations, term_strategy
+from conftest import code_of, eval_term_reference, point_of, presentations, term_strategy
 from stonework.boolalg import (
     Presentation,
     evaluate,
@@ -57,9 +57,10 @@ def test_eval_term_matches_reference_on_every_assignment(case):
 @given(presentations(), st.data())
 def test_spectrum_and_evaluate_match_brute_force(p, data):
     a = spectrum(p)
-    assert list(a.points) == brute_spectrum(p)
+    points = [point_of(c, len(p.gens)) for c in a.codes]
+    assert points == brute_spectrum(p)
     t = data.draw(terms_over(len(p.gens)))
-    assert evaluate(t, a) == tuple(eval_term_reference(t, dict(zip(p.gens, pt))) for pt in a.points)
+    assert evaluate(t, a) == tuple(eval_term_reference(t, dict(zip(p.gens, pt))) for pt in points)
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,17 +96,17 @@ def test_tower_transitions_match_brute_force(rels, depth):
     for n, m in enumerate(tower.connecting):
         lower, upper = tower.levels[n], tower.levels[n + 1]
         assert hom(m.src, m.images, m.dst) == m  # each inclusion kills the lower relations
-        assert list(upper.points) == brute_spectrum(upper.source)
-        for pt in upper.points:
-            a = dict(zip(upper.source.gens, pt))
-            image = tuple(eval_term_reference(m.images[g], a) for g in lower.source.gens)
-            assert image in lower.points
-            assert diagram.transitions[n][pt] == image
+        assert [point_of(c, len(upper.source.gens)) for c in upper.codes] == brute_spectrum(upper.source)
+        for code in upper.codes:
+            a = dict(zip(upper.source.gens, point_of(code, len(upper.source.gens))))
+            image = code_of(eval_term_reference(m.images[g], a) for g in lower.source.gens)
+            assert image in lower.codes
+            assert diagram.transitions[n][code] == image
 
 
 def test_no_generators():
     a = spectrum(free(0))
-    assert a.points == ((),)
+    assert a.codes == (code_of(()),)
     assert evaluate(ONE, a) == (1,)
     assert evaluate(ZERO, a) == (0,)
     assert point_map(hom(free(0), {}, free(2))) == [0, 0, 0, 0]
@@ -113,14 +114,14 @@ def test_no_generators():
 
 def test_relation_one_empties_the_spectrum():
     a = spectrum(Presentation.make(["g0", "g1"], [ONE]))
-    assert a.points == ()
+    assert a.codes == ()
     assert evaluate(Gen("g1") | ONE, a) == ()
     assert evaluate(ZERO, a) == ()
 
 
 def test_relation_zero_keeps_every_assignment():
     a = spectrum(Presentation.make(["g0", "g1"], [ZERO]))
-    assert a.points == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert tuple(point_of(c, 2) for c in a.codes) == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert evaluate(Gen("g0") & ~Gen("g1"), a) == (0, 0, 1, 0)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import duality_failures_exhaustive, presentations, random_term
+from conftest import code_of, duality_failures_exhaustive, point_of, presentations, random_term
 from stonework import boolalg
 from stonework.boolalg import (
     DEFAULT_CAP,
@@ -59,20 +59,20 @@ class TestPresentation:
 class TestSpectrum:
     def test_empty_presentation_has_one_point(self):
         a = spectrum(Presentation.make([]))
-        assert a.points == ((),)
+        assert a.codes == (code_of(()),)
 
     def test_free_two_generators_lex_order(self):
         a = spectrum(free(2))
-        assert a.points == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert tuple(point_of(c, 2) for c in a.codes) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def test_relation_one_kills_everything(self):
         a = spectrum(Presentation.make(["g0"], [ONE]))
-        assert a.points == ()
+        assert a.codes == ()
         assert is_trivial(a)
 
     def test_binfty_points_are_zero_and_one_hots(self):
         a = spectrum(binfty(3))
-        assert a.points == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+        assert tuple(point_of(c, 3) for c in a.codes) == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
         assert a.n_points == 4
 
     def test_complementary_relations_trivialize(self):
@@ -180,6 +180,36 @@ class TestDuality:
         assert rep.failures == duality_failures_exhaustive(spectrum(free(2)))
         assert rep.failures
 
+    @pytest.mark.parametrize("p, points, needed", [
+        (free(0), 1, 0),
+        (free(1), 2, 2),
+        (binfty(2), 3, 4),
+        (free(2), 4, 4),
+        (binfty(4), 5, 6),
+        (free(5), 32, 10),
+    ])
+    def test_cap_bounds_the_certificate(self, monkeypatch, p, points, needed):
+        # points tables of points bits each: 2^needed bits, not 2^points vectors
+        monkeypatch.setenv("STONEWORK_CAP", str(needed))
+        rep = check_duality(p)
+        assert (rep.n_points, rep.bijective) == (points, True)
+        if needed:
+            monkeypatch.setenv("STONEWORK_CAP", str(needed - 1))
+            with pytest.raises(CapExceeded) as e:
+                check_duality(p)
+            assert (e.value.needed, e.value.cap) == (needed, needed - 1)
+            assert str(e.value).startswith(f"duality over {points} points: ")
+
+    def test_failure_walk_is_capped_by_the_points(self, monkeypatch):
+        # 8 points: the certificate needs 2^6 bits, listing failures 2^8 vectors
+        monkeypatch.setenv("STONEWORK_CAP", "7")
+        assert check_duality(free(3)).bijective
+        monkeypatch.setattr(boolalg, "minterm", lambda a, i: ZERO)
+        with pytest.raises(CapExceeded) as e:
+            check_duality(free(3))
+        assert (e.value.needed, e.value.cap) == (8, 7)
+        assert str(e.value).startswith("duality over 8 points: ")
+
 
 class TestMorphisms:
     def test_hom_requires_all_images(self):
@@ -222,15 +252,15 @@ class TestMorphisms:
         m = hom(free(1), {"g0": And(G0, G1)}, free(2))
         src_alg, dst_alg = spectrum(free(1)), spectrum(free(2))
         pm = point_map(m)
-        for i, pt in enumerate(dst_alg.points):
-            expected = (eval_term(And(G0, G1), dict(zip(dst_alg.source.gens, pt))),)
-            assert src_alg.points[pm[i]] == expected
+        for i, code in enumerate(dst_alg.codes):
+            expected = (eval_term(And(G0, G1), dict(zip(dst_alg.source.gens, point_of(code, 2)))),)
+            assert src_alg.codes[pm[i]] == code_of(expected)
 
     def test_epi_mono_factor_diagonal(self):
         # g1 |-> g0 collapses free(2) onto the diagonal subalgebra
         m = hom(free(2), {"g0": G0, "g1": G0}, free(1))
         epi, middle, mono = epi_mono_factor(m)
-        assert set(middle.points) == {(0, 0), (1, 1)}
+        assert {point_of(c, 2) for c in middle.codes} == {(0, 0), (1, 1)}
         # epi is surjective on algebras: its point map is injective
         pm_epi = point_map(epi)
         assert len(set(pm_epi)) == len(pm_epi)
@@ -351,7 +381,7 @@ class TestLlpo:
     def test_product_presentation_spectrum(self):
         a = spectrum(llpo_product_presentation(1))
         # e with a0 <= e, b0 <= ~e: points (e, a0, b0)
-        assert set(a.points) == {(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1)}
+        assert {point_of(c, 3) for c in a.codes} == {(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1)}
 
     def test_stage_one_split(self):
         rep = llpo_split(1)
@@ -365,7 +395,8 @@ class TestLlpo:
     def test_decode_sides(self):
         rep = llpo_split(2)
         src = spectrum(binfty(4))
-        for (side, beta), pt in zip(rep.decode, src.points):
+        for (side, beta), code in zip(rep.decode, src.codes):
+            pt = point_of(code, 4)
             support = [j for j, b in enumerate(pt) if b]
             if not support:
                 assert side == "left" and beta == (0, 0)

@@ -213,6 +213,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {stage}") and captured.err.count("\n") == 1
 
+    def test_duality_cap_is_the_certificate_size(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("STONEWORK_CAP", raising=False)
+        f = tmp_path / "free.txt"
+        f.write_text("gens: g0 g1 g2 g3 g4\nrels:\n")
+        assert main(["--json", "duality", str(f)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert (report["n_points"], report["bijective"]) == (32, True)
+        f.write_text(f"gens: {' '.join(f'g{i}' for i in range(11))}\nrels:\n")
+        assert main(["duality", str(f)]) == EXIT_CAP
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duality over 2048 points: enumeration over 2^22 exceeds cap 2^20\n"
+
     def test_non_integer_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("STONEWORK_CAP", "abc")
         assert main(["spectrum", str(self._free2(tmp_path))]) == EXIT_USAGE

@@ -1,5 +1,6 @@
 """Dyadics, bit words, nearness, graph towers and interval unions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,22 @@ class TestIntervalUnions:
         with pytest.raises(ValueError):
             # unsorted, overlapping parts may not be constructed directly
             type(u)("closed", ((Dyadic(1, 1), D1), (D0, Dyadic(3, 2))))
+
+    def test_union_sorts_mixed_exponents_by_value(self):
+        # ordered by value, not by (num, exp): 3/4 after 1/8, 5/8 after 1/2
+        parts = [
+            (Dyadic(3, 2), D1),
+            (Dyadic(1, 3), Dyadic(3, 4)),
+            (Dyadic(1, 1), Dyadic(5, 3)),
+            (D0, Dyadic(1, 4)),
+            (Dyadic(5, 3), Dyadic(3, 2)),
+            (Dyadic(1, 4), Dyadic(1, 3)),
+        ]
+        for order in itertools.permutations(parts):
+            u = closed_union(order)
+            assert u.parts == ((D0, Dyadic(3, 4)), (Dyadic(1, 1), D1))
+        spaced = closed_union([(Dyadic(3, 2), D1), (Dyadic(1, 3), Dyadic(3, 4)), (D0, Dyadic(1, 4))])
+        assert spaced.parts == ((D0, Dyadic(1, 4)), (Dyadic(1, 3), Dyadic(3, 4)), (Dyadic(3, 2), D1))
 
     def test_contains_closed_endpoints(self):
         u = decidable_image([W("01")])

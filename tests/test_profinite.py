@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import code_of, point_of
 from stonework.boolalg import spectrum, free
 from stonework.errors import InvariantViolated, RelationNotPreserved, SquareNotCommuting
 from stonework.profinite import (
@@ -115,7 +116,7 @@ class TestSpectrumTower:
         assert [len(level) for level in d.levels] == [2, 4, 8]
         for n, tr in enumerate(d.transitions):
             for pt, img in tr.items():
-                assert img == pt[: n + 1]
+                assert point_of(img, n + 1) == point_of(pt, n + 2)[: n + 1]
 
     def test_empty_levels(self):
         d = spectrum_tower(truncation_tower(CountablePresentation(explicit_rels=(ONE,)), 2))
@@ -126,7 +127,8 @@ class TestSpectrumTower:
         chains = points_at_depth(d, 2)
         assert len(chains) == 8
         for chain in chains:
-            assert chain[0] == chain[2][:1] and chain[1] == chain[2][:2]
+            top = point_of(chain[2], 3)
+            assert point_of(chain[0], 1) == top[:1] and point_of(chain[1], 2) == top[:2]
 
     def test_points_at_depth_out_of_range(self):
         with pytest.raises(ValueError):
@@ -146,11 +148,11 @@ class TestClosedTower:
 
     def test_top_singleton_projects_down(self):
         d = cantor_diagram(3)
-        subsets = [set(d.levels[0]), set(d.levels[1]), {(0, 1, 0)}]
+        subsets = [set(d.levels[0]), set(d.levels[1]), {code_of((0, 1, 0))}]
         c = closed_from_decidables(d, subsets)
-        assert c.selected[2] == frozenset({(0, 1, 0)})
-        assert c.selected[1] == frozenset({(0, 1)})
-        assert c.selected[0] == frozenset({(0,)})
+        assert c.selected[2] == frozenset({code_of((0, 1, 0))})
+        assert c.selected[1] == frozenset({code_of((0, 1))})
+        assert c.selected[0] == frozenset({code_of((0,))})
 
     def test_forward_pass_drops_unsupported_points(self):
         # empty a middle level: everything above and below must go
@@ -161,7 +163,7 @@ class TestClosedTower:
     def test_saturation_invariant_enforced(self):
         d = cantor_diagram(2)
         with pytest.raises(ValueError):
-            ClosedTower(d, (frozenset(), frozenset({(0, 0)})))
+            ClosedTower(d, (frozenset(), frozenset({code_of((0, 0))})))
 
     def test_saturation_is_idempotent(self):
         rng = random.Random(5)
@@ -181,8 +183,8 @@ class TestEmptinessWitness:
         # level 0 pins the first bit to 0, level 1 additionally pins it to 1
         d = cantor_diagram(3)
         subsets = [
-            {p for p in d.levels[0] if p[0] == 0},
-            {p for p in d.levels[1] if p[0] == 0 and p[0] == 1},
+            {p for p in d.levels[0] if point_of(p, 1)[0] == 0},
+            {p for p in d.levels[1] if point_of(p, 2)[0] == 0 and point_of(p, 2)[0] == 1},
             set(d.levels[2]),
         ]
         assert constraint_emptiness_witness(d, subsets) == 1
@@ -237,15 +239,15 @@ class TestLevelwiseFactor:
         dst = d
         maps = [
             {p: p for p in d.levels[0]},
-            {p: (p[0], 0) for p in d.levels[1]},
+            {p: code_of((point_of(p, 2)[0], 0)) for p in d.levels[1]},
         ]
         fact = levelwise_factor(d, dst, maps)
-        assert set(fact.middle.levels[1]) == {(0, 0), (1, 0)}
+        assert {point_of(p, 2) for p in fact.middle.levels[1]} == {(0, 0), (1, 0)}
 
     def test_non_commuting_square_rejected(self):
         d = cantor_diagram(2)
         maps = [
-            {(0,): (1,), (1,): (1,)},  # level 0 constant 1
+            {code_of((0,)): code_of((1,)), code_of((1,)): code_of((1,))},  # level 0 constant 1
             {p: p for p in d.levels[1]},  # level 1 identity
         ]
         with pytest.raises(SquareNotCommuting):

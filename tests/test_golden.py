@@ -55,10 +55,13 @@ CASES = {
     "cohomology-circle-6": ["cohomology", "circle", "--level", "6"],
     "cohomology-interval-8": ["cohomology", "interval", "--level", "8"],
     "cohomology-circle-8": ["cohomology", "circle", "--level", "8"],
+    "cohomology-interval-12": ["cohomology", "interval", "--level", "12"],
+    "cohomology-circle-12": ["cohomology", "circle", "--level", "12"],
     "interval-image": ["interval-image", "--cylinders", "01,0010,111,1"],
     "stabilize-interval-4": ["stabilize", "interval", "--depth", "4"],
     "stabilize-circle-5": ["stabilize", "circle", "--depth", "5"],
     "stabilize-circle-8": ["stabilize", "circle", "--depth", "8"],
+    "stabilize-circle-10": ["stabilize", "circle", "--depth", "10"],
 }
 
 

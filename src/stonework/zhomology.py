@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
 from .errors import InvariantViolated, RelationNotPreserved
@@ -113,6 +114,16 @@ def _diagonalize(
     after it, so the absolute pivot values form an ascending divisibility
     chain, the nonzero invariant factors of ``m``.  The never-pivoted
     columns of V generate the kernel lattice.
+
+    Pivots follow Markowitz's rule: a unit entry with the least fill-in
+    bound (row length - 1) * (column count - 1) if one exists, otherwise an
+    entry of least absolute value.  They come from a lazy heap of items
+    (key, row, column) that holds, for every active row, at least one item
+    keyed at or below the least key among the row's entries.  A popped item
+    is used only while its entry still has that key; otherwise its row goes
+    back in at its current least key.  An elimination step can lower keys
+    only in the rows it changes and in the rows of a column that loses an
+    entry, so after each pivot only those rows are pushed again.
     """
     rows = {i: dict(r) for i, r in enumerate(m.rows) if r}
     colrows: dict[int, set[int]] = {j: set() for j in range(m.ncols)}
@@ -121,9 +132,12 @@ def _diagonalize(
             colrows[j].add(i)
     urows = {i: {i: 1} for i in range(m.nrows)} if track_u else {}
     vcols = {j: {j: 1} for j in range(m.ncols)} if track_v else {}
+    # the rows changed and the columns that lost an entry since the last pivot
+    changed: set[int] = set()
+    thinned: set[int] = set()
 
     def add_row(dst: int, src: int, k: int) -> None:
-        drow = rows.setdefault(dst, {})
+        drow = rows[dst]
         for j, x in rows[src].items():
             val = drow.get(j, 0) + k * x
             if val:
@@ -132,6 +146,8 @@ def _diagonalize(
             elif j in drow:
                 del drow[j]
                 colrows[j].discard(dst)
+                thinned.add(j)
+        changed.add(dst)
         if not drow:
             del rows[dst]
         if track_u:
@@ -147,34 +163,43 @@ def _diagonalize(
             elif dst in row:
                 del row[dst]
                 colrows[dst].discard(i)
+                thinned.add(dst)
+            changed.add(i)
         if track_v:
             _add_scaled(vcols[dst], vcols[src], k)
 
-    # a finished pivot's row and column are zero elsewhere, so the entries of
-    # the active rows all lie in active columns
-    active_rows = set(rows)
+    # every unit key lies below ``big``, every non-unit key above it
+    big = m.nrows * m.ncols
+
+    def best(i: int) -> tuple[int, int, int]:
+        """(key, i, j) for an entry of row i with the least key."""
+        row = rows[i]
+        fill = len(row) - 1
+        least = col = None
+        for j, x in row.items():
+            k = fill * (len(colrows[j]) - 1) if x == 1 or x == -1 else big + abs(x)
+            if least is None or k < least:
+                least, col = k, j
+        return least, i, col
+
+    # a finished pivot's row leaves ``rows``, so ``rows`` holds exactly the
+    # active rows, and their entries all lie in active columns.  0 bounds the
+    # key of a one-entry row, which saves a call to ``best`` for each of them
+    heap = [best(i) if len(r) > 1 else (0, i, *r) for i, r in rows.items()]
+    heapify(heap)
     pivots: list[tuple[int, int, int]] = []
-    while True:
-        # pivot choice: a unit entry with the least fill-in if one exists,
-        # otherwise any entry of smallest absolute value
-        best = None
-        best_key = None
-        for i in active_rows & rows.keys():
-            for j, x in rows[i].items():
-                score = (
-                    (0, (len(rows[i]) - 1) * (len(colrows[j]) - 1))
-                    if abs(x) == 1
-                    else (abs(x), 0)
-                )
-                if best_key is None or score < best_key:
-                    best, best_key = (i, j), score
-                    if score == (0, 0):
-                        break
-            if best_key == (0, 0):
-                break
-        if best is None:
-            break
-        r, c = best
+    while heap:
+        k, r, c = heappop(heap)
+        row = rows.get(r)
+        if row is None:
+            continue
+        x = row.get(c)
+        # the entry's key as ``best`` computes it, without a call per pop
+        if x is None or k != (
+            (len(row) - 1) * (len(colrows[c]) - 1) if x == 1 or x == -1 else big + abs(x)
+        ):
+            heappush(heap, best(r))
+            continue
         while True:
             # clear column c with row operations (Euclid via role swaps)
             for i in list(colrows[c] - {r}):
@@ -201,18 +226,20 @@ def _diagonalize(
             offender = None
             if abs(p) != 1:
                 offender = next(
-                    (
-                        i
-                        for i in active_rows & rows.keys()
-                        if i != r and any(x % p for x in rows[i].values())
-                    ),
+                    (i for i in rows if i != r and any(x % p for x in rows[i].values())),
                     None,
                 )
             if offender is None:
                 break
             add_row(r, offender, 1)
-        pivots.append((r, c, rows[r][c]))
-        active_rows.discard(r)
+        pivots.append((r, c, rows.pop(r)[c]))
+        colrows[c].clear()
+        for j in thinned:
+            changed |= colrows[j]
+        for i in changed & rows.keys():
+            heappush(heap, best(i))
+        changed.clear()
+        thinned.clear()
     return pivots, urows, vcols
 
 

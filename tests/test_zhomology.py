@@ -97,6 +97,20 @@ small_matrix_strategy = st.integers(1, 4).flatmap(
 )
 
 
+def tie_heavy_matrices(max_size: int) -> st.SearchStrategy[IntMatrix]:
+    """Sparse matrices whose entries are mostly +-1 with an occasional +-2:
+    many pivot keys tie, keys go stale as fill-in grows, and a +-2 pivot
+    has to absorb a row it does not divide."""
+    entries = st.sampled_from((0,) * 10 + (1, -1) * 3 + (2, -2))
+    return st.integers(1, max_size).flatmap(
+        lambda nr: st.integers(1, max_size).flatmap(
+            lambda nc: st.lists(
+                st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr
+            ).map(IntMatrix.from_rows)
+        )
+    )
+
+
 class TestIntMatrix:
     def test_matmul(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
@@ -206,6 +220,39 @@ class TestSnf:
         assert snf_invariants(m) == expected
         _, d, _ = snf(m)
         assert snf_diagonal(d) == expected
+
+
+class TestTieHeavySmith:
+    """Pivot order does not change what the Smith reduction returns."""
+
+    @given(tie_heavy_matrices(14))
+    @settings(max_examples=80, deadline=None)
+    def test_decomposition(self, m: IntMatrix):
+        u, d, v = snf(m)
+        assert u @ m @ v == d
+        assert abs(det(u)) == 1
+        assert abs(det(v)) == 1
+        diag = snf_diagonal(d)
+        nonzero = [x for x in diag if x != 0]
+        assert diag[: len(nonzero)] == nonzero
+        assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+        assert len(nonzero) == rational_rank(m)
+        assert snf_invariants(m) == diag
+
+    @given(tie_heavy_matrices(5))
+    @settings(max_examples=80, deadline=None)
+    def test_invariants_match_determinantal_divisors(self, m: IntMatrix):
+        assert snf_invariants(m) == determinantal_invariants(m)
+
+    @given(tie_heavy_matrices(14))
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_is_saturated(self, m: IntMatrix):
+        k = kernel_basis(m)
+        assert (m @ k).is_zero()
+        assert k.ncols == m.ncols - rational_rank(m)
+        if k.ncols:
+            assert all(x == 1 for x in snf_invariants(k) if x != 0)
+            assert rational_rank(k) == k.ncols
 
 
 class TestKernel:
@@ -339,6 +386,16 @@ class TestGraphComplex:
         pairs = tuple(p for p in itertools.product(g.vertices, repeat=2) if p in g.related)
         triples = tuple(graph_triples_exhaustive(g))
         assert graph_cech_complex(g).labels == (g.vertices, pairs, triples)
+
+    @given(rel_graphs(max_vertices=7))
+    @settings(max_examples=60, deadline=None)
+    def test_ranks_follow_rank_nullity(self, g: RelGraph):
+        cx = graph_cech_complex(g)
+        c0, c1, _ = cx.dims
+        rank0, rank1 = rational_rank(cx.d0), rational_rank(cx.d1)
+        h = homology(cx)
+        assert h.h0.rank == c0 - rank0
+        assert h.h1.rank == (c1 - rank1) - rank0
 
     def test_interval_level_two_dimensions(self):
         cx = graph_cech_complex(interval_graph(2))

@@ -57,8 +57,10 @@ CASES = {
     "cohomology-circle-8": ["cohomology", "circle", "--level", "8"],
     "cohomology-interval-12": ["cohomology", "interval", "--level", "12"],
     "cohomology-circle-12": ["cohomology", "circle", "--level", "12"],
+    "cohomology-circle-14": ["cohomology", "circle", "--level", "14"],
     "interval-image": ["interval-image", "--cylinders", "01,0010,111,1"],
     "stabilize-interval-4": ["stabilize", "interval", "--depth", "4"],
+    "stabilize-interval-10": ["stabilize", "interval", "--depth", "10"],
     "stabilize-circle-5": ["stabilize", "circle", "--depth", "5"],
     "stabilize-circle-8": ["stabilize", "circle", "--depth", "8"],
     "stabilize-circle-10": ["stabilize", "circle", "--depth", "10"],

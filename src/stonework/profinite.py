@@ -245,6 +245,8 @@ class RelGraph:
 
     def __post_init__(self):
         vs = set(self.vertices)
+        if len(vs) != len(self.vertices):
+            raise ValueError("repeated vertex")
         for u, v in self.related:
             if u not in vs or v not in vs:
                 raise ValueError(f"related pair ({u!r}, {v!r}) outside vertex set")

@@ -490,28 +490,27 @@ def cech_complex(cov: FiniteCover) -> ChainComplexZ:
     )
 
 
-def _graph_triples(g: RelGraph, pairs: list[tuple]) -> list[tuple]:
-    """Related triples (u, v, w) in vertex order, walking the neighbour lists of ``pairs``."""
-    neighbours: dict = {}
-    for u, v in pairs:
-        neighbours.setdefault(u, []).append(v)
-    return [
-        (u, v, w)
-        for u, nu in neighbours.items()
-        for v in nu
-        for w in neighbours[v]
-        if (u, w) in g.related
-    ]
-
-
 def graph_cech_complex(g: RelGraph) -> ChainComplexZ:
-    """Augmented complex Z -> Z^V -> Z^(related pairs) -> Z^(related triples)."""
-    b0 = g.vertices
-    order = {v: i for i, v in enumerate(b0)}
-    b1 = sorted(g.related, key=lambda p: (order[p[0]], order[p[1]]))
-    b2 = _graph_triples(g, b1)
+    """Augmented oriented complex Z -> Z^V -> Z^(edges) -> Z^(triangles).
+
+    With vertices ordered by position in ``g.vertices``, degree 1 has one
+    basis element per related pair u < v and degree 2 one per pairwise
+    related triple u < v < w, both in lexicographic order.  This complex is
+    chain-homotopy equivalent to the ordered one on all related tuples,
+    repeats included (Munkres, Elements of Algebraic Topology, section 13).
+    """
+    vs = g.vertices
+    pos = {v: i for i, v in enumerate(vs)}
+    edges = sorted((pos[u], pos[v]) for u, v in g.related if pos[u] < pos[v])
+    later: list[set[int]] = [set() for _ in vs]
+    for i, j in edges:
+        later[i].add(j)
+    triangles = [(i, j, k) for i, j in edges for k in sorted(later[i] & later[j])]
+    b0 = [(v,) for v in vs]
+    b1 = [(vs[i], vs[j]) for i, j in edges]
+    b2 = [(vs[i], vs[j], vs[k]) for i, j, k in triangles]
     return ChainComplexZ(
-        d0=_coboundary(b1, [(v,) for v in b0]),
+        d0=_coboundary(b1, b0),
         d1=_coboundary(b2, b1),
         aug=IntMatrix(len(b0), 1, (((0, 1),),) * len(b0)),
         labels=(tuple(b0), tuple(b1), tuple(b2)),
@@ -530,21 +529,32 @@ class CochainMap:
 def induced_cochain_map(
     fine: ChainComplexZ, coarse: ChainComplexZ, vertex_map: dict
 ) -> CochainMap:
-    """Precomposition on tuples along a relation-preserving vertex map.
+    """Pullback of oriented cochains along a relation-preserving vertex map.
 
     ``vertex_map`` sends fine vertices to coarse vertices; the resulting
     matrices send coarse cochains to fine cochains and commute with the
-    boundary maps and the augmentations.
+    boundary maps and the augmentations.  A fine simplex reads the coarse
+    simplex its image sorts to, times the sign of the sorting permutation,
+    and reads zero when its image repeats a vertex.
     """
+    coarse_vertices = [v for v, in coarse.labels[0]]
+    pos = {v: i for i, v in enumerate(coarse_vertices)}
     maps = []
     for degree in range(3):
         coarse_idx = {b: i for i, b in enumerate(coarse.labels[degree])}
         rows = []
         for b in fine.labels[degree]:
-            key = tuple(vertex_map[v] for v in b) if degree else vertex_map[b]
+            image = [pos.get(vertex_map[v]) for v in b]
+            if None in image:
+                raise RelationNotPreserved(f"{b!r} maps outside the coarse vertices")
+            if len(set(image)) < len(image):
+                rows.append(())
+                continue
+            key = tuple(coarse_vertices[i] for i in sorted(image))
             if key not in coarse_idx:
-                raise RelationNotPreserved(f"image tuple {key!r} not in the coarse complex")
-            rows.append(((coarse_idx[key], 1),))
+                raise RelationNotPreserved(f"image simplex {key!r} not in the coarse complex")
+            inversions = sum(a > c for a, c in itertools.combinations(image, 2))
+            rows.append(((coarse_idx[key], -1 if inversions % 2 else 1),))
         maps.append(IntMatrix(len(rows), len(coarse.labels[degree]), tuple(rows)))
     m0, m1, m2 = maps
     if m1 @ coarse.d0 != fine.d0 @ m0:
@@ -571,10 +581,19 @@ def _covers_kernel(generators: IntMatrix, kernel_rank: int) -> bool:
 @dataclass(frozen=True)
 class LevelCohomology:
     level: int
-    dims: tuple[int, int, int]
+    dims: tuple[int, int, int]  # of the ordered complex, see _level_cohomology
     h0: AbInvariants
     h1: AbInvariants
     exact_at: tuple[bool, ...]
+
+
+def _level_cohomology(level: int, cx: ChainComplexZ) -> LevelCohomology:
+    """The cohomology of an oriented graph complex with V vertices, E edges
+    and T triangles, reporting the dims (V, V + 2E, V + 6E + 6T) of the
+    ordered complex on all related tuples, repeats included."""
+    v, e, t = cx.dims
+    h = homology(cx)
+    return LevelCohomology(level, (v, v + 2 * e, v + 6 * e + 6 * t), h.h0, h.h1, h.exact_at)
 
 
 @dataclass(frozen=True)
@@ -589,10 +608,7 @@ def stabilization_report(tower: RelGraphTower, depth: int) -> StabilizationRepor
     if depth > len(tower.levels):
         raise ValueError("depth exceeds available levels")
     complexes = [graph_cech_complex(g) for g in tower.levels[:depth]]
-    results = []
-    for n, cx in enumerate(complexes):
-        h = homology(cx)
-        results.append(LevelCohomology(n, cx.dims, h.h0, h.h1, h.exact_at))
+    results = [_level_cohomology(n, cx) for n, cx in enumerate(complexes)]
     h0_iso, h1_iso = [], []
     for n in range(depth - 1):
         coarse, fine = complexes[n], complexes[n + 1]
@@ -615,6 +631,4 @@ def stabilization_report(tower: RelGraphTower, depth: int) -> StabilizationRepor
 
 def graph_cohomology(g: RelGraph, level: int) -> LevelCohomology:
     """Cohomology of one level of a graph tower, such as the interval's or the circle's."""
-    cx = graph_cech_complex(g)
-    h = homology(cx)
-    return LevelCohomology(level, cx.dims, h.h0, h.h1, h.exact_at)
+    return _level_cohomology(level, graph_cech_complex(g))

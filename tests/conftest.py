@@ -10,9 +10,20 @@ from hypothesis import strategies as st
 
 from stonework.boolalg import Bits, FinBoolAlg, Presentation, evaluate, realize
 from stonework.errors import UnknownGenerator
-from stonework.profinite import RelGraph
+from stonework.errors import RelationNotPreserved
+from stonework.profinite import RelGraph, RelGraphTower
 from stonework.terms import And, Gen, Not, ONE, One, Or, Term, ZERO, Zero
-from stonework.zhomology import IntMatrix
+from stonework.zhomology import (
+    ChainComplexZ,
+    CochainMap,
+    IntMatrix,
+    LevelCohomology,
+    StabilizationReport,
+    _coboundary,
+    _covers_kernel,
+    homology,
+    kernel_basis,
+)
 
 
 def random_term(rng: random.Random, gens: list[str], depth: int) -> Term:
@@ -147,6 +158,74 @@ def graph_triples_exhaustive(g: RelGraph) -> list[tuple]:
         if (u, v) in g.related and (v, w) in g.related and (u, w) in g.related:
             out.append((u, v, w))
     return out
+
+
+def graph_triples(g: RelGraph, pairs: list[tuple]) -> list[tuple]:
+    """Related triples (u, v, w) in vertex order, walking the neighbour lists of ``pairs``."""
+    neighbours: dict = {}
+    for u, v in pairs:
+        neighbours.setdefault(u, []).append(v)
+    return [
+        (u, v, w)
+        for u, nu in neighbours.items()
+        for v in nu
+        for w in neighbours[v]
+        if (u, w) in g.related
+    ]
+
+
+def ordered_graph_complex(g: RelGraph) -> ChainComplexZ:
+    """Augmented complex Z -> Z^V -> Z^(related pairs) -> Z^(related triples)
+    on ordered tuples, repeats included (oracle for the oriented complex)."""
+    b0 = g.vertices
+    order = {v: i for i, v in enumerate(b0)}
+    b1 = sorted(g.related, key=lambda p: (order[p[0]], order[p[1]]))
+    b2 = graph_triples(g, b1)
+    return ChainComplexZ(
+        d0=_coboundary(b1, [(v,) for v in b0]),
+        d1=_coboundary(b2, b1),
+        aug=IntMatrix(len(b0), 1, (((0, 1),),) * len(b0)),
+        labels=(tuple(b0), tuple(b1), tuple(b2)),
+    )
+
+
+def ordered_cochain_map(fine: ChainComplexZ, coarse: ChainComplexZ, vertex_map: dict) -> CochainMap:
+    """Precomposition on ordered tuples along a relation-preserving vertex map."""
+    maps = []
+    for degree in range(3):
+        coarse_idx = {b: i for i, b in enumerate(coarse.labels[degree])}
+        rows = []
+        for b in fine.labels[degree]:
+            key = tuple(vertex_map[v] for v in b) if degree else vertex_map[b]
+            if key not in coarse_idx:
+                raise RelationNotPreserved(f"image tuple {key!r} not in the coarse complex")
+            rows.append(((coarse_idx[key], 1),))
+        maps.append(IntMatrix(len(rows), len(coarse.labels[degree]), tuple(rows)))
+    m0, m1, m2 = maps
+    if m1 @ coarse.d0 != fine.d0 @ m0 or m2 @ coarse.d1 != fine.d1 @ m1:
+        raise RelationNotPreserved("pullback does not commute with the coboundaries")
+    return CochainMap(m0, m1, m2)
+
+
+def ordered_stabilization_report(tower: RelGraphTower, depth: int) -> StabilizationReport:
+    """``stabilization_report`` computed on the ordered complexes (oracle)."""
+    complexes = [ordered_graph_complex(g) for g in tower.levels[:depth]]
+    results = []
+    for n, cx in enumerate(complexes):
+        h = homology(cx)
+        results.append(LevelCohomology(n, cx.dims, h.h0, h.h1, h.exact_at))
+    h0_iso, h1_iso = [], []
+    for n in range(depth - 1):
+        coarse, fine = complexes[n], complexes[n + 1]
+        cmap = ordered_cochain_map(fine, coarse, tower.transitions[n])
+        lo, hi = results[n], results[n + 1]
+        z0_hi = hi.h0.rank
+        z1_hi = hi.h1.rank + hi.dims[0] - z0_hi
+        surj0 = _covers_kernel(cmap.m0 @ kernel_basis(coarse.d0), z0_hi)
+        h0_iso.append(lo.h0 == hi.h0 and surj0)
+        surj1 = _covers_kernel((cmap.m1 @ kernel_basis(coarse.d1)).hstack(fine.d0), z1_hi)
+        h1_iso.append(lo.h1 == hi.h1 and surj1)
+    return StabilizationReport(tuple(results), tuple(h0_iso), tuple(h1_iso))
 
 
 def dense(m: IntMatrix) -> list[list[int]]:

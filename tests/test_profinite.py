@@ -263,6 +263,11 @@ class TestRelGraphs:
         with pytest.raises(ValueError):
             RelGraph((0, 1), frozenset({(0, 0), (1, 1), (0, 1)}))
 
+    def test_repeated_vertex_rejected(self):
+        # a connected graph listed as (0, 0, 1) once gave h0 = Z^2
+        with pytest.raises(ValueError, match="repeated vertex"):
+            RelGraph((0, 0, 1), frozenset({(0, 0), (1, 1), (0, 1), (1, 0)}))
+
     def test_equality_graph_components_are_singletons(self):
         g = equality_graph(range(4))
         for v in range(4):

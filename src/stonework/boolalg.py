@@ -426,6 +426,8 @@ def llpo_split(n: int) -> LlpoReport:
     """
     if n < 1:
         raise BadArgument(f"stage must be >= 1, got {n}")
+    # the product's spectrum is the first one built; check it before its O(n^2) relations
+    check_cap(2 * n + 1, f"spectrum of {2 * n + 1} generators")
     src = binfty(2 * n)
     dst = llpo_product_presentation(n)
     images: dict[str, Term] = {}
@@ -483,22 +485,23 @@ def wlpo_counterexample(c: Term) -> WlpoReport:
         m = _GIDX.match(name)
         if m is None:
             raise UnknownGenerator(name)
-        indices.append(int(m.group(1)))
+        try:
+            indices.append(int(m.group(1)))
+        except ValueError:  # more digits than int() reads
+            raise BadArgument(f"generator index of {len(m.group(1))} digits is out of range") from None
     k = max(indices) if indices else -1
-    names = [f"g{i}" for i in range(k + 2)]
-    beta = {g: 0 for g in names}
-    gamma = {g: 0 for g in names}
-    gamma[f"g{k + 1}"] = 1
-    vb = eval_term(c, beta)
-    vg = eval_term(c, gamma)
-    verdict = "fails_on_beta" if vb == 1 else "fails_on_gamma"
+    # beta and gamma differ only at g{k+1}, which the term does not see, and
+    # are 0 on all of its own generators
+    value = eval_term(c, {f"g{i}": 0 for i in indices})
+    check_cap((k + 1).bit_length(), f"wlpo sequences of {k + 2} bits")
+    beta = (0,) * (k + 2)
     return WlpoReport(
         k=k,
-        beta=tuple(beta[g] for g in names),
-        gamma=tuple(gamma[g] for g in names),
-        value_beta=vb,
-        value_gamma=vg,
-        verdict=verdict,
+        beta=beta,
+        gamma=beta[:-1] + (1,),
+        value_beta=value,
+        value_gamma=value,
+        verdict="fails_on_beta" if value == 1 else "fails_on_gamma",
     )
 
 

@@ -8,12 +8,10 @@ Reports are deterministic: identical inputs give byte-identical JSON.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import io
 import json
 import sys
-from typing import Callable, Collection, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import boolalg, errors, interval, profinite, zhomology
 from .terms import Term, parse_gen_list, parse_term, parse_term_list
@@ -358,49 +356,73 @@ COMMANDS = (
 )
 
 
-def build_parser(commands: Optional[Collection[str]] = None) -> argparse.ArgumentParser:
-    """The command-line parser, with the subcommands named in ``commands``
-    or, by default, all of them."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="stonework",
         description="finite-stage Boolean algebra, tower and cohomology computations",
     )
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    # also accepted after the subcommand; SUPPRESS keeps a pre-subcommand
-    # --json from being clobbered by the subparser default
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", default=argparse.SUPPRESS,
-        help="emit the JSON report",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for command in COMMANDS:
-        if commands is not None and command.name not in commands:
-            continue
-        p = sub.add_parser(command.name, parents=[common], help=command.help)
+        p = sub.add_parser(command.name, help=command.help)
+        # also accepted after the subcommand; SUPPRESS keeps a pre-subcommand
+        # --json from being clobbered by the subparser default
+        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="emit the JSON report")
         for name, spec in command.args:
             p.add_argument(name, **spec)
         p.set_defaults(run=command.run)
     return parser
 
 
-def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse with a parser for the named subcommand alone, which is quicker
-    to build; on help or a usage error, parse again with the full parser so
-    that every message is the full parser's."""
-    first = next((a for a in argv if a != "--json"), None)
-    if any(command.name == first for command in COMMANDS):
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                return build_parser({first}).parse_args(argv)
-        except SystemExit:
-            pass
-    return build_parser().parse_args(argv)
+def _plain_call(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``build_parser()`` gives a plain call (``--json``
+    anywhere, the subcommand, its positionals in order, each of its flags at
+    most once as ``--flag value``), read off ``COMMANDS``; None for any other
+    argv, such as help, ``--flag=value`` or a bad int, whose message is the
+    full parser's to give."""
+    args = argparse.Namespace(json=False)
+    command, given, words = None, {}, iter(argv)
+    for word in words:
+        if word == "--json":
+            args.json = True
+        elif command is None:
+            command = next((c for c in COMMANDS if c.name == word), None)
+            if command is None:
+                return None
+            specs = dict(command.args)
+            positionals = iter([name for name in specs if name[0] != "-"])
+        elif word.startswith("-"):
+            value = next(words, "-")
+            if word not in specs or word in given or value.startswith("-"):
+                return None
+            given[word] = value
+        elif (name := next(positionals, None)) is None:
+            return None
+        else:
+            given[name] = word
+    if command is None:
+        return None
+    args.subcommand, args.run = command.name, command.run
+    for name, spec in command.args:
+        value = given.get(name)
+        if value is not None:
+            try:
+                value = spec.get("type", str)(value)  # the call argparse makes
+            except ValueError:
+                return None
+            if value not in spec.get("choices", [value]):
+                return None
+        elif spec.get("required", name[0] != "-"):
+            return None
+        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        args = _plain_call(argv) or build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:

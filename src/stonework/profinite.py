@@ -105,7 +105,10 @@ FAMILIES: dict[str, Optional[Callable[[int], Term]]] = {
 def _gen_index(name: str) -> int:
     if not name.startswith("g") or not name[1:].isdigit():
         raise BadArgument(f"countable presentations use generators g0,g1,...; got {name!r}")
-    return int(name[1:])
+    try:
+        return int(name[1:])
+    except ValueError:  # more digits than int() reads
+        raise BadArgument(f"generator index of {len(name) - 1} digits is out of range") from None
 
 
 def truncation_tower(p: CountablePresentation, depth: int) -> AlgebraTower:

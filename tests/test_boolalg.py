@@ -442,6 +442,21 @@ class TestWlpo:
             rep = wlpo_counterexample(t)
             assert rep.value_beta == rep.value_gamma
             assert rep.gamma[-1] == 1 and all(b == 0 for b in rep.beta)
+            # the two k+2-bit sequences, evaluated in full
+            names = [f"g{i}" for i in range(rep.k + 2)]
+            assert rep.beta == (0,) * len(names) and rep.gamma == rep.beta[:-1] + (1,)
+            assert rep.value_beta == eval_term(t, dict.fromkeys(names, 0))
+            assert rep.value_gamma == eval_term(t, {**dict.fromkeys(names, 0), names[-1]: 1})
+
+    def test_sequences_longer_than_two_to_the_cap_are_refused(self, monkeypatch):
+        monkeypatch.setenv("STONEWORK_CAP", "3")
+        assert len(wlpo_counterexample(Gen("g6")).gamma) == 8
+        with pytest.raises(CapExceeded, match="^wlpo sequences of 9 bits: enumeration over 2\\^4 exceeds cap 2\\^3$"):
+            wlpo_counterexample(Gen("g7"))
+
+    def test_non_canonical_index_is_unknown(self):
+        with pytest.raises(UnknownGenerator, match="'g007'"):
+            wlpo_counterexample(Gen("g007"))
 
     def test_non_indexed_generator_rejected(self):
         with pytest.raises(UnknownGenerator):

@@ -1,8 +1,14 @@
 """File formats, subcommand dispatch, exit codes and report determinism."""
 
+import argparse
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stonework import boolalg, cli
 from stonework.boolalg import Presentation
@@ -19,6 +25,7 @@ from stonework.cli import (
 )
 from stonework.errors import ParseError
 from stonework.terms import And, Gen, Not
+from test_golden import CASES as GOLDEN_CASES, FILES as GOLDEN_FILES
 
 
 class TestPresentationFormat:
@@ -213,6 +220,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {stage}") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, stage",
+        [
+            (["llpo", "--stage", str(10**20)], f"spectrum of {2 * 10**20 + 1} generators: enumeration over 2^{2 * 10**20 + 1}"),
+            (["wlpo", "g99999999999"], "wlpo sequences of 100000000001 bits: enumeration over 2^37"),
+        ],
+    )
+    def test_huge_argument_hits_the_cap_at_once(self, capsys, monkeypatch, argv, stage):
+        monkeypatch.delenv("STONEWORK_CAP", raising=False)
+        start = time.perf_counter()
+        assert main(argv) == EXIT_CAP
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", f"error: {stage} exceeds cap 2^20\n")
+
     def test_duality_cap_is_the_certificate_size(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("STONEWORK_CAP", raising=False)
         f = tmp_path / "free.txt"
@@ -309,6 +330,7 @@ class TestExitCodes:
             ["interval-image", "--cylinders", "12"],
             ["cohomology", "interval", "--level", "-1"],
             ["stabilize", "circle", "--depth", "-1"],
+            ["wlpo", "g" + "1" * 5000],
         ],
     )
     def test_out_of_range_argument_is_usage_error(self, capsys, argv):
@@ -327,6 +349,12 @@ class TestExitCodes:
         f.write_text("rels: g0 & h0\ndepth: 2\n")
         assert main(["tower", str(f)]) == EXIT_USAGE
         assert "'h0'" in capsys.readouterr().err
+
+    def test_tower_generator_index_past_int_digits_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "tower.txt"
+        f.write_text(f"rels: g{'1' * 5000}\ndepth: 1\n")
+        assert main(["tower", str(f)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: generator index of 5000 digits is out of range\n"
 
     def test_negative_tower_depth_is_usage_error(self, tmp_path):
         f = tmp_path / "tower.txt"
@@ -411,9 +439,53 @@ def _argv_corpus(file: str) -> list[list[str]]:
     return corpus
 
 
+def _recording(init, built):
+    """An ArgumentParser.__init__ that records the prog of each parser built."""
+    def record(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    return record
+
+
+# the fast path's oracle alphabet: every name, flag and choice, the argv forms
+# it must leave to the full parser, ints argparse's int() reads and junk
+_WORDS = sorted({
+    *(word for command in COMMANDS for name, spec in command.args for word in (name, *spec.get("choices", ()))),
+    *(command.name for command in COMMANDS),
+    "--json", "--js", "-h", "--help", "--", "--stage=1", "-1", "-", "",
+    "0", "3", " 4 ", "1_0", "+2", "00", "x", "g0 & g1", "pres.txt", "01,1",
+})
+_VALUES = ["2", " 4 ", "1_0", "+2", "x", "circle", "interval", "", "pres.txt", "-1", "--json"]
+
+
+def _calls(command) -> st.SearchStrategy[list[str]]:
+    """argv for one subcommand: each of its arguments with a value that is
+    often valid, its positionals in order, its flags before or after them
+    and at times one more word of the whole alphabet somewhere."""
+    def argument(name, spec):
+        value = st.sampled_from([*spec.get("choices", ()), *_VALUES])
+        if not name.startswith("-"):
+            return value.map(lambda v: ("", [v]))
+        pair = value.map(lambda v: (name, [name, v]))
+        return pair if spec.get("required") else st.one_of(st.just(("", [])), pair)
+
+    def assemble(arguments, flags_first, extra, at):
+        pieces = sorted(arguments, key=lambda a: bool(a[0]) != flags_first)
+        words = [command.name] + [w for _, words in pieces for w in words]
+        return words[:at] + extra + words[at:]
+
+    return st.builds(
+        assemble,
+        st.tuples(*(argument(name, spec) for name, spec in command.args)),
+        st.booleans(),
+        st.lists(st.sampled_from(_WORDS), max_size=1),
+        st.integers(0, 5),
+    )
+
+
 class TestLazyParser:
-    """main parses with a parser for the named subcommand alone, and every
-    result matches the full parser's."""
+    """main reads a plain call straight off COMMANDS, and every result
+    matches the full parser's."""
 
     def test_corpus_matches_the_full_parser(self, capsys, monkeypatch, pres_file):
         def run(argv):
@@ -423,20 +495,111 @@ class TestLazyParser:
 
         corpus = _argv_corpus(pres_file)
         lazy = [run(argv) for argv in corpus]
-        full_parser = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda commands=None: full_parser())
+        monkeypatch.setattr(cli, "_plain_call", lambda argv: None)
         for argv, got in zip(corpus, lazy):
             assert got == run(argv), argv
         assert {code for code, _, _ in lazy} == {EXIT_OK, EXIT_USAGE}
 
-    def test_valid_call_builds_one_subcommand(self, capsys, monkeypatch, pres_file):
+    def test_only_help_and_errors_build_the_parser(self, capsys, monkeypatch, pres_file):
         built = []
-        full_parser = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda commands=None: built.append(commands) or full_parser(commands))
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", _recording(argparse.ArgumentParser.__init__, built))
         assert main(["--json", "spectrum", pres_file]) == EXIT_OK
-        assert built == [{"spectrum"}]
+        assert built == []
         assert main(["spectrum", "--help"]) == EXIT_OK
-        assert built == [{"spectrum"}, {"spectrum"}, None]
+        assert "stonework spectrum" in capsys.readouterr().out
+        assert built == ["stonework", *(f"stonework {command.name}" for command in COMMANDS)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from(_WORDS), max_size=6),
+        st.builds(list.__add__, st.lists(st.just("--json"), max_size=1), st.sampled_from(COMMANDS).flatmap(_calls)),
+    ))
+    def test_plain_call_is_what_the_full_parser_makes(self, argv):
+        args = cli._plain_call(argv)
+        if args is not None:
+            assert vars(args) == vars(cli.build_parser().parse_args(argv)), argv
+
+
+def _fuzz_values(name: str, spec: dict, paths: list[str]) -> st.SearchStrategy[str]:
+    """Values for one argument: often valid for it, often not."""
+    junk = st.text(alphabet="01g x,-_=&|~()", max_size=8)
+    if spec.get("type") is int:
+        return st.one_of(
+            st.integers(-1, 9).map(str),
+            st.integers(-1, 9).map(lambda n: f" {n:+}"),
+            st.integers(-(10**40), 10**40).map(str),
+            st.integers(10**9, 10**40).map(lambda n: format(n, "_")),
+            junk,
+        )
+    if "choices" in spec:
+        return st.one_of(st.sampled_from(spec["choices"]), junk)
+    if name == "file":
+        return st.one_of(st.sampled_from(paths), junk)
+    if name == "term":
+        return st.one_of(
+            st.sampled_from(["g0 & ~g2 | g3", "1", "~(g0 | g1)", "g007", "x"]),
+            st.integers(0, 10**40).map(lambda n: f"g{n}"),
+            st.tuples(st.integers(0, 9), st.integers(10**6, 10**40)).map(lambda p: f"g{p[0]} & ~g{p[1]}"),
+            junk,
+        )
+    return st.text(alphabet="01, x", max_size=10)  # --cylinders
+
+
+@st.composite
+def _fuzz_argv(draw, files):
+    """A subcommand, each argument given or left out, flags as --flag value
+    or --flag=value, and at times words of the parser alphabet."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command.name]
+    for name, spec in command.args:
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        value = draw(_fuzz_values(name, spec, files.get(command.name, [])))
+        if not name.startswith("-"):
+            argv.append(value)
+        elif draw(st.integers(0, 3)) == 0:
+            argv.append(f"{name}={value}")
+        else:
+            argv += [name, value]
+    extra = draw(st.lists(st.sampled_from(_WORDS), max_size=2)) if draw(st.integers(0, 3)) == 0 else []
+    at = draw(st.integers(0, len(argv)))
+    return draw(st.lists(st.just("--json"), max_size=1)) + argv[:at] + extra + argv[at:]
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory) -> dict[str, list[str]]:
+    """Paths of the golden input files, by the subcommand that reads them."""
+    root = tmp_path_factory.mktemp("inputs")
+    for name, text in GOLDEN_FILES.items():
+        (root / name).write_text(text)
+    files: dict[str, list[str]] = {}
+    for argv in GOLDEN_CASES.values():
+        files.setdefault(argv[0], []).extend(str(root / a[1:]) for a in argv if a.startswith("@"))
+    return files
+
+
+class TestArgvFuzz:
+    """Every argv and STONEWORK_CAP ends in exit 0-3 with at most one line
+    of error from the program, or argparse's usage block and its one error
+    line, and never a traceback.  Caps of 0-8 keep each call fast."""
+
+    @settings(max_examples=300, deadline=None)
+    # two parts caps of 0-8 to one part junk, which is never an integer
+    @given(data=st.data(), cap=st.one_of(*[st.integers(0, 8).map(str)] * 2, st.text(alphabet=" x-_.", max_size=4)))
+    def test_every_call_ends_in_a_contract_exit(self, golden_inputs, data, cap):
+        argv = data.draw(_fuzz_argv(golden_inputs), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            mp.setenv("STONEWORK_CAP", cap)
+            code = main(argv)
+        assert code in {EXIT_OK, EXIT_PROPERTY_FAILED, EXIT_USAGE, EXIT_CAP}
+        lines = err.getvalue().splitlines()
+        assert not any("Traceback" in line for line in lines)
+        if lines and lines[0].startswith("usage: "):
+            assert code == EXIT_USAGE
+            assert [": error: " in line for line in lines] == [False] * (len(lines) - 1) + [True]
+        else:
+            assert len(lines) <= 1
 
 
 class TestEmptySpectra:

@@ -542,13 +542,6 @@ def separate_closed(
             interleaved.append(("f", fs[i]))
         if i < len(gs):
             interleaved.append(("g", gs[i]))
-    prefix: list[Term] = []
-    selected_gs: list[Term] = []
-    for tag, h in interleaved:
-        prefix.append(h)
-        if tag == "g":
-            selected_gs.append(h)
-        quotient = Presentation.make(p.gens, list(p.rels) + prefix)
-        if is_trivial(spectrum(quotient)):
-            break
-    return evaluate(join(selected_gs), a)
+    k = minimal_join_witness(p, [h for _, h in interleaved], len(interleaved))
+    prefix = interleaved if k is None else interleaved[: k + 1]
+    return evaluate(join([h for tag, h in prefix if tag == "g"]), a)

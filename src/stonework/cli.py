@@ -1,7 +1,8 @@
 """Command-line front end: parsers for the text formats and dispatch.
 
 Exit codes: 0 = computed and all internal checks passed; 1 = a checked
-property failed; 2 = parse or usage error; 3 = enumeration cap exceeded.
+property failed; 2 = parse or usage error; 3 = enumeration cap exceeded or
+memory ran out.
 Reports are deterministic: identical inputs give byte-identical JSON.
 """
 
@@ -21,9 +22,12 @@ EXIT_PROPERTY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-# the first class an error is an instance of gives its exit code
+# the first class an error is an instance of gives its exit code; a size
+# within STONEWORK_CAP can still be more than memory or an index can hold
 EXIT_CODES = (
     (errors.CapExceeded, EXIT_CAP),
+    (MemoryError, EXIT_CAP),
+    (OverflowError, EXIT_CAP),
     (errors.ParseError, EXIT_USAGE),
     (errors.BadArgument, EXIT_USAGE),
     (errors.DuplicateGenerator, EXIT_USAGE),
@@ -428,7 +432,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         source, fields, lines, ok = args.run(args)
     except tuple(cls for cls, _ in EXIT_CODES) as e:
-        print(f"error: {e}", file=sys.stderr)
+        oom = isinstance(e, (MemoryError, OverflowError))
+        print(f"error: {args.subcommand} ran out of memory ({e!r})" if oom else f"error: {e}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(e, cls))
     if args.json:
         print(json.dumps({"command": args.subcommand, "input": _digest(source), **fields}, indent=2))

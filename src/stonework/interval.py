@@ -147,23 +147,16 @@ def interval_graph(n: int) -> RelGraph:
     """Vertices 0..2^n-1 with |i-j| <= 1 related."""
     check_cap(n, f"interval graph at level {n}")
     size = 2**n
-    related = set()
-    for i in range(size):
-        related.add((i, i))
-        if i + 1 < size:
-            related.add((i, i + 1))
-            related.add((i + 1, i))
-    return RelGraph(tuple(range(size)), frozenset(related))
+    adjacent = (tuple(range(max(i - 1, 0), min(i + 2, size))) for i in range(size))
+    return RelGraph(tuple(range(size)), tuple(adjacent))
 
 
 def circle_graph(n: int) -> RelGraph:
     """Interval graph plus the wrap-around pair between 0 and 2^n - 1."""
-    g = interval_graph(n)
+    check_cap(n, f"interval graph at level {n}")
     size = 2**n
-    related = set(g.related)
-    related.add((0, size - 1))
-    related.add((size - 1, 0))
-    return RelGraph(g.vertices, frozenset(related))
+    adjacent = (tuple(sorted({(i - 1) % size, i, (i + 1) % size})) for i in range(size))
+    return RelGraph(tuple(range(size)), tuple(adjacent))
 
 
 def restrict_graph_map(n: int) -> dict[int, int]:

@@ -241,26 +241,37 @@ def levelwise_factor(
 
 @dataclass(frozen=True)
 class RelGraph:
-    """Finite vertex set with a reflexive symmetric relation."""
+    """Finite vertex set with a reflexive symmetric relation.
+
+    ``adjacent[i]`` holds the positions in ``vertices`` of the vertices
+    related to vertex i, in ascending order and with i itself among them.
+    """
 
     vertices: tuple[Vertex, ...]
-    related: frozenset  # ordered pairs
+    adjacent: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        vs = set(self.vertices)
-        if len(vs) != len(self.vertices):
+        n, adj = len(self.vertices), self.adjacent
+        if len(set(self.vertices)) != n:
             raise ValueError("repeated vertex")
-        for u, v in self.related:
-            if u not in vs or v not in vs:
-                raise ValueError(f"related pair ({u!r}, {v!r}) outside vertex set")
-            if (v, u) not in self.related:
-                raise ValueError("relation not symmetric")
-        for v in self.vertices:
-            if (v, v) not in self.related:
+        if len(adj) != n:
+            raise ValueError(f"{len(adj)} neighbour lists for {n} vertices")
+        for i, row in enumerate(adj):
+            prev = -1
+            for j in row:
+                if not prev < j < n:
+                    raise ValueError(f"neighbours of vertex {i} are not ascending positions below {n}")
+                if i not in adj[j]:
+                    raise ValueError("relation not symmetric")
+                prev = j
+            if i not in row:
                 raise ValueError("relation not reflexive")
 
-    def neighbors(self, v: Vertex) -> list:
-        return [w for w in self.vertices if (v, w) in self.related]
+    @property
+    def related(self) -> frozenset:
+        """The relation as a set of ordered vertex pairs, for oracles and probes."""
+        vs = self.vertices
+        return frozenset((vs[i], vs[j]) for i, row in enumerate(self.adjacent) for j in row)
 
 
 @dataclass(frozen=True)
@@ -277,43 +288,41 @@ class RelGraphTower:
             upper, lower = self.levels[n + 1], self.levels[n]
             if set(tr) != set(upper.vertices):
                 raise ValueError(f"transition {n} not total")
-            for u, v in upper.related:
-                if (tr[u], tr[v]) not in lower.related:
-                    raise RelationNotPreserved(
-                        f"transition {n} breaks the pair ({u!r}, {v!r})"
-                    )
+            pos = {v: i for i, v in enumerate(lower.vertices)}
+            # None marks a vertex sent outside the lower level, which breaks every pair at it
+            image = [pos.get(tr[v]) for v in upper.vertices]
+            for i, row in enumerate(upper.adjacent):
+                for j in row:
+                    if image[i] is None or image[j] not in lower.adjacent[image[i]]:
+                        u, v = upper.vertices[i], upper.vertices[j]
+                        raise RelationNotPreserved(f"transition {n} breaks the pair ({u!r}, {v!r})")
 
 
 def equality_graph(vertices: Sequence[Vertex]) -> RelGraph:
-    return RelGraph(tuple(vertices), frozenset((v, v) for v in vertices))
+    vertices = tuple(vertices)
+    return RelGraph(vertices, tuple((i,) for i in range(len(vertices))))
 
 
 def connected_component(g: RelGraph, v: Vertex) -> frozenset:
-    """Breadth-first closure of ``v`` under the relation."""
+    """Closure of ``v`` under the relation, by a walk over neighbour positions."""
     if v not in g.vertices:
         raise ValueError(f"{v!r} is not a vertex")
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen)
+    start = g.vertices.index(v)
+    seen, stack = {start}, [start]
+    while stack:
+        for j in g.adjacent[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return frozenset(g.vertices[i] for i in seen)
 
 
 def is_totally_disconnected(t: RelGraphTower, depth: int) -> bool:
-    """True iff every component at every level <= depth is a singleton."""
+    """True iff every component at every level <= depth is a singleton,
+    that is, every vertex is related to itself alone."""
     if depth > len(t.levels):
         raise ValueError("depth exceeds available levels")
-    for g in t.levels[:depth]:
-        for v in g.vertices:
-            if connected_component(g, v) != frozenset({v}):
-                return False
-    return True
+    return all(row == (i,) for g in t.levels[:depth] for i, row in enumerate(g.adjacent))
 
 
 def bound_levelwise_nat_map(

@@ -499,13 +499,10 @@ def graph_cech_complex(g: RelGraph) -> ChainComplexZ:
     chain-homotopy equivalent to the ordered one on all related tuples,
     repeats included (Munkres, Elements of Algebraic Topology, section 13).
     """
-    vs = g.vertices
-    pos = {v: i for i, v in enumerate(vs)}
-    edges = sorted((pos[u], pos[v]) for u, v in g.related if pos[u] < pos[v])
-    later: list[set[int]] = [set() for _ in vs]
-    for i, j in edges:
-        later[i].add(j)
-    triangles = [(i, j, k) for i, j in edges for k in sorted(later[i] & later[j])]
+    vs, adj = g.vertices, g.adjacent
+    # the neighbour lists ascend, so both walks come out in lexicographic order
+    edges = [(i, j) for i, row in enumerate(adj) for j in row if i < j]
+    triangles = [(i, j, k) for i, j in edges for k in adj[j] if j < k and k in adj[i]]
     b0 = [(v,) for v in vs]
     b1 = [(vs[i], vs[j]) for i, j in edges]
     b2 = [(vs[i], vs[j], vs[k]) for i, j, k in triangles]

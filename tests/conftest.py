@@ -139,29 +139,46 @@ def duality_failures_exhaustive(a: FinBoolAlg) -> tuple[Bits, ...]:
     )
 
 
+def graph_from_pairs(vertices, pairs) -> RelGraph:
+    """The ``RelGraph`` of a relation given as a set of ordered vertex pairs."""
+    vertices = tuple(vertices)
+    pos = {v: i for i, v in enumerate(vertices)}
+    adjacent: list[list[int]] = [[] for _ in vertices]
+    for u, v in pairs:
+        adjacent[pos[u]].append(pos[v])
+    return RelGraph(vertices, tuple(tuple(sorted(row)) for row in adjacent))
+
+
 @st.composite
-def rel_graphs(draw, max_vertices: int = 8):
-    """Reflexive symmetric relations on up to ``max_vertices`` distinct
-    vertices, listed in the order drawn (not sorted)."""
+def pair_relations(draw, max_vertices: int = 8) -> tuple[tuple, frozenset]:
+    """Reflexive symmetric relations, as ordered pairs, on up to
+    ``max_vertices`` distinct vertices listed in the order drawn (not sorted)."""
     vertices = tuple(draw(st.lists(st.integers(-20, 20), unique=True, max_size=max_vertices)))
     related = {(v, v) for v in vertices}
     for u, v in itertools.combinations(vertices, 2):
         if draw(st.booleans()):
             related |= {(u, v), (v, u)}
-    return RelGraph(vertices, frozenset(related))
+    return vertices, frozenset(related)
+
+
+def rel_graphs(max_vertices: int = 8):
+    """``RelGraph``s of the relations ``pair_relations`` draws."""
+    return pair_relations(max_vertices).map(lambda drawn: graph_from_pairs(*drawn))
 
 
 def graph_triples_exhaustive(g: RelGraph) -> list[tuple]:
     """Related triples from a scan of all V^3 vertex triples (independent oracle)."""
+    related = g.related
     out = []
     for u, v, w in itertools.product(g.vertices, repeat=3):
-        if (u, v) in g.related and (v, w) in g.related and (u, w) in g.related:
+        if (u, v) in related and (v, w) in related and (u, w) in related:
             out.append((u, v, w))
     return out
 
 
 def graph_triples(g: RelGraph, pairs: list[tuple]) -> list[tuple]:
     """Related triples (u, v, w) in vertex order, walking the neighbour lists of ``pairs``."""
+    related = g.related
     neighbours: dict = {}
     for u, v in pairs:
         neighbours.setdefault(u, []).append(v)
@@ -170,7 +187,7 @@ def graph_triples(g: RelGraph, pairs: list[tuple]) -> list[tuple]:
         for u, nu in neighbours.items()
         for v in nu
         for w in neighbours[v]
-        if (u, w) in g.related
+        if (u, w) in related
     ]
 
 

@@ -234,6 +234,16 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr() == ("", f"error: {stage} exceeds cap 2^20\n")
 
+    def test_size_beyond_memory_under_a_high_cap_exits_3(self, capsys, monkeypatch):
+        # the cap admits 10**20 + 2 bits, which no tuple can hold; nothing is allocated
+        monkeypatch.setenv("STONEWORK_CAP", "100")
+        assert main(["wlpo", "g99999999999999999999"]) == EXIT_CAP
+        assert capsys.readouterr() == (
+            "",
+            "error: wlpo ran out of memory "
+            "(OverflowError(\"cannot fit 'int' into an index-sized integer\"))\n",
+        )
+
     def test_duality_cap_is_the_certificate_size(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("STONEWORK_CAP", raising=False)
         f = tmp_path / "free.txt"

@@ -161,7 +161,7 @@ class TestGraphs:
 
     def test_circle_neighbors_wrap(self):
         g = circle_graph(3)
-        assert set(g.neighbors(0)) == {0, 1, 7}
+        assert g.adjacent[0] == (0, 1, 7)
 
     def test_restrict_map_drops_last_bit(self):
         assert restrict_graph_map(1) == {0: 0, 1: 0, 2: 1, 3: 1}

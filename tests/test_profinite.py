@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import code_of, point_of
+from conftest import code_of, graph_from_pairs, pair_relations, point_of
 from stonework.boolalg import spectrum, free
 from stonework.errors import InvariantViolated, RelationNotPreserved, SquareNotCommuting
 from stonework.profinite import (
@@ -257,16 +259,16 @@ class TestLevelwiseFactor:
 class TestRelGraphs:
     def test_reflexivity_enforced(self):
         with pytest.raises(ValueError):
-            RelGraph((0, 1), frozenset({(0, 0)}))
+            RelGraph((0, 1), ((0,), ()))
 
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
-            RelGraph((0, 1), frozenset({(0, 0), (1, 1), (0, 1)}))
+            RelGraph((0, 1), ((0, 1), (1,)))
 
     def test_repeated_vertex_rejected(self):
         # a connected graph listed as (0, 0, 1) once gave h0 = Z^2
         with pytest.raises(ValueError, match="repeated vertex"):
-            RelGraph((0, 0, 1), frozenset({(0, 0), (1, 1), (0, 1), (1, 0)}))
+            RelGraph((0, 0, 1), ((0, 1, 2), (0, 1, 2), (0, 1, 2)))
 
     def test_equality_graph_components_are_singletons(self):
         g = equality_graph(range(4))
@@ -276,7 +278,7 @@ class TestRelGraphs:
     def test_two_cliques(self):
         pairs = {(a, b) for a in (0, 1) for b in (0, 1)}
         pairs |= {(a, b) for a in (2, 3) for b in (2, 3)}
-        g = RelGraph((0, 1, 2, 3), frozenset(pairs))
+        g = graph_from_pairs((0, 1, 2, 3), pairs)
         assert connected_component(g, 0) == frozenset({0, 1})
         assert connected_component(g, 3) == frozenset({2, 3})
 
@@ -287,7 +289,7 @@ class TestRelGraphs:
     def test_tower_transition_must_preserve_relation(self):
         lower = equality_graph([0, 1])
         pairs = {(a, b) for a in (0, 1) for b in (0, 1)}
-        upper = RelGraph((0, 1), frozenset(pairs))
+        upper = graph_from_pairs((0, 1), pairs)
         with pytest.raises(RelationNotPreserved):
             RelGraphTower((lower, upper), ({0: 0, 1: 1},))
 
@@ -301,7 +303,7 @@ class TestRelGraphs:
 
     def test_not_totally_disconnected(self):
         pairs = frozenset({(0, 0), (1, 1), (0, 1), (1, 0)})
-        blob = RelGraph((0, 1), pairs)
+        blob = graph_from_pairs((0, 1), pairs)
         t = RelGraphTower((blob,), ())
         assert not is_totally_disconnected(t, 1)
 
@@ -309,6 +311,84 @@ class TestRelGraphs:
         t = RelGraphTower((equality_graph([0]),), ())
         with pytest.raises(ValueError):
             is_totally_disconnected(t, 2)
+
+    def test_transition_leaving_the_lower_level_is_rejected(self):
+        with pytest.raises(RelationNotPreserved, match=r"breaks the pair \(1, 1\)"):
+            RelGraphTower((equality_graph([0]), equality_graph([0, 1])), ({0: 0, 1: 5},))
+
+    def test_one_neighbour_list_per_vertex(self):
+        g = equality_graph([0, 1])
+        for adjacent in (g.adjacent[:1], g.adjacent + ((2,),)):
+            with pytest.raises(ValueError, match="neighbour lists for 2 vertices"):
+                RelGraph(g.vertices, adjacent)
+
+
+# ways to spoil vertex i's neighbour list; j is another position
+MALFORMED = {
+    "not reflexive": lambda row, i, j, n: tuple(k for k in row if k != i),
+    "past the end": lambda row, i, j, n: row + (n,),
+    "negative": lambda row, i, j, n: (-1,) + row,
+    "descending": lambda row, i, j, n: row[::-1],
+    "repeated": lambda row, i, j, n: tuple(sorted(row + (i,))),
+    "one-sided": lambda row, i, j, n: tuple(sorted(set(row) ^ {j})),
+}
+
+
+class TestNeighbourTuples:
+    """Neighbour tuples against the ordered-pair form of the same relation."""
+
+    @given(pair_relations())
+    @settings(max_examples=150, deadline=None)
+    def test_related_round_trips_the_pairs(self, drawn):
+        vertices, pairs = drawn
+        g = graph_from_pairs(vertices, pairs)
+        assert g.related == pairs
+        assert graph_from_pairs(g.vertices, g.related) == g
+
+    @given(pair_relations())
+    @settings(max_examples=150, deadline=None)
+    def test_components_match_a_search_over_pairs(self, drawn):
+        vertices, pairs = drawn
+        g = graph_from_pairs(vertices, pairs)
+        for v in vertices:
+            seen, frontier = {v}, {v}
+            while frontier:
+                frontier = {w for u, w in pairs if u in frontier} - seen
+                seen |= frontier
+            assert connected_component(g, v) == frozenset(seen)
+        singletons = pairs == {(v, v) for v in vertices}
+        assert is_totally_disconnected(RelGraphTower((g,), ()), 1) == singletons
+
+    @given(pair_relations(max_vertices=5), pair_relations(max_vertices=6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_tower_check_matches_pair_lookups(self, low, up, data):
+        lower, upper = graph_from_pairs(*low), graph_from_pairs(*up)
+        targets = lower.vertices
+        if data.draw(st.booleans()):
+            targets += (99,)  # no drawn vertex is 99, so the map may leave the lower level
+        assume(targets or not upper.vertices)
+        tr = {v: data.draw(st.sampled_from(targets)) for v in upper.vertices}
+        preserved = all((tr[u], tr[v]) in low[1] for u, v in up[1])
+        try:
+            RelGraphTower((lower, upper), (tr,))
+        except RelationNotPreserved:
+            assert not preserved
+        else:
+            assert preserved
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    @given(pair_relations(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_malformed_neighbour_list_is_rejected(self, kind, drawn, data):
+        g = graph_from_pairs(*drawn)
+        n = len(g.vertices)
+        assume(n > 1)
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        assume(j != i and (kind != "descending" or len(g.adjacent[i]) > 1))
+        adjacent = list(g.adjacent)
+        adjacent[i] = MALFORMED[kind](adjacent[i], i, j, n)
+        with pytest.raises(ValueError):
+            RelGraph(g.vertices, tuple(adjacent))
 
 
 class TestBoundNatMap:

@@ -2,7 +2,8 @@
 
 ``python -O`` strips ``assert`` statements, so invariants must raise errors
 instead.  The enumeration cap comes from ``STONEWORK_CAP`` alone, so no
-function takes a ``cap`` parameter.
+function takes a ``cap`` parameter.  Relation graphs are read through their
+neighbour tuples, so no module reads the derived pair set ``.related``.
 """
 
 import ast
@@ -35,3 +36,10 @@ def test_no_cap_parameter(path):
         if isinstance(arg, ast.arg) and arg.arg == "cap"
     ]
     assert not found, f"{path.name}: functions with a cap parameter: {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_pair_set_reads(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "related"]
+    assert not lines, f"{path.name}: reads of .related at lines {lines}"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     dense,
+    graph_from_pairs,
     graph_triples_exhaustive,
     ordered_graph_complex,
     ordered_stabilization_report,
@@ -375,7 +376,7 @@ class TestGraphComplex:
             pairs.add((v, v))
             pairs.add((v, (v + 1) % 4))
             pairs.add(((v + 1) % 4, v))
-        g = RelGraph(tuple(range(4)), frozenset(pairs))
+        g = graph_from_pairs(range(4), pairs)
         h = homology(graph_cech_complex(g))
         assert h.h0 == Z
         assert h.h1 == Z
@@ -390,7 +391,8 @@ class TestGraphComplex:
     @given(rel_graphs())
     @settings(max_examples=150, deadline=None)
     def test_bases_match_exhaustive_scan(self, g: RelGraph):
-        pairs = tuple(p for p in itertools.product(g.vertices, repeat=2) if p in g.related)
+        related = g.related
+        pairs = tuple(p for p in itertools.product(g.vertices, repeat=2) if p in related)
         triples = tuple(graph_triples_exhaustive(g))
         assert ordered_graph_complex(g).labels == (g.vertices, pairs, triples)
         # the oriented bases keep the tuples whose positions strictly ascend
@@ -478,7 +480,7 @@ class TestInducedMaps:
 
     def test_reflection_negates_the_loop_class(self):
         pairs = {(v, w) for v in range(4) for w in range(4) if (v - w) % 4 in (0, 1, 3)}
-        cx = graph_cech_complex(RelGraph(tuple(range(4)), frozenset(pairs)))
+        cx = graph_cech_complex(graph_from_pairs(range(4), pairs))
         assert cx.labels[1] == ((0, 1), (0, 3), (1, 2), (2, 3))
         cm = induced_cochain_map(cx, cx, {v: -v % 4 for v in range(4)})
         assert dense(cm.m1) == [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
@@ -493,7 +495,7 @@ class TestInducedMaps:
         solve_exact(cx.d0, IntMatrix.from_rows([[x + y] for x, y in zip(pulled, [1, 0, 0, 0])]))
 
     def test_collapsed_simplices_give_zero_rows(self):
-        fine = graph_cech_complex(RelGraph((0, 1, 2), frozenset(itertools.product(range(3), repeat=2))))
+        fine = graph_cech_complex(graph_from_pairs((0, 1, 2), itertools.product(range(3), repeat=2)))
         coarse = graph_cech_complex(interval_graph(1))
         cm = induced_cochain_map(fine, coarse, {0: 0, 1: 1, 2: 1})
         # edges (0, 1), (0, 2), (1, 2); the last collapses, as does the triangle
@@ -505,7 +507,7 @@ class TestInducedMaps:
     def test_maps_onto_the_image_relation_commute(self, g: RelGraph, data):
         f = {v: data.draw(st.integers(0, 3)) for v in g.vertices}
         image = data.draw(st.permutations(sorted(set(f.values()))))
-        coarse = RelGraph(tuple(image), frozenset((f[u], f[v]) for u, v in g.related))
+        coarse = graph_from_pairs(image, {(f[u], f[v]) for u, v in g.related})
         # raises unless the signed pullback commutes with d0, d1 and the augmentation
         induced_cochain_map(graph_cech_complex(g), graph_cech_complex(coarse), f)
 

@@ -153,7 +153,7 @@ def interval_graph(n: int) -> RelGraph:
 
 def circle_graph(n: int) -> RelGraph:
     """Interval graph plus the wrap-around pair between 0 and 2^n - 1."""
-    check_cap(n, f"interval graph at level {n}")
+    check_cap(n, f"circle graph at level {n}")
     size = 2**n
     adjacent = (tuple(sorted({(i - 1) % size, i, (i + 1) % size})) for i in range(size))
     return RelGraph(tuple(range(size)), tuple(adjacent))

@@ -9,14 +9,17 @@ chain of torsion coefficients.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantViolated, RelationNotPreserved
 from .profinite import RelGraph, RelGraphTower
+
+Op = tuple[int, int, int]  # (dst, src, k): add k times line src to line dst
 
 
 @dataclass(frozen=True)
@@ -87,33 +90,27 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return not any(self.rows)
 
+    @functools.cached_property
+    def _reduction(self) -> tuple[list[tuple[int, int, int]], list[Op], list[Op]]:
+        """The one Smith reduction of this matrix, which every reader shares."""
+        return _diagonalize(self)
+
 
 def _sparse_row(entries: dict[int, int]) -> tuple[tuple[int, int], ...]:
     """The canonical row of a {column: value} map, zeros dropped."""
     return tuple(sorted((j, x) for j, x in entries.items() if x))
 
 
-def _from_columns(nrows: int, cols: Sequence[dict[int, int]]) -> IntMatrix:
-    """The matrix whose column k has the nonzero entries ``cols[k]``."""
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(nrows)]
-    for k, col in enumerate(cols):
-        for i, x in col.items():
-            rows[i].append((k, x))
-    return IntMatrix(nrows, len(cols), tuple(map(tuple, rows)))
-
-
-def _diagonalize(
-    m: IntMatrix, track_u: bool = False, track_v: bool = False
-) -> tuple[list[tuple[int, int, int]], dict[int, dict[int, int]], dict[int, dict[int, int]]]:
+def _diagonalize(m: IntMatrix) -> tuple[list[tuple[int, int, int]], list[Op], list[Op]]:
     """Sparse unimodular diagonalization (Dumas-Saunders-Villard, 2001).
 
-    Returns the pivots as (row, column, value) in elimination order and,
-    when requested, the accumulated row operations U as sparse rows and the
-    column operations V as sparse columns: U * m * V is zero away from the
-    pivot positions.  A non-unit pivot is made to divide every entry left
-    after it, so the absolute pivot values form an ascending divisibility
-    chain, the nonzero invariant factors of ``m``.  The never-pivoted
-    columns of V generate the kernel lattice.
+    Returns the pivots as (row, column, value) in elimination order, then
+    the row and the column operations (dst, src, k) in the order applied,
+    each adding k times line src to line dst.  With U and V their products,
+    U * m * V is zero away from the pivots.  A non-unit pivot is made to
+    divide every entry left after it, so the absolute pivot values form an
+    ascending divisibility chain, the nonzero invariant factors of ``m``.
+    The never-pivoted columns of V generate the kernel lattice.
 
     Pivots follow Markowitz's rule: a unit entry with the least fill-in
     bound (row length - 1) * (column count - 1) if one exists, otherwise an
@@ -130,8 +127,8 @@ def _diagonalize(
     for i, r in rows.items():
         for j in r:
             colrows[j].add(i)
-    urows = {i: {i: 1} for i in range(m.nrows)} if track_u else {}
-    vcols = {j: {j: 1} for j in range(m.ncols)} if track_v else {}
+    rowops: list[Op] = []
+    colops: list[Op] = []
     # the rows changed and the columns that lost an entry since the last pivot
     changed: set[int] = set()
     thinned: set[int] = set()
@@ -150,8 +147,7 @@ def _diagonalize(
         changed.add(dst)
         if not drow:
             del rows[dst]
-        if track_u:
-            _add_scaled(urows[dst], urows[src], k)
+        rowops.append((dst, src, k))
 
     def add_col(dst: int, src: int, k: int) -> None:
         for i in list(colrows[src]):
@@ -165,8 +161,7 @@ def _diagonalize(
                 colrows[dst].discard(i)
                 thinned.add(dst)
             changed.add(i)
-        if track_v:
-            _add_scaled(vcols[dst], vcols[src], k)
+        colops.append((dst, src, k))
 
     # every unit key lies below ``big``, every non-unit key above it
     big = m.nrows * m.ncols
@@ -240,17 +235,29 @@ def _diagonalize(
             heappush(heap, best(i))
         changed.clear()
         thinned.clear()
-    return pivots, urows, vcols
+    return pivots, rowops, colops
 
 
-def _add_scaled(dst: dict[int, int], src: dict[int, int], k: int) -> None:
-    """Sparse vector update dst += k * src, dropping zeros."""
-    for i, x in src.items():
-        val = dst.get(i, 0) + k * x
-        if val:
-            dst[i] = val
-        else:
-            dst.pop(i, None)
+def _replay(vectors: list[dict[int, int]], ops: Iterable[Op]) -> list[dict[int, int]]:
+    """Apply vectors[dst] += k * vectors[src] for each op (dst, src, k) in turn."""
+    for dst, src, k in ops:
+        v = vectors[dst]
+        for j, x in vectors[src].items():
+            val = v.get(j, 0) + k * x
+            if val:
+                v[j] = val
+            else:
+                del v[j]
+    return vectors
+
+
+def _v_columns(m: IntMatrix, cols: Sequence[int]) -> IntMatrix:
+    """V * I[:, cols] as rows, V the product E1 * E2 * ... of ``m``'s column
+    operations: V * x applies them last first, each as x[src] += k * x[dst]."""
+    pos = {j: k for k, j in enumerate(cols)}
+    vectors = [{pos[j]: 1} if j in pos else {} for j in range(m.ncols)]
+    _replay(vectors, ((src, dst, k) for dst, src, k in reversed(m._reduction[2])))
+    return IntMatrix(m.ncols, len(cols), tuple(map(_sparse_row, vectors)))
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -259,26 +266,25 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     The pivot rows and columns are permuted onto the diagonal in elimination
     order, and a negative pivot's row of U is negated.
     """
-    pivots, u, v = _diagonalize(m, track_u=True, track_v=True)
+    pivots, rowops, _ = m._reduction
+    u = _replay([{i: 1} for i in range(m.nrows)], rowops)
     prows = [r for r, _, _ in pivots]
     pcols = [c for _, c, _ in pivots]
     row_order = prows + sorted(set(range(m.nrows)) - set(prows))
     col_order = pcols + sorted(set(range(m.ncols)) - set(pcols))
     sign = {r: -1 if x < 0 else 1 for r, _, x in pivots}
-    u_rows = tuple(
-        tuple(sorted((k, sign.get(r, 1) * x) for k, x in u[r].items())) for r in row_order
-    )
+    u_rows = tuple(_sparse_row({k: sign.get(r, 1) * x for k, x in u[r].items()}) for r in row_order)
     d_rows = tuple(((i, abs(x)),) for i, (_, _, x) in enumerate(pivots))
     return (
         IntMatrix(m.nrows, m.nrows, u_rows),
         IntMatrix(m.nrows, m.ncols, d_rows + ((),) * (m.nrows - len(pivots))),
-        _from_columns(m.ncols, [v[c] for c in col_order]),
+        _v_columns(m, col_order),
     )
 
 
 def snf_invariants(m: IntMatrix) -> list[int]:
-    """Diagonal of the Smith form without tracking the transforms."""
-    pivots, _, _ = _diagonalize(m)
+    """Diagonal of the Smith form, read off the pivots alone."""
+    pivots = m._reduction[0]
     return [abs(x) for _, _, x in pivots] + [0] * (min(m.nrows, m.ncols) - len(pivots))
 
 
@@ -287,10 +293,9 @@ def snf_diagonal(d: IntMatrix) -> list[int]:
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Columns generating the integer kernel lattice of ``m``."""
-    pivots, _, vcols = _diagonalize(m, track_v=True)
-    pivoted = {c for _, c, _ in pivots}
-    return _from_columns(m.ncols, [vcols[j] for j in range(m.ncols) if j not in pivoted])
+    """Never-pivoted columns of V: they generate the integer kernel lattice of ``m``."""
+    pivoted = {c for _, c, _ in m._reduction[0]}
+    return _v_columns(m, [j for j in range(m.ncols) if j not in pivoted])
 
 
 def solve_exact(k: IntMatrix, b: IntMatrix) -> IntMatrix:

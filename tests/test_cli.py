@@ -208,7 +208,7 @@ class TestExitCodes:
         [
             ("1", ["spectrum", "FREE2"], "spectrum of 2 generators: enumeration over 2^2 exceeds cap 2^1"),
             ("2", ["duality", "FREE2"], "duality over 4 points: enumeration over 2^4 exceeds cap 2^2"),
-            ("2", ["cohomology", "circle", "--level", "3"], "interval graph at level 3: enumeration over 2^3"),
+            ("2", ["cohomology", "circle", "--level", "3"], "circle graph at level 3: enumeration over 2^3"),
             ("2", ["stabilize", "interval", "--depth", "4"], "interval graph at level 3: enumeration over 2^3"),
         ],
     )

@@ -61,9 +61,11 @@ CASES = {
     "interval-image": ["interval-image", "--cylinders", "01,0010,111,1"],
     "stabilize-interval-4": ["stabilize", "interval", "--depth", "4"],
     "stabilize-interval-10": ["stabilize", "interval", "--depth", "10"],
+    "stabilize-interval-12": ["stabilize", "interval", "--depth", "12"],
     "stabilize-circle-5": ["stabilize", "circle", "--depth", "5"],
     "stabilize-circle-8": ["stabilize", "circle", "--depth", "8"],
     "stabilize-circle-10": ["stabilize", "circle", "--depth", "10"],
+    "stabilize-circle-12": ["stabilize", "circle", "--depth", "12"],
 }
 
 

@@ -4,6 +4,8 @@
 instead.  The enumeration cap comes from ``STONEWORK_CAP`` alone, so no
 function takes a ``cap`` parameter.  Relation graphs are read through their
 neighbour tuples, so no module reads the derived pair set ``.related``.
+Each matrix is Smith-reduced once, so ``_diagonalize`` is called only from
+the memo ``IntMatrix._reduction``.
 """
 
 import ast
@@ -43,3 +45,30 @@ def test_no_pair_set_reads(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "related"]
     assert not lines, f"{path.name}: reads of .related at lines {lines}"
+
+
+def _diagonalize_callers(tree: ast.AST, scope: tuple[str, ...] = ()) -> list[tuple[str, ...]]:
+    """The scope (class and function names) of every call to ``_diagonalize``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == "_diagonalize" or getattr(func, "attr", None) == "_diagonalize":
+                found.append(scope)
+        found.extend(_diagonalize_callers(node, inner))
+    return found
+
+
+def test_diagonalize_is_called_only_from_the_memo():
+    calls = [
+        (path.name, *scope)
+        for path in SOURCES
+        for scope in _diagonalize_callers(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert calls == [("zhomology.py", "IntMatrix", "_reduction")]
+    tree = ast.parse((SOURCES[0].parent / "zhomology.py").read_text(encoding="utf-8"))
+    memo = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_reduction")
+    assert [ast.unparse(d) for d in memo.decorator_list] == ["functools.cached_property"]

@@ -17,6 +17,7 @@ from conftest import (
     rational_rank,
     rel_graphs,
 )
+from stonework import zhomology
 from stonework.errors import InvariantViolated, RelationNotPreserved
 from stonework.interval import circle_graph, circle_tower, interval_graph, interval_tower
 from stonework.profinite import RelGraph, equality_graph
@@ -255,7 +256,10 @@ class TestTieHeavySmith:
     @given(tie_heavy_matrices(14))
     @settings(max_examples=80, deadline=None)
     def test_kernel_is_saturated(self, m: IntMatrix):
+        snf(m)
+        snf_invariants(m)
         k = kernel_basis(m)
+        assert k == kernel_basis(IntMatrix(m.nrows, m.ncols, m.rows))
         assert (m @ k).is_zero()
         assert k.ncols == m.ncols - rational_rank(m)
         if k.ncols:
@@ -276,7 +280,10 @@ class TestKernel:
     @given(matrix_strategy)
     @settings(max_examples=60, deadline=None)
     def test_kernel_properties(self, m: IntMatrix):
+        snf(m)
+        snf_invariants(m)
         k = kernel_basis(m)
+        assert k == kernel_basis(IntMatrix(m.nrows, m.ncols, m.rows))
         assert (m @ k).is_zero()
         assert k.ncols == m.ncols - rational_rank(m)
         # the basis is primitive: the generated lattice is saturated
@@ -566,3 +573,26 @@ class TestStabilization:
     def test_depth_bound(self):
         with pytest.raises(ValueError):
             stabilization_report(interval_tower(2), 5)
+
+    def test_each_matrix_is_reduced_once(self, monkeypatch):
+        reduced, complexes = [], []
+
+        def diagonalize(m, *args, **kwargs):
+            reduced.append(m)
+            return real_diagonalize(m, *args, **kwargs)
+
+        def complex_of(g):
+            complexes.append(real_complex(g))
+            return complexes[-1]
+
+        real_diagonalize, real_complex = zhomology._diagonalize, zhomology.graph_cech_complex
+        monkeypatch.setattr(zhomology, "_diagonalize", diagonalize)
+        monkeypatch.setattr(zhomology, "graph_cech_complex", complex_of)
+        stabilization_report(circle_tower(5), 5)
+        # each complex's d0 and d1 serve homology and kernel_basis alike, and
+        # each transition reduces two fresh matrices in _covers_kernel
+        assert len(complexes) == 5
+        for cx in complexes:
+            assert [m is cx.d0 for m in reduced].count(True) == 1
+            assert [m is cx.d1 for m in reduced].count(True) == 1
+        assert len(reduced) == 2 * 5 + 2 * 4

@@ -100,8 +100,8 @@ def parse_morphism_file(text: str) -> boolalg.Morphism:
     entries = _key_lines(text)
     src, dst = (
         boolalg.Presentation.make(
-            parse_gen_list(*_require(entries, f"{side}-gens")),
-            parse_term_list(*entries.get(f"{side}-rels", ("", 1, 0))),
+            gens := parse_gen_list(*_require(entries, f"{side}-gens")),
+            parse_term_list(*entries.get(f"{side}-rels", ("", 1, 0)), gens),
         )
         for side in ("src", "dst")
     )

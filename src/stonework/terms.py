@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Collection, Iterator, Mapping, Optional
+from typing import Collection, KeysView, Mapping, Optional
 
 from .errors import ParseError, UnknownGenerator
 
@@ -168,9 +168,9 @@ def eval_term(t: Term, masks: Mapping[str, int], full: int = 1) -> int:
     return values[0]
 
 
-def generators_of(t: Term) -> set[str]:
-    """Names of all generators mentioned in ``t``."""
-    return {x for x in _preorder(t) if type(x) is str}
+def generators_of(t: Term) -> KeysView[str]:
+    """Names of the generators in ``t``, each once, in reading order."""
+    return {x: None for x in _preorder(t) if type(x) is str}.keys()
 
 
 def substitute(t: Term, images: Mapping[str, Term]) -> Term:
@@ -223,98 +223,78 @@ Gens = Optional[Collection[str]]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-_TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[01|&~()]))")
+# a token, or (group 1 unset) a character that starts none; whitespace
+# between matches is skipped by the search itself
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[01|&~()])|\S")
 
 
-class _Tokens:
-    def __init__(self, text: str, line: int = 1, col_offset: int = 0, gens=None):
-        self.text = text
-        self.gens = gens
-        self.pos = 0
-        self.line = line
-        self.col_offset = col_offset
-        self.current: str | None = None
-        self.advance()
+def parse_term(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> Term:
+    """Parse one Boolean expression that starts ``offset`` characters into
+    its line, naming only ``gens`` if given.
 
-    def error(self, message: str) -> ParseError:
-        """A parse error at the current token, or at the end of the text."""
-        return ParseError(message, self.line, self.col_offset + self.token_pos + 1)
+    One ``finditer`` pass lists ``(token, position)`` pairs, ending with
+    ``(None, len(text))``; a character that starts no token is listed as
+    None too.  The loop walks the list by index: each ``(`` pushes the
+    enclosing disjunction, conjunction and pending negations, and its ``)``
+    pops them, so nesting depth costs no recursion.  It never steps past a
+    None, so an error raised there is that character's, the leftmost one.
+    """
+    tokens = [(m[1], m.start()) for m in _TOKEN.finditer(text)]
+    tokens.append((None, len(text)))
 
-    def advance(self) -> None:
-        m = _TOKEN.match(self.text, self.pos)
-        if m is None:
-            rest = self.text[self.pos:]
-            self.token_pos = self.pos + len(rest) - len(rest.lstrip())
-            if rest.strip():
-                raise self.error(f"unexpected character {rest.lstrip()[0]!r}")
-            self.current = None
-            self.pos = len(self.text)
-            return
-        self.current = m.group(m.lastgroup)
-        self.token_pos = m.start(m.lastgroup)
-        self.pos = m.end()
+    def error(message: str) -> ParseError:
+        tok, pos = tokens[i]
+        if tok is None and pos < len(text):
+            message = f"unexpected character {text[pos]!r}"
+        return ParseError(message, line, offset + pos + 1)
 
-    def expect(self, tok: str) -> None:
-        if self.current != tok:
-            raise self.error(f"expected {tok!r}")
-        self.advance()
-
-
-def _parse_expr(tk: _Tokens) -> Term:
-    """Parse one ``expr`` in a loop: each ``(`` pushes the enclosing
-    disjunction, conjunction and pending negations, and its ``)`` pops them,
-    so nesting depth costs no recursion."""
     frames: list[tuple] = []
     disj = conj = None
+    i = 0
     while True:
         negations = 0
-        while tk.current == "~":
-            tk.advance()
+        while tokens[i][0] == "~":
+            i += 1
             negations += 1
-        tok = tk.current
+        tok = tokens[i][0]
         if tok == "(":
-            tk.advance()
+            i += 1
             frames.append((disj, conj, negations))
             disj = conj = None
             continue
         if tok is None:
-            raise tk.error("unexpected end of input")
+            raise error("unexpected end of input")
         if tok == "0" or tok == "1":
             t = ZERO if tok == "0" else ONE
         elif _IDENT.fullmatch(tok):
-            if tk.gens is not None and tok not in tk.gens:
-                raise tk.error(f"unknown generator {tok!r}")
+            if gens is not None and tok not in gens:
+                raise error(f"unknown generator {tok!r}")
             t = Gen(tok)
         else:
-            raise tk.error(f"unexpected token {tok!r}")
-        tk.advance()
+            raise error(f"unexpected token {tok!r}")
+        i += 1
         # t is a complete atom: fold it in, closing every ")" that follows it
         while True:
             for _ in range(negations):
                 t = Not(t)
             conj = t if conj is None else And(conj, t)
-            if tk.current == "&":
+            tok = tokens[i][0]
+            if tok == "&":
                 break
             disj = conj if disj is None else Or(disj, conj)
             conj = None
-            if tk.current == "|":
+            if tok == "|":
                 break
             if not frames:
+                if i < len(tokens) - 1:
+                    raise error(f"trailing input {tok!r}")
                 return disj
-            tk.expect(")")
+            if tok != ")":
+                raise error("expected ')'")
+            i += 1
             t = disj
             disj, conj, negations = frames.pop()
-        tk.advance()
-
-
-def parse_term(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> Term:
-    """Parse one Boolean expression that starts ``offset`` characters into
-    its line, naming only ``gens`` if given."""
-    tk = _Tokens(text, line, offset, gens)
-    t = _parse_expr(tk)
-    if tk.current is not None:
-        raise tk.error(f"trailing input {tk.current!r}")
-    return t
+        i += 1
 
 
 def parse_term_list(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> list[Term]:

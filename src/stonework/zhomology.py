@@ -246,7 +246,7 @@ def _replay(vectors: list[dict[int, int]], ops: Iterable[Op]) -> list[dict[int, 
             val = v.get(j, 0) + k * x
             if val:
                 v[j] = val
-            else:
+            elif j in v:  # a zero multiple leaves an absent entry absent
                 del v[j]
     return vectors
 

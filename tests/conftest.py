@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from stonework.boolalg import Bits, FinBoolAlg, Presentation, evaluate, realize
@@ -24,6 +25,11 @@ from stonework.zhomology import (
     homology,
     kernel_basis,
 )
+
+# a failing random example prints the @reproduce_failure line that replays it;
+# example counts and deadlines stay the defaults
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 def random_term(rng: random.Random, gens: list[str], depth: int) -> Term:

@@ -4,7 +4,12 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +102,16 @@ class TestErrorColumns:
             parse_morphism_file("dst-gens: c\nsrc-gens: a b a\nmap: a -> c, b -> c\n")
         assert "duplicate generator 'a'" in str(e.value)
         assert (e.value.line, e.value.column) == (2, 15)
+
+    @pytest.mark.parametrize("text, at", [
+        ("src-gens: a\nsrc-rels: a & b\ndst-gens: b\nmap: a -> b\n", (2, 15)),
+        ("src-gens: a\ndst-gens: b\ndst-rels: b | a\nmap: a -> b\n", (3, 15)),
+    ], ids=["src-rels", "dst-rels"])
+    def test_unknown_generator_in_side_rels(self, text, at):
+        # src-rels and dst-rels may name only their own side's generators
+        with pytest.raises(ParseError) as e:
+            parse_morphism_file(text)
+        assert "unknown generator" in str(e.value) and (e.value.line, e.value.column) == at
 
     def test_unknown_generator_in_seq(self, capsys, tmp_path):
         f = tmp_path / "markov.txt"
@@ -610,6 +625,81 @@ class TestArgvFuzz:
             assert [": error: " in line for line in lines] == [False] * (len(lines) - 1) + [True]
         else:
             assert len(lines) <= 1
+
+
+# the "key:" fragments of the golden input files, and characters to insert
+_FILE_KEYS = sorted({line.partition(":")[0] + ":" for text in GOLDEN_FILES.values() for line in text.splitlines()})
+_FILE_PIECES = st.one_of(st.sampled_from(_FILE_KEYS), st.text(alphabet="g01 x,:&|~()->#\n\té@", min_size=1, max_size=3))
+# argv of each golden case that reads a file
+_FILE_CASES = sorted(tuple(argv) for argv in GOLDEN_CASES.values() if any(a.startswith("@") for a in argv))
+
+
+@st.composite
+def _mutated_file(draw) -> tuple[list[str], str]:
+    """A golden case that reads a file, and that file's text after one to
+    four insertions, deletions or replacements of characters or key fragments."""
+    argv = list(draw(st.sampled_from(_FILE_CASES)))
+    text = GOLDEN_FILES[next(a[1:] for a in argv if a.startswith("@"))]
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        cut = 0 if kind == "insert" else draw(st.integers(1, 4))
+        text = text[:at] + ("" if kind == "delete" else draw(_FILE_PIECES)) + text[at + cut:]
+    return argv, text
+
+
+class TestFileFuzz:
+    """Every mutated golden input file, under STONEWORK_CAP 0-8, ends in exit
+    0-3 with at most one line of error and never a traceback; exit 1 means a
+    check failed, in the report or as a relation not killed or closed sets
+    that intersect."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_mutated_file(), cap=st.integers(0, 8))
+    def test_every_mutated_file_ends_in_a_contract_exit(self, tmp_path_factory, case, cap):
+        argv, text = case
+        path = tmp_path_factory.getbasetemp() / "mutated.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = [str(path) if a.startswith("@") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            mp.setenv("STONEWORK_CAP", str(cap))
+            code = main(argv)
+        assert code in {EXIT_OK, EXIT_PROPERTY_FAILED, EXIT_USAGE, EXIT_CAP}
+        lines = err.getvalue().splitlines()
+        assert len(lines) <= 1 and not any("Traceback" in line for line in lines)
+        if code == EXIT_PROPERTY_FAILED:
+            failed_check = out.getvalue().endswith("CHECK FAILED\n")
+            refused = len(lines) == 1 and re.fullmatch(
+                r"error: (relation \d+ is not sent to 0|the closed sets intersect)", lines[0]
+            )
+            assert failed_check or refused, (argv, text, lines)
+
+
+class TestHashSeed:
+    """An error naming one of several bad generators names the first one
+    read, whatever PYTHONHASHSEED orders sets by."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (["wlpo", "x & y"], None),
+        (["tower", "@"], "family: none\nrels: a & b\ndepth: 2\n"),
+        (["morphism", "@"], "src-gens: a0\nsrc-rels: x & y\ndst-gens: b0\nmap: a0 -> b0\n"),
+    ], ids=["wlpo", "tower", "morphism"])
+    def test_stderr_is_the_same_under_every_hash_seed(self, tmp_path, argv, text):
+        if text is not None:
+            (tmp_path / "input.txt").write_text(text, encoding="utf-8")
+        argv = [str(tmp_path / "input.txt") if a == "@" else a for a in argv]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        errs = set()
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from stonework.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == EXIT_USAGE
+            errs.add(proc.stderr)
+        assert len(errs) == 1 and re.search(r"'[xa]'", errs.pop())
 
 
 class TestEmptySpectra:

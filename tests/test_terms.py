@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import term_from_json, term_strategy, term_to_json
 from stonework.errors import ParseError
@@ -26,6 +27,9 @@ from stonework.terms import (
 )
 
 G0, G1, G2 = Gen("g0"), Gen("g1"), Gen("g2")
+
+# tokens, whitespace, and characters that start no token
+_PIECES = ["g0", "g1", "x", "0", "1", "&", "|", "~", "(", ")", ",", " ", "\t", "\n", "\xa0", "\x1c", "@", "é", "-", ">"]
 
 
 class TestParser:
@@ -83,6 +87,32 @@ class TestParser:
     def test_gen_list_bad_identifier(self):
         with pytest.raises(ParseError):
             parse_gen_list("g0 9x")
+
+    @pytest.mark.parametrize("text, message, column", [
+        ("g0 ) @", "trailing input ')'", 4),
+        ("g0 & @", "unexpected character '@'", 6),
+        ("(g0 | ", "unexpected end of input", 7),
+        ("(g0 g1", "expected ')'", 5),
+        ("g0 & )", "unexpected token ')'", 6),
+    ])
+    def test_leftmost_error_is_reported(self, text, message, column):
+        with pytest.raises(ParseError) as e:
+            parse_term(text)
+        assert str(e.value) == f"{message} (line 1, column {column})"
+
+    @given(
+        st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),
+        st.sampled_from([None, [], ["g0", "g1"]]),
+        st.integers(1, 5),
+        st.integers(0, 9),
+    )
+    def test_any_text_parses_or_fails_inside_itself(self, text, gens, line, offset):
+        try:
+            t = parse_term(text, line, offset, gens)
+        except ParseError as e:
+            assert e.line == line and offset + 1 <= e.column <= offset + len(text) + 1
+        else:
+            assert parse_term(str(t)) == t
 
 
 class TestPrinter:

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -73,6 +73,9 @@ matrix_strategy = st.integers(1, 5).flatmap(
         ).map(IntMatrix.from_rows)
     )
 )
+
+# rows of matrices whose Euclid steps log operations with a zero multiple
+ZERO_MULTIPLE_OPS = ([[0, -8, 0, 0, -2], [0, -9, 0, 0, -2]], [[-6, 1, -4], [-6, -8, 4], [-7, 3, -6]])
 
 
 def determinantal_invariants(m: IntMatrix) -> list[int]:
@@ -209,6 +212,8 @@ class TestSnf:
 
     @given(matrix_strategy)
     @settings(max_examples=60, deadline=None)
+    @example(IntMatrix.from_rows(ZERO_MULTIPLE_OPS[0]))
+    @example(IntMatrix.from_rows(ZERO_MULTIPLE_OPS[1]))
     def test_invariants_match_tracked_form(self, m: IntMatrix):
         _, d, _ = snf(m)
         assert snf_invariants(m) == sorted(
@@ -279,6 +284,8 @@ class TestKernel:
 
     @given(matrix_strategy)
     @settings(max_examples=60, deadline=None)
+    @example(IntMatrix.from_rows(ZERO_MULTIPLE_OPS[0]))
+    @example(IntMatrix.from_rows(ZERO_MULTIPLE_OPS[1]))
     def test_kernel_properties(self, m: IntMatrix):
         snf(m)
         snf_invariants(m)

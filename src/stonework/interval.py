@@ -122,27 +122,6 @@ def near(n: int, s: BitWord, t: BitWord) -> bool:
     return abs(s.value - t.value) <= 1
 
 
-def _pattern(u: tuple[int, ...], first: int, repeat: int, n: int) -> tuple[int, ...]:
-    word = u + (first,) + (repeat,) * max(n - len(u) - 1, 0)
-    return word[:n]
-
-
-def near_companion(n: int, s: BitWord, t: BitWord) -> bool:
-    """Nearness via an exhaustive search for a common witness prefix u.
-
-    Both words must be truncations of u.0.111... or u.1.000... for a single
-    u of length m <= n.
-    """
-    _check_lengths(n, s, t)
-    for m in range(n + 1):
-        for u in itertools.product((0, 1), repeat=m):
-            p0 = _pattern(u, 0, 1, n)
-            p1 = _pattern(u, 1, 0, n)
-            if s.bits in (p0, p1) and t.bits in (p0, p1):
-                return True
-    return False
-
-
 def interval_graph(n: int) -> RelGraph:
     """Vertices 0..2^n-1 with |i-j| <= 1 related."""
     check_cap(n, f"interval graph at level {n}")

@@ -69,6 +69,11 @@ class IntMatrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         rows = []
         for r in self.rows:
+            if len(r) == 1:  # a multiple of one sorted row of ``other``
+                ((k, a),) = r
+                row = other.rows[k]
+                rows.append(row if a == 1 else tuple((j, a * b) for j, b in row))
+                continue
             acc: dict[int, int] = {}
             for k, coeff in r:
                 for j, b in other.rows[k]:
@@ -505,17 +510,17 @@ def graph_cech_complex(g: RelGraph) -> ChainComplexZ:
     repeats included (Munkres, Elements of Algebraic Topology, section 13).
     """
     vs, adj = g.vertices, g.adjacent
-    # the neighbour lists ascend, so both walks come out in lexicographic order
+    # the neighbour lists ascend, so edges, triangles and their faces come out sorted
     edges = [(i, j) for i, row in enumerate(adj) for j in row if i < j]
     triangles = [(i, j, k) for i, j in edges for k in adj[j] if j < k and k in adj[i]]
-    b0 = [(v,) for v in vs]
-    b1 = [(vs[i], vs[j]) for i, j in edges]
-    b2 = [(vs[i], vs[j], vs[k]) for i, j, k in triangles]
+    at = {e: n for n, e in enumerate(edges)} if triangles else {}
+    d1 = tuple(((at[i, j], 1), (at[i, k], -1), (at[j, k], 1)) for i, j, k in triangles)
+    b2 = tuple((vs[i], vs[j], vs[k]) for i, j, k in triangles)
     return ChainComplexZ(
-        d0=_coboundary(b1, b0),
-        d1=_coboundary(b2, b1),
-        aug=IntMatrix(len(b0), 1, (((0, 1),),) * len(b0)),
-        labels=(tuple(b0), tuple(b1), tuple(b2)),
+        d0=IntMatrix(len(edges), len(vs), tuple(((i, -1), (j, 1)) for i, j in edges)),
+        d1=IntMatrix(len(triangles), len(edges), d1),
+        aug=IntMatrix(len(vs), 1, (((0, 1),),) * len(vs)),
+        labels=(tuple((v,) for v in vs), tuple((vs[i], vs[j]) for i, j in edges), b2),
     )
 
 
@@ -569,14 +574,31 @@ def induced_cochain_map(
     return CochainMap(m0, m1, m2)
 
 
-def _covers_kernel(generators: IntMatrix, kernel_rank: int) -> bool:
-    """Do the columns generate a saturated kernel lattice of the given rank?
+def _covers_kernel(g: IntMatrix, kernel_rank: int, d: Optional[IntMatrix] = None) -> bool:
+    """Do the columns of g, and of d if given, generate a saturated kernel
+    lattice of the given rank?
 
     The columns are assumed to lie inside the kernel; because integer kernels
     are saturated, they generate the whole kernel exactly when their lattice
-    has the kernel's rank and unit invariant factors.
+    has the kernel's rank and unit invariant factors.  With d, its known
+    reduction stands in for reducing [g | d]: its row operations replayed on
+    g give U [g | d] diag(I, V) = [U g | D], D zero but for d's pivots.  A
+    unit pivot's column clears the rest of its row, which splits off an
+    invariant factor 1.  Only the other rows of U g are left to reduce, each
+    non-unit pivot's row with its pivot appended.
     """
-    nonzero = [x for x in snf_invariants(generators) if x != 0]
+    if d is not None:
+        if g.nrows != d.nrows:
+            raise ValueError("row mismatch in hstack")
+        pivots, rowops, _ = d._reduction
+        ug = _replay([dict(r) for r in g.rows], rowops)
+        others = [(r, x) for r, _, x in pivots if x != 1 and x != -1]
+        rest = [_sparse_row(ug[r]) + ((g.ncols + t, x),) for t, (r, x) in enumerate(others)]
+        pivoted = {r for r, _, _ in pivots}
+        rest += [_sparse_row(ug[i]) for i in range(g.nrows) if i not in pivoted]
+        g = IntMatrix(len(rest), g.ncols + len(others), tuple(rest))
+        kernel_rank -= len(pivoted) - len(others)
+    nonzero = [x for x in snf_invariants(g) if x != 0]
     return len(nonzero) == kernel_rank and all(x == 1 for x in nonzero)
 
 
@@ -622,11 +644,10 @@ def stabilization_report(tower: RelGraphTower, depth: int) -> StabilizationRepor
         z1_hi = hi.h1.rank + rank0_hi
         # a surjective map between groups with equal invariants is an
         # isomorphism (finitely generated abelian groups are Hopfian)
-        k0 = kernel_basis(coarse.d0)
-        surj0 = _covers_kernel(cmap.m0 @ k0, z0_hi)
+        surj0 = _covers_kernel(cmap.m0 @ kernel_basis(coarse.d0), z0_hi)
         h0_iso.append(lo.h0 == hi.h0 and surj0)
-        k1 = kernel_basis(coarse.d1)
-        surj1 = _covers_kernel((cmap.m1 @ k1).hstack(fine.d0), z1_hi)
+        # [m1 @ k1 | fine.d0] is read off fine.d0's reduction, which homology made
+        surj1 = _covers_kernel(cmap.m1 @ kernel_basis(coarse.d1), z1_hi, fine.d0)
         h1_iso.append(lo.h1 == hi.h1 and surj1)
     return StabilizationReport(tuple(results), tuple(h0_iso), tuple(h1_iso))
 

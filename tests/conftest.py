@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from stonework.boolalg import Bits, FinBoolAlg, Presentation, evaluate, realize
 from stonework.errors import UnknownGenerator
 from stonework.errors import RelationNotPreserved
+from stonework.interval import BitWord, _check_lengths, interval_graph
 from stonework.profinite import RelGraph, RelGraphTower
 from stonework.terms import And, Gen, Not, ONE, One, Or, Term, ZERO, Zero
 from stonework.zhomology import (
@@ -197,6 +198,19 @@ def graph_triples(g: RelGraph, pairs: list[tuple]) -> list[tuple]:
     ]
 
 
+def square_graph(n: int) -> RelGraph:
+    """The product of two level-n interval graphs: pairs of vertices are
+    related when each coordinate is.  Unlike circle and interval levels it
+    has about 4V edges and 4V triangles, and eliminating its d0 merges
+    vertices into long columns."""
+    g = interval_graph(n)
+    size = len(g.vertices)
+    return RelGraph(
+        tuple(itertools.product(g.vertices, repeat=2)),
+        tuple(tuple(a * size + b for a in u for b in v) for u, v in itertools.product(g.adjacent, repeat=2)),
+    )
+
+
 def ordered_graph_complex(g: RelGraph) -> ChainComplexZ:
     """Augmented complex Z -> Z^V -> Z^(related pairs) -> Z^(related triples)
     on ordered tuples, repeats included (oracle for the oriented complex)."""
@@ -279,3 +293,25 @@ def rational_rank(m: IntMatrix) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def _pattern(u: tuple[int, ...], first: int, repeat: int, n: int) -> tuple[int, ...]:
+    word = u + (first,) + (repeat,) * max(n - len(u) - 1, 0)
+    return word[:n]
+
+
+def near_companion(n: int, s: BitWord, t: BitWord) -> bool:
+    """Nearness via an exhaustive search for a common witness prefix u
+    (independent oracle for ``near``).
+
+    Both words must be truncations of u.0.111... or u.1.000... for a single
+    u of length m <= n.
+    """
+    _check_lengths(n, s, t)
+    for m in range(n + 1):
+        for u in itertools.product((0, 1), repeat=m):
+            p0 = _pattern(u, 0, 1, n)
+            p1 = _pattern(u, 1, 0, n)
+            if s.bits in (p0, p1) and t.bits in (p0, p1):
+                return True
+    return False

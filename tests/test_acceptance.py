@@ -9,7 +9,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from conftest import code_of, dense, random_term, rational_rank
+from conftest import code_of, dense, near_companion, random_term, rational_rank
 from stonework.boolalg import (
     Presentation,
     analyze_morphism,
@@ -39,7 +39,6 @@ from stonework.interval import (
     complement_open_union,
     interval_graph,
     near,
-    near_companion,
 )
 from stonework.profinite import (
     SeqDiagram,

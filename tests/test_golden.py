@@ -62,10 +62,12 @@ CASES = {
     "stabilize-interval-4": ["stabilize", "interval", "--depth", "4"],
     "stabilize-interval-10": ["stabilize", "interval", "--depth", "10"],
     "stabilize-interval-12": ["stabilize", "interval", "--depth", "12"],
+    "stabilize-interval-14": ["stabilize", "interval", "--depth", "14"],
     "stabilize-circle-5": ["stabilize", "circle", "--depth", "5"],
     "stabilize-circle-8": ["stabilize", "circle", "--depth", "8"],
     "stabilize-circle-10": ["stabilize", "circle", "--depth", "10"],
     "stabilize-circle-12": ["stabilize", "circle", "--depth", "12"],
+    "stabilize-circle-14": ["stabilize", "circle", "--depth", "14"],
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import near_companion
 from stonework.errors import CapExceeded, OutOfRange
 from stonework.interval import (
     BitWord,
@@ -26,7 +27,6 @@ from stonework.interval import (
     interval_graph,
     interval_tower,
     near,
-    near_companion,
     restrict_graph_map,
 )
 

@@ -16,6 +16,7 @@ from conftest import (
     ordered_stabilization_report,
     rational_rank,
     rel_graphs,
+    square_graph,
 )
 from stonework import zhomology
 from stonework.errors import InvariantViolated, RelationNotPreserved
@@ -128,6 +129,12 @@ class TestIntMatrix:
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         b = IntMatrix.from_rows([[0, 1], [1, 0]])
         assert a @ b == IntMatrix.from_rows([[2, 1], [4, 3]])
+
+    def test_matmul_by_one_entry_rows(self):
+        # rows with one entry copy or scale a row of the right factor
+        a = IntMatrix.from_rows([[0, -3], [1, 0], [0, 0]])
+        b = IntMatrix.from_rows([[0, 2, 5], [7, 0, -1]])
+        assert a @ b == IntMatrix.from_rows([[-21, 0, 3], [0, 2, 5], [0, 0, 0]])
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -270,6 +277,39 @@ class TestTieHeavySmith:
         if k.ncols:
             assert all(x == 1 for x in snf_invariants(k) if x != 0)
             assert rational_rank(k) == k.ncols
+
+
+@st.composite
+def stacked_pairs(draw) -> tuple[IntMatrix, IntMatrix]:
+    """(g, d) of equal height; d's entries favour non-unit pivots and torsion."""
+    nrows = draw(st.integers(1, 5))
+
+    def block(entries) -> IntMatrix:
+        ncols = draw(st.integers(0, 4))
+        cells = st.lists(entries, min_size=ncols, max_size=ncols)
+        return IntMatrix.from_rows(draw(st.lists(cells, min_size=nrows, max_size=nrows)), ncols)
+
+    return block(st.integers(-9, 9)), block(st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 4, 6)))
+
+
+class TestCoversKernelBesideAReducedMatrix:
+    """The covers check read off d's reduction agrees with reducing [g | d]."""
+
+    @given(stacked_pairs())
+    @settings(max_examples=150, deadline=None)
+    @example((IntMatrix.from_rows([[1], [3]]), IntMatrix.from_rows([[2, 0], [0, 6]])))
+    @example((IntMatrix.from_rows([[0], [1]]), IntMatrix.from_rows([[2, 0], [0, 6]])))
+    @example((IntMatrix.from_rows([[1], [0]]), IntMatrix.from_rows(ZERO_MULTIPLE_OPS[0])))
+    @example((IntMatrix.from_rows([[1, 0], [0, 2], [1, 1]]), IntMatrix.from_rows(ZERO_MULTIPLE_OPS[1])))
+    def test_matches_the_stacked_reduction(self, pair):
+        g, d = pair
+        for rank in range(g.nrows + 2):
+            expected = zhomology._covers_kernel(g.hstack(d), rank)
+            assert zhomology._covers_kernel(g, rank, d) == expected
+
+    def test_height_mismatch(self):
+        with pytest.raises(ValueError):
+            zhomology._covers_kernel(IntMatrix.zero(2, 1), 1, IntMatrix.zero(3, 1))
 
 
 class TestKernel:
@@ -419,6 +459,16 @@ class TestGraphComplex:
         oriented = (vertices, tuple(filter(ascending, pairs)), tuple(filter(ascending, triples)))
         assert graph_cech_complex(g).labels == oriented
 
+    @given(rel_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_coboundaries_match_the_labels(self, g: RelGraph):
+        # d0 and d1 are built from positions; the alternating face sums of
+        # the basis labels must give the same matrices
+        cx = graph_cech_complex(g)
+        b0, b1, b2 = cx.labels
+        assert cx.d0 == zhomology._coboundary(b1, b0)
+        assert cx.d1 == zhomology._coboundary(b2, b1)
+
     @given(rel_graphs(max_vertices=7))
     @settings(max_examples=150, deadline=None)
     def test_oriented_matches_ordered_complex(self, g: RelGraph):
@@ -554,6 +604,17 @@ class TestLevelCohomology:
             assert (lc.h0, lc.h1) == (Z, Z)
 
 
+class TestSquareGraph:
+    """The product of two interval graphs: contractible, with triangles."""
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_small_levels_match_ordered_complex(self, n):
+        g = square_graph(n)
+        h = homology(graph_cech_complex(g))
+        assert (h.h0, h.h1) == (Z, TRIVIAL_GROUP)
+        assert h == homology(ordered_graph_complex(g))
+
+
 class TestStabilization:
     def test_interval_tower_stable_everywhere(self):
         rep = stabilization_report(interval_tower(5), 5)
@@ -595,11 +656,27 @@ class TestStabilization:
         real_diagonalize, real_complex = zhomology._diagonalize, zhomology.graph_cech_complex
         monkeypatch.setattr(zhomology, "_diagonalize", diagonalize)
         monkeypatch.setattr(zhomology, "graph_cech_complex", complex_of)
-        stabilization_report(circle_tower(5), 5)
-        # each complex's d0 and d1 serve homology and kernel_basis alike, and
-        # each transition reduces two fresh matrices in _covers_kernel
+        tower = circle_tower(5)
+        stabilization_report(tower, 5)
+        # each complex's d0 and d1 serve homology, kernel_basis and the h1
+        # covers check alike
         assert len(complexes) == 5
         for cx in complexes:
             assert [m is cx.d0 for m in reduced].count(True) == 1
             assert [m is cx.d1 for m in reduced].count(True) == 1
         assert len(reduced) == 2 * 5 + 2 * 4
+        # each transition reduces m0 @ k0 and what fine.d0's reduction leaves
+        # of [m1 @ k1 | fine.d0]: its non-pivot rows and non-unit pivot rows
+        fresh = reduced[2 * 5 :]
+        for n in range(4):
+            coarse, fine = complexes[n], complexes[n + 1]
+            cmap = induced_cochain_map(fine, coarse, tower.transitions[n])
+            assert fresh[2 * n] == cmap.m0 @ kernel_basis(coarse.d0)
+            rest = fresh[2 * n + 1]
+            pivots = fine.d0._reduction[0]
+            non_units = sum(1 for _, _, x in pivots if abs(x) != 1)
+            assert rest.nrows <= fine.d0.nrows - len(pivots) + non_units
+            assert rest.ncols == kernel_basis(coarse.d1).ncols + non_units
+            # a circle level from 2 on has as many edges as vertices, and its
+            # d0 has rank V - 1 with unit pivots only: one row is left
+            assert rest.nrows == (1 if n + 1 >= 2 else 0)

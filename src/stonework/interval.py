@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .boolalg import check_cap
 from .errors import BadArgument, OutOfRange
@@ -138,23 +138,24 @@ def circle_graph(n: int) -> RelGraph:
     return RelGraph(tuple(range(size)), tuple(adjacent))
 
 
-def restrict_graph_map(n: int) -> dict[int, int]:
-    """Drop-last-bit vertex map from level n+1 down to level n."""
+def restrict_graph_map(n: int) -> tuple[int, ...]:
+    """Drop-last-bit vertex map from level n+1 down to level n, by position."""
     check_cap(n + 1, f"graph map from level {n + 1}")
-    return {k: k // 2 for k in range(2 ** (n + 1))}
+    return tuple(k // 2 for k in range(2 ** (n + 1)))
+
+
+def _graph_tower(graph: Callable[[int], RelGraph], depth: int) -> RelGraphTower:
+    """Levels graph(0..depth-1) with bit-truncation transitions."""
+    levels = tuple(graph(n) for n in range(depth))
+    return RelGraphTower(levels, tuple(restrict_graph_map(n) for n in range(depth - 1)))
 
 
 def interval_tower(depth: int) -> RelGraphTower:
-    """Levels interval_graph(0..depth-1) with bit-truncation transitions."""
-    levels = tuple(interval_graph(n) for n in range(depth))
-    transitions = tuple(restrict_graph_map(n) for n in range(depth - 1))
-    return RelGraphTower(levels, transitions)
+    return _graph_tower(interval_graph, depth)
 
 
 def circle_tower(depth: int) -> RelGraphTower:
-    levels = tuple(circle_graph(n) for n in range(depth))
-    transitions = tuple(restrict_graph_map(n) for n in range(depth - 1))
-    return RelGraphTower(levels, transitions)
+    return _graph_tower(circle_graph, depth)
 
 
 @dataclass(frozen=True)

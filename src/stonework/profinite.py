@@ -276,24 +276,27 @@ class RelGraph:
 
 @dataclass(frozen=True)
 class RelGraphTower:
-    """Relation graphs with relation-preserving transitions level n+1 -> n."""
+    """Relation graphs with relation-preserving transitions level n+1 -> n.
+
+    Transitions name vertices by position: ``transitions[n][i]`` is the
+    position in level n of the image of level n+1's vertex i.
+    """
 
     levels: tuple[RelGraph, ...]
-    transitions: tuple[dict, ...]
+    transitions: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if len(self.transitions) != max(len(self.levels) - 1, 0):
             raise InvariantViolated("need one transition between each pair of adjacent levels")
-        for n, tr in enumerate(self.transitions):
+        for n, image in enumerate(self.transitions):
             upper, lower = self.levels[n + 1], self.levels[n]
-            if set(tr) != set(upper.vertices):
-                raise ValueError(f"transition {n} not total")
-            pos = {v: i for i, v in enumerate(lower.vertices)}
-            # None marks a vertex sent outside the lower level, which breaks every pair at it
-            image = [pos.get(tr[v]) for v in upper.vertices]
+            if len(image) != len(upper.vertices):
+                raise ValueError(f"transition {n} maps {len(image)} of {len(upper.vertices)} vertices")
+            if not all(0 <= p < len(lower.vertices) for p in image):
+                raise ValueError(f"transition {n} has a position outside level {n}")
             for i, row in enumerate(upper.adjacent):
                 for j in row:
-                    if image[i] is None or image[j] not in lower.adjacent[image[i]]:
+                    if image[j] not in lower.adjacent[image[i]]:
                         u, v = upper.vertices[i], upper.vertices[j]
                         raise RelationNotPreserved(f"transition {n} breaks the pair ({u!r}, {v!r})")
 

@@ -363,7 +363,6 @@ class ChainComplexZ:
     d0: IntMatrix  # C0 -> C1
     d1: IntMatrix  # C1 -> C2
     aug: Optional[IntMatrix] = None  # Z -> C0
-    labels: tuple[tuple, ...] = ((), (), ())  # basis labels per degree
 
     def __post_init__(self):
         if self.d1.ncols != self.d0.nrows:
@@ -496,31 +495,28 @@ def cech_complex(cov: FiniteCover) -> ChainComplexZ:
     return ChainComplexZ(
         d0=_coboundary(b1, b0, faces),
         d1=_coboundary(b2, b1, faces),
-        labels=(tuple(b0), tuple(b1), tuple(b2)),
     )
 
 
 def graph_cech_complex(g: RelGraph) -> ChainComplexZ:
     """Augmented oriented complex Z -> Z^V -> Z^(edges) -> Z^(triangles).
 
-    With vertices ordered by position in ``g.vertices``, degree 1 has one
-    basis element per related pair u < v and degree 2 one per pairwise
-    related triple u < v < w, both in lexicographic order.  This complex is
+    Simplices are named by positions in ``g.vertices``: degree 1 has one
+    basis element per related pair i < j and degree 2 one per pairwise
+    related triple i < j < k, both in lexicographic order.  This complex is
     chain-homotopy equivalent to the ordered one on all related tuples,
     repeats included (Munkres, Elements of Algebraic Topology, section 13).
     """
-    vs, adj = g.vertices, g.adjacent
+    n, adj = len(g.vertices), g.adjacent
     # the neighbour lists ascend, so edges, triangles and their faces come out sorted
     edges = [(i, j) for i, row in enumerate(adj) for j in row if i < j]
     triangles = [(i, j, k) for i, j in edges for k in adj[j] if j < k and k in adj[i]]
-    at = {e: n for n, e in enumerate(edges)} if triangles else {}
+    at = {e: m for m, e in enumerate(edges)} if triangles else {}
     d1 = tuple(((at[i, j], 1), (at[i, k], -1), (at[j, k], 1)) for i, j, k in triangles)
-    b2 = tuple((vs[i], vs[j], vs[k]) for i, j, k in triangles)
     return ChainComplexZ(
-        d0=IntMatrix(len(edges), len(vs), tuple(((i, -1), (j, 1)) for i, j in edges)),
+        d0=IntMatrix(len(edges), n, tuple(((i, -1), (j, 1)) for i, j in edges)),
         d1=IntMatrix(len(triangles), len(edges), d1),
-        aug=IntMatrix(len(vs), 1, (((0, 1),),) * len(vs)),
-        labels=(tuple((v,) for v in vs), tuple((vs[i], vs[j]) for i, j in edges), b2),
+        aug=IntMatrix(n, 1, (((0, 1),),) * n),
     )
 
 
@@ -533,41 +529,36 @@ class CochainMap:
     m2: IntMatrix
 
 
-def induced_cochain_map(
-    fine: ChainComplexZ, coarse: ChainComplexZ, vertex_map: dict
-) -> CochainMap:
+def induced_cochain_map(fine: ChainComplexZ, coarse: ChainComplexZ, image: Sequence[int]) -> CochainMap:
     """Pullback of oriented cochains along a relation-preserving vertex map.
 
-    ``vertex_map`` sends fine vertices to coarse vertices; the resulting
-    matrices send coarse cochains to fine cochains and commute with the
-    boundary maps and the augmentations.  A fine simplex reads the coarse
-    simplex its image sorts to, times the sign of the sorting permutation,
-    and reads zero when its image repeats a vertex.
+    Fine vertex i goes to coarse position image[i]; the resulting matrices
+    send coarse cochains to fine cochains and commute with the boundary maps
+    and the augmentations.  In degree q = 1, 2, row s of fine.d_(q-1) @
+    m_(q-1) is zero when simplex s's image repeats a vertex, and otherwise
+    plus or minus the row of coarse.d_(q-1) with the same columns, which
+    belongs to the simplex the image sorts to: that simplex and the sign
+    make row s of m_q.
     """
-    coarse_vertices = [v for v, in coarse.labels[0]]
-    pos = {v: i for i, v in enumerate(coarse_vertices)}
-    maps = []
-    for degree in range(3):
-        coarse_idx = {b: i for i, b in enumerate(coarse.labels[degree])}
+    if not all(0 <= p < coarse.d0.ncols for p in image):
+        raise RelationNotPreserved("the vertex map leaves the coarse vertices")
+    maps = [IntMatrix(len(image), coarse.d0.ncols, tuple(((p, 1),) for p in image))]
+    for q, (fd, cd) in enumerate(((fine.d0, coarse.d0), (fine.d1, coarse.d1)), 1):
+        pulled = fd @ maps[-1]
+        at = {tuple(j for j, _ in r): m for m, r in enumerate(cd.rows)}
         rows = []
-        for b in fine.labels[degree]:
-            image = [pos.get(vertex_map[v]) for v in b]
-            if None in image:
-                raise RelationNotPreserved(f"{b!r} maps outside the coarse vertices")
-            if len(set(image)) < len(image):
+        for r in pulled.rows:
+            if not r:  # the image repeats a vertex
                 rows.append(())
                 continue
-            key = tuple(coarse_vertices[i] for i in sorted(image))
-            if key not in coarse_idx:
-                raise RelationNotPreserved(f"image simplex {key!r} not in the coarse complex")
-            inversions = sum(a > c for a, c in itertools.combinations(image, 2))
-            rows.append(((coarse_idx[key], -1 if inversions % 2 else 1),))
-        maps.append(IntMatrix(len(rows), len(coarse.labels[degree]), tuple(rows)))
+            m = at.get(tuple(j for j, _ in r))
+            if m is None:
+                raise RelationNotPreserved(f"no degree-{q} coarse simplex has the coboundary {r}")
+            rows.append(((m, r[0][1] // cd.rows[m][0][1]),))
+        maps.append(IntMatrix(len(rows), cd.nrows, tuple(rows)))
+        if maps[-1] @ cd != pulled:
+            raise RelationNotPreserved(f"pullback does not commute with d{q - 1}")
     m0, m1, m2 = maps
-    if m1 @ coarse.d0 != fine.d0 @ m0:
-        raise RelationNotPreserved("pullback does not commute with d0")
-    if m2 @ coarse.d1 != fine.d1 @ m1:
-        raise RelationNotPreserved("pullback does not commute with d1")
     if fine.aug is not None and coarse.aug is not None:
         if m0 @ coarse.aug != fine.aug:
             raise RelationNotPreserved("pullback does not commute with the augmentation")
@@ -589,7 +580,7 @@ def _covers_kernel(g: IntMatrix, kernel_rank: int, d: Optional[IntMatrix] = None
     """
     if d is not None:
         if g.nrows != d.nrows:
-            raise ValueError("row mismatch in hstack")
+            raise ValueError(f"g has {g.nrows} rows but d has {d.nrows}")
         pivots, rowops, _ = d._reduction
         ug = _replay([dict(r) for r in g.rows], rowops)
         others = [(r, x) for r, _, x in pivots if x != 1 and x != -1]

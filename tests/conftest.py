@@ -211,37 +211,87 @@ def square_graph(n: int) -> RelGraph:
     )
 
 
+def square_tower(depth: int) -> RelGraphTower:
+    """Square levels 0..depth-1; level n+1's vertex (a, b) goes to (a // 2, b // 2)."""
+    transitions = tuple(
+        tuple(a // 2 * 2**n + b // 2 for a, b in itertools.product(range(2 ** (n + 1)), repeat=2))
+        for n in range(depth - 1)
+    )
+    return RelGraphTower(tuple(square_graph(n) for n in range(depth)), transitions)
+
+
+def ordered_bases(g: RelGraph) -> tuple[tuple, list, list]:
+    """The vertices as 1-tuples, the related pairs and the related triples,
+    repeats included, in vertex order (the ordered complex's bases)."""
+    order = {v: i for i, v in enumerate(g.vertices)}
+    pairs = sorted(g.related, key=lambda p: (order[p[0]], order[p[1]]))
+    return tuple((v,) for v in g.vertices), pairs, graph_triples(g, pairs)
+
+
 def ordered_graph_complex(g: RelGraph) -> ChainComplexZ:
     """Augmented complex Z -> Z^V -> Z^(related pairs) -> Z^(related triples)
     on ordered tuples, repeats included (oracle for the oriented complex)."""
-    b0 = g.vertices
-    order = {v: i for i, v in enumerate(b0)}
-    b1 = sorted(g.related, key=lambda p: (order[p[0]], order[p[1]]))
-    b2 = graph_triples(g, b1)
+    b0, b1, b2 = ordered_bases(g)
     return ChainComplexZ(
-        d0=_coboundary(b1, [(v,) for v in b0]),
+        d0=_coboundary(b1, b0),
         d1=_coboundary(b2, b1),
         aug=IntMatrix(len(b0), 1, (((0, 1),),) * len(b0)),
-        labels=(tuple(b0), tuple(b1), tuple(b2)),
     )
 
 
-def ordered_cochain_map(fine: ChainComplexZ, coarse: ChainComplexZ, vertex_map: dict) -> CochainMap:
-    """Precomposition on ordered tuples along a relation-preserving vertex map."""
+def ordered_cochain_map(fine: RelGraph, coarse: RelGraph, image) -> CochainMap:
+    """Precomposition on ordered tuples along a relation-preserving map that
+    sends fine vertex i to coarse position image[i]."""
+    vertex_map = {v: coarse.vertices[p] for v, p in zip(fine.vertices, image)}
     maps = []
-    for degree in range(3):
-        coarse_idx = {b: i for i, b in enumerate(coarse.labels[degree])}
+    for fine_basis, coarse_basis in zip(ordered_bases(fine), ordered_bases(coarse)):
+        coarse_idx = {b: i for i, b in enumerate(coarse_basis)}
         rows = []
-        for b in fine.labels[degree]:
-            key = tuple(vertex_map[v] for v in b) if degree else vertex_map[b]
+        for b in fine_basis:
+            key = tuple(vertex_map[v] for v in b)
             if key not in coarse_idx:
                 raise RelationNotPreserved(f"image tuple {key!r} not in the coarse complex")
             rows.append(((coarse_idx[key], 1),))
-        maps.append(IntMatrix(len(rows), len(coarse.labels[degree]), tuple(rows)))
+        maps.append(IntMatrix(len(rows), len(coarse_basis), tuple(rows)))
     m0, m1, m2 = maps
-    if m1 @ coarse.d0 != fine.d0 @ m0 or m2 @ coarse.d1 != fine.d1 @ m1:
+    fine_cx, coarse_cx = ordered_graph_complex(fine), ordered_graph_complex(coarse)
+    if m1 @ coarse_cx.d0 != fine_cx.d0 @ m0 or m2 @ coarse_cx.d1 != fine_cx.d1 @ m1:
         raise RelationNotPreserved("pullback does not commute with the coboundaries")
     return CochainMap(m0, m1, m2)
+
+
+def oriented_bases(g: RelGraph) -> tuple[list, list, list]:
+    """The strictly ascending position tuples of 1, 2 and 3 pairwise related
+    vertices, from a scan of all of them (the oriented complex's bases)."""
+    def related(t: tuple) -> bool:
+        return all(j in g.adjacent[i] for i, j in itertools.combinations(t, 2))
+
+    return tuple(list(filter(related, itertools.combinations(range(len(g.vertices)), k))) for k in (1, 2, 3))
+
+
+def signed_pullback(fine: RelGraph, coarse: RelGraph, image) -> CochainMap:
+    """The oriented pullback by sorting (oracle for ``induced_cochain_map``).
+
+    Fine vertex i goes to coarse position image[i].  A fine simplex reads the
+    coarse simplex its image sorts to, times the sign of the sorting
+    permutation, and reads zero when its image repeats a position.
+    """
+    maps = []
+    for fine_basis, coarse_basis in zip(oriented_bases(fine), oriented_bases(coarse)):
+        coarse_idx = {t: i for i, t in enumerate(coarse_basis)}
+        rows = []
+        for t in fine_basis:
+            img = [image[i] for i in t]
+            if len(set(img)) < len(img):
+                rows.append(())
+                continue
+            key = tuple(sorted(img))
+            if key not in coarse_idx:
+                raise RelationNotPreserved(f"image simplex {key!r} not in the coarse complex")
+            inversions = sum(a > c for a, c in itertools.combinations(img, 2))
+            rows.append(((coarse_idx[key], -1 if inversions % 2 else 1),))
+        maps.append(IntMatrix(len(rows), len(coarse_basis), tuple(rows)))
+    return CochainMap(*maps)
 
 
 def ordered_stabilization_report(tower: RelGraphTower, depth: int) -> StabilizationReport:
@@ -254,7 +304,7 @@ def ordered_stabilization_report(tower: RelGraphTower, depth: int) -> Stabilizat
     h0_iso, h1_iso = [], []
     for n in range(depth - 1):
         coarse, fine = complexes[n], complexes[n + 1]
-        cmap = ordered_cochain_map(fine, coarse, tower.transitions[n])
+        cmap = ordered_cochain_map(tower.levels[n + 1], tower.levels[n], tower.transitions[n])
         lo, hi = results[n], results[n + 1]
         z0_hi = hi.h0.rank
         z1_hi = hi.h1.rank + hi.dims[0] - z0_hi

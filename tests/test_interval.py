@@ -164,7 +164,7 @@ class TestGraphs:
         assert g.adjacent[0] == (0, 1, 7)
 
     def test_restrict_map_drops_last_bit(self):
-        assert restrict_graph_map(1) == {0: 0, 1: 0, 2: 1, 3: 1}
+        assert restrict_graph_map(1) == (0, 0, 1, 1)
 
     def test_towers_validate_relation_preservation(self):
         interval_tower(5)

@@ -291,13 +291,11 @@ class TestRelGraphs:
         pairs = {(a, b) for a in (0, 1) for b in (0, 1)}
         upper = graph_from_pairs((0, 1), pairs)
         with pytest.raises(RelationNotPreserved):
-            RelGraphTower((lower, upper), ({0: 0, 1: 1},))
+            RelGraphTower((lower, upper), ((0, 1),))
 
     def test_totally_disconnected(self):
         levels = tuple(equality_graph(range(k + 1)) for k in range(3))
-        transitions = tuple(
-            {v: min(v, k) for v in range(k + 2)} for k in range(2)
-        )
+        transitions = tuple(tuple(min(v, k) for v in range(k + 2)) for k in range(2))
         t = RelGraphTower(levels, transitions)
         assert is_totally_disconnected(t, 3)
 
@@ -313,8 +311,12 @@ class TestRelGraphs:
             is_totally_disconnected(t, 2)
 
     def test_transition_leaving_the_lower_level_is_rejected(self):
-        with pytest.raises(RelationNotPreserved, match=r"breaks the pair \(1, 1\)"):
-            RelGraphTower((equality_graph([0]), equality_graph([0, 1])), ({0: 0, 1: 5},))
+        levels = (equality_graph([0]), equality_graph([0, 1]))
+        for image in ((0, 5), (0, -1)):
+            with pytest.raises(ValueError, match=r"^transition 0 has a position outside level 0$"):
+                RelGraphTower(levels, (image,))
+        with pytest.raises(ValueError, match=r"^transition 0 maps 1 of 2 vertices$"):
+            RelGraphTower(levels, ((0,),))
 
     def test_one_neighbour_list_per_vertex(self):
         g = equality_graph([0, 1])
@@ -363,12 +365,18 @@ class TestNeighbourTuples:
     @settings(max_examples=300, deadline=None)
     def test_tower_check_matches_pair_lookups(self, low, up, data):
         lower, upper = graph_from_pairs(*low), graph_from_pairs(*up)
-        targets = lower.vertices
-        if data.draw(st.booleans()):
-            targets += (99,)  # no drawn vertex is 99, so the map may leave the lower level
-        assume(targets or not upper.vertices)
-        tr = {v: data.draw(st.sampled_from(targets)) for v in upper.vertices}
-        preserved = all((tr[u], tr[v]) in low[1] for u, v in up[1])
+        size = len(lower.vertices)
+        # -1 and size may be drawn too, which leave the lower level
+        outside = data.draw(st.booleans())
+        assume(size or outside or not upper.vertices)
+        positions = st.integers(-1, size) if outside else st.integers(0, size - 1)
+        tr = tuple(data.draw(positions) for _ in upper.vertices)
+        if not all(0 <= p < size for p in tr):
+            with pytest.raises(ValueError, match="outside level 0"):
+                RelGraphTower((lower, upper), (tr,))
+            return
+        image = dict(zip(upper.vertices, (lower.vertices[p] for p in tr)))
+        preserved = all((image[u], image[v]) in low[1] for u, v in up[1])
         try:
             RelGraphTower((lower, upper), (tr,))
         except RelationNotPreserved:

@@ -12,11 +12,15 @@ from conftest import (
     dense,
     graph_from_pairs,
     graph_triples_exhaustive,
+    ordered_bases,
     ordered_graph_complex,
     ordered_stabilization_report,
+    oriented_bases,
     rational_rank,
     rel_graphs,
+    signed_pullback,
     square_graph,
+    square_tower,
 )
 from stonework import zhomology
 from stonework.errors import InvariantViolated, RelationNotPreserved
@@ -308,7 +312,7 @@ class TestCoversKernelBesideAReducedMatrix:
             assert zhomology._covers_kernel(g, rank, d) == expected
 
     def test_height_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^g has 2 rows but d has 3$"):
             zhomology._covers_kernel(IntMatrix.zero(2, 1), 1, IntMatrix.zero(3, 1))
 
 
@@ -446,26 +450,20 @@ class TestGraphComplex:
     @settings(max_examples=150, deadline=None)
     def test_bases_match_exhaustive_scan(self, g: RelGraph):
         related = g.related
-        pairs = tuple(p for p in itertools.product(g.vertices, repeat=2) if p in related)
-        triples = tuple(graph_triples_exhaustive(g))
-        assert ordered_graph_complex(g).labels == (g.vertices, pairs, triples)
+        pairs = [p for p in itertools.product(g.vertices, repeat=2) if p in related]
+        triples = graph_triples_exhaustive(g)
+        assert ordered_bases(g) == (tuple((v,) for v in g.vertices), pairs, triples)
         # the oriented bases keep the tuples whose positions strictly ascend
         pos = {v: i for i, v in enumerate(g.vertices)}
 
-        def ascending(t: tuple) -> bool:
-            return all(pos[a] < pos[b] for a, b in zip(t, t[1:]))
+        def ascending(tuples: list) -> list:
+            positions = (tuple(pos[v] for v in t) for t in tuples)
+            return [t for t in positions if all(a < b for a, b in zip(t, t[1:]))]
 
-        vertices = tuple((v,) for v in g.vertices)
-        oriented = (vertices, tuple(filter(ascending, pairs)), tuple(filter(ascending, triples)))
-        assert graph_cech_complex(g).labels == oriented
-
-    @given(rel_graphs())
-    @settings(max_examples=150, deadline=None)
-    def test_coboundaries_match_the_labels(self, g: RelGraph):
-        # d0 and d1 are built from positions; the alternating face sums of
-        # the basis labels must give the same matrices
+        b0, b1, b2 = [(i,) for i in range(len(g.vertices))], ascending(pairs), ascending(triples)
+        assert oriented_bases(g) == (b0, b1, b2)
+        # d0 and d1 are the alternating face sums over those position tuples
         cx = graph_cech_complex(g)
-        b0, b1, b2 = cx.labels
         assert cx.d0 == zhomology._coboundary(b1, b0)
         assert cx.d1 == zhomology._coboundary(b2, b1)
 
@@ -532,7 +530,7 @@ class TestCoverComplex:
 class TestInducedMaps:
     def test_identity_map(self):
         cx = graph_cech_complex(interval_graph(1))
-        cm = induced_cochain_map(cx, cx, {v: v for v in interval_graph(1).vertices})
+        cm = induced_cochain_map(cx, cx, tuple(range(cx.dims[0])))
         assert cm.m0 == IntMatrix.identity(cx.dims[0])
         assert cm.m1 == IntMatrix.identity(cx.dims[1])
 
@@ -540,13 +538,16 @@ class TestInducedMaps:
         fine = graph_cech_complex(interval_graph(2))
         coarse = graph_cech_complex(equality_graph(range(2)))
         with pytest.raises(RelationNotPreserved):
-            induced_cochain_map(fine, coarse, {k: k // 2 for k in range(4)})
+            induced_cochain_map(fine, coarse, tuple(k // 2 for k in range(4)))
+        for image in ((0, 1, 1, 2), (0, 0, 1, -1)):
+            with pytest.raises(RelationNotPreserved, match="leaves the coarse vertices"):
+                induced_cochain_map(fine, coarse, image)
 
     def test_reflection_negates_the_loop_class(self):
         pairs = {(v, w) for v in range(4) for w in range(4) if (v - w) % 4 in (0, 1, 3)}
         cx = graph_cech_complex(graph_from_pairs(range(4), pairs))
-        assert cx.labels[1] == ((0, 1), (0, 3), (1, 2), (2, 3))
-        cm = induced_cochain_map(cx, cx, {v: -v % 4 for v in range(4)})
+        assert [tuple(j for j, _ in r) for r in cx.d0.rows] == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        cm = induced_cochain_map(cx, cx, tuple(-v % 4 for v in range(4)))
         assert dense(cm.m1) == [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
         # the loop 0 -> 1 -> 2 -> 3 -> 0 pairs with the generator to 1
         loop = IntMatrix.from_rows([[1, -1, 1, 1]])
@@ -561,7 +562,7 @@ class TestInducedMaps:
     def test_collapsed_simplices_give_zero_rows(self):
         fine = graph_cech_complex(graph_from_pairs((0, 1, 2), itertools.product(range(3), repeat=2)))
         coarse = graph_cech_complex(interval_graph(1))
-        cm = induced_cochain_map(fine, coarse, {0: 0, 1: 1, 2: 1})
+        cm = induced_cochain_map(fine, coarse, (0, 1, 1))
         # edges (0, 1), (0, 2), (1, 2); the last collapses, as does the triangle
         assert cm.m1.rows == (((0, 1),), ((0, 1),), ())
         assert cm.m2.rows == ((),)
@@ -572,16 +573,16 @@ class TestInducedMaps:
         f = {v: data.draw(st.integers(0, 3)) for v in g.vertices}
         image = data.draw(st.permutations(sorted(set(f.values()))))
         coarse = graph_from_pairs(image, {(f[u], f[v]) for u, v in g.related})
+        positions = tuple(image.index(f[v]) for v in g.vertices)
         # raises unless the signed pullback commutes with d0, d1 and the augmentation
-        induced_cochain_map(graph_cech_complex(g), graph_cech_complex(coarse), f)
+        cm = induced_cochain_map(graph_cech_complex(g), graph_cech_complex(coarse), positions)
+        assert cm == signed_pullback(g, coarse, positions)
 
     def test_functoriality_of_restriction(self):
         cx = [graph_cech_complex(interval_graph(n)) for n in range(3)]
-        t0 = {k: k // 2 for k in range(2)}
-        t1 = {k: k // 2 for k in range(4)}
-        a = induced_cochain_map(cx[1], cx[0], t0)
-        b = induced_cochain_map(cx[2], cx[1], t1)
-        composed = induced_cochain_map(cx[2], cx[0], {k: k // 4 for k in range(4)})
+        a = induced_cochain_map(cx[1], cx[0], (0, 0))
+        b = induced_cochain_map(cx[2], cx[1], (0, 0, 1, 1))
+        composed = induced_cochain_map(cx[2], cx[0], (0, 0, 0, 0))
         assert b.m0 @ a.m0 == composed.m0
         assert b.m1 @ a.m1 == composed.m1
 
@@ -614,6 +615,22 @@ class TestSquareGraph:
         assert (h.h0, h.h1) == (Z, TRIVIAL_GROUP)
         assert h == homology(ordered_graph_complex(g))
 
+    @pytest.mark.parametrize("depth", range(1, 5))
+    def test_stabilization_matches_ordered_oracle(self, depth):
+        t = square_tower(depth)
+        rep = stabilization_report(t, depth)
+        assert rep == ordered_stabilization_report(t, depth)
+        assert rep.h0_iso == rep.h1_iso == (True,) * (depth - 1)
+        # triangles first survive a transition from depth 3 on: m2 has 4
+        # nonzero rows at level 2 -> 1 and 36 at level 3 -> 2
+        m2_rows = 0
+        for n, image in enumerate(t.transitions):
+            coarse, fine = t.levels[n], t.levels[n + 1]
+            cm = induced_cochain_map(graph_cech_complex(fine), graph_cech_complex(coarse), image)
+            assert cm == signed_pullback(fine, coarse, image)
+            m2_rows += sum(1 for r in cm.m2.rows if r)
+        assert m2_rows == {1: 0, 2: 0, 3: 4, 4: 40}[depth]
+
 
 class TestStabilization:
     def test_interval_tower_stable_everywhere(self):
@@ -633,7 +650,7 @@ class TestStabilization:
         from stonework.profinite import RelGraphTower
 
         g = interval_graph(1)
-        t = RelGraphTower((g, g), ({v: v for v in g.vertices},))
+        t = RelGraphTower((g, g), (tuple(range(len(g.vertices))),))
         rep = stabilization_report(t, 2)
         assert rep.h0_iso == (True,)
         assert rep.h1_iso == (True,)

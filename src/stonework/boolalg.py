@@ -46,6 +46,7 @@ from .terms import (
 
 DEFAULT_CAP = 20
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+_ONE = re.compile("1")
 
 Bits = tuple[int, ...]
 
@@ -155,8 +156,8 @@ def spectrum(p: Presentation) -> FinBoolAlg:
     """All assignments killing every relation, in lexicographic order.
 
     Each relation's truth table is cleared from the set of all 2^n
-    assignments, so the cap bounds the size of those tables.  Bit k of a
-    table is the assignment whose code is k.
+    assignments, so the cap bounds those tables.  Bit k of a table is the
+    assignment of code k: one regex scan finds the "1"s of what is left.
     """
     check_cap(len(p.gens), f"spectrum of {len(p.gens)} generators")
     masks, size = {}, 1
@@ -167,7 +168,7 @@ def spectrum(p: Presentation) -> FinBoolAlg:
     full = alive = (1 << size) - 1
     for r in p.rels:
         alive &= ~eval_term(r, masks, full)
-    return FinBoolAlg(p, tuple(itertools.compress(range(size), _bits_of(alive, size))))
+    return FinBoolAlg(p, tuple(map(re.Match.start, _ONE.finditer(format(alive, "b")[::-1]))))
 
 
 def evaluate(t: Term, a: FinBoolAlg) -> Bits:

@@ -166,7 +166,8 @@ def cmd_spectrum(args) -> Result:
     text = _read(args.file)
     p = parse_presentation(text)
     alg = boolalg.spectrum(p)
-    points = [boolalg.point_string(c, len(p.gens)) for c in alg.codes]
+    # a width-n binary format, or "" for the one point of no generators
+    points = list(map((f"{{:0{len(p.gens)}b}}" if p.gens else "").format, alg.codes))
     fields = {"gens": list(p.gens), "n_points": alg.n_points, "points": points}
     lines = [
         f"presentation with {len(p.gens)} generators, {len(p.rels)} relations",

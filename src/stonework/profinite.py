@@ -116,13 +116,15 @@ def truncation_tower(p: CountablePresentation, depth: int) -> AlgebraTower:
 
     Level n's generators are among level n+1's and its relations are a
     prefix of level n+1's, so each inclusion kills every source relation.
+    Each level extends the one below by relation n, its generators and g_n.
     """
     levels: list[FinBoolAlg] = []
+    rels, indices = [], set()
     for n in range(depth):
-        rels = [r for r in (p.relation(i) for i in range(n + 1)) if r is not None]
-        indices = set(range(n + 1))
-        for r in rels:
+        if (r := p.relation(n)) is not None:
+            rels.append(r)
             indices.update(_gen_index(g) for g in generators_of(r))
+        indices.add(n)
         gens = [f"g{i}" for i in sorted(indices)]
         levels.append(spectrum(Presentation.make(gens, rels)))
     connecting = tuple(
@@ -135,19 +137,20 @@ def truncation_tower(p: CountablePresentation, depth: int) -> AlgebraTower:
 def spectrum_tower(t: AlgebraTower) -> SeqDiagram:
     """Dualize: level sets are spectra, and each transition restricts a point
     to the lower level's generators, which is precomposing the inclusion: it
-    drops the bits of the generators that level lacks, highest bit first."""
+    drops the bits of the generators that level lacks, moving each run of kept
+    bits down past the dropped bits below it as (code >> shift) & mask."""
     levels = tuple(alg.codes for alg in t.levels)
     transitions = []
     for lower, upper in zip(t.levels, t.levels[1:]):
-        n, kept = len(upper.source.gens), set(lower.source.gens)
-        lacking = [n - 1 - i for i, g in enumerate(upper.source.gens) if g not in kept]
-        restrict = {}
-        for code in upper.codes:
-            low = code
-            for b in lacking:
-                low = low >> b + 1 << b | low & (1 << b) - 1
-            restrict[code] = low
-        transitions.append(restrict)
+        have = set(lower.source.gens)
+        kept = [b for b, g in enumerate(reversed(upper.source.gens)) if g in have]
+        runs: dict[int, int] = {}  # shift -> the lower bits its run fills
+        for k, b in enumerate(kept):  # the kth kept bit, b, moves down to bit k
+            runs[b - k] = runs.get(b - k, 0) | 1 << k
+        low = [0] * len(upper.codes)
+        for shift, mask in runs.items():
+            low = [x | code >> shift & mask for x, code in zip(low, upper.codes)]
+        transitions.append(dict(zip(upper.codes, low)))
     return SeqDiagram(levels, tuple(transitions))
 
 

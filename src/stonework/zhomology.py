@@ -288,7 +288,10 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def snf_invariants(m: IntMatrix) -> list[int]:
-    """Diagonal of the Smith form, read off the pivots alone."""
+    """Diagonal of the Smith form, read off the pivots alone, or for one row
+    or one column without a reduction: its one factor is the entries' gcd."""
+    if min(m.shape) == 1:
+        return [math.gcd(*(x for row in m.rows for _, x in row))]
     pivots = m._reduction[0]
     return [abs(x) for _, _, x in pivots] + [0] * (min(m.nrows, m.ncols) - len(pivots))
 

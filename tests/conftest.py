@@ -9,12 +9,12 @@ from fractions import Fraction
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from stonework.boolalg import Bits, FinBoolAlg, Presentation, evaluate, realize
+from stonework.boolalg import Bits, FinBoolAlg, Presentation, _bits_of, evaluate, realize
 from stonework.errors import UnknownGenerator
 from stonework.errors import RelationNotPreserved
 from stonework.interval import BitWord, _check_lengths, interval_graph
-from stonework.profinite import RelGraph, RelGraphTower
-from stonework.terms import And, Gen, Not, ONE, One, Or, Term, ZERO, Zero
+from stonework.profinite import CountablePresentation, RelGraph, RelGraphTower
+from stonework.terms import And, Gen, Not, ONE, One, Or, Term, ZERO, Zero, eval_term, generators_of
 from stonework.zhomology import (
     ChainComplexZ,
     CochainMap,
@@ -102,6 +102,40 @@ def code_of(bits) -> int:
 def point_of(code: int, n: int) -> tuple[int, ...]:
     """The 0/1 bits of an ``n``-generator point code, generator 0 first."""
     return tuple(code >> (n - 1 - i) & 1 for i in range(n))
+
+
+def codes_by_compress(p: Presentation) -> tuple[int, ...]:
+    """The spectrum's codes by the table scan ``spectrum`` used to make: the
+    relations' truth tables over generator masks built bit by bit, then one
+    0/1 entry per assignment, compressed against the codes (an oracle)."""
+    n, size = len(p.gens), 1 << len(p.gens)
+    masks = {g: sum(1 << c for c in range(size) if point_of(c, n)[i]) for i, g in enumerate(p.gens)}
+    full = alive = (1 << size) - 1
+    for r in p.rels:
+        alive &= ~eval_term(r, masks, full)
+    return tuple(itertools.compress(range(size), _bits_of(alive, size)))
+
+
+def truncations_from_scratch(p: CountablePresentation, depth: int) -> list[Presentation]:
+    """Each level's presentation rebuilt from relation 0 up, as
+    ``truncation_tower`` did before it carried them up (an oracle)."""
+    levels = []
+    for n in range(depth):
+        rels = [r for r in (p.relation(i) for i in range(n + 1)) if r is not None]
+        indices = set(range(n + 1))
+        for r in rels:
+            indices.update(int(g[1:]) for g in generators_of(r))
+        levels.append(Presentation.make([f"g{i}" for i in sorted(indices)], rels))
+    return levels
+
+
+def restrict_per_bit(code: int, upper: Presentation, lower: Presentation) -> int:
+    """Drop the bits of the generators ``lower`` lacks from an ``upper`` code,
+    one bit at a time, highest first (an oracle for the transitions)."""
+    n, kept = len(upper.gens), set(lower.gens)
+    for b in [n - 1 - i for i, g in enumerate(upper.gens) if g not in kept]:
+        code = code >> b + 1 << b | code & (1 << b) - 1
+    return code
 
 
 def term_to_json(t: Term):

@@ -3,14 +3,26 @@
 ``eval_term`` evaluates a term on every assignment at once; spectra,
 ``evaluate``, ``point_map`` and tower transitions are built on it.  Each is
 compared here with ``eval_term_reference`` run on one assignment at a time.
+The code scan of ``spectrum`` and the level-by-level towers are compared
+with the table scan and the from-scratch truncations of ``conftest``.
 """
 
 import itertools
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import code_of, eval_term_reference, point_of, presentations, term_strategy
+from conftest import (
+    code_of,
+    codes_by_compress,
+    eval_term_reference,
+    point_of,
+    presentations,
+    restrict_per_bit,
+    term_strategy,
+    truncations_from_scratch,
+)
 from stonework.boolalg import (
     Presentation,
     evaluate,
@@ -19,8 +31,8 @@ from stonework.boolalg import (
     point_map,
     spectrum,
 )
-from stonework.profinite import CountablePresentation, spectrum_tower, truncation_tower
-from stonework.terms import Gen, Not, ONE, ZERO, eval_term, substitute
+from stonework.profinite import FAMILIES, CountablePresentation, spectrum_tower, truncation_tower
+from stonework.terms import Gen, Not, ONE, ZERO, eval_term, join, meet, substitute
 
 GENS = [f"g{i}" for i in range(8)]
 
@@ -102,6 +114,41 @@ def test_tower_transitions_match_brute_force(rels, depth):
             image = code_of(eval_term_reference(m.images[g], a) for g in lower.source.gens)
             assert image in lower.codes
             assert diagram.transitions[n][code] == image
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(term_strategy([f"g{i}" for i in range(10)], max_depth=3), max_size=8),
+    st.sampled_from(sorted(FAMILIES)),
+    st.integers(0, 8),
+)
+@example([], "pairwise-meet-zero", 8)
+@example([Gen("g0") & Gen("g6"), Gen("g1") & ~Gen("g2"), Gen("g3") | Gen("g4")], "none", 8)
+def test_tower_matches_the_from_scratch_oracle(rels, family, depth):
+    p = CountablePresentation(explicit_rels=tuple(rels), family=FAMILIES[family])
+    tower = truncation_tower(p, depth)
+    oracle = truncations_from_scratch(p, depth)
+    assert [level.source for level in tower.levels] == oracle  # gens and rels
+    assert [level.codes for level in tower.levels] == [codes_by_compress(q) for q in oracle]
+    diagram = spectrum_tower(tower)
+    for n, (lower, upper) in enumerate(zip(oracle, oracle[1:])):
+        codes = tower.levels[n + 1].codes
+        assert diagram.transitions[n] == {c: restrict_per_bit(c, upper, lower) for c in codes}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+@pytest.mark.parametrize("table", ["none", "full", "bit 0", "top bit"])
+def test_code_scan_edge_cases(n, table):
+    gens = GENS[:n]
+    rels = {
+        "none": [ONE],
+        "full": [],
+        "bit 0": [join([Gen(g) for g in gens])],  # only the all-zero point
+        "top bit": [~meet([Gen(g) for g in gens])],  # only the all-one point
+    }[table]
+    p = Presentation.make(gens, rels)
+    expected = {"none": (), "full": tuple(range(2**n)), "bit 0": (0,), "top bit": (2**n - 1,)}
+    assert spectrum(p).codes == codes_by_compress(p) == expected[table]
 
 
 def test_no_generators():

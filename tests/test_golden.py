@@ -35,6 +35,13 @@ FILES = {
     "separate": "gens: g0 g1 g2\nrels: g1 & g2\nfs: g0 , g1 & ~g2\ngs: ~g0 , g2 & ~g1\n",
     "tower-pmz": "family: pairwise-meet-zero\ndepth: 6\n",
     "tower-rels": "family: none\nrels: g0 & g1 , g1 & ~g2 , g2 & g3\ndepth: 4\n",
+    # a relation on a far generator: lower levels lack middle generators
+    "tower-far": "family: none\nrels: g0 & g6 , g1 & ~g2 , g3 | g4 , ~g5 & g7\ndepth: 7\n",
+    "sixteen": (
+        "gens: g0 g1 g2 g3 g4 g5 g6 g7 g8 g9 g10 g11 g12 g13 g14 g15\n"
+        "rels: g0 & g1 , g2 & g3 , g4 & g5 , g6 & g7 , g8 & g9 , g10 & g11 , g12 & g13 , g14 & g15 ,"
+        " g0 | g2 | g4 | g6 , ~g8 & ~g10 , g1 & g3 & ~g5 , g7 & g15 , g9 & ~g11 & g13 , ~(g12 | g14) & g1\n"
+    ),
 }
 
 # case name -> argv after --json; "@name" stands for the path of FILES[name]
@@ -43,6 +50,7 @@ CASES = {
     "spectrum-no-gens": ["spectrum", "@no-gens"],
     "spectrum-empty": ["spectrum", "@empty"],
     "spectrum-12": ["spectrum", "@twelve"],
+    "spectrum-16": ["spectrum", "@sixteen"],
     "duality": ["duality", "@binfty"],
     "morphism": ["morphism", "@morphism"],
     "llpo": ["llpo", "--stage", "3"],
@@ -51,6 +59,7 @@ CASES = {
     "separate": ["separate", "@separate"],
     "tower-pmz": ["tower", "@tower-pmz"],
     "tower-rels": ["tower", "@tower-rels", "--depth", "3"],
+    "tower-far": ["tower", "@tower-far"],
     "cohomology-interval-3": ["cohomology", "interval", "--level", "3"],
     "cohomology-circle-6": ["cohomology", "circle", "--level", "6"],
     "cohomology-interval-8": ["cohomology", "interval", "--level", "8"],

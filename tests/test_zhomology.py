@@ -232,6 +232,19 @@ class TestSnf:
         ) + [0] * sum(1 for x in snf_diagonal(d) if x == 0)
 
 
+    @given(st.lists(st.integers(-40, 40) | st.just(0), max_size=6), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @example([], True)
+    @example([], False)
+    @example([0, 0, 0], False)
+    @example([0, -6, 0, 4], True)
+    def test_one_line_invariant_is_the_gcd(self, entries, as_row):
+        m = IntMatrix.from_rows([entries]) if as_row else IntMatrix.from_rows([[x] for x in entries], 1)
+        pivots = zhomology._diagonalize(m)[0]
+        reduced = [abs(x) for _, _, x in pivots] + [0] * (min(m.shape) - len(pivots))
+        assert snf_invariants(m) == reduced
+        assert reduced == ([math.gcd(*entries)] if entries else [])
+
     def test_determinantal_divisors_example(self):
         # d1 = 2, d2 = 24: invariants (2, 12), not the (4, 6) on the diagonal
         m = IntMatrix.from_rows([[4, 0], [0, 6]])
@@ -660,18 +673,24 @@ class TestStabilization:
             stabilization_report(interval_tower(2), 5)
 
     def test_each_matrix_is_reduced_once(self, monkeypatch):
-        reduced, complexes = [], []
+        reduced, read, complexes = [], [], []
 
         def diagonalize(m, *args, **kwargs):
             reduced.append(m)
             return real_diagonalize(m, *args, **kwargs)
+
+        def invariants(m):
+            read.append(m)
+            return real_invariants(m)
 
         def complex_of(g):
             complexes.append(real_complex(g))
             return complexes[-1]
 
         real_diagonalize, real_complex = zhomology._diagonalize, zhomology.graph_cech_complex
+        real_invariants = zhomology.snf_invariants
         monkeypatch.setattr(zhomology, "_diagonalize", diagonalize)
+        monkeypatch.setattr(zhomology, "snf_invariants", invariants)
         monkeypatch.setattr(zhomology, "graph_cech_complex", complex_of)
         tower = circle_tower(5)
         stabilization_report(tower, 5)
@@ -681,14 +700,17 @@ class TestStabilization:
         for cx in complexes:
             assert [m is cx.d0 for m in reduced].count(True) == 1
             assert [m is cx.d1 for m in reduced].count(True) == 1
-        assert len(reduced) == 2 * 5 + 2 * 4
-        # each transition reduces m0 @ k0 and what fine.d0's reduction leaves
-        # of [m1 @ k1 | fine.d0]: its non-pivot rows and non-unit pivot rows
-        fresh = reduced[2 * 5 :]
+        # each transition's covers checks read the invariants of m0 @ k0 and
+        # of what fine.d0's reduction leaves of [m1 @ k1 | fine.d0]: its
+        # non-pivot rows and non-unit pivot rows
+        fresh = [m for m in read if not any(m is cx.d0 or m is cx.d1 for cx in complexes)]
+        assert len(fresh) == 2 * 4
         for n in range(4):
             coarse, fine = complexes[n], complexes[n + 1]
             cmap = induced_cochain_map(fine, coarse, tower.transitions[n])
+            # a connected level's kernel of d0 is one column
             assert fresh[2 * n] == cmap.m0 @ kernel_basis(coarse.d0)
+            assert fresh[2 * n].ncols == 1
             rest = fresh[2 * n + 1]
             pivots = fine.d0._reduction[0]
             non_units = sum(1 for _, _, x in pivots if abs(x) != 1)
@@ -697,3 +719,7 @@ class TestStabilization:
             # a circle level from 2 on has as many edges as vertices, and its
             # d0 has rank V - 1 with unit pivots only: one row is left
             assert rest.nrows == (1 if n + 1 >= 2 else 0)
+        # a one-column or one-row matrix's invariant is the gcd of its entries,
+        # so of the fresh matrices only transition 0's empty rest is reduced
+        assert len(reduced) == 2 * 5 + 1
+        assert reduced[-1] is fresh[1]

@@ -5,10 +5,10 @@ relation ``r`` meaning ``r = 0`` in the quotient.  The spectrum of a
 presentation is the finite set of 0/1 assignments satisfying every
 relation.  A point is kept as its integer code: generator i of n is bit
 n-1-i, so ascending codes are the lexicographic order of the bit-strings
-under the presentation's generator order, and ``point_string`` gives that
-string.  The spectrum is found by evaluating each relation once, as a truth
-table with one bit per assignment.  Elements of the algebra
-are represented canonically as bit-vectors over the spectrum points, so that
+under the presentation's generator order, and ``FinBoolAlg.points`` gives
+those strings.  The spectrum is found by evaluating each relation once, as
+a truth table with one bit per assignment.  Elements of the algebra are
+represented canonically as bit-vectors over the spectrum points, so that
 equality of elements is equality of vectors.  The duality check certifies
 the bijection with one truth table per point, not one per vector.
 """
@@ -129,10 +129,16 @@ class FinBoolAlg:
         return {c: i for i, c in enumerate(self.codes)}
 
     @functools.cached_property
+    def points(self) -> list[str]:
+        """The points' bit-strings, generator 0 first: what the reports print."""
+        top = 1 << len(self.source.gens)
+        return [bin(c | top)[3:] for c in self.codes]
+
+    @functools.cached_property
     def masks(self) -> dict[str, int]:
         """Truth tables of the generators: bit i of masks[g] is g at point i."""
         n = len(self.source.gens)
-        digits = "".join([point_string(c, n) for c in self.codes])
+        digits = "".join(self.points)
         return {g: int(digits[j::n][::-1] or "0", 2) for j, g in enumerate(self.source.gens)}
 
     def zero(self) -> Bits:
@@ -140,11 +146,6 @@ class FinBoolAlg:
 
     def one(self) -> Bits:
         return (1,) * self.n_points
-
-
-def point_string(code: int, n: int) -> str:
-    """The bit-string of a point of ``n`` generators, generator 0 first."""
-    return format(code | 1 << n, "b")[1:]
 
 
 def _bits_of(v: int, n: int) -> Bits:
@@ -179,7 +180,7 @@ def evaluate(t: Term, a: FinBoolAlg) -> Bits:
 def minterm(a: FinBoolAlg, i: int) -> Term:
     """Full conjunction selecting exactly point ``i`` of the spectrum."""
     parts = []
-    for g, bit in zip(a.source.gens, point_string(a.codes[i], len(a.source.gens))):
+    for g, bit in zip(a.source.gens, a.points[i]):
         parts.append(Gen(g) if bit == "1" else Not(Gen(g)))
     return meet(parts)
 
@@ -446,7 +447,7 @@ def llpo_split(n: int) -> LlpoReport:
         first = 2 * n - code.bit_length()  # least generator a nonzero point hits
         side = "right" if code and first % 2 else "left"
         beta = 1 << n - 1 - first // 2 if code else 0
-        decode.append((side, tuple(map(int, point_string(beta, n)))))
+        decode.append((side, _bits_of(beta, n)[::-1]))
         # the decoded point, as a product-spectrum point e a0.. b0.., must map back
         dst_code = 1 << 2 * n | beta << n if side == "left" else beta
         if pm[dst_alg.point_index(dst_code)] != i:

@@ -143,6 +143,28 @@ def parse_tower_file(text: str) -> profinite.CountablePresentation:
     return _countable(_key_lines(text))
 
 
+_quote = json.encoder.encode_basestring_ascii
+_SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
+
+
+def _json(v, indent: str = "\n") -> str:
+    """``json.dumps(v, indent=2)`` for the types a report holds: dict with str
+    keys, list, str, int, bool and None; any other type is a TypeError."""
+    cls = type(v)
+    if cls in _SCALARS:
+        return _SCALARS[cls](v)
+    inner = indent + "  "
+    if cls is dict:
+        body = f",{inner}".join(f"{_quote(k)}: {_json(x, inner)}" for k, x in v.items())
+        return f"{{{inner}{body}{indent}}}" if body else "{}"
+    if cls is not list:
+        raise TypeError(f"a report holds no {cls.__name__}")
+    kinds = set(map(type, v))  # a list of one scalar type is one join, and no bool passes for an int
+    write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    body = f",{inner}".join(map(write, v) if write else (_json(x, inner) for x in v))
+    return f"[{inner}{body}{indent}]" if body else "[]"
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -166,8 +188,7 @@ def cmd_spectrum(args) -> Result:
     text = _read(args.file)
     p = parse_presentation(text)
     alg = boolalg.spectrum(p)
-    # a width-n binary format, or "" for the one point of no generators
-    points = list(map((f"{{:0{len(p.gens)}b}}" if p.gens else "").format, alg.codes))
+    points = alg.points
     fields = {"gens": list(p.gens), "n_points": alg.n_points, "points": points}
     lines = [
         f"presentation with {len(p.gens)} generators, {len(p.rels)} relations",
@@ -190,6 +211,11 @@ def cmd_duality(args) -> Result:
 def cmd_morphism(args) -> Result:
     text = _read(args.file)
     rep = boolalg.analyze_morphism(parse_morphism_file(text))
+    try:
+        str(rep.kernel_size)
+    except ValueError:  # 2^k has more digits than sys.get_int_max_str_digits() allows
+        k, printable = rep.kernel_size.bit_length() - 1, (10 ** sys.get_int_max_str_digits()).bit_length() - 1
+        raise errors.CapExceeded(k, printable, f"kernel of {k} killed points") from None
     fields = {
         "injective": rep.injective,
         "kernel_size": rep.kernel_size,
@@ -437,7 +463,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {args.subcommand} ran out of memory ({e!r})" if oom else f"error: {e}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(e, cls))
     if args.json:
-        print(json.dumps({"command": args.subcommand, "input": _digest(source), **fields}, indent=2))
+        print(_json({"command": args.subcommand, "input": _digest(source), **fields}))
     else:
         for line in lines if ok else [*lines, "CHECK FAILED"]:
             print(line)

@@ -223,8 +223,8 @@ Gens = Optional[Collection[str]]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# a token, or (group 1 unset) a character that starts none; whitespace
-# between matches is skipped by the search itself
+# a token, or (group 1 unset, so "" from findall) a character that starts
+# none; whitespace between matches is skipped by the search itself
 _TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[01|&~()])|\S")
 
 
@@ -232,19 +232,19 @@ def parse_term(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> 
     """Parse one Boolean expression that starts ``offset`` characters into
     its line, naming only ``gens`` if given.
 
-    One ``finditer`` pass lists ``(token, position)`` pairs, ending with
-    ``(None, len(text))``; a character that starts no token is listed as
-    None too.  The loop walks the list by index: each ``(`` pushes the
-    enclosing disjunction, conjunction and pending negations, and its ``)``
-    pops them, so nesting depth costs no recursion.  It never steps past a
-    None, so an error raised there is that character's, the leftmost one.
+    One ``findall`` pass lists the tokens, then None for the end of input;
+    a character that starts no token is listed as "".  The loop walks the
+    list by index: each ``(`` pushes the enclosing disjunction, conjunction
+    and pending negations, and its ``)`` pops them, so nesting depth costs
+    no recursion.  It never steps past a "", so an error raised there is
+    that character's, the leftmost one; an error rescans for its position.
     """
-    tokens = [(m[1], m.start()) for m in _TOKEN.finditer(text)]
-    tokens.append((None, len(text)))
+    tokens: list = _TOKEN.findall(text)
+    tokens.append(None)
 
     def error(message: str) -> ParseError:
-        tok, pos = tokens[i]
-        if tok is None and pos < len(text):
+        pos = next((m.start() for k, m in enumerate(_TOKEN.finditer(text)) if k == i), len(text))
+        if tokens[i] == "":
             message = f"unexpected character {text[pos]!r}"
         return ParseError(message, line, offset + pos + 1)
 
@@ -253,10 +253,10 @@ def parse_term(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> 
     i = 0
     while True:
         negations = 0
-        while tokens[i][0] == "~":
+        while tokens[i] == "~":
             i += 1
             negations += 1
-        tok = tokens[i][0]
+        tok = tokens[i]
         if tok == "(":
             i += 1
             frames.append((disj, conj, negations))
@@ -266,19 +266,19 @@ def parse_term(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> 
             raise error("unexpected end of input")
         if tok == "0" or tok == "1":
             t = ZERO if tok == "0" else ONE
-        elif _IDENT.fullmatch(tok):
-            if gens is not None and tok not in gens:
-                raise error(f"unknown generator {tok!r}")
-            t = Gen(tok)
-        else:
+        elif tok in "|&)":  # true of "" too; any other token is an identifier
             raise error(f"unexpected token {tok!r}")
+        elif gens is not None and tok not in gens:
+            raise error(f"unknown generator {tok!r}")
+        else:
+            t = Gen(tok)
         i += 1
         # t is a complete atom: fold it in, closing every ")" that follows it
         while True:
             for _ in range(negations):
                 t = Not(t)
             conj = t if conj is None else And(conj, t)
-            tok = tokens[i][0]
+            tok = tokens[i]
             if tok == "&":
                 break
             disj = conj if disj is None else Or(disj, conj)

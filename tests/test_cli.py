@@ -294,6 +294,25 @@ class TestExitCodes:
         assert main(["morphism", str(f)]) == EXIT_OK
         assert "matches dual surjectivity: True" in capsys.readouterr().out
 
+    def test_kernel_too_large_to_print_hits_the_cap(self, capsys, tmp_path):
+        # every one of 4 096 points is killed: 2^4096 has 1 234 digits, over
+        # the lowest int-to-str limit Python allows (640)
+        f = tmp_path / "mor.txt"
+        gens = [f"s{i}" for i in range(12)]
+        f.write_text(
+            f"src-gens: {' '.join(gens)}\nsrc-rels:\ndst-gens: x\ndst-rels: x, ~x\n"
+            f"map: {', '.join(f'{g} -> 0' for g in gens)}\n"
+        )
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            codes = [main(argv + ["morphism", str(f)]) for argv in ([], ["--json"])]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert codes == [EXIT_CAP, EXIT_CAP]
+        message = "error: kernel of 4096 killed points: enumeration over 2^4096 exceeds cap 2^2126\n"
+        assert capsys.readouterr() == ("", message * 2)
+
     def test_morphism_unkilled_relation_fails(self, tmp_path):
         f = tmp_path / "mor.txt"
         f.write_text(
@@ -442,6 +461,37 @@ class TestExitCodes:
         assert main(["stabilize", "circle", "--depth", "4"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "h1 induced maps iso: [True, False, True]" in out
+
+
+# quotes, backslashes, control and non-ASCII characters, lone surrogates
+_REPORT_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600'), st.characters(exclude_categories=())))
+_REPORT_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), _REPORT_TEXT,
+    st.integers(2**64, 10**30).flatmap(lambda n: st.sampled_from([n, -n])),
+)
+_REPORT_VALUES = st.recursive(
+    _REPORT_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(_REPORT_TEXT, inner, max_size=5),
+        # the one-join lists, and ints mixed with the bools they must not absorb
+        st.lists(st.integers(), max_size=5),
+        st.lists(_REPORT_TEXT, max_size=5),
+        st.lists(st.one_of(st.booleans(), st.integers(-2, 2)), max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestReportEncoder:
+    @given(_REPORT_VALUES)
+    def test_matches_json_dumps_with_indent_2(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {3}, {"a": [True, 0.0]}, [[()]]], ids=repr)
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
 
 
 def _argv_corpus(file: str) -> list[list[str]]:

@@ -94,11 +94,30 @@ class TestParser:
         ("(g0 | ", "unexpected end of input", 7),
         ("(g0 g1", "expected ')'", 5),
         ("g0 & )", "unexpected token ')'", 6),
+        # positions are found again by scanning, so pin them where tokens nest,
+        # after whitespace that \S skips, and at the end of input
+        ("((g0 & (g1 | @)))", "unexpected character '@'", 14),
+        ("(~(g0 | \xe9) & g1)", "unexpected character '\xe9'", 9),
+        ("g0 &\xa0\x1c  \t#", "unexpected character '#'", 10),
+        ("g0 |\xa0\xa0\x1c\t|", "unexpected token '|'", 9),
+        ("~(g0 &", "unexpected end of input", 7),
+        ("g0 | \xa0\x1c ", "unexpected end of input", 9),
+        ("(g0 & (g1 | g0)", "expected ')'", 16),
     ])
     def test_leftmost_error_is_reported(self, text, message, column):
         with pytest.raises(ParseError) as e:
             parse_term(text)
         assert str(e.value) == f"{message} (line 1, column {column})"
+
+    @pytest.mark.parametrize("text, line, offset, message", [
+        ("g0 & g1, ~(g0 | @)", 3, 5, "unexpected character '@' (line 3, column 22)"),
+        ("g0, g1 &\xa0", 2, 9, "unexpected end of input (line 2, column 19)"),
+        ("g0 | g1, (g1 g0)", 1, 4, "expected ')' (line 1, column 18)"),
+    ])
+    def test_error_in_a_later_list_term_counts_from_the_offset(self, text, line, offset, message):
+        with pytest.raises(ParseError) as e:
+            parse_term_list(text, line, offset)
+        assert str(e.value) == message
 
     @given(
         st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),

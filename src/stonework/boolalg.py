@@ -153,13 +153,10 @@ def _bits_of(v: int, n: int) -> Bits:
     return tuple(format(v | 1 << n, "b")[:0:-1].encode().translate(_BIT_VALUES))
 
 
-def spectrum(p: Presentation) -> FinBoolAlg:
-    """All assignments killing every relation, in lexicographic order.
-
-    Each relation's truth table is cleared from the set of all 2^n
-    assignments, so the cap bounds those tables.  Bit k of a table is the
-    assignment of code k: one regex scan finds the "1"s of what is left.
-    """
+def _cleared(p: Presentation) -> tuple[dict[str, int], int, int]:
+    """Generator masks over all 2^n assignments (bit k is the assignment of
+    code k, and the cap bounds these tables), the table of all of them, and
+    what is left of it once each relation's truth table is cleared."""
     check_cap(len(p.gens), f"spectrum of {len(p.gens)} generators")
     masks, size = {}, 1
     for g in reversed(p.gens):  # each generator doubles the table
@@ -169,6 +166,13 @@ def spectrum(p: Presentation) -> FinBoolAlg:
     full = alive = (1 << size) - 1
     for r in p.rels:
         alive &= ~eval_term(r, masks, full)
+    return masks, full, alive
+
+
+def spectrum(p: Presentation) -> FinBoolAlg:
+    """All assignments killing every relation, in lexicographic order: one
+    regex scan finds the "1"s of the table ``_cleared`` leaves."""
+    alive = _cleared(p)[2]
     return FinBoolAlg(p, tuple(map(re.Match.start, _ONE.finditer(format(alive, "b")[::-1]))))
 
 
@@ -237,16 +241,12 @@ def check_duality(p: Presentation) -> DualityReport:
     )
 
 
-def is_trivial(a: FinBoolAlg) -> bool:
-    """True iff the spectrum is empty, i.e. 0 = 1 in the algebra."""
-    return a.n_points == 0
-
-
 @dataclass(frozen=True)
 class Morphism:
     """Algebra map determined by generator images, checked well-defined.
 
-    It carries the spectra of both ends, each computed on first use.
+    It carries the spectra of both ends and the image tables, each computed
+    on first use.
     """
 
     src: Presentation
@@ -261,19 +261,30 @@ class Morphism:
     def dst_alg(self) -> FinBoolAlg:
         return spectrum(self.dst)
 
+    @functools.cached_property
+    def image_tables(self) -> dict[str, int]:
+        """Each source generator's image evaluated over the dst spectrum.
+        Evaluation is a homomorphism, so a source term evaluated under these
+        tables is the table of its image, with no substitution."""
+        a = self.dst_alg
+        full = (1 << a.n_points) - 1
+        return {g: eval_term(self.images[g], a.masks, full) for g in self.src.gens}
+
     def apply(self, t: Term) -> Term:
         return substitute(t, self.images)
 
 
 def hom(src: Presentation, images: Mapping[str, Term], dst: Presentation) -> Morphism:
-    """Build a morphism, rejecting it if some source relation is not killed."""
+    """Build a morphism, rejecting it if some source relation is not killed:
+    each relation is evaluated once under the image tables."""
     for g in src.gens:
         if g not in images:
             raise UnknownGenerator(g)
     m = Morphism(src, dst, dict(images))
-    dst_alg = m.dst_alg
+    # built now, so an image outside dst raises UnknownGenerator even if no relation uses it
+    tables, full = m.image_tables, (1 << m.dst_alg.n_points) - 1
     for idx, r in enumerate(src.rels):
-        if any(evaluate(m.apply(r), dst_alg)):
+        if eval_term(r, tables, full):
             raise RelationNotKilled(idx)
     return m
 
@@ -284,10 +295,10 @@ def identity(p: Presentation) -> Morphism:
 
 def point_map(m: Morphism) -> list[int]:
     """Induced map Sp(dst) -> Sp(src) by precomposition, as point indices."""
-    src_alg, dst_alg = m.src_alg, m.dst_alg
-    codes = [0] * dst_alg.n_points
+    src_alg, n = m.src_alg, m.dst_alg.n_points
+    codes = [0] * n
     for g in m.src.gens:  # g's image evaluated at each point is its next bit
-        codes = [c << 1 | b for c, b in zip(codes, evaluate(m.images[g], dst_alg))]
+        codes = [c << 1 | b for c, b in zip(codes, _bits_of(m.image_tables[g], n))]
     return [src_alg.point_index(c) for c in codes]
 
 
@@ -305,23 +316,23 @@ def analyze_morphism(m: Morphism) -> MorphismReport:
     """Kernel, injectivity and the dual point map, checked for consistency.
 
     Injectivity is decided by pushing every minterm element through the
-    morphism by substitution (an element maps to 0 iff it is a join of
-    minterms that map to 0); surjectivity of the point map is computed
-    independently by precomposition, and the two must agree.
+    morphism by substitution, one evaluation over the dst spectrum each (an
+    element maps to 0 iff it is a join of minterms that map to 0), and
+    ``kernel_top`` is read off point by point.  Surjectivity of the point map
+    is computed independently, from the image tables, and the two must agree;
+    read both off the tables and they would agree by construction.
     """
     src_alg, dst_alg = m.src_alg, m.dst_alg
-    killed = []
-    for i in range(src_alg.n_points):
-        img = evaluate(m.apply(minterm(src_alg, i)), dst_alg)
-        if not any(img):
-            killed.append(i)
-    kernel_top = tuple(1 if i in killed else 0 for i in range(src_alg.n_points))
+    masks, full = dst_alg.masks, (1 << dst_alg.n_points) - 1
+    images = (m.apply(minterm(src_alg, i)) for i in range(src_alg.n_points))
+    kernel_top = tuple(int(not eval_term(t, masks, full)) for t in images)
+    killed = kernel_top.count(1)
     pm = point_map(m)
     surjective = set(pm) == set(range(src_alg.n_points))
     injective = not killed
     return MorphismReport(
         injective=injective,
-        kernel_size=2 ** len(killed),
+        kernel_size=2**killed,
         kernel_top=kernel_top,
         point_map=tuple(pm),
         point_map_surjective=surjective,
@@ -512,11 +523,17 @@ def minimal_join_witness(
     rels: Sequence[Term],
     bound: int,
 ) -> Optional[int]:
-    """Least k <= bound with p quotiented by rels[0..k] trivial, if any."""
-    current = list(p.rels)
+    """Least k <= bound with p quotiented by rels[0..k] trivial, if any.
+
+    After p's relations, rels[k] is cleared from the table of assignments
+    one k at a time until none is left: each relation is evaluated once.
+    """
+    if bound < 0 or not rels:
+        return None
+    masks, full, alive = _cleared(p)
     for k, r in enumerate(rels[: bound + 1]):
-        current.append(r)
-        if is_trivial(spectrum(Presentation.make(p.gens, current))):
+        alive &= ~eval_term(r, masks, full)
+        if not alive:
             return k
     return None
 

@@ -9,12 +9,36 @@ from fractions import Fraction
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from stonework.boolalg import Bits, FinBoolAlg, Presentation, _bits_of, evaluate, realize
+from stonework.boolalg import (
+    Bits,
+    FinBoolAlg,
+    Morphism,
+    MorphismReport,
+    Presentation,
+    _bits_of,
+    evaluate,
+    minterm,
+    realize,
+    spectrum,
+)
 from stonework.errors import UnknownGenerator
 from stonework.errors import RelationNotPreserved
 from stonework.interval import BitWord, _check_lengths, interval_graph
 from stonework.profinite import CountablePresentation, RelGraph, RelGraphTower
-from stonework.terms import And, Gen, Not, ONE, One, Or, Term, ZERO, Zero, eval_term, generators_of
+from stonework.terms import (
+    And,
+    Gen,
+    Not,
+    ONE,
+    One,
+    Or,
+    Term,
+    ZERO,
+    Zero,
+    eval_term,
+    generators_of,
+    substitute,
+)
 from stonework.zhomology import (
     ChainComplexZ,
     CochainMap,
@@ -177,6 +201,39 @@ def duality_failures_exhaustive(a: FinBoolAlg) -> tuple[Bits, ...]:
     does not give back, one vector at a time (independent oracle)."""
     return tuple(
         v for v in itertools.product((0, 1), repeat=a.n_points) if evaluate(realize(v, a), a) != v
+    )
+
+
+def witness_from_scratch(p: Presentation, rels, bound: int):
+    """Least k <= bound with p quotiented by rels[0..k] trivial, each prefix
+    rebuilt as a presentation and enumerated from scratch (an oracle)."""
+    for k in range(min(bound + 1, len(rels))):
+        if spectrum(Presentation.make(p.gens, [*p.rels, *rels[: k + 1]])).n_points == 0:
+            return k
+    return None
+
+
+def morphism_report_by_substitution(m: Morphism) -> MorphismReport:
+    """``analyze_morphism`` from scratch, with no cached spectra or image
+    tables: each source minterm's image built by substitution and evaluated,
+    and the point map read off each image term evaluated over the dst
+    spectrum (an oracle)."""
+    src_alg, dst_alg = spectrum(m.src), spectrum(m.dst)
+    killed = [
+        i for i in range(src_alg.n_points) if not any(evaluate(substitute(minterm(src_alg, i), m.images), dst_alg))
+    ]
+    codes = [0] * dst_alg.n_points
+    for g in m.src.gens:
+        codes = [c << 1 | b for c, b in zip(codes, evaluate(m.images[g], dst_alg))]
+    pm = tuple(src_alg.codes.index(c) for c in codes)
+    surjective = set(pm) == set(range(src_alg.n_points))
+    return MorphismReport(
+        injective=not killed,
+        kernel_size=2 ** len(killed),
+        kernel_top=tuple(int(i in killed) for i in range(src_alg.n_points)),
+        point_map=pm,
+        point_map_surjective=surjective,
+        axiom2_consistent=(not killed) == surjective,
     )
 
 

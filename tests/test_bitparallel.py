@@ -4,7 +4,10 @@
 ``evaluate``, ``point_map`` and tower transitions are built on it.  Each is
 compared here with ``eval_term_reference`` run on one assignment at a time.
 The code scan of ``spectrum`` and the level-by-level towers are compared
-with the table scan and the from-scratch truncations of ``conftest``.
+with the table scan and the from-scratch truncations of ``conftest``; the
+incremental trivializing prefix with one rebuilt presentation per prefix;
+and ``hom`` and ``analyze_morphism``, which read cached image tables, with
+a morphism report computed from scratch.
 """
 
 import itertools
@@ -17,20 +20,25 @@ from conftest import (
     code_of,
     codes_by_compress,
     eval_term_reference,
+    morphism_report_by_substitution,
     point_of,
     presentations,
     restrict_per_bit,
     term_strategy,
     truncations_from_scratch,
+    witness_from_scratch,
 )
 from stonework.boolalg import (
     Presentation,
+    analyze_morphism,
     evaluate,
     free,
     hom,
+    minimal_join_witness,
     point_map,
     spectrum,
 )
+from stonework.errors import RelationNotKilled
 from stonework.profinite import FAMILIES, CountablePresentation, spectrum_tower, truncation_tower
 from stonework.terms import Gen, Not, ONE, ZERO, eval_term, join, meet, substitute
 
@@ -98,6 +106,46 @@ def test_point_map_matches_brute_force(dst, m, data):
         a = dict(zip(dst.gens, pt))
         expected.append(src_points.index(tuple(eval_term_reference(images[g], a) for g in src_gens)))
     assert point_map(hom(src, images, dst)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_gens=5), st.data())
+def test_incremental_witness_matches_prefix_rebuild(p, data):
+    seq = data.draw(st.lists(terms_over(len(p.gens), 3), max_size=6))
+    bound = data.draw(st.integers(-3, len(seq) + 2))
+    assert minimal_join_witness(p, seq, bound) == witness_from_scratch(p, seq, bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_gens=4), st.integers(0, 4), st.booleans(), st.data())
+def test_morphism_report_matches_substitution(dst, m, trivial, data):
+    if trivial:  # a relation 1 empties the dst spectrum, so every point is killed
+        dst = Presentation.make(dst.gens, [*dst.rels, ONE])
+    src_gens = [f"s{i}" for i in range(m)]
+    images = {g: data.draw(terms_over(len(dst.gens), 3)) for g in src_gens}
+    dst_alg = spectrum(dst)
+    candidates = data.draw(st.lists(term_strategy(src_gens, max_depth=3), max_size=3))
+    unkilled = [i for i, r in enumerate(candidates) if any(evaluate(substitute(r, images), dst_alg))]
+    if unkilled:
+        with pytest.raises(RelationNotKilled) as e:
+            hom(Presentation.make(src_gens, candidates), images, dst)
+        assert e.value.index == unkilled[0]
+    rels = [r for i, r in enumerate(candidates) if i not in unkilled]
+    f = hom(Presentation.make(src_gens, rels), images, dst)
+    assert analyze_morphism(f) == morphism_report_by_substitution(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 16), st.data())
+def test_evaluation_commutes_with_substitution(m, n, width, data):
+    # eval(substitute(t, images), M) == eval(t, {g: eval(images[g], M)}): what image tables rest on
+    full = (1 << width) - 1
+    masks = {g: data.draw(st.integers(0, full)) for g in GENS[:n]}
+    src_gens = [f"s{i}" for i in range(m)]
+    images = {g: data.draw(terms_over(n, 3)) for g in src_gens}
+    t = data.draw(term_strategy(src_gens))
+    tables = {g: eval_term(images[g], masks, full) for g in src_gens}
+    assert eval_term(substitute(t, images), masks, full) == eval_term(t, tables, full)
 
 
 @settings(max_examples=60, deadline=None)

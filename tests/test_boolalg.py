@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import code_of, duality_failures_exhaustive, point_of, presentations, random_term
+from conftest import (
+    code_of,
+    duality_failures_exhaustive,
+    point_of,
+    presentations,
+    random_term,
+    witness_from_scratch,
+)
 from stonework import boolalg
 from stonework.boolalg import (
     DEFAULT_CAP,
@@ -23,7 +30,6 @@ from stonework.boolalg import (
     free,
     hom,
     identity,
-    is_trivial,
     llpo_product_presentation,
     llpo_split,
     minimal_join_witness,
@@ -41,7 +47,7 @@ from stonework.errors import (
     RelationNotKilled,
     UnknownGenerator,
 )
-from stonework.terms import And, Gen, Not, ONE, Or, ZERO, eval_term, join
+from stonework.terms import And, Gen, Not, ONE, Or, ZERO, eval_term, join, substitute
 
 G0, G1, G2 = Gen("g0"), Gen("g1"), Gen("g2")
 
@@ -68,7 +74,7 @@ class TestSpectrum:
     def test_relation_one_kills_everything(self):
         a = spectrum(Presentation.make(["g0"], [ONE]))
         assert a.codes == ()
-        assert is_trivial(a)
+        assert a.n_points == 0
 
     def test_binfty_points_are_zero_and_one_hots(self):
         a = spectrum(binfty(3))
@@ -77,7 +83,7 @@ class TestSpectrum:
 
     def test_complementary_relations_trivialize(self):
         a = spectrum(Presentation.make(["g0"], [G0, Not(G0)]))
-        assert is_trivial(a)
+        assert a.n_points == 0
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("STONEWORK_CAP", "4")
@@ -216,6 +222,10 @@ class TestMorphisms:
         with pytest.raises(UnknownGenerator):
             hom(free(2), {"g0": G0}, free(1))
 
+    def test_hom_rejects_an_image_outside_dst_that_no_relation_uses(self):
+        with pytest.raises(UnknownGenerator, match="'x'"):
+            hom(Presentation.make(["g0", "g1"], [G0]), {"g0": G0, "g1": Gen("x")}, free(1))
+
     def test_hom_rejects_unkilled_relation(self):
         with pytest.raises(RelationNotKilled) as exc:
             hom(binfty(2), {"g0": G0, "g1": G0}, free(1))
@@ -300,6 +310,31 @@ class TestMorphisms:
                 continue
             assert analyze_morphism(m).axiom2_consistent
             checked += 1
+
+
+class TestMorphismEvaluations:
+    """``hom`` evaluates each image and each relation once, under the image
+    tables and with no substitution; ``analyze_morphism`` substitutes and
+    evaluates each source minterm once."""
+
+    @pytest.mark.parametrize("src", [free(8), binfty(8)], ids=["free", "binfty"])
+    def test_every_point_killed(self, monkeypatch, src):
+        evaluated, substituted = [], []
+        real_eval, real_substitute = boolalg.eval_term, boolalg.substitute
+        monkeypatch.setattr(boolalg, "eval_term", lambda t, *rest: evaluated.append(t) or real_eval(t, *rest))
+        monkeypatch.setattr(boolalg, "substitute", lambda *args: substituted.append(args) or real_substitute(*args))
+        dst = Presentation.make(["h0", "h1"], [ONE])  # empty spectrum
+        images = {g: Gen(f"h{i % 2}") for i, g in enumerate(src.gens)}
+        m = hom(src, images, dst)
+        assert evaluated == [ONE, *images.values(), *src.rels]
+        assert substituted == []
+        evaluated.clear()
+        rep = analyze_morphism(m)
+        minterms = [minterm(m.src_alg, i) for i in range(m.src_alg.n_points)]
+        assert substituted == [(t, images) for t in minterms]
+        assert evaluated == [*src.rels, *(substitute(t, images) for t in minterms)]
+        assert rep.kernel_top == (1,) * len(minterms)
+        assert (rep.kernel_size, rep.point_map) == (2 ** len(minterms), ())
 
 
 class TestBinftyNormalForm:
@@ -476,6 +511,30 @@ class TestMinimalJoinWitness:
     def test_bound_respected(self):
         assert minimal_join_witness(free(1), [ZERO, ZERO, ONE], 1) is None
         assert minimal_join_witness(free(1), [ZERO, ZERO, ONE], 2) == 2
+
+    @pytest.mark.parametrize(
+        "p, seq, bound, expected",
+        [
+            (free(1), [G0, Not(G0)], 0, None),
+            (free(1), [ONE], 0, 0),
+            (free(1), [G0, Not(G0)], 2, 1),
+            (free(1), [G0, Not(G0)], 10, 1),
+            (free(1), [ZERO, ONE, ZERO], -2, None),  # rels[: bound + 1] would read rels[:-1]
+            (free(2), [], 3, None),
+            (Presentation.make(["g0"], [ONE]), [ZERO, ZERO], 1, 0),
+            (Presentation.make(["g0"], [ONE]), [], 1, None),
+            (free(1), [ONE, Gen("x")], 1, 0),  # the unknown generator is never reached
+        ],
+        ids=["bound-0", "bound-0-hit", "bound-len", "bound-past-len", "negative", "empty-seq",
+             "trivial-p", "trivial-p-empty-seq", "unknown-after-witness"],
+    )
+    def test_edge_cases_match_prefix_rebuild(self, p, seq, bound, expected):
+        assert minimal_join_witness(p, seq, bound) == witness_from_scratch(p, seq, bound) == expected
+
+    def test_unknown_generator_before_witness_raises(self):
+        for witness in (minimal_join_witness, witness_from_scratch):
+            with pytest.raises(UnknownGenerator, match="'x'"):
+                witness(free(1), [ZERO, Gen("x"), ONE], 5)
 
 
 class TestSeparateClosed:

@@ -73,12 +73,14 @@ class IntMatrix:
                 ((k, a),) = r
                 row = other.rows[k]
                 rows.append(row if a == 1 else tuple((j, a * b) for j, b in row))
-                continue
-            acc: dict[int, int] = {}
-            for k, coeff in r:
-                for j, b in other.rows[k]:
-                    acc[j] = acc.get(j, 0) + coeff * b
-            rows.append(_sparse_row(acc))
+            elif not r:
+                rows.append(r)
+            else:
+                acc: dict[int, int] = {}
+                for k, coeff in r:
+                    for j, b in other.rows[k]:
+                        acc[j] = acc.get(j, 0) + coeff * b
+                rows.append(_sparse_row(acc))
         return IntMatrix(self.nrows, other.ncols, tuple(rows))
 
     @property
@@ -100,10 +102,50 @@ class IntMatrix:
         """The one Smith reduction of this matrix, which every reader shares."""
         return _diagonalize(self)
 
+    @functools.cached_property
+    def _forest(self) -> Optional[tuple[list[int], list[tuple[int, int, int, int]], list[int]]]:
+        """A breadth-first spanning forest of this matrix read as a graph's d0,
+        or None unless every row is -e_i + e_j with i < j, as in
+        ``graph_cech_complex``.
+
+        Returns each column's component number (components numbered by their
+        least column), the tree rows in breadth-first order as (row, parent,
+        child, sign), and the other rows in ascending order.  Row ``row``
+        reads sign * (y[child] - y[parent]) off a vertex cochain y.  Pairing
+        each child with its tree row is the vertex-edge half of a discrete
+        Morse matching (Forman, Adv. Math. 134, 1998): the roots and the
+        other rows are the critical cells.
+        """
+        nbrs: list[list[tuple[int, int, int]]] = [[] for _ in range(self.ncols)]
+        for r, row in enumerate(self.rows):
+            if len(row) != 2 or row[0][1] != -1 or row[1][1] != 1:
+                return None
+            (i, _), (j, _) = row
+            nbrs[i].append((r, j, 1))
+            nbrs[j].append((r, i, -1))
+        comp = [-1] * self.ncols
+        tree: list[tuple[int, int, int, int]] = []
+        in_tree = bytearray(self.nrows)
+        roots = 0
+        for s in range(self.ncols):
+            if comp[s] >= 0:
+                continue
+            comp[s] = roots
+            queue = [s]
+            for u in queue:
+                for r, v, sign in nbrs[u]:
+                    if comp[v] < 0:
+                        comp[v] = roots
+                        tree.append((r, u, v, sign))
+                        in_tree[r] = 1
+                        queue.append(v)
+            roots += 1
+        return comp, tree, [r for r in range(self.nrows) if not in_tree[r]]
+
 
 def _sparse_row(entries: dict[int, int]) -> tuple[tuple[int, int], ...]:
     """The canonical row of a {column: value} map, zeros dropped."""
-    return tuple(sorted((j, x) for j, x in entries.items() if x))
+    return tuple(sorted(item for item in entries.items() if item[1]))
 
 
 def _diagonalize(m: IntMatrix) -> tuple[list[tuple[int, int, int]], list[Op], list[Op]]:
@@ -288,12 +330,17 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def snf_invariants(m: IntMatrix) -> list[int]:
-    """Diagonal of the Smith form, read off the pivots alone, or for one row
-    or one column without a reduction: its one factor is the entries' gcd."""
+    """Diagonal of the Smith form, read off the pivots alone, or without a
+    reduction for one row or one column (its one factor is the entries'
+    gcd) and for a graph's d0, which is totally unimodular: its rank is the
+    number of tree rows of its spanning forest, and each factor is 1."""
     if min(m.shape) == 1:
         return [math.gcd(*(x for row in m.rows for _, x in row))]
-    pivots = m._reduction[0]
-    return [abs(x) for _, _, x in pivots] + [0] * (min(m.nrows, m.ncols) - len(pivots))
+    if m._forest is not None:
+        factors = [1] * len(m._forest[1])
+    else:
+        factors = [abs(x) for _, _, x in m._reduction[0]]
+    return factors + [0] * (min(m.nrows, m.ncols) - len(factors))
 
 
 def snf_diagonal(d: IntMatrix) -> list[int]:
@@ -301,7 +348,11 @@ def snf_diagonal(d: IntMatrix) -> list[int]:
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Never-pivoted columns of V: they generate the integer kernel lattice of ``m``."""
+    """Never-pivoted columns of V: they generate the integer kernel lattice of
+    ``m``.  A graph's d0 has one column per component instead, its indicator."""
+    if m._forest is not None:
+        comp = m._forest[0]
+        return IntMatrix(m.ncols, m.ncols - len(m._forest[1]), tuple(((k, 1),) for k in comp))
     pivoted = {c for _, c, _ in m._reduction[0]}
     return _v_columns(m, [j for j in range(m.ncols) if j not in pivoted])
 
@@ -509,6 +560,8 @@ def graph_cech_complex(g: RelGraph) -> ChainComplexZ:
     related triple i < j < k, both in lexicographic order.  This complex is
     chain-homotopy equivalent to the ordered one on all related tuples,
     repeats included (Munkres, Elements of Algebraic Topology, section 13).
+    It stops at triangles, which is enough for H0 and H1: a graph with
+    4-cliques, such as the king's graph, needs no degree-3 simplex for them.
     """
     n, adj = len(g.vertices), g.adjacent
     # the neighbour lists ascend, so edges, triangles and their faces come out sorted
@@ -568,32 +621,57 @@ def induced_cochain_map(fine: ChainComplexZ, coarse: ChainComplexZ, image: Seque
     return CochainMap(m0, m1, m2)
 
 
-def _covers_kernel(g: IntMatrix, kernel_rank: int, d: Optional[IntMatrix] = None) -> bool:
-    """Do the columns of g, and of d if given, generate a saturated kernel
-    lattice of the given rank?
+def _covers_kernel(g: IntMatrix, kernel_rank: int) -> bool:
+    """Do the columns of g generate a saturated kernel lattice of the given rank?
 
     The columns are assumed to lie inside the kernel; because integer kernels
     are saturated, they generate the whole kernel exactly when their lattice
-    has the kernel's rank and unit invariant factors.  With d, its known
-    reduction stands in for reducing [g | d]: its row operations replayed on
-    g give U [g | d] diag(I, V) = [U g | D], D zero but for d's pivots.  A
-    unit pivot's column clears the rest of its row, which splits off an
-    invariant factor 1.  Only the other rows of U g are left to reduce, each
-    non-unit pivot's row with its pivot appended.
+    has the kernel's rank and unit invariant factors.
     """
-    if d is not None:
-        if g.nrows != d.nrows:
-            raise ValueError(f"g has {g.nrows} rows but d has {d.nrows}")
-        pivots, rowops, _ = d._reduction
-        ug = _replay([dict(r) for r in g.rows], rowops)
-        others = [(r, x) for r, _, x in pivots if x != 1 and x != -1]
-        rest = [_sparse_row(ug[r]) + ((g.ncols + t, x),) for t, (r, x) in enumerate(others)]
-        pivoted = {r for r, _, _ in pivots}
-        rest += [_sparse_row(ug[i]) for i in range(g.nrows) if i not in pivoted]
-        g = IntMatrix(len(rest), g.ncols + len(others), tuple(rest))
-        kernel_rank -= len(pivoted) - len(others)
     nonzero = [x for x in snf_invariants(g) if x != 0]
     return len(nonzero) == kernel_rank and all(x == 1 for x in nonzero)
+
+
+def _h1_representatives(cx: ChainComplexZ) -> IntMatrix:
+    """Generators of the cocycles that vanish on the tree rows of d0's forest.
+
+    C1 = im d0 + N is a direct sum, N the cochains that vanish on the tree
+    rows, so these cocycles map isomorphically onto H1: they are the kernel
+    of d1 restricted to the other rows' columns, extended by 0.
+    """
+    _, _, cotree = cx.d0._forest
+    at = {e: k for k, e in enumerate(cotree)}
+    restricted = tuple(tuple((at[j], x) for j, x in row if j in at) for row in cx.d1.rows)
+    k = kernel_basis(IntMatrix(cx.d1.nrows, len(cotree), restricted))
+    rows = [()] * cx.d0.nrows
+    for e, row in zip(cotree, k.rows):
+        rows[e] = row
+    return IntMatrix(cx.d0.nrows, k.ncols, tuple(rows))
+
+
+def _project_off_tree(x: IntMatrix, d0: IntMatrix) -> IntMatrix:
+    """Each column of x minus the coboundary d0 y that clears it on the tree
+    rows of d0's forest, read on the other rows.
+
+    The potentials y follow the tree from each root, where y is 0: a tree
+    row (row, parent, child, sign) sets y[child] = y[parent] + sign * x[row].
+    """
+    _, tree, cotree = d0._forest
+    columns = [[0] * x.nrows for _ in range(x.ncols)]
+    for r, row in enumerate(x.rows):
+        for c, v in row:
+            columns[c][r] = v
+    out: list[list[tuple[int, int]]] = [[] for _ in cotree]
+    for c, col in enumerate(columns):
+        y = [0] * d0.ncols
+        for r, parent, child, sign in tree:
+            y[child] = y[parent] + sign * col[r]
+        for k, e in enumerate(cotree):
+            (i, _), (j, _) = d0.rows[e]
+            val = col[e] - y[j] + y[i]
+            if val:
+                out[k].append((c, val))
+    return IntMatrix(len(cotree), x.ncols, tuple(map(tuple, out)))
 
 
 @dataclass(frozen=True)
@@ -632,17 +710,15 @@ def stabilization_report(tower: RelGraphTower, depth: int) -> StabilizationRepor
         coarse, fine = complexes[n], complexes[n + 1]
         cmap = induced_cochain_map(fine, coarse, tower.transitions[n])
         lo, hi = results[n], results[n + 1]
-        # kernel ranks at the target level, by rank-nullity from the reports
-        z0_hi = hi.h0.rank
-        rank0_hi = hi.dims[0] - z0_hi
-        z1_hi = hi.h1.rank + rank0_hi
         # a surjective map between groups with equal invariants is an
         # isomorphism (finitely generated abelian groups are Hopfian)
-        surj0 = _covers_kernel(cmap.m0 @ kernel_basis(coarse.d0), z0_hi)
+        surj0 = _covers_kernel(cmap.m0 @ kernel_basis(coarse.d0), hi.h0.rank)
         h0_iso.append(lo.h0 == hi.h0 and surj0)
-        # [m1 @ k1 | fine.d0] is read off fine.d0's reduction, which homology made
-        surj1 = _covers_kernel(cmap.m1 @ kernel_basis(coarse.d1), z1_hi, fine.d0)
-        h1_iso.append(lo.h1 == hi.h1 and surj1)
+        # m1 maps im d0 into im d0, so coarse H1 covers fine H1 exactly when
+        # the coarse representatives, pulled back and projected onto the fine
+        # cochains that vanish on tree rows, generate the fine representatives
+        pulled = _project_off_tree(cmap.m1 @ _h1_representatives(coarse), fine.d0)
+        h1_iso.append(lo.h1 == hi.h1 and _covers_kernel(pulled, hi.h1.rank))
     return StabilizationReport(tuple(results), tuple(h0_iso), tuple(h1_iso))
 
 

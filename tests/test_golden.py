@@ -67,16 +67,20 @@ CASES = {
     "cohomology-interval-12": ["cohomology", "interval", "--level", "12"],
     "cohomology-circle-12": ["cohomology", "circle", "--level", "12"],
     "cohomology-circle-14": ["cohomology", "circle", "--level", "14"],
+    "cohomology-interval-16": ["cohomology", "interval", "--level", "16"],
+    "cohomology-circle-16": ["cohomology", "circle", "--level", "16"],
     "interval-image": ["interval-image", "--cylinders", "01,0010,111,1"],
     "stabilize-interval-4": ["stabilize", "interval", "--depth", "4"],
     "stabilize-interval-10": ["stabilize", "interval", "--depth", "10"],
     "stabilize-interval-12": ["stabilize", "interval", "--depth", "12"],
     "stabilize-interval-14": ["stabilize", "interval", "--depth", "14"],
+    "stabilize-interval-16": ["stabilize", "interval", "--depth", "16"],
     "stabilize-circle-5": ["stabilize", "circle", "--depth", "5"],
     "stabilize-circle-8": ["stabilize", "circle", "--depth", "8"],
     "stabilize-circle-10": ["stabilize", "circle", "--depth", "10"],
     "stabilize-circle-12": ["stabilize", "circle", "--depth", "12"],
     "stabilize-circle-14": ["stabilize", "circle", "--depth", "14"],
+    "stabilize-circle-16": ["stabilize", "circle", "--depth", "16"],
 }
 
 

@@ -25,7 +25,7 @@ from conftest import (
 from stonework import zhomology
 from stonework.errors import InvariantViolated, RelationNotPreserved
 from stonework.interval import circle_graph, circle_tower, interval_graph, interval_tower
-from stonework.profinite import RelGraph, equality_graph
+from stonework.profinite import RelGraph, RelGraphTower, equality_graph
 from stonework.zhomology import (
     AbInvariants,
     ChainComplexZ,
@@ -296,37 +296,123 @@ class TestTieHeavySmith:
             assert rational_rank(k) == k.ncols
 
 
+def smith_invariants(m: IntMatrix) -> list[int]:
+    """The invariant factors read off ``m``'s Smith reduction, whatever its rows."""
+    pivots = m._reduction[0]
+    return [abs(x) for _, _, x in pivots] + [0] * (min(m.shape) - len(pivots))
+
+
+def covers_by_smith(g: IntMatrix, kernel_rank: int) -> bool:
+    """``_covers_kernel`` with the invariants taken from a Smith reduction."""
+    nonzero = [x for x in smith_invariants(g) if x != 0]
+    return len(nonzero) == kernel_rank and all(x == 1 for x in nonzero)
+
+
+def graph_of_edges(n: int, edges) -> RelGraph:
+    """The reflexive symmetric relation on 0..n-1 with the given edges."""
+    pairs = {(v, v) for v in range(n)} | {p for u, v in edges for p in ((u, v), (v, u))}
+    return graph_from_pairs(range(n), pairs)
+
+
+# isolated vertices, several components, triangles, and no edges at all
+FOREST_EXAMPLES = (
+    graph_of_edges(0, ()),
+    graph_of_edges(1, ()),
+    graph_of_edges(4, ()),
+    graph_of_edges(6, ((0, 1), (1, 2), (0, 2), (4, 5))),
+    graph_of_edges(7, ((0, 3), (3, 5), (5, 0), (1, 6), (2, 6), (1, 2), (5, 6))),
+    graph_of_edges(5, itertools.combinations(range(5), 2)),
+)
+
+
 @st.composite
-def stacked_pairs(draw) -> tuple[IntMatrix, IntMatrix]:
-    """(g, d) of equal height; d's entries favour non-unit pivots and torsion."""
-    nrows = draw(st.integers(1, 5))
+def graph_towers(draw, max_vertices: int = 10) -> RelGraphTower:
+    """Towers of up to three levels: each level below the top is the image
+    of the one above under a random vertex map, with the image relation."""
+    levels = [draw(rel_graphs(max_vertices))]
+    transitions = []
+    for _ in range(draw(st.integers(1, 2))):
+        g = levels[0]
+        f = [draw(st.integers(0, 3)) for _ in g.vertices]
+        image = draw(st.permutations(sorted(set(f))))
+        pos = {v: k for k, v in enumerate(image)}
+        pairs = {(f[i], f[j]) for i, row in enumerate(g.adjacent) for j in row}
+        levels.insert(0, graph_from_pairs(image, pairs))
+        transitions.insert(0, tuple(pos[v] for v in f))
+    return RelGraphTower(tuple(levels), tuple(transitions))
 
-    def block(entries) -> IntMatrix:
-        ncols = draw(st.integers(0, 4))
-        cells = st.lists(entries, min_size=ncols, max_size=ncols)
-        return IntMatrix.from_rows(draw(st.lists(cells, min_size=nrows, max_size=nrows)), ncols)
 
-    return block(st.integers(-9, 9)), block(st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 4, 6)))
+class TestForestMatchesSmith:
+    """A graph's d0 is read off a spanning forest; the Smith reduction agrees."""
 
-
-class TestCoversKernelBesideAReducedMatrix:
-    """The covers check read off d's reduction agrees with reducing [g | d]."""
-
-    @given(stacked_pairs())
+    @given(rel_graphs(max_vertices=10))
     @settings(max_examples=150, deadline=None)
-    @example((IntMatrix.from_rows([[1], [3]]), IntMatrix.from_rows([[2, 0], [0, 6]])))
-    @example((IntMatrix.from_rows([[0], [1]]), IntMatrix.from_rows([[2, 0], [0, 6]])))
-    @example((IntMatrix.from_rows([[1], [0]]), IntMatrix.from_rows(ZERO_MULTIPLE_OPS[0])))
-    @example((IntMatrix.from_rows([[1, 0], [0, 2], [1, 1]]), IntMatrix.from_rows(ZERO_MULTIPLE_OPS[1])))
-    def test_matches_the_stacked_reduction(self, pair):
-        g, d = pair
-        for rank in range(g.nrows + 2):
-            expected = zhomology._covers_kernel(g.hstack(d), rank)
-            assert zhomology._covers_kernel(g, rank, d) == expected
+    @example(FOREST_EXAMPLES[0])
+    @example(FOREST_EXAMPLES[1])
+    @example(FOREST_EXAMPLES[2])
+    @example(FOREST_EXAMPLES[3])
+    @example(FOREST_EXAMPLES[4])
+    @example(FOREST_EXAMPLES[5])
+    def test_invariants_and_kernel(self, g: RelGraph):
+        d0 = graph_cech_complex(g).d0
+        assert d0._forest is not None
+        assert snf_invariants(d0) == smith_invariants(d0)
+        k = kernel_basis(d0)
+        assert (d0 @ k).is_zero()
+        # the forest's kernel and the Smith kernel generate the same lattice
+        pivoted = {c for _, c, _ in d0._reduction[0]}
+        smith = zhomology._v_columns(d0, [j for j in range(d0.ncols) if j not in pivoted])
+        assert k.ncols == smith.ncols
+        if k.ncols:
+            solve_exact(k, smith)
+            solve_exact(smith, k)
 
-    def test_height_mismatch(self):
-        with pytest.raises(ValueError, match=r"^g has 2 rows but d has 3$"):
-            zhomology._covers_kernel(IntMatrix.zero(2, 1), 1, IntMatrix.zero(3, 1))
+    @given(graph_towers())
+    @settings(max_examples=100, deadline=None)
+    def test_stabilization_matches_ordered_oracle(self, tower: RelGraphTower):
+        depth = len(tower.levels)
+        assert stabilization_report(tower, depth) == ordered_stabilization_report(tower, depth)
+        # the oracle's d0 has a zero row per vertex, so it is reduced by Smith
+        for g in tower.levels:
+            if g.vertices:
+                assert ordered_graph_complex(g).d0._forest is None
+
+
+def check_projection(cx: ChainComplexZ, gens: IntMatrix) -> None:
+    """Cocycles gens and d0 cover ker d1 exactly when the projections of gens
+    onto the cochains that vanish on tree rows cover those cocycles."""
+    assert (cx.d1 @ gens).is_zero()
+    rank0 = rational_rank(cx.d0)
+    projected = zhomology._project_off_tree(gens, cx.d0)
+    assert projected.shape == (cx.d0.nrows - rank0, gens.ncols)
+    for rank in range(gens.ncols + 2):
+        expected = covers_by_smith(gens.hstack(cx.d0), rank + rank0)
+        assert zhomology._covers_kernel(projected, rank) == expected
+
+
+class TestProjectionOffTheTree:
+    @given(rel_graphs(max_vertices=8), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_stacked_reduction(self, g: RelGraph, data):
+        cx = graph_cech_complex(g)
+        # random integer combinations of cocycles and coboundaries
+        cocycles = kernel_basis(cx.d1).hstack(cx.d0)
+        ncols = data.draw(st.integers(0, 3))
+        entries = st.lists(st.sampled_from((0, 0, 1, -1, 2, -3)), min_size=ncols, max_size=ncols)
+        coeffs = [data.draw(entries) for _ in range(cocycles.ncols)]
+        check_projection(cx, cocycles @ IntMatrix.from_rows(coeffs, ncols))
+
+    def test_two_loops(self):
+        # the figure eight 0-1-2-3-0 and 0-4-5-6-0, with no triangles; edges
+        # (0, 1) and (0, 4) are rows 0 and 2, one on each loop
+        g = graph_of_edges(7, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6)))
+        cx = graph_cech_complex(g)
+        assert homology(cx).h1 == AbInvariants(2)
+        one, four = ([int(e == k) for k in range(cx.d0.nrows)] for e in (0, 2))
+        for columns, covers in (([one, four], True), ([one], False), ([one, [2 * x for x in four]], False)):
+            gens = IntMatrix.from_rows([list(r) for r in zip(*columns)])
+            check_projection(cx, gens)
+            assert zhomology._covers_kernel(zhomology._project_off_tree(gens, cx.d0), 2) is covers
 
 
 class TestKernel:
@@ -672,54 +758,59 @@ class TestStabilization:
         with pytest.raises(ValueError):
             stabilization_report(interval_tower(2), 5)
 
-    def test_each_matrix_is_reduced_once(self, monkeypatch):
-        reduced, read, complexes = [], [], []
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_maps_that_miss_h1_are_not_isomorphisms(self, n):
+        # equal invariants Z and Z, but degree 2 and degree 0 maps are not onto
+        for image in (tuple(k % 2**n for k in range(2 ** (n + 1))), (0,) * 2 ** (n + 1)):
+            tower = RelGraphTower((circle_graph(n), circle_graph(n + 1)), (image,))
+            rep = stabilization_report(tower, 2)
+            assert [lc.h1 for lc in rep.levels] == [Z, Z]
+            assert rep.h0_iso == (True,)
+            assert rep.h1_iso == (False,)
+            assert rep == ordered_stabilization_report(tower, 2)
+
+    @staticmethod
+    def reductions(monkeypatch, tower, depth) -> tuple[list, list]:
+        """The matrices that ``stabilization_report`` hands to ``_diagonalize``,
+        and the complexes it builds."""
+        reduced, complexes = [], []
 
         def diagonalize(m, *args, **kwargs):
             reduced.append(m)
             return real_diagonalize(m, *args, **kwargs)
-
-        def invariants(m):
-            read.append(m)
-            return real_invariants(m)
 
         def complex_of(g):
             complexes.append(real_complex(g))
             return complexes[-1]
 
         real_diagonalize, real_complex = zhomology._diagonalize, zhomology.graph_cech_complex
-        real_invariants = zhomology.snf_invariants
         monkeypatch.setattr(zhomology, "_diagonalize", diagonalize)
-        monkeypatch.setattr(zhomology, "snf_invariants", invariants)
         monkeypatch.setattr(zhomology, "graph_cech_complex", complex_of)
-        tower = circle_tower(5)
-        stabilization_report(tower, 5)
-        # each complex's d0 and d1 serve homology, kernel_basis and the h1
-        # covers check alike
+        stabilization_report(tower, depth)
+        return reduced, complexes
+
+    def test_circle_tower_reduces_nothing(self, monkeypatch):
+        # every d0 is read off its forest, and a circle level's d1 and its
+        # restriction to the non-tree edges have no rows, so they are forests
+        # too; the h0 check's matrices have one column, and the h1 check's one
+        # row from level 2 on and no rows below
+        reduced, complexes = self.reductions(monkeypatch, circle_tower(5), 5)
         assert len(complexes) == 5
-        for cx in complexes:
-            assert [m is cx.d0 for m in reduced].count(True) == 1
-            assert [m is cx.d1 for m in reduced].count(True) == 1
-        # each transition's covers checks read the invariants of m0 @ k0 and
-        # of what fine.d0's reduction leaves of [m1 @ k1 | fine.d0]: its
-        # non-pivot rows and non-unit pivot rows
-        fresh = [m for m in read if not any(m is cx.d0 or m is cx.d1 for cx in complexes)]
-        assert len(fresh) == 2 * 4
-        for n in range(4):
-            coarse, fine = complexes[n], complexes[n + 1]
-            cmap = induced_cochain_map(fine, coarse, tower.transitions[n])
-            # a connected level's kernel of d0 is one column
-            assert fresh[2 * n] == cmap.m0 @ kernel_basis(coarse.d0)
-            assert fresh[2 * n].ncols == 1
-            rest = fresh[2 * n + 1]
-            pivots = fine.d0._reduction[0]
-            non_units = sum(1 for _, _, x in pivots if abs(x) != 1)
-            assert rest.nrows <= fine.d0.nrows - len(pivots) + non_units
-            assert rest.ncols == kernel_basis(coarse.d1).ncols + non_units
-            # a circle level from 2 on has as many edges as vertices, and its
-            # d0 has rank V - 1 with unit pivots only: one row is left
-            assert rest.nrows == (1 if n + 1 >= 2 else 0)
-        # a one-column or one-row matrix's invariant is the gcd of its entries,
-        # so of the fresh matrices only transition 0's empty rest is reduced
-        assert len(reduced) == 2 * 5 + 1
-        assert reduced[-1] is fresh[1]
+        assert reduced == []
+
+    def test_square_tower_reduces_d1_and_its_restrictions(self, monkeypatch):
+        reduced, complexes = self.reductions(monkeypatch, square_tower(4), 4)
+        assert [cx.dims for cx in complexes] == [(1, 0, 0), (4, 6, 4), (16, 42, 36), (64, 210, 196)]
+        # homology reduces d1 of levels 1-3 once each, level 0's having no rows
+        assert reduced[:3] == [cx.d1 for cx in complexes[1:]]
+        assert all(m is cx.d1 for m, cx in zip(reduced, complexes[1:]))
+        # each transition reduces the coarse d1 restricted to the coarse
+        # non-tree edges (E - V + 1 columns; level 0's has no rows) and the
+        # projected representatives: E - V + 1 fine rows and no column, as
+        # the square has no H1
+        assert [m.shape for m in reduced[3:]] == [(3, 0), (4, 3), (27, 0), (36, 27), (147, 0)]
+        for m, cx in ((reduced[4], complexes[1]), (reduced[6], complexes[2])):
+            cotree = cx.d0._forest[2]
+            rows = (tuple((cotree.index(j), x) for j, x in row if j in cotree) for row in cx.d1.rows)
+            assert m == IntMatrix(cx.d1.nrows, len(cotree), tuple(rows))
+        assert all(m.is_zero() for m in reduced[3::2])

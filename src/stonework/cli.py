@@ -9,6 +9,7 @@ Reports are deterministic: identical inputs give byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -456,12 +457,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _plain_call(argv) or build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    # commands build only acyclic tuples and lists, which reference counting
+    # frees, so the cyclic collector's passes would find nothing and cost a
+    # large share of a big graph command; it is paused while the command
+    # runs, and the caller's setting is restored after
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         source, fields, lines, ok = args.run(args)
     except tuple(cls for cls, _ in EXIT_CODES) as e:
         oom = isinstance(e, (MemoryError, OverflowError))
         print(f"error: {args.subcommand} ran out of memory ({e!r})" if oom else f"error: {e}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(e, cls))
+    finally:
+        if collecting:
+            gc.enable()
     if args.json:
         print(_json({"command": args.subcommand, "input": _digest(source), **fields}))
     else:

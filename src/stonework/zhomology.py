@@ -65,20 +65,42 @@ class IntMatrix:
         return IntMatrix(n, n, tuple(((i, 1),) for i in range(n)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """The product, row by row, on one of four paths:
+
+        - an empty row gives an empty row;
+        - a one-entry row a * e_k gives row k of ``other``, scaled by a;
+        - a two-entry row whose two rows of ``other`` hold one entry each
+          (a graph's d0 against ``aug`` or a vertex map's m0) gives those
+          two entries as an ascending pair, or their sum when their columns
+          agree, dropped when it is 0;
+        - any other row sums its scaled rows of ``other`` in a dict, sorted.
+        """
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        orows = other.rows
         rows = []
         for r in self.rows:
-            if len(r) == 1:  # a multiple of one sorted row of ``other``
+            n = len(r)
+            if n == 1:  # a multiple of one sorted row of ``other``
                 ((k, a),) = r
-                row = other.rows[k]
+                row = orows[k]
                 rows.append(row if a == 1 else tuple((j, a * b) for j, b in row))
             elif not r:
                 rows.append(r)
+            elif n == 2 and len(x := orows[r[0][0]]) == 1 == len(y := orows[r[1][0]]):
+                (_, a), (_, b) = r
+                ((i, u),), ((j, v),) = x, y
+                if i < j:
+                    rows.append(((i, a * u), (j, b * v)))
+                elif j < i:
+                    rows.append(((j, b * v), (i, a * u)))
+                else:
+                    s = a * u + b * v
+                    rows.append(((i, s),) if s else ())
             else:
                 acc: dict[int, int] = {}
                 for k, coeff in r:
-                    for j, b in other.rows[k]:
+                    for j, b in orows[k]:
                         acc[j] = acc.get(j, 0) + coeff * b
                 rows.append(_sparse_row(acc))
         return IntMatrix(self.nrows, other.ncols, tuple(rows))
@@ -114,8 +136,11 @@ class IntMatrix:
         reads sign * (y[child] - y[parent]) off a vertex cochain y.  Pairing
         each child with its tree row is the vertex-edge half of a discrete
         Morse matching (Forman, Adv. Math. 134, 1998): the roots and the
-        other rows are the critical cells.
+        other rows are the critical cells.  A matrix with no rows is its own
+        forest: every column is a root.
         """
+        if not self.nrows:
+            return list(range(self.ncols)), [], []
         nbrs: list[list[tuple[int, int, int]]] = [[] for _ in range(self.ncols)]
         for r, row in enumerate(self.rows):
             if len(row) != 2 or row[0][1] != -1 or row[1][1] != 1:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -30,7 +31,7 @@ from stonework.cli import (
 )
 from stonework.errors import ParseError
 from stonework.terms import And, Gen, Not
-from test_golden import CASES as GOLDEN_CASES, FILES as GOLDEN_FILES
+from test_golden import CASES as GOLDEN_CASES, FILES as GOLDEN_FILES, case_argv
 
 
 class TestPresentationFormat:
@@ -828,6 +829,47 @@ class TestFailedCheck:
         report = json.loads(out)
         assert report["command"] == "duality"
         assert (report["n_points"], report["n_elements"], report["bijective"]) == (3, 8, False)
+
+
+class TestCyclicCollector:
+    """``main`` pauses the cyclic collector while a command runs, since
+    commands build no reference cycles, and gives the caller's setting back."""
+
+    @pytest.fixture(autouse=True)
+    def keep_setting(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["llpo", "--stage", "1"], EXIT_OK),
+            (["morphism", "UNKILLED"], EXIT_PROPERTY_FAILED),
+            (["frobnicate"], EXIT_USAGE),
+            (["spectrum", "MISSING"], EXIT_USAGE),
+            (["wlpo", "g99999999999"], EXIT_CAP),
+        ],
+    )
+    def test_setting_is_restored(self, tmp_path, monkeypatch, enabled, argv, code):
+        monkeypatch.delenv("STONEWORK_CAP", raising=False)
+        unkilled = tmp_path / "mor.txt"
+        unkilled.write_text(
+            "src-gens: g0 g1\nsrc-rels: g0 & g1\ndst-gens: h0\ndst-rels:\nmap: g0 -> h0, g1 -> h0\n"
+        )
+        paths = {"UNKILLED": str(unkilled), "MISSING": str(tmp_path / "nope.txt")}
+        (gc.enable if enabled else gc.disable)()
+        assert main([paths.get(a, a) for a in argv]) == code
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_commands_make_no_cycles(self, tmp_path, capsys, name):
+        argv = ["--json", *case_argv(name, tmp_path)]
+        gc.disable()
+        gc.collect()
+        assert main(argv) == EXIT_OK
+        assert gc.collect() == 0
 
 
 def truth_tables(n: int) -> tuple[list[int], int]:

@@ -5,7 +5,8 @@ instead.  The enumeration cap comes from ``STONEWORK_CAP`` alone, so no
 function takes a ``cap`` parameter.  Relation graphs are read through their
 neighbour tuples, so no module reads the derived pair set ``.related``.
 Each matrix is Smith-reduced once, so ``_diagonalize`` is called only from
-the memo ``IntMatrix._reduction``.
+the memo ``IntMatrix._reduction``.  The cyclic collector is paused around a
+command by ``cli.main`` alone, so only ``cli.py`` imports ``gc``.
 """
 
 import ast
@@ -45,6 +46,17 @@ def test_no_pair_set_reads(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "related"]
     assert not lines, f"{path.name}: reads of .related at lines {lines}"
+
+
+def test_only_cli_imports_gc():
+    importers = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "gc" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gc"
+    ]
+    assert importers == ["cli.py"]
 
 
 def _diagonalize_callers(tree: ast.AST, scope: tuple[str, ...] = ()) -> list[tuple[str, ...]]:

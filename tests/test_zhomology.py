@@ -128,6 +128,34 @@ def tie_heavy_matrices(max_size: int) -> st.SearchStrategy[IntMatrix]:
     )
 
 
+@st.composite
+def sparse_factors(draw) -> tuple[IntMatrix, IntMatrix]:
+    """Pairs of mostly zero matrices that can be multiplied, each side 0-5."""
+    entries = st.sampled_from((0,) * 6 + (1, -1, 2, -3))
+
+    def matrix(nrows: int, ncols: int) -> IntMatrix:
+        rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+        return IntMatrix.from_rows(rows, ncols)
+
+    nrows, inner, ncols = (draw(st.integers(0, 5)) for _ in range(3))
+    return matrix(nrows, inner), matrix(inner, ncols)
+
+
+# two-entry rows against two one-entry rows: the product's columns come out
+# ascending, descending, equal and cancelling, equal and summing to 5, and
+# with non-unit coefficients on both sides
+TWO_ENTRY_PRODUCTS = tuple(
+    (IntMatrix.from_rows(a), IntMatrix.from_rows(b))
+    for a, b in (
+        ([[2, 3]], [[0, 5, 0], [0, 0, -7]]),
+        ([[2, 3]], [[0, 0, -7], [0, 5, 0]]),
+        ([[-1, 1], [1, 0]], [[1], [1]]),
+        ([[2, 3]], [[0, 1], [0, 1]]),
+        ([[0, -2, 3]], [[1, 0], [0, 5], [-4, 0]]),
+    )
+)
+
+
 class TestIntMatrix:
     def test_matmul(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
@@ -139,6 +167,19 @@ class TestIntMatrix:
         a = IntMatrix.from_rows([[0, -3], [1, 0], [0, 0]])
         b = IntMatrix.from_rows([[0, 2, 5], [7, 0, -1]])
         assert a @ b == IntMatrix.from_rows([[-21, 0, 3], [0, 2, 5], [0, 0, 0]])
+
+    @given(sparse_factors())
+    @settings(max_examples=300, deadline=None)
+    @example(TWO_ENTRY_PRODUCTS[0])
+    @example(TWO_ENTRY_PRODUCTS[1])
+    @example(TWO_ENTRY_PRODUCTS[2])
+    @example(TWO_ENTRY_PRODUCTS[3])
+    @example(TWO_ENTRY_PRODUCTS[4])
+    def test_matmul_matches_the_dense_product(self, factors):
+        a, b = factors
+        left, right = dense(a), dense(b)
+        product = [[sum(x * right[k][j] for k, x in enumerate(row)) for j in range(b.ncols)] for row in left]
+        assert a @ b == IntMatrix.from_rows(product, b.ncols)
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -314,7 +355,24 @@ def graph_of_edges(n: int, edges) -> RelGraph:
     return graph_from_pairs(range(n), pairs)
 
 
+def component_numbers(g: RelGraph) -> list[int]:
+    """Each vertex's component, numbered in the order of their least vertices."""
+    comp = [-1] * len(g.vertices)
+    count = 0
+    for s in range(len(comp)):
+        if comp[s] < 0:
+            stack = [s]
+            while stack:
+                u = stack.pop()
+                if comp[u] < 0:
+                    comp[u] = count
+                    stack.extend(g.adjacent[u])
+            count += 1
+    return comp
+
+
 # isolated vertices, several components, triangles, and no edges at all
+# (rowless d0s with 0, 1 and 4 columns)
 FOREST_EXAMPLES = (
     graph_of_edges(0, ()),
     graph_of_edges(1, ()),
@@ -355,7 +413,10 @@ class TestForestMatchesSmith:
     @example(FOREST_EXAMPLES[5])
     def test_invariants_and_kernel(self, g: RelGraph):
         d0 = graph_cech_complex(g).d0
-        assert d0._forest is not None
+        comp, tree, cotree = d0._forest
+        assert comp == component_numbers(g)
+        assert sorted([r for r, *_ in tree] + cotree) == list(range(d0.nrows))
+        assert len(tree) == d0.ncols - len(set(comp))
         assert snf_invariants(d0) == smith_invariants(d0)
         k = kernel_basis(d0)
         assert (d0 @ k).is_zero()
@@ -429,9 +490,10 @@ class TestKernel:
     @settings(max_examples=60, deadline=None)
     @example(IntMatrix.from_rows(ZERO_MULTIPLE_OPS[0]))
     @example(IntMatrix.from_rows(ZERO_MULTIPLE_OPS[1]))
+    @example(IntMatrix.zero(0, 3))  # rowless: its own forest
     def test_kernel_properties(self, m: IntMatrix):
         snf(m)
-        snf_invariants(m)
+        assert snf_invariants(m) == smith_invariants(m)
         k = kernel_basis(m)
         assert k == kernel_basis(IntMatrix(m.nrows, m.ncols, m.rows))
         assert (m @ k).is_zero()

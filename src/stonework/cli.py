@@ -345,7 +345,7 @@ def cmd_interval_image(args) -> Result:
 
 def cmd_stabilize(args) -> Result:
     tower = getattr(interval, f"{args.space}_tower")(_natural(args.depth, "--depth"))
-    rep = zhomology.stabilization_report(tower, args.depth)
+    rep = zhomology.stabilization_report(tower)
     fields = {
         "space": args.space,
         "levels": [_level_json(lc) for lc in rep.levels],

@@ -114,7 +114,8 @@ def _render(t: Term) -> str:
 
 def _preorder(t: Term) -> tuple:
     """Node classes and generator names of ``t`` in preorder, kept on ``t``;
-    fixed arities make it determine the term, and a stack walks any depth."""
+    fixed arities make it determine the term, and read backwards it is the
+    term in reverse Polish order.  A stack walks any depth."""
     key = getattr(t, "_key", None)
     if key is not None:
         return key
@@ -123,12 +124,15 @@ def _preorder(t: Term) -> tuple:
     while todo:
         s = todo.pop()
         cls = type(s)
-        if cls is Gen:
+        if cls is Gen and type(s.name) is str:
             out.append(s.name)
-        else:
+        elif cls is And or cls is Or or cls is Not:
             out.append(cls)
-            if cls is And or cls is Or or cls is Not:
-                todo += (s.arg,) if cls is Not else (s.right, s.left)
+            todo += (s.arg,) if cls is Not else (s.right, s.left)
+        elif cls is Zero or cls is One:
+            out.append(cls)
+        else:
+            raise TypeError(f"not a term: {cls.__name__}")
     key = tuple(out)
     object.__setattr__(t, "_key", key)
     return key
@@ -139,32 +143,25 @@ def eval_term(t: Term, masks: Mapping[str, int], full: int = 1) -> int:
 
     Bit k of ``masks[g]`` is g's value in assignment k and ``full`` has every
     assignment's bit set, so the default evaluates one 0/1 assignment;
-    ``~ & |`` become word operations (Knuth, TAOCP 4A, 7.1.3).  An explicit
-    stack, not recursion, walks the term.
+    ``~ & |`` become word operations (Knuth, TAOCP 4A, 7.1.3).  One loop
+    over the cached preorder, read backwards, folds the tables on a stack.
     """
     values: list[int] = []
-    todo: list = [t]
-    while todo:
-        s = todo.pop()
-        cls = type(s)
-        if cls is Gen:
-            try:
-                values.append(masks[s.name])
-            except KeyError:
-                raise UnknownGenerator(s.name) from None
-        elif cls is And or cls is Or or cls is Not:
-            # the class goes below its operands and combines their tables when popped
-            todo += (cls, s.arg) if cls is Not else (cls, s.right, s.left)
-        elif cls is Zero or cls is One:
-            values.append(0 if cls is Zero else full)
-        elif s is And:
-            values.append(values.pop() & values.pop())
-        elif s is Or:
-            values.append(values.pop() | values.pop())
-        elif s is Not:
-            values.append(full ^ values.pop())
-        else:
-            raise TypeError(f"not a term: {s!r}")
+    try:
+        for x in reversed(_preorder(t)):
+            if type(x) is str:
+                values.append(masks[x])
+            elif x is And:
+                values.append(values.pop() & values.pop())
+            elif x is Or:
+                values.append(values.pop() | values.pop())
+            elif x is Not:
+                values.append(full ^ values.pop())
+            else:
+                values.append(0 if x is Zero else full)
+    except KeyError:
+        # the fold reads generators right to left; name the leftmost unknown one
+        raise UnknownGenerator(next(g for g in generators_of(t) if g not in masks)) from None
     return values[0]
 
 
@@ -174,28 +171,21 @@ def generators_of(t: Term) -> KeysView[str]:
 
 
 def substitute(t: Term, images: Mapping[str, Term]) -> Term:
-    """Replace each generator by its image term, walking as ``eval_term`` does."""
+    """Replace each generator by its image term, folding as ``eval_term`` does;
+    the left operand is on top of the stack, so it is popped first."""
     values: list[Term] = []
-    todo: list = [t]
-    while todo:
-        s = todo.pop()
-        cls = type(s)
-        if cls is Gen:
-            try:
-                values.append(images[s.name])
-            except KeyError:
-                raise UnknownGenerator(s.name) from None
-        elif cls is And or cls is Or or cls is Not:
-            todo += (cls, s.arg) if cls is Not else (cls, s.right, s.left)
-        elif cls is Zero or cls is One:
-            values.append(s)
-        elif s is Not:
-            values.append(Not(values.pop()))
-        elif s is And or s is Or:
-            right = values.pop()
-            values.append(s(values.pop(), right))
-        else:
-            raise TypeError(f"not a term: {s!r}")
+    try:
+        for x in reversed(_preorder(t)):
+            if type(x) is str:
+                values.append(images[x])
+            elif x is Not:
+                values.append(Not(values.pop()))
+            elif x is And or x is Or:
+                values.append(x(values.pop(), values.pop()))
+            else:
+                values.append(ZERO if x is Zero else ONE)
+    except KeyError:
+        raise UnknownGenerator(next(g for g in generators_of(t) if g not in images)) from None
     return values[0]
 
 

@@ -724,14 +724,12 @@ class StabilizationReport:
     h1_iso: tuple[bool, ...]
 
 
-def stabilization_report(tower: RelGraphTower, depth: int) -> StabilizationReport:
+def stabilization_report(tower: RelGraphTower) -> StabilizationReport:
     """Per-level cohomology plus whether the induced maps are isomorphisms."""
-    if depth > len(tower.levels):
-        raise ValueError("depth exceeds available levels")
-    complexes = [graph_cech_complex(g) for g in tower.levels[:depth]]
+    complexes = [graph_cech_complex(g) for g in tower.levels]
     results = [_level_cohomology(n, cx) for n, cx in enumerate(complexes)]
     h0_iso, h1_iso = [], []
-    for n in range(depth - 1):
+    for n in range(len(complexes) - 1):
         coarse, fine = complexes[n], complexes[n + 1]
         cmap = induced_cochain_map(fine, coarse, tower.transitions[n])
         lo, hi = results[n], results[n + 1]

@@ -385,15 +385,15 @@ def signed_pullback(fine: RelGraph, coarse: RelGraph, image) -> CochainMap:
     return CochainMap(*maps)
 
 
-def ordered_stabilization_report(tower: RelGraphTower, depth: int) -> StabilizationReport:
+def ordered_stabilization_report(tower: RelGraphTower) -> StabilizationReport:
     """``stabilization_report`` computed on the ordered complexes (oracle)."""
-    complexes = [ordered_graph_complex(g) for g in tower.levels[:depth]]
+    complexes = [ordered_graph_complex(g) for g in tower.levels]
     results = []
     for n, cx in enumerate(complexes):
         h = homology(cx)
         results.append(LevelCohomology(n, cx.dims, h.h0, h.h1, h.exact_at))
     h0_iso, h1_iso = [], []
-    for n in range(depth - 1):
+    for n in range(len(complexes) - 1):
         coarse, fine = complexes[n], complexes[n + 1]
         cmap = ordered_cochain_map(tower.levels[n + 1], tower.levels[n], tower.transitions[n])
         lo, hi = results[n], results[n + 1]

@@ -357,7 +357,7 @@ def test_12_circle_cohomology_stabilizes_from_level_two():
     for n in range(2, 9):
         lc = graph_cohomology(circle_graph(n), n)
         assert (lc.h0, lc.h1) == (Z, Z)
-    rep = stabilization_report(circle_tower(9), 9)
+    rep = stabilization_report(circle_tower(9))
     assert [lc.h1 for lc in rep.levels[2:]] == [Z] * 7
     for n in range(2, 8):
         assert rep.h0_iso[n]

@@ -6,7 +6,11 @@ function takes a ``cap`` parameter.  Relation graphs are read through their
 neighbour tuples, so no module reads the derived pair set ``.related``.
 Each matrix is Smith-reduced once, so ``_diagonalize`` is called only from
 the memo ``IntMatrix._reduction``.  The cyclic collector is paused around a
-command by ``cli.main`` alone, so only ``cli.py`` imports ``gc``.
+command by ``cli.main`` alone, so only ``cli.py`` imports ``gc``.  A term is
+walked node by node only to print it and to build its cached preorder, which
+evaluation, substitution, ``==``, ``hash`` and ``generators_of`` all read, so
+only ``terms._render`` and ``terms._preorder`` read ``.left``, ``.right`` or
+``.arg``.
 """
 
 import ast
@@ -59,28 +63,42 @@ def test_only_cli_imports_gc():
     assert importers == ["cli.py"]
 
 
-def _diagonalize_callers(tree: ast.AST, scope: tuple[str, ...] = ()) -> list[tuple[str, ...]]:
-    """The scope (class and function names) of every call to ``_diagonalize``."""
+def _scopes_of(tree: ast.AST, hit, scope: tuple[str, ...] = ()) -> list[tuple[str, ...]]:
+    """The scope (class and function names) of every node under ``tree`` that ``hit`` accepts."""
     found = []
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = scope + (node.name,)
-        if isinstance(node, ast.Call):
-            func = node.func
-            if getattr(func, "id", None) == "_diagonalize" or getattr(func, "attr", None) == "_diagonalize":
-                found.append(scope)
-        found.extend(_diagonalize_callers(node, inner))
+        if hit(node):
+            found.append(scope)
+        found.extend(_scopes_of(node, hit, inner))
     return found
 
 
-def test_diagonalize_is_called_only_from_the_memo():
-    calls = [
+def _scopes_in_sources(hit) -> list[tuple[str, ...]]:
+    return [
         (path.name, *scope)
         for path in SOURCES
-        for scope in _diagonalize_callers(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        for scope in _scopes_of(ast.parse(path.read_text(encoding="utf-8"), str(path)), hit)
     ]
-    assert calls == [("zhomology.py", "IntMatrix", "_reduction")]
+
+
+def _calls_diagonalize(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    return "_diagonalize" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_diagonalize_is_called_only_from_the_memo():
+    assert _scopes_in_sources(_calls_diagonalize) == [("zhomology.py", "IntMatrix", "_reduction")]
     tree = ast.parse((SOURCES[0].parent / "zhomology.py").read_text(encoding="utf-8"))
     memo = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_reduction")
     assert [ast.unparse(d) for d in memo.decorator_list] == ["functools.cached_property"]
+
+
+def test_only_the_preorder_and_the_printer_walk_terms():
+    def reads_operand(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in ("left", "right", "arg")
+
+    assert set(_scopes_in_sources(reads_operand)) == {("terms.py", "_preorder"), ("terms.py", "_render")}

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import term_from_json, term_strategy, term_to_json
-from stonework.errors import ParseError
+from stonework.boolalg import Presentation
+from stonework.errors import ParseError, UnknownGenerator
 from stonework.terms import (
     And,
     Gen,
@@ -222,6 +223,33 @@ class TestEval:
     def test_substitute(self):
         t = substitute(G0 & G1, {"g0": ~G2, "g1": ONE})
         assert t == And(Not(G2), ONE)
+
+    def test_unknown_generator_named_is_the_leftmost(self):
+        # both folds read the preorder backwards, so they meet 'y' first
+        t = And(Gen("x"), Gen("y"))
+        with pytest.raises(UnknownGenerator, match="'x'"):
+            eval_term(t, {})
+        with pytest.raises(UnknownGenerator, match="'x'"):
+            substitute(t, {})
+
+    @pytest.mark.parametrize("bad", [5, And(G0, 5), Not(Or(G1, None))], ids=["int", "operand", "nested"])
+    def test_non_terms_rejected(self, bad):
+        with pytest.raises(TypeError, match="not a term"):
+            eval_term(bad, {"g0": 1, "g1": 0})
+        with pytest.raises(TypeError, match="not a term"):
+            substitute(bad, {"g0": G0, "g1": G1})
+
+    @pytest.mark.parametrize("bad", [And(G0, 5), Not(Or(G1, None)), Gen(5)], ids=["operand", "nested", "name"])
+    def test_malformed_terms_neither_hash_nor_validate(self, bad):
+        # the preorder behind ==, hash, generators_of and both folds rejects what str does
+        with pytest.raises(TypeError):
+            str(bad)
+        checks = (hash, generators_of, lambda t: t == t, lambda t: eval_term(t, {}), lambda t: substitute(t, {}))
+        for check in checks:
+            with pytest.raises(TypeError, match="not a term"):
+                check(bad)
+        with pytest.raises(TypeError, match="not a term"):
+            Presentation.make(["g0", "g1"], [bad])
 
     @given(term_strategy(["g0", "g1"]))
     def test_substitution_identity(self, t: Term):

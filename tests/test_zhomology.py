@@ -431,8 +431,7 @@ class TestForestMatchesSmith:
     @given(graph_towers())
     @settings(max_examples=100, deadline=None)
     def test_stabilization_matches_ordered_oracle(self, tower: RelGraphTower):
-        depth = len(tower.levels)
-        assert stabilization_report(tower, depth) == ordered_stabilization_report(tower, depth)
+        assert stabilization_report(tower) == ordered_stabilization_report(tower)
         # the oracle's d0 has a zero row per vertex, so it is reduced by Smith
         for g in tower.levels:
             if g.vertices:
@@ -641,7 +640,7 @@ class TestGraphComplex:
     @pytest.mark.parametrize("depth", range(1, 9))
     def test_stabilization_matches_ordered_oracle(self, tower, depth):
         t = tower(depth)
-        assert stabilization_report(t, depth) == ordered_stabilization_report(t, depth)
+        assert stabilization_report(t) == ordered_stabilization_report(t)
 
     @given(rel_graphs(max_vertices=7))
     @settings(max_examples=60, deadline=None)
@@ -779,8 +778,8 @@ class TestSquareGraph:
     @pytest.mark.parametrize("depth", range(1, 5))
     def test_stabilization_matches_ordered_oracle(self, depth):
         t = square_tower(depth)
-        rep = stabilization_report(t, depth)
-        assert rep == ordered_stabilization_report(t, depth)
+        rep = stabilization_report(t)
+        assert rep == ordered_stabilization_report(t)
         assert rep.h0_iso == rep.h1_iso == (True,) * (depth - 1)
         # triangles first survive a transition from depth 3 on: m2 has 4
         # nonzero rows at level 2 -> 1 and 36 at level 3 -> 2
@@ -795,12 +794,12 @@ class TestSquareGraph:
 
 class TestStabilization:
     def test_interval_tower_stable_everywhere(self):
-        rep = stabilization_report(interval_tower(5), 5)
+        rep = stabilization_report(interval_tower(5))
         assert rep.h0_iso == (True,) * 4
         assert rep.h1_iso == (True,) * 4
 
     def test_circle_tower_h1_stabilizes_at_level_two(self):
-        rep = stabilization_report(circle_tower(5), 5)
+        rep = stabilization_report(circle_tower(5))
         assert rep.h0_iso == (True,) * 4
         # the wrap pair only becomes a genuine loop at level 2
         assert rep.h1_iso[1] is False
@@ -812,27 +811,23 @@ class TestStabilization:
 
         g = interval_graph(1)
         t = RelGraphTower((g, g), (tuple(range(len(g.vertices))),))
-        rep = stabilization_report(t, 2)
+        rep = stabilization_report(t)
         assert rep.h0_iso == (True,)
         assert rep.h1_iso == (True,)
-
-    def test_depth_bound(self):
-        with pytest.raises(ValueError):
-            stabilization_report(interval_tower(2), 5)
 
     @pytest.mark.parametrize("n", range(2, 5))
     def test_maps_that_miss_h1_are_not_isomorphisms(self, n):
         # equal invariants Z and Z, but degree 2 and degree 0 maps are not onto
         for image in (tuple(k % 2**n for k in range(2 ** (n + 1))), (0,) * 2 ** (n + 1)):
             tower = RelGraphTower((circle_graph(n), circle_graph(n + 1)), (image,))
-            rep = stabilization_report(tower, 2)
+            rep = stabilization_report(tower)
             assert [lc.h1 for lc in rep.levels] == [Z, Z]
             assert rep.h0_iso == (True,)
             assert rep.h1_iso == (False,)
-            assert rep == ordered_stabilization_report(tower, 2)
+            assert rep == ordered_stabilization_report(tower)
 
     @staticmethod
-    def reductions(monkeypatch, tower, depth) -> tuple[list, list]:
+    def reductions(monkeypatch, tower) -> tuple[list, list]:
         """The matrices that ``stabilization_report`` hands to ``_diagonalize``,
         and the complexes it builds."""
         reduced, complexes = [], []
@@ -848,7 +843,7 @@ class TestStabilization:
         real_diagonalize, real_complex = zhomology._diagonalize, zhomology.graph_cech_complex
         monkeypatch.setattr(zhomology, "_diagonalize", diagonalize)
         monkeypatch.setattr(zhomology, "graph_cech_complex", complex_of)
-        stabilization_report(tower, depth)
+        stabilization_report(tower)
         return reduced, complexes
 
     def test_circle_tower_reduces_nothing(self, monkeypatch):
@@ -856,12 +851,12 @@ class TestStabilization:
         # restriction to the non-tree edges have no rows, so they are forests
         # too; the h0 check's matrices have one column, and the h1 check's one
         # row from level 2 on and no rows below
-        reduced, complexes = self.reductions(monkeypatch, circle_tower(5), 5)
+        reduced, complexes = self.reductions(monkeypatch, circle_tower(5))
         assert len(complexes) == 5
         assert reduced == []
 
     def test_square_tower_reduces_d1_and_its_restrictions(self, monkeypatch):
-        reduced, complexes = self.reductions(monkeypatch, square_tower(4), 4)
+        reduced, complexes = self.reductions(monkeypatch, square_tower(4))
         assert [cx.dims for cx in complexes] == [(1, 0, 0), (4, 6, 4), (16, 42, 36), (64, 210, 196)]
         # homology reduces d1 of levels 1-3 once each, level 0's having no rows
         assert reduced[:3] == [cx.d1 for cx in complexes[1:]]

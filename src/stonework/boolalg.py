@@ -19,7 +19,7 @@ import functools
 import itertools
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -34,9 +34,7 @@ from .terms import (
     And,
     Gen,
     Not,
-    ONE,
     Term,
-    ZERO,
     eval_term,
     generators_of,
     join,
@@ -93,11 +91,6 @@ class Presentation:
         return Presentation(tuple(gens), tuple(rels))
 
 
-def free(n: int) -> Presentation:
-    """Free algebra on ``n`` generators g0..g{n-1}."""
-    return Presentation.make([f"g{i}" for i in range(n)])
-
-
 def binfty(n: int) -> Presentation:
     """Stage-n truncation of the at-most-one-hit algebra.
 
@@ -141,12 +134,6 @@ class FinBoolAlg:
         digits = "".join(self.points)
         return {g: int(digits[j::n][::-1] or "0", 2) for j, g in enumerate(self.source.gens)}
 
-    def zero(self) -> Bits:
-        return (0,) * self.n_points
-
-    def one(self) -> Bits:
-        return (1,) * self.n_points
-
 
 def _bits_of(v: int, n: int) -> Bits:
     """The low ``n`` bits of ``v``, least significant first."""
@@ -189,16 +176,6 @@ def minterm(a: FinBoolAlg, i: int) -> Term:
     return meet(parts)
 
 
-def realize(v: Bits, a: FinBoolAlg) -> Term:
-    """A term whose evaluation is ``v``: disjunction of selected minterms.
-
-    Over the empty spectrum this is the empty disjunction 0.
-    """
-    if len(v) != a.n_points:
-        raise ValueError(f"vector length {len(v)} != {a.n_points} points")
-    return join([minterm(a, i) for i, bit in enumerate(v) if bit])
-
-
 @dataclass(frozen=True)
 class DualityReport:
     n_gens: int
@@ -211,13 +188,13 @@ class DualityReport:
 def check_duality(p: Presentation) -> DualityReport:
     """Check that evaluation is a bijection onto all 2^points bit-vectors.
 
-    Evaluation is a homomorphism and ``realize(v)`` is the join of the
-    minterms that ``v`` selects, so ``realize(v)`` evaluates to the OR of
-    those minterms' truth tables.  Each minterm evaluating to its own point's
-    unit vector therefore proves that every vector is realized, at the cost
-    of one table per point.  Injectivity is bit-vector equality of canonical
-    elements, so the algebra has exactly 2^points elements when this holds.
-    The vectors that fail are listed only when some minterm is wrong.
+    Evaluation is a homomorphism, so the join of the minterms that a vector
+    ``v`` selects evaluates to the OR of their truth tables.  Each minterm
+    evaluating to its own point's unit vector therefore proves that every
+    vector is realized, at the cost of one table per point.  Injectivity is
+    bit-vector equality of canonical elements, so the algebra has exactly
+    2^points elements when this holds.  The vectors that fail are listed
+    only when some minterm is wrong.
     """
     a = spectrum(p)
     stage = f"duality over {a.n_points} points"
@@ -289,10 +266,6 @@ def hom(src: Presentation, images: Mapping[str, Term], dst: Presentation) -> Mor
     return m
 
 
-def identity(p: Presentation) -> Morphism:
-    return Morphism(p, p, {g: Gen(g) for g in p.gens})
-
-
 def point_map(m: Morphism) -> list[int]:
     """Induced map Sp(dst) -> Sp(src) by precomposition, as point indices."""
     src_alg, n = m.src_alg, m.dst_alg.n_points
@@ -338,67 +311,6 @@ def analyze_morphism(m: Morphism) -> MorphismReport:
         point_map_surjective=surjective,
         axiom2_consistent=(injective == surjective),
     )
-
-
-def epi_mono_factor(m: Morphism) -> tuple[Morphism, FinBoolAlg, Morphism]:
-    """Factor ``m`` as quotient-then-inclusion.
-
-    The middle algebra is src quotiented by the complement of the image of
-    the induced point map; its spectrum is exactly that image.
-    """
-    src_alg = m.src_alg
-    image = set(point_map(m))
-    cokernel_vec = tuple(0 if i in image else 1 for i in range(src_alg.n_points))
-    extra = realize(cokernel_vec, src_alg)
-    middle_pres = Presentation.make(m.src.gens, list(m.src.rels) + [extra])
-    epi = hom(m.src, {g: Gen(g) for g in m.src.gens}, middle_pres)
-    mono = hom(middle_pres, dict(m.images), m.dst)
-    return epi, epi.dst_alg, mono
-
-
-@dataclass(frozen=True)
-class NormalFormBInfty:
-    """Canonical form of a stage-n element: Join(I) or MeetNeg(I)."""
-
-    kind: str  # "join" | "meetneg"
-    indices: frozenset[int]
-
-    def to_term(self) -> Term:
-        gens = [Gen(f"g{i}") for i in sorted(self.indices)]
-        if self.kind == "join":
-            return join(gens)
-        return meet([Not(g) for g in gens])
-
-    def __str__(self) -> str:
-        inner = ",".join(str(i) for i in sorted(self.indices))
-        return ("Join" if self.kind == "join" else "MeetNeg") + "{" + inner + "}"
-
-
-def _binfty_point_roles(a: FinBoolAlg) -> dict[int, int]:
-    """Map point-index -> generator index of the one-hot points (generator j
-    of n is bit n-1-j); the all-zero point, the least code, is point 0."""
-    n = len(a.source.gens)
-    if not a.codes or a.codes[0] or any(c & (c - 1) for c in a.codes):
-        raise ValueError("not a binfty spectrum")
-    return {i: n - c.bit_length() for i, c in enumerate(a.codes) if c}
-
-
-def binfty_normal_form(v: Bits, n: int) -> NormalFormBInfty:
-    """Classify an element of binfty(n) as Join(I) or MeetNeg(I).
-
-    MeetNeg(I) iff the all-zero point is selected, with I the generator
-    indices of the deselected one-hot points; Join(I) otherwise with I the
-    indices of the selected ones.
-    """
-    a = spectrum(binfty(n))
-    if len(v) != a.n_points:
-        raise ValueError(f"vector length {len(v)} != {a.n_points} points")
-    onehot = _binfty_point_roles(a)
-    if v[0]:
-        indices = frozenset(g for i, g in onehot.items() if not v[i])
-        return NormalFormBInfty("meetneg", indices)
-    indices = frozenset(g for i, g in onehot.items() if v[i])
-    return NormalFormBInfty("join", indices)
 
 
 @dataclass(frozen=True)

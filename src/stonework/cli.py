@@ -140,10 +140,6 @@ def _countable(entries: dict) -> profinite.CountablePresentation:
     )
 
 
-def parse_tower_file(text: str) -> profinite.CountablePresentation:
-    return _countable(_key_lines(text))
-
-
 _quote = json.encoder.encode_basestring_ascii
 _SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
 

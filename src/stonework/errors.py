@@ -43,22 +43,12 @@ class NotDisjoint(StoneworkError):
     """The two closed sets handed to the separator intersect."""
 
 
-class SquareNotCommuting(StoneworkError):
-    def __init__(self, level: int):
-        self.level = level
-        super().__init__(f"levelwise map does not commute with transitions at level {level}")
-
-
 class RelationNotPreserved(StoneworkError):
     """A vertex map between relation graphs breaks a related pair."""
 
 
 class InvariantViolated(StoneworkError):
     """A structural invariant (e.g. d1*d0 = 0) does not hold."""
-
-
-class OutOfRange(StoneworkError):
-    """A dyadic argument lies outside [0, 1]."""
 
 
 class ParseError(StoneworkError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .boolalg import check_cap
-from .errors import BadArgument, OutOfRange
+from .errors import BadArgument
 from .profinite import RelGraph, RelGraphTower
 
 
@@ -102,24 +102,9 @@ class BitWord:
         return "".join(str(b) for b in self.bits)
 
 
-def all_words(n: int) -> list[BitWord]:
-    return [BitWord(bits) for bits in itertools.product((0, 1), repeat=n)]
-
-
 def cs_value(w: BitWord) -> Dyadic:
     """Truncated binary-expansion value sum bits(i)/2^(i+1) = k/2^n."""
     return Dyadic(w.value, w.length)
-
-
-def _check_lengths(n: int, s: BitWord, t: BitWord) -> None:
-    if s.length != n or t.length != n:
-        raise ValueError(f"expected words of length {n}, got {s.length} and {t.length}")
-
-
-def near(n: int, s: BitWord, t: BitWord) -> bool:
-    """Nearness as adjacency: |value(s) - value(t)| <= 1."""
-    _check_lengths(n, s, t)
-    return abs(s.value - t.value) <= 1
 
 
 def interval_graph(n: int) -> RelGraph:
@@ -221,13 +206,6 @@ def closed_union(parts: Iterable[tuple[Dyadic, Dyadic]]) -> IntervalUnion:
     return IntervalUnion("closed", tuple((lo, hi) for lo, hi in merged))
 
 
-def cylinder_image(w: BitWord) -> IntervalUnion:
-    """Closed image [cs(w), cs(w) + 1/2^|w|] of the cylinder at ``w``."""
-    lo = cs_value(w)
-    hi = lo + Dyadic(1, w.length)
-    return IntervalUnion("closed", ((lo, hi),))
-
-
 def decidable_image(ws: Sequence[BitWord]) -> IntervalUnion:
     """Merged union of the cylinder images of the given words."""
     parts = []
@@ -248,45 +226,3 @@ def complement_closed_union(u: IntervalUnion) -> IntervalUnion:
     if u.kind != "closed":
         raise ValueError("expected a closed union")
     return IntervalUnion("open", _gaps(u.parts))
-
-
-def complement_open_union(u: IntervalUnion) -> IntervalUnion:
-    """Relative complement in [0,1] of an open union, as closed parts."""
-    if u.kind != "open":
-        raise ValueError("expected an open union")
-    return IntervalUnion("closed", _gaps(u.parts))
-
-
-@dataclass(frozen=True)
-class FiberPoint:
-    """Eventually constant binary sequence: finite prefix then a repeated bit."""
-
-    prefix: BitWord
-    repeat: int
-
-    def truncate(self, m: int) -> BitWord:
-        bits = (self.prefix.bits + (self.repeat,) * m)[:m]
-        return BitWord(bits)
-
-    def __str__(self) -> str:
-        bar = "0..." if self.repeat == 0 else "1..."
-        return f"{self.prefix}{bar}"
-
-
-def cs_fiber(d: Dyadic) -> list[FiberPoint]:
-    """The one or two binary expansions of a dyadic in [0,1].
-
-    Interior points k/2^n have the terminating expansion w.1.000... and the
-    co-terminating one w.0.111...; the endpoints have a single expansion.
-    """
-    if d < D0 or D1 < d:
-        raise OutOfRange(str(d))
-    if d == D0:
-        return [FiberPoint(BitWord(()), 0)]
-    if d == D1:
-        return [FiberPoint(BitWord(()), 1)]
-    # d = num/2^exp with num odd, 0 < num < 2^exp, exp >= 1
-    bits = tuple((d.num >> (d.exp - 1 - i)) & 1 for i in range(d.exp))
-    low = FiberPoint(BitWord(bits), 0)  # ...w 1 0 0 0
-    high = FiberPoint(BitWord(bits[:-1] + (0,)), 1)  # ...w 0 1 1 1
-    return [low, high]

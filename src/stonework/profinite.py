@@ -12,10 +12,10 @@ compact Hausdorff quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, Optional
 
-from .boolalg import FinBoolAlg, Morphism, Presentation, spectrum
-from .errors import BadArgument, InvariantViolated, RelationNotPreserved, SquareNotCommuting
+from .boolalg import FinBoolAlg, Presentation, spectrum
+from .errors import BadArgument, InvariantViolated, RelationNotPreserved
 from .terms import And, Gen, Term, generators_of
 
 Vertex = Hashable
@@ -44,26 +44,10 @@ class SeqDiagram:
 
 @dataclass(frozen=True)
 class AlgebraTower:
-    """Finite Boolean algebras with connecting morphisms level n -> level n+1."""
+    """Finite Boolean algebras, each level's generators and relations among
+    the next level's, so that generator inclusion maps level n -> level n+1."""
 
     levels: tuple[FinBoolAlg, ...]
-    connecting: tuple[Morphism, ...]
-
-
-@dataclass(frozen=True)
-class ClosedTower:
-    """A sequential diagram with saturated per-level selected subsets."""
-
-    base: SeqDiagram
-    selected: tuple[frozenset, ...]
-
-    def __post_init__(self):
-        if len(self.selected) != self.base.depth:
-            raise InvariantViolated("need one selected set per level")
-        for n, tr in enumerate(self.base.transitions):
-            image = {tr[x] for x in self.selected[n + 1]}
-            if not image <= self.selected[n]:
-                raise ValueError(f"selected sets not saturated at level {n}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +96,7 @@ def _gen_index(name: str) -> int:
 
 
 def truncation_tower(p: CountablePresentation, depth: int) -> AlgebraTower:
-    """Finite truncations at levels 0..depth-1 with generator-inclusion maps.
+    """Finite truncations at levels 0..depth-1.
 
     Level n's generators are among level n+1's and its relations are a
     prefix of level n+1's, so each inclusion kills every source relation.
@@ -127,11 +111,7 @@ def truncation_tower(p: CountablePresentation, depth: int) -> AlgebraTower:
         indices.add(n)
         gens = [f"g{i}" for i in sorted(indices)]
         levels.append(spectrum(Presentation.make(gens, rels)))
-    connecting = tuple(
-        Morphism(lower.source, upper.source, {g: Gen(g) for g in lower.source.gens})
-        for lower, upper in zip(levels, levels[1:])
-    )
-    return AlgebraTower(tuple(levels), connecting)
+    return AlgebraTower(tuple(levels))
 
 
 def spectrum_tower(t: AlgebraTower) -> SeqDiagram:
@@ -152,94 +132,6 @@ def spectrum_tower(t: AlgebraTower) -> SeqDiagram:
             low = [x | code >> shift & mask for x, code in zip(low, upper.codes)]
         transitions.append(dict(zip(upper.codes, low)))
     return SeqDiagram(levels, tuple(transitions))
-
-
-def points_at_depth(d: SeqDiagram, depth: int) -> list[tuple]:
-    """All transition-compatible chains (x_0, ..., x_depth)."""
-    if depth >= d.depth:
-        raise ValueError(f"depth {depth} exceeds available levels {d.depth}")
-    chains = []
-    for top in d.levels[depth]:
-        chain = [top]
-        for n in range(depth - 1, -1, -1):
-            chain.append(d.transitions[n][chain[-1]])
-        chains.append(tuple(reversed(chain)))
-    return chains
-
-
-def closed_from_decidables(d: SeqDiagram, subsets: Sequence) -> ClosedTower:
-    """Saturate per-level subsets to the projections of full compatible chains.
-
-    A backward pass keeps points extending upward through the given subsets,
-    then a forward pass drops points whose transition leaves the result; the
-    selected sets are then exactly the level projections of the chains
-    through all supplied levels, which satisfies the saturation invariant.
-    """
-    if len(subsets) != d.depth:
-        raise ValueError("one subset per level required")
-    selected = [frozenset(s) & frozenset(level) for s, level in zip(subsets, d.levels)]
-    for n in range(d.depth - 2, -1, -1):
-        image = frozenset(d.transitions[n][x] for x in selected[n + 1])
-        selected[n] = selected[n] & image
-    for n in range(1, d.depth):
-        tr = d.transitions[n - 1]
-        selected[n] = frozenset(x for x in selected[n] if tr[x] in selected[n - 1])
-    return ClosedTower(d, tuple(selected))
-
-
-def emptiness_witness(c: ClosedTower) -> Optional[int]:
-    """Least level through which no compatible selected chain exists.
-
-    Finite-stage content of the compactness lemma: if the represented
-    intersection is empty, a finite witness level exists; within the
-    supplied depth the answer is exact, beyond it None is returned.
-    """
-    return constraint_emptiness_witness(c.base, c.selected)
-
-
-def constraint_emptiness_witness(d: SeqDiagram, subsets: Sequence) -> Optional[int]:
-    """Least k such that no chain (x_0..x_k) stays inside the subsets."""
-    reachable: Optional[frozenset] = None
-    for n in range(d.depth):
-        allowed = frozenset(subsets[n]) & frozenset(d.levels[n])
-        if reachable is None:
-            reachable = allowed
-        else:
-            tr = d.transitions[n - 1]
-            reachable = frozenset(x for x in allowed if tr[x] in reachable)
-        if not reachable:
-            return n
-    return None
-
-
-@dataclass(frozen=True)
-class LevelwiseFactorization:
-    epi: tuple[dict, ...]  # per level: src point -> middle point
-    middle: SeqDiagram
-    mono: tuple[dict, ...]  # per level: middle point -> dst point (inclusion)
-
-
-def levelwise_factor(
-    src: SeqDiagram, dst: SeqDiagram, maps: Sequence[dict]
-) -> LevelwiseFactorization:
-    """Per-level image factorization of a levelwise map of diagrams."""
-    if len(maps) != src.depth or src.depth != dst.depth:
-        raise ValueError("one map per level required")
-    for n in range(src.depth - 1):
-        for x in src.levels[n + 1]:
-            if maps[n][src.transitions[n][x]] != dst.transitions[n][maps[n + 1][x]]:
-                raise SquareNotCommuting(n)
-    mid_levels = []
-    for n in range(src.depth):
-        image = {maps[n][x] for x in src.levels[n]}
-        mid_levels.append(tuple(y for y in dst.levels[n] if y in image))
-    mid_transitions = []
-    for n in range(src.depth - 1):
-        mid_transitions.append({y: dst.transitions[n][y] for y in mid_levels[n + 1]})
-    middle = SeqDiagram(tuple(mid_levels), tuple(mid_transitions))
-    epi = tuple(dict(m) for m in maps)
-    mono = tuple({y: y for y in level} for level in mid_levels)
-    return LevelwiseFactorization(epi, middle, mono)
 
 
 @dataclass(frozen=True)
@@ -302,39 +194,3 @@ class RelGraphTower:
                     if image[j] not in lower.adjacent[image[i]]:
                         u, v = upper.vertices[i], upper.vertices[j]
                         raise RelationNotPreserved(f"transition {n} breaks the pair ({u!r}, {v!r})")
-
-
-def equality_graph(vertices: Sequence[Vertex]) -> RelGraph:
-    vertices = tuple(vertices)
-    return RelGraph(vertices, tuple((i,) for i in range(len(vertices))))
-
-
-def connected_component(g: RelGraph, v: Vertex) -> frozenset:
-    """Closure of ``v`` under the relation, by a walk over neighbour positions."""
-    if v not in g.vertices:
-        raise ValueError(f"{v!r} is not a vertex")
-    start = g.vertices.index(v)
-    seen, stack = {start}, [start]
-    while stack:
-        for j in g.adjacent[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return frozenset(g.vertices[i] for i in seen)
-
-
-def is_totally_disconnected(t: RelGraphTower, depth: int) -> bool:
-    """True iff every component at every level <= depth is a singleton,
-    that is, every vertex is related to itself alone."""
-    if depth > len(t.levels):
-        raise ValueError("depth exceeds available levels")
-    return all(row == (i,) for g in t.levels[:depth] for i, row in enumerate(g.adjacent))
-
-
-def bound_levelwise_nat_map(
-    level: Sequence[Vertex], f: Callable[[Vertex], int]
-) -> tuple[int, dict]:
-    """Factor a map to the naturals through Fin(k) with k = 1 + max value."""
-    values = {v: f(v) for v in level}
-    k = 1 + max(values.values()) if values else 0
-    return k, values

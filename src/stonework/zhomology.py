@@ -10,7 +10,6 @@ chain of torsion coefficients.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -44,25 +43,6 @@ class IntMatrix:
                 if not prev < j < self.ncols or not x:
                     raise InvariantViolated(f"row {r} is not a sparse row of {self.ncols} columns")
                 prev = j
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> "IntMatrix":
-        """Matrix from dense rows of integers, as written in a literal."""
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise InvariantViolated(f"dense rows do not all have {ncols} entries")
-        return IntMatrix(
-            len(rows), ncols, tuple(tuple((j, int(x)) for j, x in enumerate(r) if x) for r in rows)
-        )
-
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "IntMatrix":
-        return IntMatrix(nrows, ncols, ((),) * nrows)
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(((i, 1),) for i in range(n)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """The product, row by row, on one of four paths:
@@ -108,13 +88,6 @@ class IntMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row mismatch in hstack")
-        shift = self.ncols
-        rows = tuple(a + tuple((j + shift, x) for j, x in b) for a, b in zip(self.rows, other.rows))
-        return IntMatrix(self.nrows, self.ncols + other.ncols, rows)
 
     def is_zero(self) -> bool:
         return not any(self.rows)
@@ -332,28 +305,6 @@ def _v_columns(m: IntMatrix, cols: Sequence[int]) -> IntMatrix:
     return IntMatrix(m.ncols, len(cols), tuple(map(_sparse_row, vectors)))
 
 
-def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: unimodular U, V with D = U * m * V.
-
-    The pivot rows and columns are permuted onto the diagonal in elimination
-    order, and a negative pivot's row of U is negated.
-    """
-    pivots, rowops, _ = m._reduction
-    u = _replay([{i: 1} for i in range(m.nrows)], rowops)
-    prows = [r for r, _, _ in pivots]
-    pcols = [c for _, c, _ in pivots]
-    row_order = prows + sorted(set(range(m.nrows)) - set(prows))
-    col_order = pcols + sorted(set(range(m.ncols)) - set(pcols))
-    sign = {r: -1 if x < 0 else 1 for r, _, x in pivots}
-    u_rows = tuple(_sparse_row({k: sign.get(r, 1) * x for k, x in u[r].items()}) for r in row_order)
-    d_rows = tuple(((i, abs(x)),) for i, (_, _, x) in enumerate(pivots))
-    return (
-        IntMatrix(m.nrows, m.nrows, u_rows),
-        IntMatrix(m.nrows, m.ncols, d_rows + ((),) * (m.nrows - len(pivots))),
-        _v_columns(m, col_order),
-    )
-
-
 def snf_invariants(m: IntMatrix) -> list[int]:
     """Diagonal of the Smith form, read off the pivots alone, or without a
     reduction for one row or one column (its one factor is the entries'
@@ -368,10 +319,6 @@ def snf_invariants(m: IntMatrix) -> list[int]:
     return factors + [0] * (min(m.nrows, m.ncols) - len(factors))
 
 
-def snf_diagonal(d: IntMatrix) -> list[int]:
-    return [dict(d.rows[i]).get(i, 0) for i in range(min(d.nrows, d.ncols))]
-
-
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Never-pivoted columns of V: they generate the integer kernel lattice of
     ``m``.  A graph's d0 has one column per component instead, its indicator."""
@@ -380,19 +327,6 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
         return IntMatrix(m.ncols, m.ncols - len(m._forest[1]), tuple(((k, 1),) for k in comp))
     pivoted = {c for _, c, _ in m._reduction[0]}
     return _v_columns(m, [j for j in range(m.ncols) if j not in pivoted])
-
-
-def solve_exact(k: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Integer solution X of K X = B; raises if no exact solution exists."""
-    u, d, v = snf(k)
-    diag = snf_diagonal(d)
-    rank = sum(1 for x in diag if x != 0)
-    c = u @ b
-    if any(x % diag[i] for i in range(rank) for _, x in c.rows[i]) or any(c.rows[rank:]):
-        raise ValueError("no integer solution")
-    y_rows = tuple(tuple((j, x // diag[i]) for j, x in c.rows[i]) for i in range(rank))
-    y = IntMatrix(k.ncols, b.ncols, y_rows + ((),) * (k.ncols - rank))
-    return v @ y
 
 
 @dataclass(frozen=True)
@@ -418,21 +352,6 @@ class AbInvariants:
             parts.append(f"Z^{self.rank}")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-Z = AbInvariants(1)
-TRIVIAL_GROUP = AbInvariants(0)
-
-
-def quotient_invariants(ambient_rank: int, relations: IntMatrix) -> AbInvariants:
-    """Invariants of Z^r modulo the column lattice of ``relations``."""
-    if relations.nrows != ambient_rank:
-        raise ValueError("relation matrix has wrong height")
-    nonzero = [x for x in snf_invariants(relations) if x != 0]
-    return AbInvariants(
-        rank=ambient_rank - len(nonzero),
-        torsion=tuple(x for x in nonzero if x > 1),
-    )
 
 
 @dataclass(frozen=True)
@@ -463,8 +382,6 @@ class ChainComplexZ:
 class HomologyResult:
     h0: AbInvariants  # ker d0
     h1: AbInvariants  # ker d1 / im d0
-    h0_reduced: Optional[AbInvariants]  # ker d0 / im aug, when aug present
-    aug_injective: Optional[bool]
     exact_at: tuple[bool, ...]  # positions: [aug,] C0 (aug only), C1
 
 
@@ -474,7 +391,9 @@ def homology(c: ChainComplexZ) -> HomologyResult:
     The integer kernel of a matrix is a saturated sublattice, so the torsion
     of ker d1 / im d0 agrees with the torsion of the full cokernel of d0,
     which is read off the invariant factors of d0; ranks follow from
-    rank-nullity.  The same argument handles ker d0 / im aug.
+    rank-nullity.  The same argument gives ker d0 / im aug as
+    Z^(rank - 1) + Z/g when the augmentation's entries have gcd g != 0, and
+    as ker d0 when g = 0.
     """
     c0, c1, _ = c.dims
     inv0 = [x for x in snf_invariants(c.d0) if x != 0]
@@ -485,96 +404,12 @@ def homology(c: ChainComplexZ) -> HomologyResult:
         rank=(c1 - rank1) - rank0,
         torsion=tuple(x for x in inv0 if x > 1),
     )
-    h0_reduced = None
-    aug_injective = None
     flags: list[bool] = []
     if c.aug is not None:
         g = math.gcd(*(x for r in c.aug.rows for _, x in r))
-        aug_injective = g != 0
-        rank_aug = 1 if aug_injective else 0
-        h0_reduced = AbInvariants(
-            rank=h0.rank - rank_aug,
-            torsion=(g,) if g > 1 else (),
-        )
-        flags.append(aug_injective)
-        flags.append(h0_reduced.trivial)
+        flags += [g != 0, g <= 1 and h0.rank == g]
     flags.append(h1.trivial)
-    return HomologyResult(
-        h0=h0,
-        h1=h1,
-        h0_reduced=h0_reduced,
-        aug_injective=aug_injective,
-        exact_at=tuple(flags),
-    )
-
-
-@dataclass(frozen=True)
-class FiniteCover:
-    """Finite base with a finite fiber over each point and a coefficient spec.
-
-    coefficients "trivial" uses the constant group Z; "fiber-powers" uses
-    Z^(T_x) over the point x.
-    """
-
-    base: tuple[str, ...]
-    fibers: tuple[tuple[str, ...], ...]
-    coefficients: str = "trivial"
-
-    def __post_init__(self):
-        if len(self.base) != len(self.fibers):
-            raise ValueError("one fiber per base point required")
-        if self.coefficients not in ("trivial", "fiber-powers"):
-            raise ValueError(f"bad coefficient spec {self.coefficients!r}")
-
-    def coeff_indices(self, x: int) -> tuple:
-        if self.coefficients == "trivial":
-            return (None,)
-        return self.fibers[x]
-
-
-def _cover_basis(cov: FiniteCover, degree: int) -> list[tuple]:
-    out = []
-    for x, fiber in enumerate(cov.fibers):
-        for tup in itertools.product(fiber, repeat=degree + 1):
-            for c in cov.coeff_indices(x):
-                out.append((x, tup, c))
-    return out
-
-
-def _faces(t: tuple) -> list[tuple]:
-    """The tuples left by deleting each entry of ``t`` in turn."""
-    return [t[:i] + t[i + 1 :] for i in range(len(t))]
-
-
-def _coboundary(upper: Sequence, lower: Sequence, faces=_faces) -> IntMatrix:
-    """Row k is the alternating face sum of upper[k]: sum over i of (-1)^i e_(face i)."""
-    index = {b: j for j, b in enumerate(lower)}
-    rows = []
-    for b in upper:
-        acc: dict[int, int] = {}
-        for i, f in enumerate(faces(b)):
-            j = index[f]
-            acc[j] = acc.get(j, 0) + (-1) ** i
-        rows.append(_sparse_row(acc))
-    return IntMatrix(len(upper), len(lower), tuple(rows))
-
-
-def cech_complex(cov: FiniteCover) -> ChainComplexZ:
-    """Cech complex of a finite cover, degenerate tuples included.
-
-    A face of (x, tuple, c) deletes one entry of the tuple over the same
-    point x with the same coefficient c.
-    """
-    b0, b1, b2 = (_cover_basis(cov, degree) for degree in range(3))
-
-    def faces(b: tuple) -> list[tuple]:
-        x, tup, c = b
-        return [(x, f, c) for f in _faces(tup)]
-
-    return ChainComplexZ(
-        d0=_coboundary(b1, b0, faces),
-        d1=_coboundary(b2, b1, faces),
-    )
+    return HomologyResult(h0=h0, h1=h1, exact_at=tuple(flags))
 
 
 def graph_cech_complex(g: RelGraph) -> ChainComplexZ:

@@ -9,6 +9,7 @@ from fractions import Fraction
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from lemmas import _check_lengths, _coboundary, hstack, realize
 from stonework.boolalg import (
     Bits,
     FinBoolAlg,
@@ -18,12 +19,11 @@ from stonework.boolalg import (
     _bits_of,
     evaluate,
     minterm,
-    realize,
     spectrum,
 )
 from stonework.errors import UnknownGenerator
 from stonework.errors import RelationNotPreserved
-from stonework.interval import BitWord, _check_lengths, interval_graph
+from stonework.interval import BitWord, interval_graph
 from stonework.profinite import CountablePresentation, RelGraph, RelGraphTower
 from stonework.terms import (
     And,
@@ -45,7 +45,6 @@ from stonework.zhomology import (
     IntMatrix,
     LevelCohomology,
     StabilizationReport,
-    _coboundary,
     _covers_kernel,
     homology,
     kernel_basis,
@@ -401,7 +400,7 @@ def ordered_stabilization_report(tower: RelGraphTower) -> StabilizationReport:
         z1_hi = hi.h1.rank + hi.dims[0] - z0_hi
         surj0 = _covers_kernel(cmap.m0 @ kernel_basis(coarse.d0), z0_hi)
         h0_iso.append(lo.h0 == hi.h0 and surj0)
-        surj1 = _covers_kernel((cmap.m1 @ kernel_basis(coarse.d1)).hstack(fine.d0), z1_hi)
+        surj1 = _covers_kernel(hstack(cmap.m1 @ kernel_basis(coarse.d1), fine.d0), z1_hi)
         h1_iso.append(lo.h1 == hi.h1 and surj1)
     return StabilizationReport(tuple(results), tuple(h0_iso), tuple(h1_iso))
 

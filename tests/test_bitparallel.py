@@ -28,11 +28,11 @@ from conftest import (
     truncations_from_scratch,
     witness_from_scratch,
 )
+from lemmas import free
 from stonework.boolalg import (
     Presentation,
     analyze_morphism,
     evaluate,
-    free,
     hom,
     minimal_join_witness,
     point_map,
@@ -153,13 +153,13 @@ def test_evaluation_commutes_with_substitution(m, n, width, data):
 def test_tower_transitions_match_brute_force(rels, depth):
     tower = truncation_tower(CountablePresentation(explicit_rels=tuple(rels)), depth)
     diagram = spectrum_tower(tower)
-    for n, m in enumerate(tower.connecting):
-        lower, upper = tower.levels[n], tower.levels[n + 1]
-        assert hom(m.src, m.images, m.dst) == m  # each inclusion kills the lower relations
+    for n, (lower, upper) in enumerate(zip(tower.levels, tower.levels[1:])):
+        images = {g: Gen(g) for g in lower.source.gens}
+        hom(lower.source, images, upper.source)  # each inclusion kills the lower relations
         assert [point_of(c, len(upper.source.gens)) for c in upper.codes] == brute_spectrum(upper.source)
         for code in upper.codes:
             a = dict(zip(upper.source.gens, point_of(code, len(upper.source.gens))))
-            image = code_of(eval_term_reference(m.images[g], a) for g in lower.source.gens)
+            image = code_of(eval_term_reference(images[g], a) for g in lower.source.gens)
             assert image in lower.codes
             assert diagram.transitions[n][code] == image
 

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemmas import parse_tower_file
 from stonework import boolalg, cli
-from stonework.boolalg import Presentation
 from stonework.cli import (
     COMMANDS,
     EXIT_CAP,
@@ -27,7 +27,6 @@ from stonework.cli import (
     main,
     parse_morphism_file,
     parse_presentation,
-    parse_tower_file,
 )
 from stonework.errors import ParseError
 from stonework.terms import And, Gen, Not

@@ -8,25 +8,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import near_companion
-from stonework.errors import CapExceeded, OutOfRange
+from lemmas import OutOfRange, all_words, complement_open_union, cs_fiber, near
+from stonework.errors import CapExceeded
 from stonework.interval import (
     BitWord,
     D0,
     D1,
     Dyadic,
-    all_words,
     circle_graph,
     circle_tower,
     closed_union,
     complement_closed_union,
-    complement_open_union,
-    cs_fiber,
     cs_value,
-    cylinder_image,
     decidable_image,
     interval_graph,
     interval_tower,
-    near,
     restrict_graph_map,
 )
 
@@ -193,12 +189,12 @@ class TestGraphs:
 
 class TestIntervalUnions:
     def test_cylinder_image_examples(self):
-        u = cylinder_image(W("01"))
+        u = decidable_image([W("01")])
         assert u.parts == ((Dyadic(1, 2), Dyadic(1, 1)),)
         assert str(u) == "[1/2^2, 1/2^1]"
-        u = cylinder_image(W("1"))
+        u = decidable_image([W("1")])
         assert u.parts == ((Dyadic(1, 1), D1),)
-        u = cylinder_image(W(""))
+        u = decidable_image([W("")])
         assert u.parts == ((D0, D1),)
 
     def test_decidable_image_merges_adjacent(self):

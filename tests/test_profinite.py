@@ -7,25 +7,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import code_of, graph_from_pairs, pair_relations, point_of
-from stonework.boolalg import spectrum, free
-from stonework.errors import InvariantViolated, RelationNotPreserved, SquareNotCommuting
-from stonework.profinite import (
+from lemmas import (
     ClosedTower,
+    SquareNotCommuting,
+    bound_levelwise_nat_map,
+    closed_from_decidables,
+    connected_component,
+    constraint_emptiness_witness,
+    equality_graph,
+    is_totally_disconnected,
+    levelwise_factor,
+    points_at_depth,
+)
+from stonework.errors import InvariantViolated, RelationNotPreserved
+from stonework.profinite import (
     CountablePresentation,
     FAMILIES,
     RelGraph,
     RelGraphTower,
     SeqDiagram,
-    bound_levelwise_nat_map,
-    closed_from_decidables,
-    connected_component,
-    constraint_emptiness_witness,
-    emptiness_witness,
-    equality_graph,
-    is_totally_disconnected,
-    levelwise_factor,
     pairwise_meet_zero_family,
-    points_at_depth,
     spectrum_tower,
     truncation_tower,
 )
@@ -98,11 +99,6 @@ class TestTruncationTower:
         t = truncation_tower(CountablePresentation(explicit_rels=(ONE,)), 2)
         assert [a.n_points for a in t.levels] == [0, 0]
 
-    def test_connecting_maps_are_generator_inclusions(self):
-        t = truncation_tower(CANTOR, 3)
-        for m in t.connecting:
-            assert all(m.images[g] == Gen(g) for g in m.src.gens)
-
     def test_relation_schedule_explicit_before_family(self):
         p = CountablePresentation(
             explicit_rels=(Gen("g0"),), family=pairwise_meet_zero_family
@@ -146,7 +142,7 @@ class TestClosedTower:
         d = cantor_diagram(3)
         c = closed_from_decidables(d, [set(level) for level in d.levels])
         assert all(len(s) == len(level) for s, level in zip(c.selected, d.levels))
-        assert emptiness_witness(c) is None
+        assert constraint_emptiness_witness(c.base, c.selected) is None
 
     def test_top_singleton_projects_down(self):
         d = cantor_diagram(3)

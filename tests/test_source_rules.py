@@ -10,13 +10,16 @@ command by ``cli.main`` alone, so only ``cli.py`` imports ``gc``.  A term is
 walked node by node only to print it and to build its cached preorder, which
 evaluation, substitution, ``==``, ``hash`` and ``generators_of`` all read, so
 only ``terms._render`` and ``terms._preorder`` read ``.left``, ``.right`` or
-``.arg``.
+``.arg``.  Every module-level function and class is named, by bare name, from
+a definition a command reaches, so ``src`` holds only what the commands run.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from stonework import cli
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "stonework").glob("*.py"))
 
@@ -102,3 +105,29 @@ def test_only_the_preorder_and_the_printer_walk_terms():
         return isinstance(node, ast.Attribute) and node.attr in ("left", "right", "arg")
 
     assert set(_scopes_in_sources(reads_operand)) == {("terms.py", "_preorder"), ("terms.py", "_render")}
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    names = (n for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in names}
+
+
+def test_every_definition_is_reached_from_a_command():
+    reads: dict[tuple[str, str], set[str]] = {}  # (module, name) -> the names its definition reads
+    roots = {"main", "build_parser", "_plain_call", *(c.run.__name__ for c in cli.COMMANDS)}
+    # cmd_cohomology and cmd_stabilize look these up with getattr
+    roots |= {f"{s}_{kind}" for s in cli.SPACE[1]["choices"] for kind in ("graph", "tower")}
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                reads[path.stem, node.name] = _names_read(node)
+            else:
+                roots |= _names_read(node)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(n for (_, defined), names in reads.items() if defined == name for n in names)
+    unreached = sorted(f"{module}.{name}" for module, name in reads if name not in reached)
+    assert not unreached, f"{len(unreached)} definitions no command reaches: {unreached}"

@@ -8,6 +8,7 @@ Subpackages:
 - ``interval``   exact dyadic machinery for the unit interval
 - ``zhomology``  integer chain complexes, Smith normal form, Cech cohomology
 - ``cli``        command-line front end
+- ``record``     the decorator that makes the frozen value classes
 """
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ import functools
 import itertools
 import os
 import re
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
     RelationNotKilled,
     UnknownGenerator,
 )
+from .record import record
 from .terms import (
     And,
     Gen,
@@ -68,7 +68,7 @@ def check_cap(n: int, stage: str) -> None:
         raise CapExceeded(n, limit, stage)
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     """Ordered generators plus relations (each relation asserts term = 0)."""
 
@@ -102,7 +102,7 @@ def binfty(n: int) -> Presentation:
     return Presentation.make(gens, rels)
 
 
-@dataclass(frozen=True)
+@record
 class FinBoolAlg:
     """Spectrum of a presentation: the codes of the relation-satisfying
     points, ascending."""
@@ -176,7 +176,7 @@ def minterm(a: FinBoolAlg, i: int) -> Term:
     return meet(parts)
 
 
-@dataclass(frozen=True)
+@record
 class DualityReport:
     n_gens: int
     n_points: int
@@ -218,7 +218,7 @@ def check_duality(p: Presentation) -> DualityReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class Morphism:
     """Algebra map determined by generator images, checked well-defined.
 
@@ -275,7 +275,7 @@ def point_map(m: Morphism) -> list[int]:
     return [src_alg.point_index(c) for c in codes]
 
 
-@dataclass(frozen=True)
+@record
 class MorphismReport:
     injective: bool
     kernel_size: int
@@ -313,7 +313,7 @@ def analyze_morphism(m: Morphism) -> MorphismReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class LlpoReport:
     stage: int
     injective: bool
@@ -388,7 +388,7 @@ def llpo_split(n: int) -> LlpoReport:
 _GIDX = re.compile(r"^g(\d+)$")
 
 
-@dataclass(frozen=True)
+@record
 class WlpoReport:
     k: int
     beta: tuple[int, ...]  # assignment to g0..g{k+1}

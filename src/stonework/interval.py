@@ -11,15 +11,15 @@ to [0,1].
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .boolalg import check_cap
 from .errors import BadArgument
 from .profinite import RelGraph, RelGraphTower
+from .record import record
 
 
-@dataclass(frozen=True, order=False)
+@record
 class Dyadic:
     """Exact dyadic rational num/2^exp, normalized to an odd numerator."""
 
@@ -69,7 +69,7 @@ D0 = Dyadic(0, 0)
 D1 = Dyadic(1, 0)
 
 
-@dataclass(frozen=True)
+@record
 class BitWord:
     """Finite bit list; leading zeros are significant."""
 
@@ -143,7 +143,7 @@ def circle_tower(depth: int) -> RelGraphTower:
     return _graph_tower(circle_graph, depth)
 
 
-@dataclass(frozen=True)
+@record
 class IntervalUnion:
     """Normalized finite union of dyadic subintervals of [0,1].
 

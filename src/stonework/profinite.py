@@ -11,17 +11,17 @@ compact Hausdorff quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
 from .boolalg import FinBoolAlg, Presentation, spectrum
 from .errors import BadArgument, InvariantViolated, RelationNotPreserved
+from .record import record
 from .terms import And, Gen, Term, generators_of
 
 Vertex = Hashable
 
 
-@dataclass(frozen=True)
+@record
 class SeqDiagram:
     """Finite sets with transition maps level n+1 -> level n."""
 
@@ -37,12 +37,8 @@ class SeqDiagram:
             if set(tr) != upper or not set(tr.values()) <= lower:
                 raise ValueError(f"transition {n} is not a total map between adjacent levels")
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
 
-
-@dataclass(frozen=True)
+@record
 class AlgebraTower:
     """Finite Boolean algebras, each level's generators and relations among
     the next level's, so that generator inclusion maps level n -> level n+1."""
@@ -50,7 +46,7 @@ class AlgebraTower:
     levels: tuple[FinBoolAlg, ...]
 
 
-@dataclass(frozen=True)
+@record
 class CountablePresentation:
     """Countably indexed generators g0,g1,... with a relation schedule.
 
@@ -134,7 +130,7 @@ def spectrum_tower(t: AlgebraTower) -> SeqDiagram:
     return SeqDiagram(levels, tuple(transitions))
 
 
-@dataclass(frozen=True)
+@record
 class RelGraph:
     """Finite vertex set with a reflexive symmetric relation.
 
@@ -169,7 +165,7 @@ class RelGraph:
         return frozenset((vs[i], vs[j]) for i, row in enumerate(self.adjacent) for j in row)
 
 
-@dataclass(frozen=True)
+@record
 class RelGraphTower:
     """Relation graphs with relation-preserving transitions level n+1 -> n.
 

@@ -11,10 +11,10 @@ Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Collection, KeysView, Mapping, Optional
 
 from .errors import ParseError, UnknownGenerator
+from .record import record
 
 
 class Term:
@@ -44,34 +44,38 @@ class Term:
         return Not(self)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class Zero(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class One(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class Gen(Term):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class Not(Term):
+    __slots__ = ("arg",)
     arg: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class And(Term):
+    __slots__ = ("left", "right")
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class Or(Term):
+    __slots__ = ("left", "right")
     left: Term
     right: Term
 

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantViolated, RelationNotPreserved
 from .profinite import RelGraph, RelGraphTower
+from .record import record
 
 Op = tuple[int, int, int]  # (dst, src, k): add k times line src to line dst
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """Integer matrix stored as sparse rows.
 
@@ -329,7 +329,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return _v_columns(m, [j for j in range(m.ncols) if j not in pivoted])
 
 
-@dataclass(frozen=True)
+@record
 class AbInvariants:
     """Finitely generated abelian group as free rank plus invariant factors."""
 
@@ -354,7 +354,7 @@ class AbInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
+@record
 class ChainComplexZ:
     """Three-term integer cochain complex with optional augmentation."""
 
@@ -378,7 +378,7 @@ class ChainComplexZ:
         return (self.d0.ncols, self.d0.nrows, self.d1.nrows)
 
 
-@dataclass(frozen=True)
+@record
 class HomologyResult:
     h0: AbInvariants  # ker d0
     h1: AbInvariants  # ker d1 / im d0
@@ -436,7 +436,7 @@ def graph_cech_complex(g: RelGraph) -> ChainComplexZ:
     )
 
 
-@dataclass(frozen=True)
+@record
 class CochainMap:
     """Pullback along a graph morphism, from the coarse complex to the fine one."""
 
@@ -534,7 +534,7 @@ def _project_off_tree(x: IntMatrix, d0: IntMatrix) -> IntMatrix:
     return IntMatrix(len(cotree), x.ncols, tuple(map(tuple, out)))
 
 
-@dataclass(frozen=True)
+@record
 class LevelCohomology:
     level: int
     dims: tuple[int, int, int]  # of the ordered complex, see _level_cohomology
@@ -552,7 +552,7 @@ def _level_cohomology(level: int, cx: ChainComplexZ) -> LevelCohomology:
     return LevelCohomology(level, (v, v + 2 * e, v + 6 * e + 6 * t), h.h0, h.h1, h.exact_at)
 
 
-@dataclass(frozen=True)
+@record
 class StabilizationReport:
     levels: tuple[LevelCohomology, ...]
     h0_iso: tuple[bool, ...]  # between consecutive levels

@@ -133,7 +133,7 @@ class ClosedTower:
     selected: tuple[frozenset, ...]
 
     def __post_init__(self):
-        if len(self.selected) != self.base.depth:
+        if len(self.selected) != len(self.base.levels):
             raise InvariantViolated("need one selected set per level")
         for n, tr in enumerate(self.base.transitions):
             image = {tr[x] for x in self.selected[n + 1]}
@@ -143,8 +143,8 @@ class ClosedTower:
 
 def points_at_depth(d: SeqDiagram, depth: int) -> list[tuple]:
     """All transition-compatible chains (x_0, ..., x_depth)."""
-    if depth >= d.depth:
-        raise ValueError(f"depth {depth} exceeds available levels {d.depth}")
+    if depth >= len(d.levels):
+        raise ValueError(f"depth {depth} exceeds available levels {len(d.levels)}")
     chains = []
     for top in d.levels[depth]:
         chain = [top]
@@ -162,13 +162,13 @@ def closed_from_decidables(d: SeqDiagram, subsets: Sequence) -> ClosedTower:
     selected sets are then exactly the level projections of the chains
     through all supplied levels, which satisfies the saturation invariant.
     """
-    if len(subsets) != d.depth:
+    if len(subsets) != len(d.levels):
         raise ValueError("one subset per level required")
     selected = [frozenset(s) & frozenset(level) for s, level in zip(subsets, d.levels)]
-    for n in range(d.depth - 2, -1, -1):
+    for n in range(len(d.levels) - 2, -1, -1):
         image = frozenset(d.transitions[n][x] for x in selected[n + 1])
         selected[n] = selected[n] & image
-    for n in range(1, d.depth):
+    for n in range(1, len(d.levels)):
         tr = d.transitions[n - 1]
         selected[n] = frozenset(x for x in selected[n] if tr[x] in selected[n - 1])
     return ClosedTower(d, tuple(selected))
@@ -177,7 +177,7 @@ def closed_from_decidables(d: SeqDiagram, subsets: Sequence) -> ClosedTower:
 def constraint_emptiness_witness(d: SeqDiagram, subsets: Sequence) -> Optional[int]:
     """Least k such that no chain (x_0..x_k) stays inside the subsets."""
     reachable: Optional[frozenset] = None
-    for n in range(d.depth):
+    for n in range(len(d.levels)):
         allowed = frozenset(subsets[n]) & frozenset(d.levels[n])
         if reachable is None:
             reachable = allowed
@@ -200,18 +200,18 @@ def levelwise_factor(
     src: SeqDiagram, dst: SeqDiagram, maps: Sequence[dict]
 ) -> LevelwiseFactorization:
     """Per-level image factorization of a levelwise map of diagrams."""
-    if len(maps) != src.depth or src.depth != dst.depth:
+    if len(maps) != len(src.levels) or len(src.levels) != len(dst.levels):
         raise ValueError("one map per level required")
-    for n in range(src.depth - 1):
+    for n in range(len(src.levels) - 1):
         for x in src.levels[n + 1]:
             if maps[n][src.transitions[n][x]] != dst.transitions[n][maps[n + 1][x]]:
                 raise SquareNotCommuting(n)
     mid_levels = []
-    for n in range(src.depth):
+    for n in range(len(src.levels)):
         image = {maps[n][x] for x in src.levels[n]}
         mid_levels.append(tuple(y for y in dst.levels[n] if y in image))
     mid_transitions = []
-    for n in range(src.depth - 1):
+    for n in range(len(src.levels) - 1):
         mid_transitions.append({y: dst.transitions[n][y] for y in mid_levels[n + 1]})
     middle = SeqDiagram(tuple(mid_levels), tuple(mid_transitions))
     epi = tuple(dict(m) for m in maps)

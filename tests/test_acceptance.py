@@ -207,7 +207,7 @@ def test_06_minimal_prefix_and_emptiness_match_brute_force():
             {x for x in level if rng.random() < 0.6} for level in d.levels
         ]
         def least_failing_level(sets) -> int | None:
-            for k in range(d.depth):
+            for k in range(len(d.levels)):
                 chains = [
                     c
                     for c in points_at_depth(d, k)

@@ -205,7 +205,7 @@ class TestEmptinessWitness:
             ]
             got = constraint_emptiness_witness(d, subsets)
             expected = None
-            for k in range(d.depth):
+            for k in range(len(d.levels)):
                 chains = [
                     c for c in points_at_depth(d, k)
                     if all(c[n] in subsets[n] for n in range(k + 1))

@@ -12,9 +12,15 @@ evaluation, substitution, ``==``, ``hash`` and ``generators_of`` all read, so
 only ``terms._render`` and ``terms._preorder`` read ``.left``, ``.right`` or
 ``.arg``.  Every module-level function and class is named, by bare name, from
 a definition a command reaches, so ``src`` holds only what the commands run.
+Every command starts in a fresh process, so the frozen records are built by
+``stonework.record``, which generates one ``__init__`` per class, and no
+module imports ``dataclasses``; importing ``stonework.cli`` in a bare
+interpreter loads neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,15 +61,32 @@ def test_no_pair_set_reads(path):
     assert not lines, f"{path.name}: reads of .related at lines {lines}"
 
 
-def test_only_cli_imports_gc():
-    importers = [
+def _importers_of(module: str) -> list[str]:
+    return [
         path.name
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "gc" for a in node.names)
-        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gc"
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == module for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module
     ]
-    assert importers == ["cli.py"]
+
+
+def test_only_cli_imports_gc():
+    assert _importers_of("gc") == ["cli.py"]
+
+
+def test_no_module_imports_dataclasses():
+    assert _importers_of("dataclasses") == []
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    code = "import sys, stonework.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = str(SOURCES[0].parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "[]\n"
 
 
 def _scopes_of(tree: ast.AST, hit, scope: tuple[str, ...] = ()) -> list[tuple[str, ...]]:

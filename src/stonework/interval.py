@@ -52,13 +52,6 @@ class Dyadic:
         e = max(self.exp, other.exp)
         return Dyadic((self.num << (e - self.exp)) + (other.num << (e - other.exp)), e)
 
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        e = max(self.exp, other.exp)
-        return Dyadic((self.num << (e - self.exp)) - (other.num << (e - other.exp)), e)
-
-    def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self.num), self.exp)
-
     def __str__(self) -> str:
         if self.exp == 0:
             return str(self.num)
@@ -166,19 +159,6 @@ class IntervalUnion:
         for (_, hi), (lo, _) in zip(self.parts, self.parts[1:]):
             if not hi < lo:
                 raise ValueError("parts not sorted/disjoint")
-
-    def contains(self, d: Dyadic) -> bool:
-        for lo, hi in self.parts:
-            if self.kind == "closed":
-                if lo <= d <= hi:
-                    return True
-            else:
-                inside = lo < d < hi
-                at_zero = d == lo == D0
-                at_one = d == hi == D1
-                if inside or at_zero or at_one:
-                    return True
-        return False
 
     def __str__(self) -> str:
         if not self.parts:

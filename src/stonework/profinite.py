@@ -39,14 +39,6 @@ class SeqDiagram:
 
 
 @record
-class AlgebraTower:
-    """Finite Boolean algebras, each level's generators and relations among
-    the next level's, so that generator inclusion maps level n -> level n+1."""
-
-    levels: tuple[FinBoolAlg, ...]
-
-
-@record
 class CountablePresentation:
     """Countably indexed generators g0,g1,... with a relation schedule.
 
@@ -91,8 +83,8 @@ def _gen_index(name: str) -> int:
         raise BadArgument(f"generator index of {len(name) - 1} digits is out of range") from None
 
 
-def truncation_tower(p: CountablePresentation, depth: int) -> AlgebraTower:
-    """Finite truncations at levels 0..depth-1.
+def truncation_tower(p: CountablePresentation, depth: int) -> tuple[FinBoolAlg, ...]:
+    """Finite truncations at levels 0..depth-1, as their spectra.
 
     Level n's generators are among level n+1's and its relations are a
     prefix of level n+1's, so each inclusion kills every source relation.
@@ -107,17 +99,18 @@ def truncation_tower(p: CountablePresentation, depth: int) -> AlgebraTower:
         indices.add(n)
         gens = [f"g{i}" for i in sorted(indices)]
         levels.append(spectrum(Presentation.make(gens, rels)))
-    return AlgebraTower(tuple(levels))
+    return tuple(levels)
 
 
-def spectrum_tower(t: AlgebraTower) -> SeqDiagram:
-    """Dualize: level sets are spectra, and each transition restricts a point
-    to the lower level's generators, which is precomposing the inclusion: it
-    drops the bits of the generators that level lacks, moving each run of kept
-    bits down past the dropped bits below it as (code >> shift) & mask."""
-    levels = tuple(alg.codes for alg in t.levels)
+def spectrum_tower(algebras: tuple[FinBoolAlg, ...]) -> SeqDiagram:
+    """Dualize a truncation tower: level sets are spectra, and each transition
+    restricts a point to the lower level's generators, which is precomposing
+    the inclusion: it drops the bits of the generators that level lacks,
+    moving each run of kept bits down past the dropped bits below it as
+    (code >> shift) & mask."""
+    levels = tuple(alg.codes for alg in algebras)
     transitions = []
-    for lower, upper in zip(t.levels, t.levels[1:]):
+    for lower, upper in zip(algebras, algebras[1:]):
         have = set(lower.source.gens)
         kept = [b for b, g in enumerate(reversed(upper.source.gens)) if g in have]
         runs: dict[int, int] = {}  # shift -> the lower bits its run fills

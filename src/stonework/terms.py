@@ -34,15 +34,6 @@ class Term:
     def __repr__(self) -> str:
         return f"parse_term({_render(self)!r})"
 
-    def __and__(self, other: "Term") -> "Term":
-        return And(self, other)
-
-    def __or__(self, other: "Term") -> "Term":
-        return Or(self, other)
-
-    def __invert__(self) -> "Term":
-        return Not(self)
-
 
 @record
 class Zero(Term):

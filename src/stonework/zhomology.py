@@ -569,8 +569,12 @@ def stabilization_report(tower: RelGraphTower) -> StabilizationReport:
         cmap = induced_cochain_map(fine, coarse, tower.transitions[n])
         lo, hi = results[n], results[n + 1]
         # a surjective map between groups with equal invariants is an
-        # isomorphism (finitely generated abelian groups are Hopfian)
-        surj0 = _covers_kernel(cmap.m0 @ kernel_basis(coarse.d0), hi.h0.rank)
+        # isomorphism (finitely generated abelian groups are Hopfian).  Each
+        # fine component maps into one coarse component, and the pullbacks of
+        # the coarse component indicators generate the fine ones exactly when
+        # no two fine components land in the same coarse component
+        comp = coarse.d0._forest[0]
+        surj0 = len({comp[p] for p in tower.transitions[n]}) == hi.h0.rank
         h0_iso.append(lo.h0 == hi.h0 and surj0)
         # m1 maps im d0 into im d0, so coarse H1 covers fine H1 exactly when
         # the coarse representatives, pulled back and projected onto the fine

@@ -127,6 +127,12 @@ def point_of(code: int, n: int) -> tuple[int, ...]:
     return tuple(code >> (n - 1 - i) & 1 for i in range(n))
 
 
+def interleaving_pullback(point, n: int) -> tuple[int, ...]:
+    """The point of binfty(2n) that a point (e, a0.., b0..) of the llpo
+    product restricts to along g_2k -> a_k, g_2k+1 -> b_k (an oracle)."""
+    return tuple(point[1 + m // 2] if m % 2 == 0 else point[1 + n + m // 2] for m in range(2 * n))
+
+
 def codes_by_compress(p: Presentation) -> tuple[int, ...]:
     """The spectrum's codes by the table scan ``spectrum`` used to make: the
     relations' truth tables over generator masks built bit by bit, then one

@@ -270,6 +270,27 @@ def near(n: int, s: BitWord, t: BitWord) -> bool:
     return abs(s.value - t.value) <= 1
 
 
+def dyadic_sub(x: Dyadic, y: Dyadic) -> Dyadic:
+    """The exact difference x - y."""
+    e = max(x.exp, y.exp)
+    return Dyadic((x.num << (e - x.exp)) - (y.num << (e - y.exp)), e)
+
+
+def dyadic_abs(d: Dyadic) -> Dyadic:
+    return Dyadic(abs(d.num), d.exp)
+
+
+def contains(u: IntervalUnion, d: Dyadic) -> bool:
+    """Is ``d`` in ``u``?  An open part holds its endpoint 0 or 1, if it has one."""
+    for lo, hi in u.parts:
+        if u.kind == "closed":
+            if lo <= d <= hi:
+                return True
+        elif lo < d < hi or d == lo == D0 or d == hi == D1:
+            return True
+    return False
+
+
 def complement_open_union(u: IntervalUnion) -> IntervalUnion:
     """Relative complement in [0,1] of an open union, as closed parts."""
     if u.kind != "open":

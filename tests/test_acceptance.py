@@ -9,7 +9,16 @@ import itertools
 import random
 from fractions import Fraction
 
-from conftest import code_of, dense, near_companion, random_term, rational_rank, witness_from_scratch
+from conftest import (
+    code_of,
+    dense,
+    interleaving_pullback,
+    near_companion,
+    point_of,
+    random_term,
+    rational_rank,
+    witness_from_scratch,
+)
 from lemmas import (
     FiniteCover,
     TRIVIAL_GROUP,
@@ -20,6 +29,7 @@ from lemmas import (
     closed_from_decidables,
     complement_open_union,
     constraint_emptiness_witness,
+    contains,
     from_rows,
     near,
     points_at_depth,
@@ -151,7 +161,7 @@ def test_04_interleaving_split_is_injective_with_exact_decode():
         assert rep.spectrum_map_surjective
         assert rep.decode_consistent
         # independent decode oracle: each source point must be recovered by
-        # following its decoded side/point back through the spectrum map
+        # restricting its decoded side/point along the interleaving map
         src = spectrum(binfty(2 * n))
         dst = spectrum(llpo_product_presentation(n))
         for i, (side, beta) in enumerate(rep.decode):
@@ -159,8 +169,10 @@ def test_04_interleaving_split_is_injective_with_exact_decode():
                 dst_pt = (1,) + beta + (0,) * n
             else:
                 dst_pt = (0,) + (0,) * n + beta
-            assert rep.spectrum_map[dst.point_index(code_of(dst_pt))] == i
-        assert set(rep.spectrum_map) == set(range(src.n_points))
+            assert code_of(dst_pt) in dst.codes
+            assert code_of(interleaving_pullback(dst_pt, n)) == src.codes[i]
+        images = {code_of(interleaving_pullback(point_of(c, 2 * n + 1), n)) for c in dst.codes}
+        assert images == set(src.codes)
 
 
 def test_05_every_candidate_zero_decider_is_refuted():
@@ -311,7 +323,7 @@ def test_09_cylinder_images_match_pointwise_brute_force():
         for (lo, hi), (lo2, _) in zip(u.parts, u.parts[1:]):
             assert hi < lo2
         for d, x in probes:
-            assert u.contains(d) == oracle(words, x)
+            assert contains(u, d) == oracle(words, x)
         # complement of complement restores the original
         assert complement_open_union(complement_closed_union(u)).parts == u.parts
 

@@ -40,7 +40,7 @@ from stonework.boolalg import (
 )
 from stonework.errors import RelationNotKilled
 from stonework.profinite import FAMILIES, CountablePresentation, spectrum_tower, truncation_tower
-from stonework.terms import Gen, Not, ONE, ZERO, eval_term, join, meet, substitute
+from stonework.terms import And, Gen, Not, ONE, Or, ZERO, eval_term, join, meet, substitute
 
 GENS = [f"g{i}" for i in range(8)]
 
@@ -153,7 +153,7 @@ def test_evaluation_commutes_with_substitution(m, n, width, data):
 def test_tower_transitions_match_brute_force(rels, depth):
     tower = truncation_tower(CountablePresentation(explicit_rels=tuple(rels)), depth)
     diagram = spectrum_tower(tower)
-    for n, (lower, upper) in enumerate(zip(tower.levels, tower.levels[1:])):
+    for n, (lower, upper) in enumerate(zip(tower, tower[1:])):
         images = {g: Gen(g) for g in lower.source.gens}
         hom(lower.source, images, upper.source)  # each inclusion kills the lower relations
         assert [point_of(c, len(upper.source.gens)) for c in upper.codes] == brute_spectrum(upper.source)
@@ -171,16 +171,16 @@ def test_tower_transitions_match_brute_force(rels, depth):
     st.integers(0, 8),
 )
 @example([], "pairwise-meet-zero", 8)
-@example([Gen("g0") & Gen("g6"), Gen("g1") & ~Gen("g2"), Gen("g3") | Gen("g4")], "none", 8)
+@example([And(Gen("g0"), Gen("g6")), And(Gen("g1"), Not(Gen("g2"))), Or(Gen("g3"), Gen("g4"))], "none", 8)
 def test_tower_matches_the_from_scratch_oracle(rels, family, depth):
     p = CountablePresentation(explicit_rels=tuple(rels), family=FAMILIES[family])
     tower = truncation_tower(p, depth)
     oracle = truncations_from_scratch(p, depth)
-    assert [level.source for level in tower.levels] == oracle  # gens and rels
-    assert [level.codes for level in tower.levels] == [codes_by_compress(q) for q in oracle]
+    assert [level.source for level in tower] == oracle  # gens and rels
+    assert [level.codes for level in tower] == [codes_by_compress(q) for q in oracle]
     diagram = spectrum_tower(tower)
     for n, (lower, upper) in enumerate(zip(oracle, oracle[1:])):
-        codes = tower.levels[n + 1].codes
+        codes = tower[n + 1].codes
         assert diagram.transitions[n] == {c: restrict_per_bit(c, upper, lower) for c in codes}
 
 
@@ -192,7 +192,7 @@ def test_code_scan_edge_cases(n, table):
         "none": [ONE],
         "full": [],
         "bit 0": [join([Gen(g) for g in gens])],  # only the all-zero point
-        "top bit": [~meet([Gen(g) for g in gens])],  # only the all-one point
+        "top bit": [Not(meet([Gen(g) for g in gens]))],  # only the all-one point
     }[table]
     p = Presentation.make(gens, rels)
     expected = {"none": (), "full": tuple(range(2**n)), "bit 0": (0,), "top bit": (2**n - 1,)}
@@ -210,14 +210,14 @@ def test_no_generators():
 def test_relation_one_empties_the_spectrum():
     a = spectrum(Presentation.make(["g0", "g1"], [ONE]))
     assert a.codes == ()
-    assert evaluate(Gen("g1") | ONE, a) == ()
+    assert evaluate(Or(Gen("g1"), ONE), a) == ()
     assert evaluate(ZERO, a) == ()
 
 
 def test_relation_zero_keeps_every_assignment():
     a = spectrum(Presentation.make(["g0", "g1"], [ZERO]))
     assert tuple(point_of(c, 2) for c in a.codes) == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert evaluate(Gen("g0") & ~Gen("g1"), a) == (0, 0, 1, 0)
+    assert evaluate(And(Gen("g0"), Not(Gen("g1"))), a) == (0, 0, 1, 0)
 
 
 def test_deep_term_does_not_hit_the_recursion_limit():

@@ -808,7 +808,7 @@ class TestFailedCheck:
 
     @pytest.fixture(autouse=True)
     def failing_duality(self, monkeypatch):
-        report = boolalg.DualityReport(n_gens=2, n_points=3, n_elements=8, bijective=False)
+        report = boolalg.DualityReport(n_points=3, n_elements=8, bijective=False)
         monkeypatch.setattr(boolalg, "check_duality", lambda p: report)
 
     def test_text_report_ends_with_check_failed(self, capsys, pres_file):

@@ -85,19 +85,19 @@ class TestFamilies:
 class TestTruncationTower:
     def test_cantor_level_sizes_double(self):
         t = truncation_tower(CANTOR, 3)
-        assert [a.n_points for a in t.levels] == [2, 4, 8]
+        assert [a.n_points for a in t] == [2, 4, 8]
 
     def test_atmostone_levels_eventually_match_stage_counts(self):
         # once the schedule has delivered all pairs among g0..gk, the level
         # is the stage-(k+1) algebra with k+2 points
         t = truncation_tower(ATMOSTONE, 3)
-        sizes = [a.n_points for a in t.levels]
+        sizes = [a.n_points for a in t]
         assert sizes[0] == 3  # g0,g1 with one relation
         assert sizes[2] == 4  # g0,g1,g2 with all three relations
 
     def test_explicit_relation_one_gives_empty_levels(self):
         t = truncation_tower(CountablePresentation(explicit_rels=(ONE,)), 2)
-        assert [a.n_points for a in t.levels] == [0, 0]
+        assert [a.n_points for a in t] == [0, 0]
 
     def test_relation_schedule_explicit_before_family(self):
         p = CountablePresentation(

@@ -10,8 +10,17 @@ command by ``cli.main`` alone, so only ``cli.py`` imports ``gc``.  A term is
 walked node by node only to print it and to build its cached preorder, which
 evaluation, substitution, ``==``, ``hash`` and ``generators_of`` all read, so
 only ``terms._render`` and ``terms._preorder`` read ``.left``, ``.right`` or
-``.arg``.  Every module-level function and class is named, by bare name, from
-a definition a command reaches, so ``src`` holds only what the commands run.
+``.arg``.  ``src`` holds only what the commands run.  Every module-level
+function and class is named, by bare name or as an attribute, from a
+definition a command reaches, and every method and property (a ``def`` in a
+class body, ``staticmethod`` and ``cached_property`` included) is read as an
+attribute by one.  ``ast`` cannot type an operand, so the operator dunders a
+class defines (``__add__``, ``__lt__``, ``__matmul__``, ...) are checked by
+running the small golden commands with a counter on each, and each must be
+called; the protocol dunders (``__init__``, ``__post_init__``, ``__eq__``,
+``__hash__``, ``__repr__``, ``__str__``) come with their class.  The one
+exemption is ``RelGraph.related``, which only the benchmark's graph probe
+reads, and a test fails once that probe stops reading it.
 Every command starts in a fresh process, so the frozen records are built by
 ``stonework.record``, which generates one ``__init__`` per class, and no
 module imports ``dataclasses``; importing ``stonework.cli`` in a bare
@@ -19,6 +28,7 @@ interpreter loads neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +36,7 @@ from pathlib import Path
 import pytest
 
 from stonework import cli
+from test_golden import CASES, case_argv
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "stonework").glob("*.py"))
 
@@ -130,27 +141,97 @@ def test_only_the_preorder_and_the_printer_walk_terms():
     assert set(_scopes_in_sources(reads_operand)) == {("terms.py", "_preorder"), ("terms.py", "_render")}
 
 
-def _names_read(node: ast.AST) -> set[str]:
-    names = (n for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in names}
+PROTOCOL = {"__init__", "__post_init__", "__eq__", "__hash__", "__repr__", "__str__"}
+# (module, class, member) read only by perfbench/tracing.py::_graph_probe
+EXEMPT = {("profinite", "RelGraph", "related")}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _reads(nodes) -> set[str]:
+    """Names read under ``nodes``: each bare name, and each attribute both
+    bare and as ".attr", the only form that reaches a method."""
+    out = set()
+    for n in (n for node in nodes for n in ast.walk(node)):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out |= {n.attr, f".{n.attr}"}
+    return out
+
+
+def _members(cls: ast.ClassDef) -> list[ast.FunctionDef]:
+    return [n for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
 
 def test_every_definition_is_reached_from_a_command():
-    reads: dict[tuple[str, str], set[str]] = {}  # (module, name) -> the names its definition reads
+    # label -> (the name that reaches the definition, the names it reads)
+    defs: dict[str, tuple[str, set[str]]] = {}
     roots = {"main", "build_parser", "_plain_call", *(c.run.__name__ for c in cli.COMMANDS)}
     # cmd_cohomology and cmd_stabilize look these up with getattr
     roots |= {f"{s}_{kind}" for s in cli.SPACE[1]["choices"] for kind in ("graph", "tower")}
     for path in SOURCES:
         for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                reads[path.stem, node.name] = _names_read(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[f"{path.stem}.{node.name}"] = (node.name, _reads([node]))
+            elif isinstance(node, ast.ClassDef):
+                members = _members(node)
+                body = [n for n in node.body if n not in members]
+                defs[f"{path.stem}.{node.name}"] = (node.name, _reads([*node.bases, *node.decorator_list, *body]))
+                for m in members:
+                    if (path.stem, node.name, m.name) not in EXEMPT:
+                        # Python applies a dunder, so it is reached with its class; see
+                        # test_every_operator_is_applied_by_a_command for the operators
+                        key = node.name if _is_dunder(m.name) else f".{m.name}"
+                        defs[f"{path.stem}.{node.name}.{m.name}"] = (key, _reads([m]))
             else:
-                roots |= _names_read(node)
+                roots |= _reads([node])
+    reads_of: dict[str, list[set[str]]] = {}
+    for key, names in defs.values():
+        reads_of.setdefault(key, []).append(names)
     reached, todo = set(), list(roots)
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
-            todo.extend(n for (_, defined), names in reads.items() if defined == name for n in names)
-    unreached = sorted(f"{module}.{name}" for module, name in reads if name not in reached)
+            for names in reads_of.get(name, ()):
+                todo.extend(names)
+    unreached = sorted(label for label, (key, _) in defs.items() if key not in reached)
     assert not unreached, f"{len(unreached)} definitions no command reaches: {unreached}"
+
+
+def test_the_exempt_member_is_still_read_by_the_benchmark_probe():
+    tracing = SOURCES[0].parent.parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    for _, _, member in EXEMPT:
+        assert any(isinstance(n, ast.Attribute) and n.attr == member for n in ast.walk(tree)), member
+
+
+def test_every_operator_is_applied_by_a_command(monkeypatch, tmp_path):
+    calls: dict[str, int] = {}
+
+    def counting(label, fn):
+        def wrapper(*args):
+            calls[label] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for path in SOURCES:
+        module = importlib.import_module(f"stonework.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name)
+                for m in _members(node):
+                    if _is_dunder(m.name) and m.name not in PROTOCOL:
+                        label = f"{path.stem}.{node.name}.{m.name}"
+                        calls[label] = 0
+                        monkeypatch.setattr(cls, m.name, counting(label, vars(cls)[m.name]))
+    assert calls, "no operator found"
+    small = [name for name, argv in CASES.items() if all(int(a) <= 8 for a in argv if a.isdigit())]
+    for name in small:
+        assert cli.main(["--json", *case_argv(name, tmp_path)]) == cli.EXIT_OK
+    unapplied = sorted(label for label, n in calls.items() if not n)
+    assert not unapplied, f"operators no small golden command applies: {unapplied}"

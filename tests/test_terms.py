@@ -136,11 +136,6 @@ class TestParser:
 
 
 class TestPrinter:
-    def test_operator_sugar_matches_constructors(self):
-        assert (G0 & G1) == And(G0, G1)
-        assert (G0 | G1) == Or(G0, G1)
-        assert (~G0) == Not(G0)
-
     def test_str_inserts_needed_parens(self):
         t = And(Or(G0, G1), Not(G2))
         assert parse_term(str(t)) == t
@@ -204,9 +199,9 @@ class TestEval:
     def test_truth_table_of_core_ops(self):
         a = {"g0": 1, "g1": 0}
         assert eval_term(G0, a) == 1
-        assert eval_term(~G0, a) == 0
-        assert eval_term(G0 & G1, a) == 0
-        assert eval_term(G0 | G1, a) == 1
+        assert eval_term(Not(G0), a) == 0
+        assert eval_term(And(G0, G1), a) == 0
+        assert eval_term(Or(G0, G1), a) == 1
         assert eval_term(ZERO, a) == 0
         assert eval_term(ONE, a) == 1
 
@@ -221,7 +216,7 @@ class TestEval:
         assert generators_of(ONE) == set()
 
     def test_substitute(self):
-        t = substitute(G0 & G1, {"g0": ~G2, "g1": ONE})
+        t = substitute(And(G0, G1), {"g0": Not(G2), "g1": ONE})
         assert t == And(Not(G2), ONE)
 
     def test_unknown_generator_named_is_the_leftmost(self):
@@ -268,8 +263,8 @@ class TestJson:
         assert term_to_json(ZERO) == "0"
         assert term_to_json(ONE) == "1"
         assert term_to_json(G0) == "g0"
-        assert term_to_json(~G0) == ["~", "g0"]
-        assert term_to_json(G0 & G1) == ["&", "g0", "g1"]
+        assert term_to_json(Not(G0)) == ["~", "g0"]
+        assert term_to_json(And(G0, G1)) == ["&", "g0", "g1"]
         assert term_from_json(["|", "g0", ["~", "1"]]) == Or(G0, Not(ONE))
 
     @given(term_strategy(["g0", "g1", "g2"]))

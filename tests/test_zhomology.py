@@ -16,6 +16,7 @@ from conftest import (
     ordered_graph_complex,
     ordered_stabilization_report,
     oriented_bases,
+    pair_relations,
     rational_rank,
     rel_graphs,
     signed_pullback,
@@ -408,6 +409,18 @@ def graph_towers(draw, max_vertices: int = 10) -> RelGraphTower:
     return RelGraphTower(tuple(levels), tuple(transitions))
 
 
+@st.composite
+def graph_maps(draw, max_vertices: int = 7) -> RelGraphTower:
+    """Two-level towers whose transition is any relation-preserving vertex map
+    into a drawn coarse graph, so it need not reach every coarse vertex or
+    component: the fine relation keeps the drawn pairs whose images are related."""
+    coarse = draw(rel_graphs(max_vertices).filter(lambda g: len(g.vertices) > 0))
+    vertices, drawn = draw(pair_relations(max_vertices))
+    f = {v: draw(st.integers(0, len(coarse.vertices) - 1)) for v in vertices}
+    fine = graph_from_pairs(vertices, {(u, v) for u, v in drawn if f[v] in coarse.adjacent[f[u]]})
+    return RelGraphTower((coarse, fine), (tuple(f[v] for v in vertices),))
+
+
 class TestForestMatchesSmith:
     """A graph's d0 is read off a spanning forest; the Smith reduction agrees."""
 
@@ -435,6 +448,12 @@ class TestForestMatchesSmith:
         if k.ncols:
             solve_exact(k, smith)
             solve_exact(smith, k)
+
+    @given(graph_maps())
+    @settings(max_examples=200, deadline=None)
+    def test_maps_into_a_graph_match_ordered_oracle(self, tower: RelGraphTower):
+        # the h0 check compares component labels; the oracle reduces a lattice
+        assert stabilization_report(tower) == ordered_stabilization_report(tower)
 
     @given(graph_towers())
     @settings(max_examples=100, deadline=None)
@@ -843,6 +862,18 @@ class TestStabilization:
             assert rep.h1_iso == (False,)
             assert rep == ordered_stabilization_report(tower)
 
+    def test_components_that_merge_are_not_an_isomorphism(self):
+        # both fine components land in the coarse component {0, 1}, and the
+        # coarse component {2} is missed: H0 is Z^2 at both levels, but the
+        # induced map has rank 1, so equal ranks alone would say iso
+        coarse = RelGraph((0, 1, 2), ((0, 1), (0, 1), (2,)))
+        fine = RelGraph((0, 1), ((0,), (1,)))
+        tower = RelGraphTower((coarse, fine), ((0, 1),))
+        rep = stabilization_report(tower)
+        assert [lc.h0 for lc in rep.levels] == [AbInvariants(2), AbInvariants(2)]
+        assert rep.h0_iso == (False,)
+        assert rep == ordered_stabilization_report(tower)
+
     @staticmethod
     def reductions(monkeypatch, tower) -> tuple[list, list]:
         """The matrices that ``stabilization_report`` hands to ``_diagonalize``,
@@ -866,8 +897,8 @@ class TestStabilization:
     def test_circle_tower_reduces_nothing(self, monkeypatch):
         # every d0 is read off its forest, and a circle level's d1 and its
         # restriction to the non-tree edges have no rows, so they are forests
-        # too; the h0 check's matrices have one column, and the h1 check's one
-        # row from level 2 on and no rows below
+        # too; the h0 check compares component labels, and the h1 check's
+        # matrices have one row from level 2 on and no rows below
         reduced, complexes = self.reductions(monkeypatch, circle_tower(5))
         assert len(complexes) == 5
         assert reduced == []

@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- ``terms``      Boolean syntax trees and the concrete grammar
+- ``terms``      Boolean terms as postfix token tuples, and the concrete grammar
 - ``boolalg``    finitely presented Boolean algebras and their spectra
 - ``profinite``  sequential towers of finite sets and relation graphs
 - ``interval``   exact dyadic machinery for the unit interval

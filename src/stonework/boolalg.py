@@ -34,6 +34,7 @@ from .terms import (
     Gen,
     Not,
     Term,
+    check_term,
     eval_term,
     generators_of,
     join,
@@ -81,9 +82,7 @@ class Presentation:
                 raise DuplicateGenerator(g)
             seen.add(g)
         for r in self.rels:
-            for name in generators_of(r):
-                if name not in seen:
-                    raise UnknownGenerator(name)
+            check_term(r, seen)
 
     @staticmethod
     def make(gens: Sequence[str], rels: Sequence[Term] = ()) -> "Presentation":
@@ -139,10 +138,14 @@ def _bits_of(v: int, n: int) -> Bits:
     return tuple(format(v | 1 << n, "b")[:0:-1].encode().translate(_BIT_VALUES))
 
 
-def _cleared(p: Presentation) -> tuple[dict[str, int], int, int]:
-    """Generator masks over all 2^n assignments (bit k is the assignment of
-    code k, and the cap bounds these tables), the table of all of them, and
-    what is left of it once each relation's truth table is cleared."""
+def spectrum(p: Presentation) -> FinBoolAlg:
+    """All assignments killing every relation, in lexicographic order.
+
+    The generator masks span all 2^n assignments (bit k is the assignment of
+    code k, and the cap bounds these tables).  Each relation's truth table is
+    cleared from the table of all of them, and one regex scan finds the "1"s
+    that are left.
+    """
     check_cap(len(p.gens), f"spectrum of {len(p.gens)} generators")
     masks, size = {}, 1
     for g in reversed(p.gens):  # each generator doubles the table
@@ -152,13 +155,6 @@ def _cleared(p: Presentation) -> tuple[dict[str, int], int, int]:
     full = alive = (1 << size) - 1
     for r in p.rels:
         alive &= ~eval_term(r, masks, full)
-    return masks, full, alive
-
-
-def spectrum(p: Presentation) -> FinBoolAlg:
-    """All assignments killing every relation, in lexicographic order: one
-    regex scan finds the "1"s of the table ``_cleared`` leaves."""
-    alive = _cleared(p)[2]
     return FinBoolAlg(p, tuple(map(re.Match.start, _ONE.finditer(format(alive, "b")[::-1]))))
 
 
@@ -411,16 +407,19 @@ def minimal_join_witness(
     rels: Sequence[Term],
     bound: int,
 ) -> Optional[int]:
-    """Least k <= bound with p quotiented by rels[0..k] trivial, if any.
-
-    After p's relations, rels[k] is cleared from the table of assignments
-    one k at a time until none is left: each relation is evaluated once.
-    """
+    """Least k <= bound with p quotiented by rels[0..k] trivial, if any."""
     if bound < 0 or not rels:
         return None
-    masks, full, alive = _cleared(p)
-    for k, r in enumerate(rels[: bound + 1]):
-        alive &= ~eval_term(r, masks, full)
+    return _first_clearing(spectrum(p), rels[: bound + 1])
+
+
+def _first_clearing(a: FinBoolAlg, rels: Sequence[Term]) -> Optional[int]:
+    """Least k with no point of ``a`` killing all of rels[0..k], if any: the
+    quotient by them is then trivial.  rels[k] is cleared from the table of
+    points one k at a time, so each relation is evaluated once."""
+    alive = full = (1 << a.n_points) - 1
+    for k, r in enumerate(rels):
+        alive &= ~eval_term(r, a.masks, full)
         if not alive:
             return k
     return None
@@ -436,7 +435,8 @@ def separate_closed(
     F is the set of points killing every f, G the set killing every g.  The
     interleaved sequence f0,g0,f1,g1,... is searched for the least prefix
     whose quotient is trivial; with I,J the f/g indices of that prefix,
-    D(x) holds iff x evaluates the join of the selected g's to 1.
+    D(x) holds iff x evaluates the join of the selected g's to 1.  The
+    search runs on the spectrum, so each relation of ``p`` is evaluated once.
     """
     a = spectrum(p)
     # a point of both sets kills every f and every g
@@ -449,6 +449,6 @@ def separate_closed(
             interleaved.append(("f", fs[i]))
         if i < len(gs):
             interleaved.append(("g", gs[i]))
-    k = minimal_join_witness(p, [h for _, h in interleaved], len(interleaved))
+    k = _first_clearing(a, [h for _, h in interleaved])
     prefix = interleaved if k is None else interleaved[: k + 1]
     return evaluate(join([h for tag, h in prefix if tag == "g"]), a)

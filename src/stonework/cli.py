@@ -107,6 +107,7 @@ def parse_morphism_file(text: str) -> boolalg.Morphism:
         for side in ("src", "dst")
     )
     value, line, col = _require(entries, "map")
+    src_names, dst_names = set(src.gens), set(dst.gens)
     images: dict[str, Term] = {}
     for chunk in value.split(","):
         name, arrow, expr = chunk.partition("->")
@@ -118,11 +119,11 @@ def parse_morphism_file(text: str) -> boolalg.Morphism:
         if not arrow:
             raise errors.ParseError("map entries look like 'gen -> expr'", line, at)
         name = name.strip()
-        if name not in src.gens:
+        if name not in src_names:
             raise errors.ParseError(f"map entry for unknown source generator {name!r}", line, at)
         if name in images:
             raise errors.ParseError(f"source generator {name!r} is mapped twice", line, at)
-        images[name] = parse_term(expr, line, expr_col, dst.gens)
+        images[name] = parse_term(expr, line, expr_col, dst_names)
     missing = [g for g in src.gens if g not in images]
     if missing:
         raise errors.ParseError(f"source generator {missing[0]!r} has no image", line, 1)

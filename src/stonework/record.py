@@ -5,14 +5,13 @@ and generates one ``__init__`` for it; every other method is shared.  A
 record compares equal to a record of the same class with equal fields,
 hashes its fields, prints as ``Dyadic(num=3, exp=2)``, refuses assignment
 and deletion with ``AttributeError``, and copies and pickles by calling its
-class on its fields.  Where a base class already defines ``==``, ``hash`` or
-``repr``, as ``terms.Term`` does, the record keeps the base's.
+class on its fields.
 
 Each command runs in a fresh process, and ``dataclasses`` generates and
 ``exec``s every method of every class at import, which was most of the
 package's import time.  ``__init__`` alone is still generated because a
-command builds many records (thousands of term nodes), and a shared
-initialiser looping over the fields costs each of them more.
+command builds many records, and a shared initialiser looping over the
+fields costs each of them more.
 """
 
 
@@ -66,8 +65,7 @@ def record(cls):
     time so that a wrapper set on the class later still runs.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    slots = cls.__dict__.get("__slots__", ())  # a slot's class attribute is its descriptor, not a default
-    defaults = {f"_d_{n}": cls.__dict__[n] for n in names if n in cls.__dict__ and n not in slots}
+    defaults = {f"_d_{n}": cls.__dict__[n] for n in names if n in cls.__dict__}
     params = ("self", *(f"{n}=_d_{n}" if f"_d_{n}" in defaults else n for n in names))
     body = [f"_set(self, {n!r}, {n})" for n in names]
     if hasattr(cls, "__post_init__"):
@@ -79,6 +77,5 @@ def record(cls):
     cls.__init__ = init
     cls.__match_args__ = names
     for name, method in _SHARED.items():
-        if getattr(cls, name) is getattr(object, name):
-            setattr(cls, name, method)
+        setattr(cls, name, method)
     return cls

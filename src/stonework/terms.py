@@ -6,6 +6,12 @@ Grammar (precedence ``~`` > ``&`` > ``|``, binary operators left-associative)::
           | "0" | "1" | ident | "(" expr ")"
 
 Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``.
+
+A term is the tuple of its tokens in postfix (reverse Polish) order: a
+generator is its name, an identifier, and each of ``0 1 ~ & |`` is one
+marker token, the character itself.  Every reader folds the tuple on a
+stack, so terms of any depth work.  Only this module knows the layout; other
+code builds terms with ``Gen Not And ZERO ONE join meet``.
 """
 
 from __future__ import annotations
@@ -14,123 +20,76 @@ import re
 from typing import Collection, KeysView, Mapping, Optional
 
 from .errors import ParseError, UnknownGenerator
-from .record import record
+
+Term = tuple  # of str: names and markers, in postfix order
+
+_FALSE, _TRUE, _NOT, _AND, _OR = "0", "1", "~", "&", "|"
+_ARITY = {_FALSE: 0, _TRUE: 0, _NOT: 1, _AND: 2, _OR: 2}
+
+ZERO: Term = (_FALSE,)
+ONE: Term = (_TRUE,)
 
 
-class Term:
-    """Base class; instances are immutable syntax trees, equal and hashed by preorder."""
-
-    __slots__ = ("_key",)  # the preorder, once computed
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Term) and _preorder(self) == _preorder(other)
-
-    def __hash__(self) -> int:
-        return hash(_preorder(self))
-
-    def __str__(self) -> str:
-        return _render(self)
-
-    def __repr__(self) -> str:
-        return f"parse_term({_render(self)!r})"
+# The constructors.  An operand that is not a tuple, such as a bare name,
+# raises TypeError at the concatenation instead of splicing in its items.
 
 
-@record
-class Zero(Term):
-    __slots__ = ()
+def Gen(name: str) -> Term:
+    """The generator ``name``, which must be an identifier, so no marker."""
+    if type(name) is not str or not name.isidentifier():
+        raise TypeError(f"not a generator name: {name!r}")
+    return (name,)
 
 
-@record
-class One(Term):
-    __slots__ = ()
+def Not(t: Term) -> Term:
+    return t + (_NOT,)
 
 
-@record
-class Gen(Term):
-    __slots__ = ("name",)
-    name: str
+def And(left: Term, right: Term) -> Term:
+    return left + right + (_AND,)
 
 
-@record
-class Not(Term):
-    __slots__ = ("arg",)
-    arg: Term
-
-
-@record
-class And(Term):
-    __slots__ = ("left", "right")
-    left: Term
-    right: Term
-
-
-@record
-class Or(Term):
-    __slots__ = ("left", "right")
-    left: Term
-    right: Term
-
-
-ZERO = Zero()
-ONE = One()
-
-
-def _operand(t: Term, bracketed: tuple) -> tuple:
-    """``t`` as stack items, in parentheses if its class is in ``bracketed``."""
-    return (")", t, "(") if type(t) in bracketed else (t,)
-
-
-def _render(t: Term) -> str:
-    """Concrete syntax of ``t`` with the fewest parentheses that parse back
-    to it; an explicit stack of terms and text pieces walks any depth."""
+def _chain(terms: list[Term], op: str, empty: Term) -> Term:
+    """Left-associated ``op`` of ``terms``, built in one list; a part that is
+    not a tuple raises TypeError, as in ``And``."""
     out: list[str] = []
-    todo: list = [t]
-    while todo:
-        s = todo.pop()
-        cls = type(s)
-        if cls is str:
-            out.append(s)
-        elif cls is Gen:
-            out.append(s.name)
-        elif cls is Not:
-            out.append("~")
-            todo += _operand(s.arg, (And, Or))
-        elif cls is And:
-            # the right operand re-associates if printed bare, so bracket it
-            todo += (*_operand(s.right, (And, Or)), " & ", *_operand(s.left, (Or,)))
-        elif cls is Or:
-            todo += (*_operand(s.right, (Or,)), " | ", s.left)
-        elif cls is Zero or cls is One:
-            out.append("0" if cls is Zero else "1")
-        else:
-            raise TypeError(f"not a term: {cls.__name__}")
-    return "".join(out)
+    for k, t in enumerate(terms):
+        out += t + ((op,) if k else ())
+    return tuple(out) if terms else empty
 
 
-def _preorder(t: Term) -> tuple:
-    """Node classes and generator names of ``t`` in preorder, kept on ``t``;
-    fixed arities make it determine the term, and read backwards it is the
-    term in reverse Polish order.  A stack walks any depth."""
-    key = getattr(t, "_key", None)
-    if key is not None:
-        return key
-    out: list = []
-    todo: list = [t]
-    while todo:
-        s = todo.pop()
-        cls = type(s)
-        if cls is Gen and type(s.name) is str:
-            out.append(s.name)
-        elif cls is And or cls is Or or cls is Not:
-            out.append(cls)
-            todo += (s.arg,) if cls is Not else (s.right, s.left)
-        elif cls is Zero or cls is One:
-            out.append(cls)
-        else:
-            raise TypeError(f"not a term: {cls.__name__}")
-    key = tuple(out)
-    object.__setattr__(t, "_key", key)
-    return key
+def join(terms: list[Term]) -> Term:
+    """Left-associated disjunction; the empty join is 0."""
+    return _chain(terms, _OR, ZERO)
+
+
+def meet(terms: list[Term]) -> Term:
+    """Left-associated conjunction; the empty meet is 1."""
+    return _chain(terms, _AND, ONE)
+
+
+def check_term(t: object, gens: Collection[str]) -> None:
+    """Raise TypeError unless ``t`` is a term, a tuple of names and markers in
+    which each operator finds its operands and one value is left; raise
+    UnknownGenerator at the first name outside ``gens``."""
+    if type(t) is not tuple:
+        raise TypeError(f"not a term: a {type(t).__name__}")
+    height = 0  # values on the stack of a fold
+    for x in t:
+        if type(x) is not str:
+            raise TypeError(f"not a term: token {x!r}")
+        arity = _ARITY.get(x)
+        if arity is None:
+            if not x.isidentifier():
+                raise TypeError(f"not a term: token {x!r}")
+            if x not in gens:
+                raise UnknownGenerator(x)
+            arity = 0
+        elif arity > height:
+            raise TypeError(f"not a term: {x!r} lacks an operand")
+        height += 1 - arity
+    if height != 1:
+        raise TypeError(f"not a term: {height} values left")
 
 
 def eval_term(t: Term, masks: Mapping[str, int], full: int = 1) -> int:
@@ -139,90 +98,66 @@ def eval_term(t: Term, masks: Mapping[str, int], full: int = 1) -> int:
     Bit k of ``masks[g]`` is g's value in assignment k and ``full`` has every
     assignment's bit set, so the default evaluates one 0/1 assignment;
     ``~ & |`` become word operations (Knuth, TAOCP 4A, 7.1.3).  One loop
-    over the cached preorder, read backwards, folds the tables on a stack.
+    folds the tables on a stack in reading order, so the first generator
+    missing from ``masks`` is the leftmost.
     """
     values: list[int] = []
     try:
-        for x in reversed(_preorder(t)):
-            if type(x) is str:
+        for x in t:
+            if x not in _ARITY:
                 values.append(masks[x])
-            elif x is And:
+            elif x == _AND:
                 values.append(values.pop() & values.pop())
-            elif x is Or:
+            elif x == _OR:
                 values.append(values.pop() | values.pop())
-            elif x is Not:
+            elif x == _NOT:
                 values.append(full ^ values.pop())
             else:
-                values.append(0 if x is Zero else full)
+                values.append(full if x == _TRUE else 0)
     except KeyError:
-        # the fold reads generators right to left; name the leftmost unknown one
-        raise UnknownGenerator(next(g for g in generators_of(t) if g not in masks)) from None
+        raise UnknownGenerator(x) from None
     return values[0]
 
 
 def generators_of(t: Term) -> KeysView[str]:
     """Names of the generators in ``t``, each once, in reading order."""
-    return {x: None for x in _preorder(t) if type(x) is str}.keys()
+    return {x: None for x in t if x not in _ARITY}.keys()
 
 
 def substitute(t: Term, images: Mapping[str, Term]) -> Term:
-    """Replace each generator by its image term, folding as ``eval_term`` does;
-    the left operand is on top of the stack, so it is popped first."""
-    values: list[Term] = []
+    """Replace each generator by its image term: one splice of the images."""
+    out: list[str] = []
     try:
-        for x in reversed(_preorder(t)):
-            if type(x) is str:
-                values.append(images[x])
-            elif x is Not:
-                values.append(Not(values.pop()))
-            elif x is And or x is Or:
-                values.append(x(values.pop(), values.pop()))
+        for x in t:
+            if x in _ARITY:
+                out.append(x)
             else:
-                values.append(ZERO if x is Zero else ONE)
+                out += images[x]
     except KeyError:
-        raise UnknownGenerator(next(g for g in generators_of(t) if g not in images)) from None
-    return values[0]
-
-
-def join(terms: list[Term]) -> Term:
-    """Left-associated disjunction; the empty join is 0."""
-    if not terms:
-        return ZERO
-    out = terms[0]
-    for t in terms[1:]:
-        out = Or(out, t)
-    return out
-
-
-def meet(terms: list[Term]) -> Term:
-    """Left-associated conjunction; the empty meet is 1."""
-    if not terms:
-        return ONE
-    out = terms[0]
-    for t in terms[1:]:
-        out = And(out, t)
-    return out
+        raise UnknownGenerator(x) from None
+    return tuple(out)
 
 
 Gens = Optional[Collection[str]]
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 # a token, or (group 1 unset, so "" from findall) a character that starts
 # none; whitespace between matches is skipped by the search itself
 _TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[01|&~()])|\S")
+_BINDS = {_NOT: 3, _AND: 2, _OR: 1}  # precedence; binary operators associate left
 
 
 def parse_term(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> Term:
     """Parse one Boolean expression that starts ``offset`` characters into
-    its line, naming only ``gens`` if given.
+    its line, naming only ``gens`` if given (a set, for long lists).
 
     One ``findall`` pass lists the tokens, then None for the end of input;
     a character that starts no token is listed as "".  The loop walks the
-    list by index: each ``(`` pushes the enclosing disjunction, conjunction
-    and pending negations, and its ``)`` pops them, so nesting depth costs
-    no recursion.  It never steps past a "", so an error raised there is
-    that character's, the leftmost one; an error rescans for its position.
+    list by index as Dijkstra's shunting yard does: each operand goes to the
+    postfix output at once, and ``~ & |`` and ``(`` wait on a stack until a
+    token that binds no tighter, or the matching ``)``, releases them, so
+    nesting depth costs no recursion.  It never steps past a "", so an error
+    raised there is that character's, the leftmost one; an error rescans for
+    its position.
     """
     tokens: list = _TOKEN.findall(text)
     tokens.append(None)
@@ -233,52 +168,41 @@ def parse_term(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> 
             message = f"unexpected character {text[pos]!r}"
         return ParseError(message, line, offset + pos + 1)
 
-    frames: list[tuple] = []
-    disj = conj = None
+    out: list[str] = []
+    ops: list[str] = []  # pending operators and open parentheses
     i = 0
     while True:
-        negations = 0
-        while tokens[i] == "~":
+        tok = tokens[i]  # an operand starts here
+        if tok == "~" or tok == "(":
+            ops.append(tok)
             i += 1
-            negations += 1
-        tok = tokens[i]
-        if tok == "(":
-            i += 1
-            frames.append((disj, conj, negations))
-            disj = conj = None
             continue
         if tok is None:
             raise error("unexpected end of input")
-        if tok == "0" or tok == "1":
-            t = ZERO if tok == "0" else ONE
-        elif tok in "|&)":  # true of "" too; any other token is an identifier
+        if tok in "|&)":  # true of "" too; any other token is 0, 1 or a name
             raise error(f"unexpected token {tok!r}")
-        elif gens is not None and tok not in gens:
+        if gens is not None and tok not in _ARITY and tok not in gens:
             raise error(f"unknown generator {tok!r}")
-        else:
-            t = Gen(tok)
+        out.append(tok)
         i += 1
-        # t is a complete atom: fold it in, closing every ")" that follows it
+        # an operand is complete: emit the operators that bind to it at least
+        # as tightly as the next token does, closing each ")" that follows
         while True:
-            for _ in range(negations):
-                t = Not(t)
-            conj = t if conj is None else And(conj, t)
             tok = tokens[i]
-            if tok == "&":
+            binary = tok == "&" or tok == "|"
+            while ops and ops[-1] != "(" and (not binary or _BINDS[ops[-1]] >= _BINDS[tok]):
+                out.append(ops.pop())
+            if binary:
+                ops.append(tok)
                 break
-            disj = conj if disj is None else Or(disj, conj)
-            conj = None
-            if tok == "|":
-                break
-            if not frames:
-                if i < len(tokens) - 1:
+            if not ops:
+                if tok is not None:
                     raise error(f"trailing input {tok!r}")
-                return disj
+                return tuple(out)
             if tok != ")":
                 raise error("expected ')'")
+            ops.pop()
             i += 1
-            t = disj
-            disj, conj, negations = frames.pop()
         i += 1
 
 
@@ -286,21 +210,21 @@ def parse_term_list(text: str, line: int = 1, offset: int = 0, gens: Gens = None
     """Parse a comma-separated list of expressions (possibly empty)."""
     if not text.strip():
         return []
+    names = None if gens is None else frozenset(gens)
     terms = []
     for chunk in text.split(","):
-        terms.append(parse_term(chunk, line, offset, gens))
+        terms.append(parse_term(chunk, line, offset, names))
         offset += len(chunk) + 1
     return terms
 
 
 def parse_gen_list(text: str, line: int = 1, offset: int = 0) -> list[str]:
-    names: list[str] = []
+    names: dict[str, None] = {}
     for m in re.finditer(r"\S+", text):
         chunk = m.group()
-        if not _IDENT.fullmatch(chunk):
+        if not (chunk.isascii() and chunk.isidentifier()):  # [A-Za-z_][A-Za-z0-9_]*
             raise ParseError(f"bad generator name {chunk!r}", line, offset + m.start() + 1)
         if chunk in names:
             raise ParseError(f"duplicate generator {chunk!r}", line, offset + m.start() + 1)
-        names.append(chunk)
-    return names
-
+        names[chunk] = None
+    return list(names)

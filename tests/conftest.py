@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from lemmas import _check_lengths, _coboundary, hstack, realize
+from lemmas import Or, _check_lengths, _coboundary, hstack, realize
 from stonework.boolalg import (
     Bits,
     FinBoolAlg,
@@ -30,11 +30,8 @@ from stonework.terms import (
     Gen,
     Not,
     ONE,
-    One,
-    Or,
     Term,
     ZERO,
-    Zero,
     eval_term,
     generators_of,
     substitute,
@@ -94,23 +91,24 @@ def presentations(draw, max_gens: int = 8):
 
 
 def eval_term_reference(t: Term, assignment: dict[str, int]) -> int:
-    """One assignment at a time, by recursion on the term (independent oracle)."""
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, One):
-        return 1
-    if isinstance(t, Gen):
+    """One assignment at a time, by recursion on the nested lists of
+    ``term_to_json`` (an oracle independent of ``eval_term``)."""
+    return _eval_nested(term_to_json(t), assignment)
+
+
+def _eval_nested(node, assignment: dict[str, int]) -> int:
+    if node == "0" or node == "1":
+        return int(node)
+    if isinstance(node, str):
         try:
-            return assignment[t.name]
+            return assignment[node]
         except KeyError:
-            raise UnknownGenerator(t.name) from None
-    if isinstance(t, Not):
-        return 1 - eval_term_reference(t.arg, assignment)
-    if isinstance(t, And):
-        return eval_term_reference(t.left, assignment) and eval_term_reference(t.right, assignment)
-    if isinstance(t, Or):
-        return eval_term_reference(t.left, assignment) or eval_term_reference(t.right, assignment)
-    raise TypeError(f"not a term: {t!r}")
+            raise UnknownGenerator(node) from None
+    if node[0] == "~":
+        return 1 - _eval_nested(node[1], assignment)
+    if node[0] == "&":
+        return _eval_nested(node[1], assignment) and _eval_nested(node[2], assignment)
+    return _eval_nested(node[1], assignment) or _eval_nested(node[2], assignment)
 
 
 def code_of(bits) -> int:
@@ -168,20 +166,20 @@ def restrict_per_bit(code: int, upper: Presentation, lower: Presentation) -> int
 
 
 def term_to_json(t: Term):
-    """Serialize a term as nested lists (round-trips with term_from_json)."""
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, One):
-        return "1"
-    if isinstance(t, Gen):
-        return t.name
-    if isinstance(t, Not):
-        return ["~", term_to_json(t.arg)]
-    if isinstance(t, And):
-        return ["&", term_to_json(t.left), term_to_json(t.right)]
-    if isinstance(t, Or):
-        return ["|", term_to_json(t.left), term_to_json(t.right)]
-    raise TypeError(f"not a term: {t!r}")
+    """A term as nested lists: "0", "1" and names stand for themselves, and
+    an operator is ``[op, *operands]``.  Its own stack reads the postfix
+    tokens, and it round-trips with term_from_json."""
+    stack: list = []
+    for x in t:
+        if x == "~":
+            stack.append(["~", stack.pop()])
+        elif x == "&" or x == "|":
+            right = stack.pop()
+            stack.append([x, stack.pop(), right])
+        else:
+            stack.append(x)
+    (out,) = stack
+    return out
 
 
 def term_from_json(obj) -> Term:

@@ -50,6 +50,37 @@ def free(n: int) -> Presentation:
     return Presentation.make([f"g{i}" for i in range(n)])
 
 
+def Or(left: Term, right: Term) -> Term:
+    """The disjunction of two terms; no command builds one but by ``join``."""
+    return join([left, right])
+
+
+def render(t: Term) -> str:
+    """Concrete syntax of ``t`` with the fewest parentheses that parse back
+    to it.  A stack of (text, binding) pairs reads the postfix tokens, and an
+    operand is bracketed when it binds looser than its place needs: an atom
+    or a negation after ``~`` and right of ``&``, a conjunction or tighter
+    left of ``&`` and right of ``|``; a right operand that binds only as
+    tightly as its operator would re-associate if bare."""
+    stack: list[tuple[str, int]] = []
+
+    def operand(needs: int) -> str:
+        text, binds = stack.pop()
+        return text if binds >= needs else f"({text})"
+
+    for x in t:
+        if x == "~":
+            stack.append(("~" + operand(3), 3))
+        elif x == "&" or x == "|":
+            binds = 2 if x == "&" else 1
+            right = operand(binds + 1)
+            stack.append((f"{operand(binds)} {x} {right}", binds))
+        else:
+            stack.append((x, 3))
+    [(text, _)] = stack
+    return text
+
+
 def realize(v: Bits, a: FinBoolAlg) -> Term:
     """A term whose evaluation is ``v``: disjunction of selected minterms.
 

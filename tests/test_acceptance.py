@@ -21,6 +21,7 @@ from conftest import (
 )
 from lemmas import (
     FiniteCover,
+    Or,
     TRIVIAL_GROUP,
     Z,
     all_words,
@@ -61,7 +62,7 @@ from stonework.interval import (
     interval_graph,
 )
 from stonework.profinite import SeqDiagram
-from stonework.terms import And, Gen, Not, ONE, Or, Term, ZERO
+from stonework.terms import And, Gen, Not, ONE, Term, ZERO
 from stonework.zhomology import (
     IntMatrix,
     graph_cohomology,

@@ -28,7 +28,7 @@ from conftest import (
     truncations_from_scratch,
     witness_from_scratch,
 )
-from lemmas import free
+from lemmas import Or, free
 from stonework.boolalg import (
     Presentation,
     analyze_morphism,
@@ -40,7 +40,7 @@ from stonework.boolalg import (
 )
 from stonework.errors import RelationNotKilled
 from stonework.profinite import FAMILIES, CountablePresentation, spectrum_tower, truncation_tower
-from stonework.terms import And, Gen, Not, ONE, Or, ZERO, eval_term, join, meet, substitute
+from stonework.terms import And, Gen, Not, ONE, ZERO, eval_term, join, meet, substitute
 
 GENS = [f"g{i}" for i in range(8)]
 

@@ -16,7 +16,7 @@ from conftest import (
     random_term,
     witness_from_scratch,
 )
-from lemmas import binfty_normal_form, epi_mono_factor, free, identity, one_element, realize, zero_element
+from lemmas import Or, binfty_normal_form, epi_mono_factor, free, identity, one_element, realize, zero_element
 from stonework import boolalg, cli
 from stonework.boolalg import (
     DEFAULT_CAP,
@@ -43,7 +43,7 @@ from stonework.errors import (
     RelationNotKilled,
     UnknownGenerator,
 )
-from stonework.terms import And, Gen, Not, ONE, Or, ZERO, eval_term, substitute
+from stonework.terms import And, Gen, Not, ONE, ZERO, eval_term, substitute
 
 G0, G1, G2 = Gen("g0"), Gen("g1"), Gen("g2")
 
@@ -546,6 +546,20 @@ class TestSeparateClosed:
     def test_intersecting_sets_rejected(self):
         with pytest.raises(NotDisjoint):
             separate_closed(free(1), [G0], [G0])
+
+    def test_each_relation_of_p_is_evaluated_once(self, monkeypatch, tmp_path):
+        # the spectrum and the prefix search share one cleared table
+        evaluated = []
+        real_eval = boolalg.eval_term
+        monkeypatch.setattr(boolalg, "eval_term", lambda t, *rest: evaluated.append(t) or real_eval(t, *rest))
+        f = tmp_path / "sep.txt"
+        f.write_text("gens: g0 g1 g2\nrels: g0 & g1, g1 & ~g2\nfs: g0, g2\ngs: ~g0\n")
+        rels = (And(G0, G1), And(G1, Not(G2)))
+        assert cli.main(["--json", "separate", str(f)]) == cli.EXIT_OK
+        assert [t for t in evaluated if t in rels] == list(rels)
+        evaluated.clear()
+        assert separate_closed(Presentation.make(["g0", "g1", "g2"], rels), [G0, G2], [Not(G0)]) == (1, 1, 1, 0, 0)
+        assert [t for t in evaluated if t in rels] == list(rels)
 
     def test_separator_properties_on_random_pairs(self):
         rng = random.Random(23)

@@ -249,6 +249,28 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr() == ("", f"error: {stage} exceeds cap 2^20\n")
 
+    @pytest.mark.parametrize("command", ["spectrum", "morphism"])
+    def test_40000_generators_reach_the_cap_in_linear_time(self, capsys, monkeypatch, tmp_path, command):
+        # the duplicate check, each relation's and image's name lookups and the
+        # map's source check are set lookups: list scans took 20 s on this file
+        monkeypatch.delenv("STONEWORK_CAP", raising=False)
+        names = [f"g{i}" for i in range(40000)]
+        gens, rels = " ".join(names), ", ".join(f"{a} & {b}" for a, b in zip(names[::2], names[1::2]))
+        text = {
+            "spectrum": f"gens: {gens}\nrels: {rels}\n",
+            "morphism": f"src-gens: {gens}\nsrc-rels: {rels}\ndst-gens: {gens}\n"
+            f"map: {', '.join(f'{g} -> ~{g}' for g in names)}\n",
+        }[command]
+        f = tmp_path / "wide.txt"
+        f.write_text(text)
+        start = time.perf_counter()
+        assert main([command, str(f)]) == EXIT_CAP
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr() == (
+            "",
+            "error: spectrum of 40000 generators: enumeration over 2^40000 exceeds cap 2^20\n",
+        )
+
     def test_size_beyond_memory_under_a_high_cap_exits_3(self, capsys, monkeypatch):
         # the cap admits 10**20 + 2 bits, which no tuple can hold; nothing is allocated
         monkeypatch.setenv("STONEWORK_CAP", "100")

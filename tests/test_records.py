@@ -1,5 +1,7 @@
 """The frozen records of every layer: construction, equality, hashing,
-immutability, printing, copying and pickling, pinned class by class."""
+immutability, printing, copying and pickling, pinned class by class.  Terms
+are plain tuples, and records hold them as fields, so each shape of term is
+held to the same value behaviour."""
 
 import copy
 import inspect
@@ -7,6 +9,7 @@ import pickle
 
 import pytest
 
+from lemmas import Or
 from stonework import boolalg, interval, profinite, terms, zhomology
 from stonework.boolalg import (
     DualityReport,
@@ -32,7 +35,7 @@ from stonework.profinite import (
     RelGraphTower,
     SeqDiagram,
 )
-from stonework.terms import ONE, ZERO, And, Gen, Not, One, Or, Zero, parse_term
+from stonework.terms import ONE, ZERO, And, Gen, Not, meet, parse_term
 from stonework.zhomology import (
     AbInvariants,
     ChainComplexZ,
@@ -53,21 +56,15 @@ LEVEL = LevelCohomology(0, (1, 1, 1), Z1, Z0, (True, True, True))
 
 # class -> (a fresh sample, a sample of the same class with one field changed, its repr)
 SAMPLES = {
-    Zero: (lambda: Zero(), lambda: One(), "parse_term('0')"),
-    One: (lambda: One(), lambda: Zero(), "parse_term('1')"),
-    Gen: (lambda: Gen("g0"), lambda: Gen("g1"), "parse_term('g0')"),
-    Not: (lambda: Not(Gen("g0")), lambda: Not(Gen("g1")), "parse_term('~g0')"),
-    And: (lambda: And(Gen("a"), Or(Gen("b"), ONE)), lambda: And(Gen("a"), Gen("b")), "parse_term('a & (b | 1)')"),
-    Or: (lambda: Or(Gen("a"), Not(ZERO)), lambda: Or(Gen("b"), Not(ZERO)), "parse_term('a | ~0')"),
     Presentation: (
         lambda: binfty(2),
         lambda: binfty(3),
-        "Presentation(gens=('g0', 'g1'), rels=(parse_term('g0 & g1'),))",
+        "Presentation(gens=('g0', 'g1'), rels=(('g0', 'g1', '&'),))",
     ),
     FinBoolAlg: (
         lambda: spectrum(binfty(2)),
         lambda: FinBoolAlg(P2, (0, 1)),
-        "FinBoolAlg(source=Presentation(gens=('g0', 'g1'), rels=(parse_term('g0 & g1'),)), codes=(0, 1, 2))",
+        "FinBoolAlg(source=Presentation(gens=('g0', 'g1'), rels=(('g0', 'g1', '&'),)), codes=(0, 1, 2))",
     ),
     DualityReport: (
         lambda: DualityReport(3, 8, True),
@@ -77,9 +74,9 @@ SAMPLES = {
     Morphism: (
         lambda: Morphism(P2, P2, {"g0": Gen("g1"), "g1": Gen("g0")}),
         lambda: Morphism(P2, P2, {"g0": Gen("g0"), "g1": Gen("g1")}),
-        "Morphism(src=Presentation(gens=('g0', 'g1'), rels=(parse_term('g0 & g1'),)), "
-        "dst=Presentation(gens=('g0', 'g1'), rels=(parse_term('g0 & g1'),)), "
-        "images={'g0': parse_term('g1'), 'g1': parse_term('g0')})",
+        "Morphism(src=Presentation(gens=('g0', 'g1'), rels=(('g0', 'g1', '&'),)), "
+        "dst=Presentation(gens=('g0', 'g1'), rels=(('g0', 'g1', '&'),)), "
+        "images={'g0': ('g1',), 'g1': ('g0',)})",
     ),
     MorphismReport: (
         lambda: MorphismReport(True, 1, (0, 0), (0, 2, 1), True, True),
@@ -113,7 +110,7 @@ SAMPLES = {
     CountablePresentation: (
         lambda: CountablePresentation((And(Gen("g0"), Gen("g1")),)),
         lambda: CountablePresentation(),
-        "CountablePresentation(explicit_rels=(parse_term('g0 & g1'),), family=None)",
+        "CountablePresentation(explicit_rels=(('g0', 'g1', '&'),), family=None)",
     ),
     RelGraph: (
         lambda: interval_graph(1),
@@ -163,8 +160,27 @@ SAMPLES = {
         "h1=AbInvariants(rank=0, torsion=()), exact_at=(True, True, True)),), h0_iso=(), h1_iso=())",
     ),
 }
-TERMS = (Zero, One, Gen, Not, And, Or)
+# term shape -> (a fresh sample, a term of that shape with one part changed, its repr)
+TERMS = {
+    "Zero": (lambda: parse_term("0"), lambda: ONE, "('0',)"),
+    "One": (lambda: parse_term("1"), lambda: ZERO, "('1',)"),
+    "Gen": (lambda: Gen("g0"), lambda: Gen("g1"), "('g0',)"),
+    "Not": (lambda: Not(Gen("g0")), lambda: Not(Gen("g1")), "('g0', '~')"),
+    "And": (lambda: And(Gen("a"), Or(Gen("b"), ONE)), lambda: And(Gen("a"), Gen("b")), "('a', 'b', '1', '|', '&')"),
+    "Or": (lambda: Or(Gen("a"), Not(ZERO)), lambda: Or(Gen("b"), Not(ZERO)), "('a', '0', '~', '|')"),
+}
 CLASSES = list(SAMPLES)
+KINDS = [*CLASSES, *TERMS]
+
+
+def _sample(kind):
+    """The samples of a record class or a term shape, and the type of each."""
+    return (*TERMS[kind], tuple) if kind in TERMS else (*SAMPLES[kind], kind)
+
+
+def _fields(kind) -> list[str]:
+    """A record's fields; a term has none, not even a tree node's."""
+    return ["name", "arg", "left", "right"] if kind in TERMS else list(inspect.signature(kind).parameters)
 
 
 def test_every_record_class_is_sampled():
@@ -174,7 +190,7 @@ def test_every_record_class_is_sampled():
         for obj in vars(module).values()
         if isinstance(obj, type) and obj.__module__ == module.__name__ and "__match_args__" in vars(obj)
     }
-    assert records == set(CLASSES) and len(CLASSES) == 27
+    assert records == set(CLASSES) and len(CLASSES) == 21
 
 
 def _hash_or_error(x):
@@ -184,31 +200,31 @@ def _hash_or_error(x):
         return str(e)
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", KINDS, ids=lambda k: getattr(k, "__name__", k))
 class TestRecord:
     def test_fresh_samples_are_equal(self, cls):
-        make, other, _ = SAMPLES[cls]
+        make, other, _, kind = _sample(cls)
         a, b = make(), make()
-        assert type(a) is cls and a is not b
+        assert type(a) is kind and a is not b
         assert a == b and not a != b
         assert a != other() and not a == other()
 
     def test_unequal_to_other_classes(self, cls):
-        a = SAMPLES[cls][0]()
-        for k in CLASSES:
-            if k is not cls and not (cls in TERMS and k in TERMS):
-                assert a != SAMPLES[k][0]()
+        a = _sample(cls)[0]()
+        for k in KINDS:
+            if k != cls:
+                assert a != _sample(k)[0]()
         assert a != ()
         assert a != object()
 
     def test_hash_follows_equality(self, cls):
-        make = SAMPLES[cls][0]
+        make = _sample(cls)[0]
         assert _hash_or_error(make()) == _hash_or_error(make())
 
     def test_frozen(self, cls):
-        a = SAMPLES[cls][0]()
+        a = _sample(cls)[0]()
         before = repr(a)
-        for name in inspect.signature(cls).parameters:
+        for name in _fields(cls):
             with pytest.raises(AttributeError):
                 setattr(a, name, 1)
             with pytest.raises(AttributeError):
@@ -217,29 +233,35 @@ class TestRecord:
             a.extra = 1
         with pytest.raises(AttributeError):
             del a.extra
+        with pytest.raises(TypeError):
+            a[0] = 1
         assert repr(a) == before
 
     def test_repr(self, cls):
-        assert repr(SAMPLES[cls][0]()) == SAMPLES[cls][2]
+        make, _, rep, _ = _sample(cls)
+        assert repr(make()) == rep
 
     @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
     def test_round_trip(self, cls, how):
-        a = SAMPLES[cls][0]()
+        a = _sample(cls)[0]()
         b = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda x: pickle.loads(pickle.dumps(x))}[how](a)
-        assert type(b) is cls and b == a and repr(b) == repr(a)
+        assert type(b) is type(a) and b == a and repr(b) == repr(a)
 
 
-@pytest.mark.parametrize("cls", TERMS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", TERMS)
 def test_term_nodes_have_no_dict(cls):
-    a = SAMPLES[cls][0]()
+    # a term of each shape is a bare tuple of str tokens
+    a = TERMS[cls][0]()
+    assert type(a) is tuple and all(type(x) is str for x in a)
     assert not hasattr(a, "__dict__")
 
 
 def test_term_nodes_compare_by_preorder_across_classes():
-    assert Gen("g0") == parse_term("g0") and hash(Gen("g0")) == hash(parse_term("g0"))
+    # terms compare as their token tuples, whichever constructor built them
+    assert Gen("g0") == parse_term("g0") == ("g0",) and hash(Gen("g0")) == hash(parse_term("g0"))
     assert And(Gen("a"), Gen("b")) != Or(Gen("a"), Gen("b"))
     assert Not(Gen("a")) != Gen("a") and ZERO != ONE
-    assert Gen("a") != ("a",) and Gen("a") != "a"
+    assert meet([Gen("a"), Gen("b")]) == And(Gen("a"), Gen("b")) and Gen("a") != "a"
 
 
 def test_records_differ_from_their_field_tuples():
@@ -341,6 +363,5 @@ def test_round_trips_of_parsed_terms_and_matrices(how):
     ):
         b = how(a)
         assert b == a and type(b) is type(a) and hash(b) == hash(a)
-    t = how(parse_term("a & b"))
-    assert str(t.left) == "a" and str(t.right) == "b"
+    assert how(parse_term("a & b")) == And(Gen("a"), Gen("b")) == ("a", "b", "&")
 

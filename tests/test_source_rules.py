@@ -7,10 +7,11 @@ neighbour tuples, so no module reads the derived pair set ``.related``.
 Each matrix is Smith-reduced once, so ``_diagonalize`` is called only from
 the memo ``IntMatrix._reduction``.  The cyclic collector is paused around a
 command by ``cli.main`` alone, so only ``cli.py`` imports ``gc``.  A term is
-walked node by node only to print it and to build its cached preorder, which
-evaluation, substitution, ``==``, ``hash`` and ``generators_of`` all read, so
-only ``terms._render`` and ``terms._preorder`` read ``.left``, ``.right`` or
-``.arg``.  ``src`` holds only what the commands run.  Every module-level
+the tuple of its postfix tokens, and only ``terms.py`` knows that layout:
+no other module names the marker tokens or spells ``~``, ``&`` or ``|`` as a
+string (``0`` and ``1`` also spell bits, so only their names are checked);
+the others build terms with the constructors.  ``src`` holds only what the
+commands run.  Every module-level
 function and class is named, by bare name or as an attribute, from a
 definition a command reaches, and every method and property (a ``def`` in a
 class body, ``staticmethod`` and ``cached_property`` included) is read as an
@@ -134,11 +135,25 @@ def test_diagonalize_is_called_only_from_the_memo():
     assert [ast.unparse(d) for d in memo.decorator_list] == ["functools.cached_property"]
 
 
-def test_only_the_preorder_and_the_printer_walk_terms():
-    def reads_operand(node: ast.AST) -> bool:
-        return isinstance(node, ast.Attribute) and node.attr in ("left", "right", "arg")
+# terms.py's names for its marker tokens, and the operator characters
+MARKER_NAMES = {"_FALSE", "_TRUE", "_NOT", "_AND", "_OR", "_ARITY"}
+OPERATOR_CHARACTERS = {"~", "&", "|"}
 
-    assert set(_scopes_in_sources(reads_operand)) == {("terms.py", "_preorder"), ("terms.py", "_render")}
+
+def test_only_terms_names_the_token_markers():
+    def names_a_marker(node: ast.AST) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in MARKER_NAMES
+        if isinstance(node, ast.Attribute):
+            return node.attr in MARKER_NAMES
+        if isinstance(node, ast.alias):
+            return node.name in MARKER_NAMES
+        return isinstance(node, ast.Constant) and node.value in OPERATOR_CHARACTERS
+
+    found = _scopes_in_sources(names_a_marker)
+    assert {scope[0] for scope in found} == {"terms.py"}, [s for s in found if s[0] != "terms.py"]
+    terms_globals = set(vars(importlib.import_module("stonework.terms")))
+    assert MARKER_NAMES <= terms_globals
 
 
 PROTOCOL = {"__init__", "__post_init__", "__eq__", "__hash__", "__repr__", "__str__"}

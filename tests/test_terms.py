@@ -1,10 +1,12 @@
-"""Term AST, parser, printer and JSON round-trips."""
+"""Terms as postfix token tuples: constructors, parser, printer, validation
+and JSON round-trips."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import term_from_json, term_strategy, term_to_json
+from lemmas import Or, render
 from stonework.boolalg import Presentation
 from stonework.errors import ParseError, UnknownGenerator
 from stonework.terms import (
@@ -12,11 +14,9 @@ from stonework.terms import (
     Gen,
     Not,
     ONE,
-    One,
-    Or,
     Term,
     ZERO,
-    Zero,
+    check_term,
     eval_term,
     generators_of,
     join,
@@ -132,41 +132,47 @@ class TestParser:
         except ParseError as e:
             assert e.line == line and offset + 1 <= e.column <= offset + len(text) + 1
         else:
-            assert parse_term(str(t)) == t
+            assert parse_term(render(t)) == t
 
 
 class TestPrinter:
     def test_str_inserts_needed_parens(self):
         t = And(Or(G0, G1), Not(G2))
-        assert parse_term(str(t)) == t
+        assert render(t) == "(g0 | g1) & ~g2"
+        assert render(And(G0, And(G1, G2))) == "g0 & (g1 & g2)"
+        assert render(Or(Or(G0, G1), And(G1, G2))) == "g0 | g1 | g1 & g2"
+        assert parse_term(render(t)) == t
 
     @given(term_strategy(["g0", "g1", "g2"]))
     def test_parse_str_round_trip(self, t: Term):
-        assert parse_term(str(t)) == t
+        assert parse_term(render(t)) == t
 
     def test_str_of_deep_terms(self):
         negations = G0
         for _ in range(5000):
             negations = Not(negations)
-        assert str(negations) == "~" * 5000 + "g0"
+        assert render(negations) == "~" * 5000 + "g0"
         nested = G0
         for _ in range(3000):
             nested = Or(G1, And(G2, nested))
-        assert str(nested).startswith("g1 | g2 & (g1 | g2 & (")
+        assert render(nested).startswith("g1 | g2 & (g1 | g2 & (")
+        nested_parens = parse_term("(" * 1000 + "g0 | g1" + ")" * 1000)
+        assert nested_parens == Or(G0, G1)
         for t in (negations, nested, Not(nested), meet([G0] * 3000)):
-            assert parse_term(str(t)) == t
+            assert parse_term(render(t)) == t
 
     def test_repr_of_deep_terms(self):
-        assert repr(Not(Not(G0))) == "parse_term('~~g0')"
-        assert repr(And(G0, Or(G1, ONE))) == "parse_term('g0 & (g1 | 1)')"
+        # a term prints as its tuple of postfix tokens
+        assert repr(Not(Not(G0))) == "('g0', '~', '~')"
+        assert repr(And(G0, Or(G1, ONE))) == "('g0', 'g1', '1', '|', '&')"
         negations = G0
         for _ in range(5000):
             negations = Not(negations)
-        assert repr(negations) == f"parse_term('{'~' * 5000}g0')"
+        assert repr(negations) == "('g0', " + "'~', " * 4999 + "'~')"
 
 
 class TestEquality:
-    """Terms compare and hash by structure, with term_to_json as the reference."""
+    """Terms compare and hash as token tuples, with term_to_json as the reference."""
 
     @given(term_strategy(["g0", "g1"]), term_strategy(["g0", "g1"]))
     def test_equal_iff_same_structure(self, a: Term, b: Term):
@@ -185,7 +191,7 @@ class TestEquality:
         for i, a in enumerate(distinct):
             for b in distinct[i + 1:]:
                 assert a != b
-        assert G0 != "g0"
+        assert G0 != "g0" and G0 == ("g0",)
 
     def test_deep_terms_compare_and_hash(self):
         deep = [parse_term("~" * 5000 + "g0"), parse_term(" & ".join(["g0"] * 3000))]
@@ -220,29 +226,60 @@ class TestEval:
         assert t == And(Not(G2), ONE)
 
     def test_unknown_generator_named_is_the_leftmost(self):
-        # both folds read the preorder backwards, so they meet 'y' first
+        # both folds read the tokens in reading order, so they meet 'x' first
         t = And(Gen("x"), Gen("y"))
         with pytest.raises(UnknownGenerator, match="'x'"):
             eval_term(t, {})
         with pytest.raises(UnknownGenerator, match="'x'"):
             substitute(t, {})
+        with pytest.raises(UnknownGenerator, match="'y'"):
+            check_term(t, {"x"})
 
-    @pytest.mark.parametrize("bad", [5, And(G0, 5), Not(Or(G1, None))], ids=["int", "operand", "nested"])
+    @pytest.mark.parametrize("bad", [
+        5,  # not a tuple
+        And(G0, (5,)),  # a token neither a name nor a marker
+        Not(Or(G1, ("a b",))),  # likewise, nested
+        ("g0", "&"),  # an operator short of operands
+        ("g0", "g1"),  # operands left over
+        (),  # no value at all
+        "g0",  # a bare str, whose characters are not tokens
+    ], ids=["int", "operand", "nested", "underflow", "leftover", "empty", "str"])
     def test_non_terms_rejected(self, bad):
         with pytest.raises(TypeError, match="not a term"):
-            eval_term(bad, {"g0": 1, "g1": 0})
+            check_term(bad, {"g0", "g1"})
         with pytest.raises(TypeError, match="not a term"):
-            substitute(bad, {"g0": G0, "g1": G1})
+            Presentation.make(["g0", "g1"], [bad])
 
-    @pytest.mark.parametrize("bad", [And(G0, 5), Not(Or(G1, None)), Gen(5)], ids=["operand", "nested", "name"])
+    @pytest.mark.parametrize("bad", ["g1", 5, None, ["g1"]])
+    def test_constructors_refuse_operands_that_are_not_terms(self, bad):
+        # a bare str is a sequence too, but it never splices in as tokens
+        for build in (Not, lambda x: And(G0, x), lambda x: Or(x, G0), lambda x: And(x, x)):
+            with pytest.raises(TypeError):
+                Presentation.make(["g0", "g1"], [build(bad)])
+
+    @pytest.mark.parametrize("name", ["", "a b", "0", "1", "~", "&", "|", "9x", 5, ("g0",)])
+    def test_gen_takes_identifiers_only(self, name):
+        with pytest.raises(TypeError, match="not a generator name"):
+            Gen(name)
+
+    @pytest.mark.parametrize("bad", [
+        And(G0, (["g1"],)),
+        Not(Or(G1, ({"g0"},))),
+        (["g0"],),
+    ], ids=["operand", "nested", "name"])
     def test_malformed_terms_neither_hash_nor_validate(self, bad):
-        # the preorder behind ==, hash, generators_of and both folds rejects what str does
-        with pytest.raises(TypeError):
-            str(bad)
-        checks = (hash, generators_of, lambda t: t == t, lambda t: eval_term(t, {}), lambda t: substitute(t, {}))
+        # an unhashable token: the tuple cannot hash, and no reader accepts it
+        checks = (
+            hash,
+            generators_of,
+            lambda t: eval_term(t, {"g0": 1, "g1": 0}),
+            lambda t: substitute(t, {"g0": G0, "g1": G1}),
+        )
         for check in checks:
-            with pytest.raises(TypeError, match="not a term"):
+            with pytest.raises(TypeError):
                 check(bad)
+        with pytest.raises(TypeError, match="not a term"):
+            check_term(bad, {"g0", "g1"})
         with pytest.raises(TypeError, match="not a term"):
             Presentation.make(["g0", "g1"], [bad])
 
@@ -272,5 +309,5 @@ class TestJson:
         assert term_from_json(term_to_json(t)) == t
 
     def test_singletons(self):
-        assert isinstance(ZERO, Zero)
-        assert isinstance(ONE, One)
+        assert ZERO == ("0",) == parse_term("0") and term_to_json(ZERO) == "0"
+        assert ONE == ("1",) == parse_term("1") and term_to_json(ONE) == "1"

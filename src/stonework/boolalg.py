@@ -226,13 +226,15 @@ class Morphism:
 
 
 def hom(src: Presentation, images: Mapping[str, Term], dst: Presentation) -> Morphism:
-    """Build a morphism, rejecting it if some source relation is not killed:
-    each relation is evaluated once under the image tables."""
+    """Build a morphism, rejecting a missing image, an image that is not a term
+    over dst and a source relation that is not killed; each relation is
+    evaluated once under the image tables."""
+    dst_gens = set(dst.gens)
     for g in src.gens:
         if g not in images:
             raise UnknownGenerator(g)
+        check_term(images[g], dst_gens)
     m = Morphism(src, dst, dict(images))
-    # built now, so an image outside dst raises UnknownGenerator even if no relation uses it
     tables, full = m.image_tables, (1 << m.dst_alg.n_points) - 1
     for idx, r in enumerate(src.rels):
         if eval_term(r, tables, full):

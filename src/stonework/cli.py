@@ -329,10 +329,14 @@ def cmd_interval_image(args) -> Result:
     words = [interval.BitWord.parse(w) for w in args.cylinders.split(",") if w.strip()]
     image = interval.decidable_image(words)
     complement = interval.complement_closed_union(image)
-    fields = {
-        "image": [[str(lo), str(hi)] for lo, hi in image.parts],
-        "complement": [[str(lo), str(hi)] for lo, hi in complement.parts],
-    }
+    try:
+        fields = {
+            "image": [[str(lo), str(hi)] for lo, hi in image.parts],
+            "complement": [[str(lo), str(hi)] for lo, hi in complement.parts],
+        }
+    except ValueError:  # a numerator over sys.get_int_max_str_digits(); it has no more bits than the longest word
+        n, printable = max(w.length for w in words), (10 ** sys.get_int_max_str_digits()).bit_length() - 1
+        raise errors.CapExceeded(n, printable, f"interval-image word of {n} bits") from None
     lines = [
         f"image of {len(words)} cylinders: {image}",
         f"relative complement: {complement}",

@@ -356,22 +356,21 @@ class AbInvariants:
 
 @record
 class ChainComplexZ:
-    """Three-term integer cochain complex with optional augmentation."""
+    """Three-term integer cochain complex with its augmentation."""
 
     d0: IntMatrix  # C0 -> C1
     d1: IntMatrix  # C1 -> C2
-    aug: Optional[IntMatrix] = None  # Z -> C0
+    aug: IntMatrix  # Z -> C0
 
     def __post_init__(self):
         if self.d1.ncols != self.d0.nrows:
             raise InvariantViolated("d1 and d0 dimensions disagree")
         if not (self.d1 @ self.d0).is_zero():
             raise InvariantViolated("d1 * d0 != 0")
-        if self.aug is not None:
-            if self.aug.nrows != self.d0.ncols or self.aug.ncols != 1:
-                raise InvariantViolated("augmentation has wrong shape")
-            if not (self.d0 @ self.aug).is_zero():
-                raise InvariantViolated("d0 * aug != 0")
+        if self.aug.nrows != self.d0.ncols or self.aug.ncols != 1:
+            raise InvariantViolated("augmentation has wrong shape")
+        if not (self.d0 @ self.aug).is_zero():
+            raise InvariantViolated("d0 * aug != 0")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -382,7 +381,7 @@ class ChainComplexZ:
 class HomologyResult:
     h0: AbInvariants  # ker d0
     h1: AbInvariants  # ker d1 / im d0
-    exact_at: tuple[bool, ...]  # positions: [aug,] C0 (aug only), C1
+    exact_at: tuple[bool, ...]  # positions: aug, C0, C1
 
 
 def homology(c: ChainComplexZ) -> HomologyResult:
@@ -404,12 +403,8 @@ def homology(c: ChainComplexZ) -> HomologyResult:
         rank=(c1 - rank1) - rank0,
         torsion=tuple(x for x in inv0 if x > 1),
     )
-    flags: list[bool] = []
-    if c.aug is not None:
-        g = math.gcd(*(x for r in c.aug.rows for _, x in r))
-        flags += [g != 0, g <= 1 and h0.rank == g]
-    flags.append(h1.trivial)
-    return HomologyResult(h0=h0, h1=h1, exact_at=tuple(flags))
+    g = math.gcd(*(x for r in c.aug.rows for _, x in r))
+    return HomologyResult(h0=h0, h1=h1, exact_at=(g != 0, g <= 1 and h0.rank == g, h1.trivial))
 
 
 def graph_cech_complex(g: RelGraph) -> ChainComplexZ:
@@ -436,25 +431,16 @@ def graph_cech_complex(g: RelGraph) -> ChainComplexZ:
     )
 
 
-@record
-class CochainMap:
-    """Pullback along a graph morphism, from the coarse complex to the fine one."""
+def induced_cochain_map(fine: ChainComplexZ, coarse: ChainComplexZ, image: Sequence[int]) -> IntMatrix:
+    """Pullback m1 of oriented 1-cochains along a relation-preserving vertex map.
 
-    m0: IntMatrix
-    m1: IntMatrix
-    m2: IntMatrix
-
-
-def induced_cochain_map(fine: ChainComplexZ, coarse: ChainComplexZ, image: Sequence[int]) -> CochainMap:
-    """Pullback of oriented cochains along a relation-preserving vertex map.
-
-    Fine vertex i goes to coarse position image[i]; the resulting matrices
-    send coarse cochains to fine cochains and commute with the boundary maps
-    and the augmentations.  In degree q = 1, 2, row s of fine.d_(q-1) @
-    m_(q-1) is zero when simplex s's image repeats a vertex, and otherwise
-    plus or minus the row of coarse.d_(q-1) with the same columns, which
-    belongs to the simplex the image sorts to: that simplex and the sign
-    make row s of m_q.
+    Fine vertex i goes to coarse position image[i]; the pullbacks m0, m1 and
+    m2 send coarse cochains to fine cochains, and each is checked to commute
+    with the boundary maps and the augmentations, though only m1 is
+    returned.  In degree q = 1, 2, row s of fine.d_(q-1) @ m_(q-1) is zero
+    when simplex s's image repeats a vertex, and otherwise plus or minus the
+    row of coarse.d_(q-1) with the same columns, which belongs to the
+    simplex the image sorts to: that simplex and the sign make row s of m_q.
     """
     if not all(0 <= p < coarse.d0.ncols for p in image):
         raise RelationNotPreserved("the vertex map leaves the coarse vertices")
@@ -474,11 +460,10 @@ def induced_cochain_map(fine: ChainComplexZ, coarse: ChainComplexZ, image: Seque
         maps.append(IntMatrix(len(rows), cd.nrows, tuple(rows)))
         if maps[-1] @ cd != pulled:
             raise RelationNotPreserved(f"pullback does not commute with d{q - 1}")
-    m0, m1, m2 = maps
-    if fine.aug is not None and coarse.aug is not None:
-        if m0 @ coarse.aug != fine.aug:
-            raise RelationNotPreserved("pullback does not commute with the augmentation")
-    return CochainMap(m0, m1, m2)
+    m0, m1, _ = maps
+    if m0 @ coarse.aug != fine.aug:
+        raise RelationNotPreserved("pullback does not commute with the augmentation")
+    return m1
 
 
 def _covers_kernel(g: IntMatrix, kernel_rank: int) -> bool:
@@ -560,27 +545,30 @@ class StabilizationReport:
 
 
 def stabilization_report(tower: RelGraphTower) -> StabilizationReport:
-    """Per-level cohomology plus whether the induced maps are isomorphisms."""
-    complexes = [graph_cech_complex(g) for g in tower.levels]
-    results = [_level_cohomology(n, cx) for n, cx in enumerate(complexes)]
-    h0_iso, h1_iso = [], []
-    for n in range(len(complexes) - 1):
-        coarse, fine = complexes[n], complexes[n + 1]
-        cmap = induced_cochain_map(fine, coarse, tower.transitions[n])
-        lo, hi = results[n], results[n + 1]
-        # a surjective map between groups with equal invariants is an
-        # isomorphism (finitely generated abelian groups are Hopfian).  Each
-        # fine component maps into one coarse component, and the pullbacks of
-        # the coarse component indicators generate the fine ones exactly when
-        # no two fine components land in the same coarse component
-        comp = coarse.d0._forest[0]
-        surj0 = len({comp[p] for p in tower.transitions[n]}) == hi.h0.rank
-        h0_iso.append(lo.h0 == hi.h0 and surj0)
-        # m1 maps im d0 into im d0, so coarse H1 covers fine H1 exactly when
-        # the coarse representatives, pulled back and projected onto the fine
-        # cochains that vanish on tree rows, generate the fine representatives
-        pulled = _project_off_tree(cmap.m1 @ _h1_representatives(coarse), fine.d0)
-        h1_iso.append(lo.h1 == hi.h1 and _covers_kernel(pulled, hi.h1.rank))
+    """Per-level cohomology plus whether the induced maps are isomorphisms,
+    two levels at a time: a level's complex is dropped once its map to the
+    next level is checked."""
+    results, h0_iso, h1_iso = [], [], []
+    coarse = None
+    for n, g in enumerate(tower.levels):
+        fine = graph_cech_complex(g)
+        results.append(_level_cohomology(n, fine))
+        if coarse is not None:
+            image, lo, hi = tower.transitions[n - 1], results[-2], results[-1]
+            # m1 maps im d0 into im d0, so coarse H1 covers fine H1 exactly when
+            # the coarse representatives, pulled back and projected onto the fine
+            # cochains that vanish on tree rows, generate the fine representatives
+            pulled = induced_cochain_map(fine, coarse, image) @ _h1_representatives(coarse)
+            pulled = _project_off_tree(pulled, fine.d0)
+            # a surjective map between groups with equal invariants is an
+            # isomorphism (finitely generated abelian groups are Hopfian).  Each
+            # fine component maps into one coarse component, and the pullbacks of
+            # the coarse component indicators generate the fine ones exactly when
+            # no two fine components land in the same coarse component
+            comp = coarse.d0._forest[0]
+            h0_iso.append(lo.h0 == hi.h0 and len({comp[p] for p in image}) == hi.h0.rank)
+            h1_iso.append(lo.h1 == hi.h1 and _covers_kernel(pulled, hi.h1.rank))
+        coarse = fine
     return StabilizationReport(tuple(results), tuple(h0_iso), tuple(h1_iso))
 
 

@@ -38,7 +38,6 @@ from stonework.terms import (
 )
 from stonework.zhomology import (
     ChainComplexZ,
-    CochainMap,
     IntMatrix,
     LevelCohomology,
     StabilizationReport,
@@ -333,9 +332,9 @@ def ordered_graph_complex(g: RelGraph) -> ChainComplexZ:
     )
 
 
-def ordered_cochain_map(fine: RelGraph, coarse: RelGraph, image) -> CochainMap:
-    """Precomposition on ordered tuples along a relation-preserving map that
-    sends fine vertex i to coarse position image[i]."""
+def ordered_cochain_map(fine: RelGraph, coarse: RelGraph, image) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Precomposition (m0, m1, m2) on ordered tuples along a relation-preserving
+    map that sends fine vertex i to coarse position image[i]."""
     vertex_map = {v: coarse.vertices[p] for v, p in zip(fine.vertices, image)}
     maps = []
     for fine_basis, coarse_basis in zip(ordered_bases(fine), ordered_bases(coarse)):
@@ -351,7 +350,7 @@ def ordered_cochain_map(fine: RelGraph, coarse: RelGraph, image) -> CochainMap:
     fine_cx, coarse_cx = ordered_graph_complex(fine), ordered_graph_complex(coarse)
     if m1 @ coarse_cx.d0 != fine_cx.d0 @ m0 or m2 @ coarse_cx.d1 != fine_cx.d1 @ m1:
         raise RelationNotPreserved("pullback does not commute with the coboundaries")
-    return CochainMap(m0, m1, m2)
+    return m0, m1, m2
 
 
 def oriented_bases(g: RelGraph) -> tuple[list, list, list]:
@@ -363,8 +362,9 @@ def oriented_bases(g: RelGraph) -> tuple[list, list, list]:
     return tuple(list(filter(related, itertools.combinations(range(len(g.vertices)), k))) for k in (1, 2, 3))
 
 
-def signed_pullback(fine: RelGraph, coarse: RelGraph, image) -> CochainMap:
-    """The oriented pullback by sorting (oracle for ``induced_cochain_map``).
+def signed_pullback(fine: RelGraph, coarse: RelGraph, image) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """The oriented pullback (m0, m1, m2) by sorting (oracle for
+    ``induced_cochain_map``, which returns m1).
 
     Fine vertex i goes to coarse position image[i].  A fine simplex reads the
     coarse simplex its image sorts to, times the sign of the sorting
@@ -385,7 +385,7 @@ def signed_pullback(fine: RelGraph, coarse: RelGraph, image) -> CochainMap:
             inversions = sum(a > c for a, c in itertools.combinations(img, 2))
             rows.append(((coarse_idx[key], -1 if inversions % 2 else 1),))
         maps.append(IntMatrix(len(rows), len(coarse_basis), tuple(rows)))
-    return CochainMap(*maps)
+    return tuple(maps)
 
 
 def ordered_stabilization_report(tower: RelGraphTower) -> StabilizationReport:
@@ -398,13 +398,13 @@ def ordered_stabilization_report(tower: RelGraphTower) -> StabilizationReport:
     h0_iso, h1_iso = [], []
     for n in range(len(complexes) - 1):
         coarse, fine = complexes[n], complexes[n + 1]
-        cmap = ordered_cochain_map(tower.levels[n + 1], tower.levels[n], tower.transitions[n])
+        m0, m1, _ = ordered_cochain_map(tower.levels[n + 1], tower.levels[n], tower.transitions[n])
         lo, hi = results[n], results[n + 1]
         z0_hi = hi.h0.rank
         z1_hi = hi.h1.rank + hi.dims[0] - z0_hi
-        surj0 = _covers_kernel(cmap.m0 @ kernel_basis(coarse.d0), z0_hi)
+        surj0 = _covers_kernel(m0 @ kernel_basis(coarse.d0), z0_hi)
         h0_iso.append(lo.h0 == hi.h0 and surj0)
-        surj1 = _covers_kernel(hstack(cmap.m1 @ kernel_basis(coarse.d1), fine.d0), z1_hi)
+        surj1 = _covers_kernel(hstack(m1 @ kernel_basis(coarse.d1), fine.d0), z1_hi)
         h1_iso.append(lo.h1 == hi.h1 and surj1)
     return StabilizationReport(tuple(results), tuple(h0_iso), tuple(h1_iso))
 

@@ -466,7 +466,8 @@ def _coboundary(upper: Sequence, lower: Sequence, faces=_faces) -> IntMatrix:
 
 
 def cech_complex(cov: FiniteCover) -> ChainComplexZ:
-    """Cech complex of a finite cover, degenerate tuples included.
+    """Cech complex of a finite cover, degenerate tuples included, with the
+    zero augmentation.
 
     A face of (x, tuple, c) deletes one entry of the tuple over the same
     point x with the same coefficient c.
@@ -480,6 +481,7 @@ def cech_complex(cov: FiniteCover) -> ChainComplexZ:
     return ChainComplexZ(
         d0=_coboundary(b1, b0, faces),
         d1=_coboundary(b2, b1, faces),
+        aug=zero_matrix(len(b0), 1),
     )
 
 

@@ -220,6 +220,12 @@ class TestMorphisms:
         with pytest.raises(UnknownGenerator, match="'x'"):
             hom(Presentation.make(["g0", "g1"], [G0]), {"g0": G0, "g1": Gen("x")}, free(1))
 
+    @pytest.mark.parametrize("image", ["1", "g0", "h0"])
+    def test_hom_rejects_a_bare_str_image(self, image):
+        # a str iterates as one-character tokens, so "1" would read as ONE
+        with pytest.raises(TypeError, match="not a term"):
+            hom(free(1), {"g0": image}, free(1))
+
     def test_hom_rejects_unkilled_relation(self):
         with pytest.raises(RelationNotKilled) as exc:
             hom(binfty(2), {"g0": G0, "g1": G0}, free(1))

@@ -479,6 +479,25 @@ class TestExitCodes:
         assert "[1/2^2, 1/2^1]" in out
         assert "[0, 1/2^2) u (1/2^1, 1]" in out
 
+    def test_word_too_long_to_print_hits_the_cap(self, capsys):
+        # the word's lower endpoint (2^15000 - 1)/2^15000 has a numerator of
+        # 4 516 digits, over Python's default int-to-str limit (4 300); a
+        # limit of 0 means no limit
+        word = "1" * 15000
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            codes = [main(argv + ["interval-image", "--cylinders", word]) for argv in ([], ["--json"])]
+            sys.set_int_max_str_digits(0)
+            unlimited = main(["interval-image", "--cylinders", word])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert codes == [EXIT_CAP, EXIT_CAP] and unlimited == EXIT_OK
+        out, err = capsys.readouterr()
+        message = "error: interval-image word of 15000 bits: enumeration over 2^15000 exceeds cap 2^14284\n"
+        assert err == message * 2 and "Traceback" not in err
+        assert out.startswith("image of 1 cylinders: [") and out.count("\n") == 2
+
     def test_stabilize(self, capsys):
         assert main(["stabilize", "circle", "--depth", "4"]) == EXIT_OK
         out = capsys.readouterr().out

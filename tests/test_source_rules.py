@@ -14,8 +14,9 @@ the others build terms with the constructors.  ``src`` holds only what the
 commands run.  Every module-level
 function and class is named, by bare name or as an attribute, from a
 definition a command reaches, and every method and property (a ``def`` in a
-class body, ``staticmethod`` and ``cached_property`` included) is read as an
-attribute by one.  ``ast`` cannot type an operand, so the operator dunders a
+class body, ``staticmethod`` and ``cached_property`` included) and every
+annotated field of a record is read as an attribute by one.  ``ast`` cannot
+type an operand, so the operator dunders a
 class defines (``__add__``, ``__lt__``, ``__matmul__``, ...) are checked by
 running the small golden commands with a counter on each, and each must be
 called; the protocol dunders (``__init__``, ``__post_init__``, ``__eq__``,
@@ -181,8 +182,10 @@ def _members(cls: ast.ClassDef) -> list[ast.FunctionDef]:
     return [n for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
 
-def test_every_definition_is_reached_from_a_command():
-    # label -> (the name that reaches the definition, the names it reads)
+def _reachability() -> tuple[dict[str, tuple[str, set[str]]], set[str], set[str]]:
+    """Every definition in src as label -> (the name that reaches it, the
+    names it reads); the names read at module level or by a reached
+    definition; and the names the commands reach."""
     defs: dict[str, tuple[str, set[str]]] = {}
     roots = {"main", "build_parser", "_plain_call", *(c.run.__name__ for c in cli.COMMANDS)}
     # cmd_cohomology and cmd_stabilize look these up with getattr
@@ -213,8 +216,29 @@ def test_every_definition_is_reached_from_a_command():
             reached.add(name)
             for names in reads_of.get(name, ()):
                 todo.extend(names)
+    read = roots.union(*(names for key, names in defs.values() if key in reached))
+    return defs, read, reached
+
+
+def test_every_definition_is_reached_from_a_command():
+    defs, _, reached = _reachability()
     unreached = sorted(label for label, (key, _) in defs.items() if key not in reached)
     assert not unreached, f"{len(unreached)} definitions no command reaches: {unreached}"
+
+
+def test_every_record_field_is_read_by_a_reached_definition():
+    _, read, _ = _reachability()
+    fields = [
+        (f"{path.stem}.{node.name}.{item.target.id}", f".{item.target.id}")
+        for path in SOURCES
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+        if isinstance(node, ast.ClassDef) and "record" in _reads(node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    assert fields, "no record field found"
+    unread = sorted(label for label, attr in fields if attr not in read)
+    assert not unread, f"{len(unread)} record fields no reached definition reads: {unread}"
 
 
 def test_the_exempt_member_is_still_read_by_the_benchmark_probe():

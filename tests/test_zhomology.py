@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -581,7 +582,7 @@ class TestAbInvariants:
 
 class TestChainComplex:
     def test_zero_differentials(self):
-        c = ChainComplexZ(zero_matrix(2, 2), zero_matrix(0, 2))
+        c = ChainComplexZ(zero_matrix(2, 2), zero_matrix(0, 2), zero_matrix(2, 1))
         h = homology(c)
         assert h.h0 == AbInvariants(2)
         assert h.h1 == AbInvariants(2)
@@ -590,7 +591,7 @@ class TestChainComplex:
         d0 = from_rows([[1], [0]])
         d1 = from_rows([[1, 0]])
         with pytest.raises(InvariantViolated):
-            ChainComplexZ(d0, d1)
+            ChainComplexZ(d0, d1, zero_matrix(1, 1))
 
     def test_bad_augmentation_rejected(self):
         d0 = from_rows([[1, -1]])
@@ -603,7 +604,7 @@ class TestChainComplex:
         # Z --2--> Z --0--> 0 gives h1 = Z/2
         d0 = from_rows([[2]])
         d1 = zero_matrix(0, 1)
-        h = homology(ChainComplexZ(d0, d1))
+        h = homology(ChainComplexZ(d0, d1, zero_matrix(1, 1)))
         assert h.h0 == TRIVIAL_GROUP
         assert h.h1 == AbInvariants(0, (2,))
 
@@ -693,7 +694,7 @@ class TestGraphComplex:
         assert graph_cohomology(interval_graph(2), 2).dims == (4, 10, 22)
         cx = graph_cech_complex(interval_graph(2))
         assert cx.dims == (4, 3, 0)
-        assert cx.aug is not None and cx.aug.shape == (4, 1)
+        assert cx.aug.shape == (4, 1)
 
 
 class TestCoverComplex:
@@ -726,9 +727,7 @@ class TestCoverComplex:
 class TestInducedMaps:
     def test_identity_map(self):
         cx = graph_cech_complex(interval_graph(1))
-        cm = induced_cochain_map(cx, cx, tuple(range(cx.dims[0])))
-        assert cm.m0 == identity_matrix(cx.dims[0])
-        assert cm.m1 == identity_matrix(cx.dims[1])
+        assert induced_cochain_map(cx, cx, tuple(range(cx.dims[0]))) == identity_matrix(cx.dims[1])
 
     def test_non_preserving_map_rejected(self):
         fine = graph_cech_complex(interval_graph(2))
@@ -739,29 +738,39 @@ class TestInducedMaps:
             with pytest.raises(RelationNotPreserved, match="leaves the coarse vertices"):
                 induced_cochain_map(fine, coarse, image)
 
+    def test_degree_two_and_augmentation_checks_reject(self):
+        # hand-built coarse complexes: the triangle's d1 row is missing, or
+        # the augmentation is doubled, so m2 or m0 cannot commute
+        fine = graph_cech_complex(graph_from_pairs(range(3), itertools.product(range(3), repeat=2)))
+        with pytest.raises(RelationNotPreserved, match="no degree-2 coarse simplex"):
+            induced_cochain_map(fine, ChainComplexZ(fine.d0, zero_matrix(0, 3), fine.aug), (0, 1, 2))
+        with pytest.raises(RelationNotPreserved, match="augmentation"):
+            induced_cochain_map(fine, ChainComplexZ(fine.d0, fine.d1, from_rows([[2]] * 3)), (0, 1, 2))
+
     def test_reflection_negates_the_loop_class(self):
         pairs = {(v, w) for v in range(4) for w in range(4) if (v - w) % 4 in (0, 1, 3)}
         cx = graph_cech_complex(graph_from_pairs(range(4), pairs))
         assert [tuple(j for j, _ in r) for r in cx.d0.rows] == [(0, 1), (0, 3), (1, 2), (2, 3)]
-        cm = induced_cochain_map(cx, cx, tuple(-v % 4 for v in range(4)))
-        assert dense(cm.m1) == [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
+        m1 = induced_cochain_map(cx, cx, tuple(-v % 4 for v in range(4)))
+        assert dense(m1) == [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
         # the loop 0 -> 1 -> 2 -> 3 -> 0 pairs with the generator to 1
         loop = from_rows([[1, -1, 1, 1]])
         assert (loop @ cx.d0).is_zero()
         gen = from_rows([[1], [0], [0], [0]])
         assert dense(loop @ gen) == [[1]]
-        assert dense(loop @ cm.m1 @ gen) == [[-1]]
+        assert dense(loop @ m1 @ gen) == [[-1]]
         # the pulled-back generator plus the generator is a coboundary
-        pulled = [x for x, in dense(cm.m1 @ gen)]
+        pulled = [x for x, in dense(m1 @ gen)]
         solve_exact(cx.d0, from_rows([[x + y] for x, y in zip(pulled, [1, 0, 0, 0])]))
 
     def test_collapsed_simplices_give_zero_rows(self):
-        fine = graph_cech_complex(graph_from_pairs((0, 1, 2), itertools.product(range(3), repeat=2)))
-        coarse = graph_cech_complex(interval_graph(1))
-        cm = induced_cochain_map(fine, coarse, (0, 1, 1))
+        fine = graph_from_pairs((0, 1, 2), itertools.product(range(3), repeat=2))
+        coarse = interval_graph(1)
+        m1 = induced_cochain_map(graph_cech_complex(fine), graph_cech_complex(coarse), (0, 1, 1))
         # edges (0, 1), (0, 2), (1, 2); the last collapses, as does the triangle
-        assert cm.m1.rows == (((0, 1),), ((0, 1),), ())
-        assert cm.m2.rows == ((),)
+        assert m1.rows == (((0, 1),), ((0, 1),), ())
+        _, oracle_m1, m2 = signed_pullback(fine, coarse, (0, 1, 1))
+        assert oracle_m1 == m1 and m2.rows == ((),)
 
     @given(rel_graphs(max_vertices=7), st.data())
     @settings(max_examples=150, deadline=None)
@@ -771,16 +780,15 @@ class TestInducedMaps:
         coarse = graph_from_pairs(image, {(f[u], f[v]) for u, v in g.related})
         positions = tuple(image.index(f[v]) for v in g.vertices)
         # raises unless the signed pullback commutes with d0, d1 and the augmentation
-        cm = induced_cochain_map(graph_cech_complex(g), graph_cech_complex(coarse), positions)
-        assert cm == signed_pullback(g, coarse, positions)
+        m1 = induced_cochain_map(graph_cech_complex(g), graph_cech_complex(coarse), positions)
+        assert m1 == signed_pullback(g, coarse, positions)[1]
 
     def test_functoriality_of_restriction(self):
         cx = [graph_cech_complex(interval_graph(n)) for n in range(3)]
         a = induced_cochain_map(cx[1], cx[0], (0, 0))
         b = induced_cochain_map(cx[2], cx[1], (0, 0, 1, 1))
         composed = induced_cochain_map(cx[2], cx[0], (0, 0, 0, 0))
-        assert b.m0 @ a.m0 == composed.m0
-        assert b.m1 @ a.m1 == composed.m1
+        assert b @ a == composed
 
 
 class TestLevelCohomology:
@@ -817,14 +825,15 @@ class TestSquareGraph:
         rep = stabilization_report(t)
         assert rep == ordered_stabilization_report(t)
         assert rep.h0_iso == rep.h1_iso == (True,) * (depth - 1)
-        # triangles first survive a transition from depth 3 on: m2 has 4
-        # nonzero rows at level 2 -> 1 and 36 at level 3 -> 2
+        # triangles first survive a transition from depth 3 on: the oracle's
+        # m2 has 4 nonzero rows at level 2 -> 1 and 36 at level 3 -> 2, and
+        # induced_cochain_map checks the degree-2 square on each
         m2_rows = 0
         for n, image in enumerate(t.transitions):
             coarse, fine = t.levels[n], t.levels[n + 1]
-            cm = induced_cochain_map(graph_cech_complex(fine), graph_cech_complex(coarse), image)
-            assert cm == signed_pullback(fine, coarse, image)
-            m2_rows += sum(1 for r in cm.m2.rows if r)
+            _, m1, m2 = signed_pullback(fine, coarse, image)
+            assert induced_cochain_map(graph_cech_complex(fine), graph_cech_complex(coarse), image) == m1
+            m2_rows += sum(1 for r in m2.rows if r)
         assert m2_rows == {1: 0, 2: 0, 3: 4, 4: 40}[depth]
 
 
@@ -906,16 +915,32 @@ class TestStabilization:
     def test_square_tower_reduces_d1_and_its_restrictions(self, monkeypatch):
         reduced, complexes = self.reductions(monkeypatch, square_tower(4))
         assert [cx.dims for cx in complexes] == [(1, 0, 0), (4, 6, 4), (16, 42, 36), (64, 210, 196)]
-        # homology reduces d1 of levels 1-3 once each, level 0's having no rows
-        assert reduced[:3] == [cx.d1 for cx in complexes[1:]]
-        assert all(m is cx.d1 for m, cx in zip(reduced, complexes[1:]))
-        # each transition reduces the coarse d1 restricted to the coarse
-        # non-tree edges (E - V + 1 columns; level 0's has no rows) and the
-        # projected representatives: E - V + 1 fine rows and no column, as
-        # the square has no H1
-        assert [m.shape for m in reduced[3:]] == [(3, 0), (4, 3), (27, 0), (36, 27), (147, 0)]
-        for m, cx in ((reduced[4], complexes[1]), (reduced[6], complexes[2])):
+        # level by level, homology reduces d1 once (level 0's has no rows);
+        # then the transition from the level below reduces the coarse d1
+        # restricted to the coarse non-tree edges (E - V + 1 columns; level
+        # 0's has no rows) and the projected representatives: E - V + 1 fine
+        # rows and no column, as the square has no H1
+        shapes = [(4, 6), (3, 0), (36, 42), (4, 3), (27, 0), (196, 210), (36, 27), (147, 0)]
+        assert [m.shape for m in reduced] == shapes
+        assert all(m is cx.d1 for m, cx in zip((reduced[0], reduced[2], reduced[5]), complexes[1:]))
+        for m, cx in ((reduced[3], complexes[1]), (reduced[6], complexes[2])):
             cotree = cx.d0._forest[2]
             rows = (tuple((cotree.index(j), x) for j, x in row if j in cotree) for row in cx.d1.rows)
             assert m == IntMatrix(cx.d1.nrows, len(cotree), tuple(rows))
-        assert all(m.is_zero() for m in reduced[3::2])
+        assert all(m.is_zero() for m in (reduced[1], reduced[4], reduced[7]))
+
+    @pytest.mark.parametrize("tower", [circle_tower(6), square_tower(4)], ids=["circle", "square"])
+    def test_at_most_two_complexes_are_alive(self, monkeypatch, tower):
+        # each level's complex is dropped once its map to the next level is checked
+        alive, most = [], []
+
+        def complex_of(g):
+            cx = real_complex(g)
+            alive.append(weakref.ref(cx))
+            most.append(sum(r() is not None for r in alive))
+            return cx
+
+        real_complex = zhomology.graph_cech_complex
+        monkeypatch.setattr(zhomology, "graph_cech_complex", complex_of)
+        stabilization_report(tower)
+        assert len(alive) == len(tower.levels) and max(most) == 2

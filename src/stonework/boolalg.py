@@ -112,11 +112,9 @@ class FinBoolAlg:
     def n_points(self) -> int:
         return len(self.codes)
 
-    def point_index(self, code: int) -> int:
-        return self._index[code]
-
     @functools.cached_property
-    def _index(self) -> dict[int, int]:
+    def index(self) -> dict[int, int]:
+        """Each point's position, by its code."""
         return {c: i for i, c in enumerate(self.codes)}
 
     @functools.cached_property
@@ -142,17 +140,17 @@ def spectrum(p: Presentation) -> FinBoolAlg:
     """All assignments killing every relation, in lexicographic order.
 
     The generator masks span all 2^n assignments (bit k is the assignment of
-    code k, and the cap bounds these tables).  Each relation's truth table is
-    cleared from the table of all of them, and one regex scan finds the "1"s
-    that are left.
+    code k, and the cap bounds these tables): generator 0's is the high half,
+    and each next one is the last XOR itself shifted right by its runs' new
+    length.  Each relation's truth table is cleared from the table of all
+    assignments, and one regex scan finds the "1"s that are left.
     """
     check_cap(len(p.gens), f"spectrum of {len(p.gens)} generators")
-    masks, size = {}, 1
-    for g in reversed(p.gens):  # each generator doubles the table
-        masks = {h: m | m << size for h, m in masks.items()}
-        masks[g] = ((1 << size) - 1) << size
-        size *= 2
-    full = alive = (1 << size) - 1
+    masks, run = {}, 1 << len(p.gens)
+    full = alive = m = (1 << run) - 1
+    for g in p.gens:
+        run >>= 1
+        masks[g] = m = m ^ m >> run
     for r in p.rels:
         alive &= ~eval_term(r, masks, full)
     return FinBoolAlg(p, tuple(map(re.Match.start, _ONE.finditer(format(alive, "b")[::-1]))))
@@ -248,7 +246,7 @@ def point_map(m: Morphism) -> list[int]:
     codes = [0] * n
     for g in m.src.gens:  # g's image evaluated at each point is its next bit
         codes = [c << 1 | b for c, b in zip(codes, _bits_of(m.image_tables[g], n))]
-    return [src_alg.point_index(c) for c in codes]
+    return [src_alg.index[c] for c in codes]
 
 
 @record
@@ -348,7 +346,7 @@ def llpo_split(n: int) -> LlpoReport:
         decode.append((side, _bits_of(beta, n)[::-1]))
         # the decoded point, as a product-spectrum point e a0.. b0.., must map back
         dst_code = 1 << 2 * n | beta << n if side == "left" else beta
-        if pm[dst_alg.point_index(dst_code)] != i:
+        if pm[dst_alg.index[dst_code]] != i:
             consistent = False
     return LlpoReport(
         stage=n,

@@ -21,21 +21,26 @@ from .terms import And, Gen, Term, generators_of
 Vertex = Hashable
 
 
+def _not_total(n: int) -> InvariantViolated:
+    return InvariantViolated(f"transition {n} is not a total map between adjacent levels")
+
+
 @record
 class SeqDiagram:
-    """Finite sets with transition maps level n+1 -> level n."""
+    """Finite sets with transition maps level n+1 -> level n, by position as in
+    ``RelGraphTower``: ``transitions[n][i]`` is the position in level n of the
+    image of level n+1's point i."""
 
     levels: tuple[tuple[Vertex, ...], ...]
-    transitions: tuple[dict, ...]  # transitions[n]: level n+1 -> level n
+    transitions: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if len(self.transitions) != max(len(self.levels) - 1, 0):
             raise InvariantViolated("need one transition between each pair of adjacent levels")
-        for n, tr in enumerate(self.transitions):
-            upper = set(self.levels[n + 1])
-            lower = set(self.levels[n])
-            if set(tr) != upper or not set(tr.values()) <= lower:
-                raise ValueError(f"transition {n} is not a total map between adjacent levels")
+        for n, image in enumerate(self.transitions):
+            size = len(self.levels[n])
+            if len(image) != len(self.levels[n + 1]) or image and not 0 <= min(image) <= max(image) < size:
+                raise _not_total(n)
 
 
 @record
@@ -107,10 +112,12 @@ def spectrum_tower(algebras: tuple[FinBoolAlg, ...]) -> SeqDiagram:
     restricts a point to the lower level's generators, which is precomposing
     the inclusion: it drops the bits of the generators that level lacks,
     moving each run of kept bits down past the dropped bits below it as
-    (code >> shift) & mask."""
+    (code >> shift) & mask.  One lookup in the lower level's index turns each
+    restricted code into its position; a code outside the lower spectrum
+    raises ``InvariantViolated``."""
     levels = tuple(alg.codes for alg in algebras)
     transitions = []
-    for lower, upper in zip(algebras, algebras[1:]):
+    for n, (lower, upper) in enumerate(zip(algebras, algebras[1:])):
         have = set(lower.source.gens)
         kept = [b for b, g in enumerate(reversed(upper.source.gens)) if g in have]
         runs: dict[int, int] = {}  # shift -> the lower bits its run fills
@@ -119,7 +126,10 @@ def spectrum_tower(algebras: tuple[FinBoolAlg, ...]) -> SeqDiagram:
         low = [0] * len(upper.codes)
         for shift, mask in runs.items():
             low = [x | code >> shift & mask for x, code in zip(low, upper.codes)]
-        transitions.append(dict(zip(upper.codes, low)))
+        try:
+            transitions.append(tuple(map(lower.index.__getitem__, low)))
+        except KeyError:
+            raise _not_total(n) from None
     return SeqDiagram(levels, tuple(transitions))
 
 

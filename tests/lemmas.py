@@ -156,6 +156,11 @@ def binfty_normal_form(v: Bits, n: int) -> NormalFormBInfty:
     return NormalFormBInfty("join", indices)
 
 
+def image_of(d: SeqDiagram, n: int) -> dict:
+    """Transition n as a map from level n+1's points to level n's points."""
+    return dict(zip(d.levels[n + 1], map(d.levels[n].__getitem__, d.transitions[n])))
+
+
 @dataclass(frozen=True)
 class ClosedTower:
     """A sequential diagram with saturated per-level selected subsets."""
@@ -166,9 +171,9 @@ class ClosedTower:
     def __post_init__(self):
         if len(self.selected) != len(self.base.levels):
             raise InvariantViolated("need one selected set per level")
-        for n, tr in enumerate(self.base.transitions):
-            image = {tr[x] for x in self.selected[n + 1]}
-            if not image <= self.selected[n]:
+        for n in range(len(self.base.transitions)):
+            down = image_of(self.base, n)
+            if not {down[x] for x in self.selected[n + 1]} <= self.selected[n]:
                 raise ValueError(f"selected sets not saturated at level {n}")
 
 
@@ -177,10 +182,11 @@ def points_at_depth(d: SeqDiagram, depth: int) -> list[tuple]:
     if depth >= len(d.levels):
         raise ValueError(f"depth {depth} exceeds available levels {len(d.levels)}")
     chains = []
-    for top in d.levels[depth]:
+    for i, top in enumerate(d.levels[depth]):
         chain = [top]
-        for n in range(depth - 1, -1, -1):
-            chain.append(d.transitions[n][chain[-1]])
+        for n in range(depth - 1, -1, -1):  # follow the top point's position down
+            i = d.transitions[n][i]
+            chain.append(d.levels[n][i])
         chains.append(tuple(reversed(chain)))
     return chains
 
@@ -197,11 +203,12 @@ def closed_from_decidables(d: SeqDiagram, subsets: Sequence) -> ClosedTower:
         raise ValueError("one subset per level required")
     selected = [frozenset(s) & frozenset(level) for s, level in zip(subsets, d.levels)]
     for n in range(len(d.levels) - 2, -1, -1):
-        image = frozenset(d.transitions[n][x] for x in selected[n + 1])
+        down = image_of(d, n)
+        image = frozenset(down[x] for x in selected[n + 1])
         selected[n] = selected[n] & image
     for n in range(1, len(d.levels)):
-        tr = d.transitions[n - 1]
-        selected[n] = frozenset(x for x in selected[n] if tr[x] in selected[n - 1])
+        down = image_of(d, n - 1)
+        selected[n] = frozenset(x for x in selected[n] if down[x] in selected[n - 1])
     return ClosedTower(d, tuple(selected))
 
 
@@ -213,8 +220,8 @@ def constraint_emptiness_witness(d: SeqDiagram, subsets: Sequence) -> Optional[i
         if reachable is None:
             reachable = allowed
         else:
-            tr = d.transitions[n - 1]
-            reachable = frozenset(x for x in allowed if tr[x] in reachable)
+            down = image_of(d, n - 1)
+            reachable = frozenset(x for x in allowed if down[x] in reachable)
         if not reachable:
             return n
     return None
@@ -234,8 +241,9 @@ def levelwise_factor(
     if len(maps) != len(src.levels) or len(src.levels) != len(dst.levels):
         raise ValueError("one map per level required")
     for n in range(len(src.levels) - 1):
+        src_down, dst_down = image_of(src, n), image_of(dst, n)
         for x in src.levels[n + 1]:
-            if maps[n][src.transitions[n][x]] != dst.transitions[n][maps[n + 1][x]]:
+            if maps[n][src_down[x]] != dst_down[maps[n + 1][x]]:
                 raise SquareNotCommuting(n)
     mid_levels = []
     for n in range(len(src.levels)):
@@ -243,7 +251,8 @@ def levelwise_factor(
         mid_levels.append(tuple(y for y in dst.levels[n] if y in image))
     mid_transitions = []
     for n in range(len(src.levels) - 1):
-        mid_transitions.append({y: dst.transitions[n][y] for y in mid_levels[n + 1]})
+        down, at = image_of(dst, n), {y: i for i, y in enumerate(mid_levels[n])}
+        mid_transitions.append(tuple(at[down[y]] for y in mid_levels[n + 1]))
     middle = SeqDiagram(tuple(mid_levels), tuple(mid_transitions))
     epi = tuple(dict(m) for m in maps)
     mono = tuple({y: y for y in level} for level in mid_levels)

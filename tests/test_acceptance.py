@@ -196,7 +196,7 @@ def _random_diagram(rng: random.Random, depth: int) -> SeqDiagram:
         levels.append(tuple(f"v{n}_{i}" for i in range(rng.randint(1, 4))))
     transitions = []
     for n in range(depth - 1):
-        transitions.append({x: rng.choice(levels[n]) for x in levels[n + 1]})
+        transitions.append(tuple(rng.randrange(len(levels[n])) for _ in levels[n + 1]))
     return SeqDiagram(tuple(levels), tuple(transitions))
 
 

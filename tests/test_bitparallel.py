@@ -157,11 +157,11 @@ def test_tower_transitions_match_brute_force(rels, depth):
         images = {g: Gen(g) for g in lower.source.gens}
         hom(lower.source, images, upper.source)  # each inclusion kills the lower relations
         assert [point_of(c, len(upper.source.gens)) for c in upper.codes] == brute_spectrum(upper.source)
-        for code in upper.codes:
+        for code, i in zip(upper.codes, diagram.transitions[n], strict=True):
             a = dict(zip(upper.source.gens, point_of(code, len(upper.source.gens))))
             image = code_of(eval_term_reference(images[g], a) for g in lower.source.gens)
             assert image in lower.codes
-            assert diagram.transitions[n][code] == image
+            assert lower.codes[i] == image
 
 
 @settings(max_examples=80, deadline=None)
@@ -179,9 +179,20 @@ def test_tower_matches_the_from_scratch_oracle(rels, family, depth):
     assert [level.source for level in tower] == oracle  # gens and rels
     assert [level.codes for level in tower] == [codes_by_compress(q) for q in oracle]
     diagram = spectrum_tower(tower)
+    assert diagram.levels == tuple(level.codes for level in tower)
     for n, (lower, upper) in enumerate(zip(oracle, oracle[1:])):
-        codes = tower[n + 1].codes
-        assert diagram.transitions[n] == {c: restrict_per_bit(c, upper, lower) for c in codes}
+        codes = diagram.levels[n]
+        images = [codes[i] for i in diagram.transitions[n]]
+        assert images == [restrict_per_bit(c, upper, lower) for c in diagram.levels[n + 1]]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_generator_masks_match_the_table_scan(n):
+    # the relation ~g keeps exactly the codes where g is 1: each spectrum reads back g's mask
+    gens = [f"g{i}" for i in range(n)]
+    for g in gens:
+        p = Presentation.make(gens, [Not(Gen(g))])
+        assert spectrum(p).codes == codes_by_compress(p)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5])

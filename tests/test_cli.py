@@ -271,6 +271,16 @@ class TestExitCodes:
             "error: spectrum of 40000 generators: enumeration over 2^40000 exceeds cap 2^20\n",
         )
 
+    def test_failed_tower_check_is_one_line(self, capsys, tmp_path, monkeypatch):
+        # a lower level that kills g0 under an upper level that keeps it: no total transition
+        lower = boolalg.FinBoolAlg(boolalg.Presentation.make(["g0"], [Gen("g0")]), (0,))
+        upper = boolalg.FinBoolAlg(boolalg.Presentation.make(["g0", "g1"], []), (0, 1, 2, 3))
+        monkeypatch.setattr(cli.profinite, "truncation_tower", lambda p, depth: (lower, upper))
+        f = tmp_path / "tower.txt"
+        f.write_text("family: none\ndepth: 2\n")
+        assert main(["tower", str(f)]) == EXIT_PROPERTY_FAILED
+        assert capsys.readouterr() == ("", "error: transition 0 is not a total map between adjacent levels\n")
+
     def test_size_beyond_memory_under_a_high_cap_exits_3(self, capsys, monkeypatch):
         # the cap admits 10**20 + 2 bits, which no tuple can hold; nothing is allocated
         monkeypatch.setenv("STONEWORK_CAP", "100")

@@ -58,8 +58,10 @@ CASES = {
     "markov": ["markov", "@markov", "--bound", "4"],
     "separate": ["separate", "@separate"],
     "tower-pmz": ["tower", "@tower-pmz"],
+    "tower-pmz-16": ["tower", "@tower-pmz", "--depth", "16"],
     "tower-rels": ["tower", "@tower-rels", "--depth", "3"],
     "tower-far": ["tower", "@tower-far"],
+    "tower-far-14": ["tower", "@tower-far", "--depth", "14"],
     "cohomology-interval-3": ["cohomology", "interval", "--level", "3"],
     "cohomology-circle-6": ["cohomology", "circle", "--level", "6"],
     "cohomology-interval-8": ["cohomology", "interval", "--level", "8"],

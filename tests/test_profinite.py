@@ -19,6 +19,7 @@ from lemmas import (
     levelwise_factor,
     points_at_depth,
 )
+from stonework.boolalg import FinBoolAlg, Presentation
 from stonework.errors import InvariantViolated, RelationNotPreserved
 from stonework.profinite import (
     CountablePresentation,
@@ -113,8 +114,8 @@ class TestSpectrumTower:
         d = cantor_diagram(3)
         assert [len(level) for level in d.levels] == [2, 4, 8]
         for n, tr in enumerate(d.transitions):
-            for pt, img in tr.items():
-                assert point_of(img, n + 1) == point_of(pt, n + 2)[: n + 1]
+            for pt, i in zip(d.levels[n + 1], tr, strict=True):
+                assert point_of(d.levels[n][i], n + 1) == point_of(pt, n + 2)[: n + 1]
 
     def test_empty_levels(self):
         d = spectrum_tower(truncation_tower(CountablePresentation(explicit_rels=(ONE,)), 2))
@@ -133,8 +134,15 @@ class TestSpectrumTower:
             points_at_depth(cantor_diagram(2), 5)
 
     def test_transition_totality_validated(self):
-        with pytest.raises(ValueError):
-            SeqDiagram((("a",), ("x", "y")), ({"x": "a"},))
+        with pytest.raises(InvariantViolated):
+            SeqDiagram((("a",), ("x", "y")), ((0,),))
+
+    def test_restriction_outside_the_lower_spectrum_is_rejected(self):
+        # the lower level kills g0, but the upper level keeps points with g0 = 1
+        lower = FinBoolAlg(Presentation.make(["g0"], [Gen("g0")]), (0,))
+        upper = FinBoolAlg(Presentation.make(["g0", "g1"], []), (0, 1, 2, 3))
+        with pytest.raises(InvariantViolated, match="transition 0 is not a total map"):
+            spectrum_tower((lower, upper))
 
 
 class TestClosedTower:
@@ -226,7 +234,7 @@ class TestLevelwiseFactor:
 
     def test_collapse_to_point(self):
         d = cantor_diagram(2)
-        one = SeqDiagram((("*",), ("*",)), ({"*": "*"},))
+        one = SeqDiagram((("*",), ("*",)), ((0,),))
         maps = [{p: "*" for p in level} for level in d.levels]
         fact = levelwise_factor(d, one, maps)
         assert fact.middle.levels == (("*",), ("*",))

@@ -103,9 +103,9 @@ SAMPLES = {
         "IntervalUnion(kind='closed', parts=((Dyadic(num=0, exp=0), Dyadic(num=1, exp=1)),))",
     ),
     SeqDiagram: (
-        lambda: SeqDiagram(((0,), (0, 1)), ({0: 0, 1: 0},)),
+        lambda: SeqDiagram(((0,), (0, 1)), ((0, 0),)),
         lambda: SeqDiagram(((0,),), ()),
-        "SeqDiagram(levels=((0,), (0, 1)), transitions=({0: 0, 1: 0},))",
+        "SeqDiagram(levels=((0,), (0, 1)), transitions=((0, 0),))",
     ),
     CountablePresentation: (
         lambda: CountablePresentation((And(Gen("g0"), Gen("g1")),)),
@@ -293,7 +293,9 @@ def test_normalized_fields():
         (lambda: IntervalUnion("open", ((Dyadic(0, 0), Dyadic(0, 0)),)), ValueError),
         (lambda: IntervalUnion("closed", ((Dyadic(0, 0), Dyadic(1, 1)), (Dyadic(1, 1), Dyadic(1, 0)))), ValueError),
         (lambda: SeqDiagram(((0,), (0,)), ()), InvariantViolated),
-        (lambda: SeqDiagram(((0,), (0, 1)), ({0: 0},)), ValueError),
+        (lambda: SeqDiagram(((0,), (0, 1)), ((0,),)), InvariantViolated),
+        (lambda: SeqDiagram(((0,), (0, 1)), ((0, 1),)), InvariantViolated),
+        (lambda: SeqDiagram(((0,), (0, 1)), ((0, -1),)), InvariantViolated),
         (lambda: RelGraph((0, 0), ((0,), (1,))), ValueError),
         (lambda: RelGraph((0, 1), ((0,),)), ValueError),
         (lambda: RelGraph((0, 1), ((0, 1), (1,))), ValueError),

@@ -43,10 +43,11 @@ Result = tuple[str, dict, list[str], bool]
 
 
 def _read(path: str) -> str:
-    """Text of an input file; bytes that are not UTF-8 are a parse error."""
+    """Text of an input file, its CR LF and CR line ends read as LF as text
+    mode does; bytes that are not UTF-8 are a parse error."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            return fh.readall().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as e:
         lines = e.object[: e.start].split(b"\n")  # the last one ends at the bad byte
         column = len(lines[-1]) + 1
@@ -159,7 +160,10 @@ def _json(v, indent: str = "\n") -> str:
         raise TypeError(f"a report holds no {cls.__name__}")
     kinds = set(map(type, v))  # a list of one scalar type is one join, and no bool passes for an int
     write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-    body = f",{inner}".join(map(write, v) if write else (_json(x, inner) for x in v))
+    if write is _quote and len(_quote(joined := "".join(v))) == len(joined) + 2:
+        body = '"' + f'",{inner}"'.join(v) + '"'  # no string needs an escape: quote each as it is
+    else:
+        body = f",{inner}".join(map(write, v) if write else (_json(x, inner) for x in v))
     return f"[{inner}{body}{indent}]" if body else "[]"
 
 
@@ -389,6 +393,9 @@ COMMANDS = (
 )
 
 
+_BY_NAME = {command.name: command for command in COMMANDS}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, with every subcommand."""
     parser = argparse.ArgumentParser(
@@ -420,7 +427,7 @@ def _plain_call(argv: Sequence[str]) -> Optional[argparse.Namespace]:
         if word == "--json":
             args.json = True
         elif command is None:
-            command = next((c for c in COMMANDS if c.name == word), None)
+            command = _BY_NAME.get(word)
             if command is None:
                 return None
             specs = dict(command.args)

@@ -123,8 +123,9 @@ def spectrum_tower(algebras: tuple[FinBoolAlg, ...]) -> SeqDiagram:
         runs: dict[int, int] = {}  # shift -> the lower bits its run fills
         for k, b in enumerate(kept):  # the kth kept bit, b, moves down to bit k
             runs[b - k] = runs.get(b - k, 0) | 1 << k
-        low = [0] * len(upper.codes)
-        for shift, mask in runs.items():
+        (shift, mask), *rest = runs.items() or [(0, 0)]  # with no kept bit, every code restricts to 0
+        low = [code >> shift & mask for code in upper.codes]
+        for shift, mask in rest:
             low = [x | code >> shift & mask for x, code in zip(low, upper.codes)]
         try:
             transitions.append(tuple(map(lower.index.__getitem__, low)))
@@ -147,19 +148,19 @@ class RelGraph:
     def __post_init__(self):
         n, adj = len(self.vertices), self.adjacent
         if len(set(self.vertices)) != n:
-            raise ValueError("repeated vertex")
+            raise InvariantViolated("repeated vertex")
         if len(adj) != n:
-            raise ValueError(f"{len(adj)} neighbour lists for {n} vertices")
+            raise InvariantViolated(f"{len(adj)} neighbour lists for {n} vertices")
         for i, row in enumerate(adj):
             prev = -1
             for j in row:
                 if not prev < j < n:
-                    raise ValueError(f"neighbours of vertex {i} are not ascending positions below {n}")
+                    raise InvariantViolated(f"neighbours of vertex {i} are not ascending positions below {n}")
                 if i not in adj[j]:
-                    raise ValueError("relation not symmetric")
+                    raise InvariantViolated("relation not symmetric")
                 prev = j
             if i not in row:
-                raise ValueError("relation not reflexive")
+                raise InvariantViolated("relation not reflexive")
 
     @property
     def related(self) -> frozenset:
@@ -185,9 +186,9 @@ class RelGraphTower:
         for n, image in enumerate(self.transitions):
             upper, lower = self.levels[n + 1], self.levels[n]
             if len(image) != len(upper.vertices):
-                raise ValueError(f"transition {n} maps {len(image)} of {len(upper.vertices)} vertices")
+                raise InvariantViolated(f"transition {n} maps {len(image)} of {len(upper.vertices)} vertices")
             if not all(0 <= p < len(lower.vertices) for p in image):
-                raise ValueError(f"transition {n} has a position outside level {n}")
+                raise InvariantViolated(f"transition {n} has a position outside level {n}")
             for i, row in enumerate(upper.adjacent):
                 for j in row:
                     if image[j] not in lower.adjacent[image[i]]:

@@ -5,7 +5,8 @@ Grammar (precedence ``~`` > ``&`` > ``|``, binary operators left-associative)::
     expr := expr "|" expr | expr "&" expr | "~" expr
           | "0" | "1" | ident | "(" expr ")"
 
-Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``.
+Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``.  A term list reads ``,`` as a
+token that ends a term, as the end of input does.
 
 A term is the tuple of its tokens in postfix (reverse Polish) order: a
 generator is its name, an identifier, and each of ``0 1 ~ & |`` is one
@@ -141,33 +142,50 @@ def substitute(t: Term, images: Mapping[str, Term]) -> Term:
 Gens = Optional[Collection[str]]
 
 # a token, or (group 1 unset, so "" from findall) a character that starts
-# none; whitespace between matches is skipped by the search itself
+# none; whitespace between matches is skipped by the search itself.  A list
+# also reads "," as a token, which ends a term.
 _TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[01|&~()])|\S")
+_LIST_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[01|&~(),])|\S")
+_WORD = re.compile(r"\S+")
 _BINDS = {_NOT: 3, _AND: 2, _OR: 1}  # precedence; binary operators associate left
 
 
 def parse_term(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> Term:
     """Parse one Boolean expression that starts ``offset`` characters into
-    its line, naming only ``gens`` if given (a set, for long lists).
+    its line, naming only ``gens`` if given (a set, for long lists)."""
+    return _parse(_TOKEN, text, line, offset, gens)[0]
+
+
+def parse_term_list(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> list[Term]:
+    """Parse a comma-separated list of expressions (possibly empty)."""
+    if not text.strip():
+        return []
+    return _parse(_LIST_TOKEN, text, line, offset, None if gens is None else frozenset(gens))
+
+
+def _parse(pattern: re.Pattern, text: str, line: int, offset: int, gens: Gens) -> list[Term]:
+    """The terms of ``text``, read with the token ``pattern``.
 
     One ``findall`` pass lists the tokens, then None for the end of input;
     a character that starts no token is listed as "".  The loop walks the
     list by index as Dijkstra's shunting yard does: each operand goes to the
     postfix output at once, and ``~ & |`` and ``(`` wait on a stack until a
     token that binds no tighter, or the matching ``)``, releases them, so
-    nesting depth costs no recursion.  It never steps past a "", so an error
-    raised there is that character's, the leftmost one; an error rescans for
-    its position.
+    nesting depth costs no recursion.  A "," (which only the list pattern
+    reads as a token) ends a term as the end of input does.  The loop never
+    steps past a "", so an error raised there is that character's, the
+    leftmost one; an error rescans for its position.
     """
-    tokens: list = _TOKEN.findall(text)
+    tokens: list = pattern.findall(text)
     tokens.append(None)
 
     def error(message: str) -> ParseError:
-        pos = next((m.start() for k, m in enumerate(_TOKEN.finditer(text)) if k == i), len(text))
+        pos = next((m.start() for k, m in enumerate(pattern.finditer(text)) if k == i), len(text))
         if tokens[i] == "":
             message = f"unexpected character {text[pos]!r}"
         return ParseError(message, line, offset + pos + 1)
 
+    terms: list[Term] = []
     out: list[str] = []
     ops: list[str] = []  # pending operators and open parentheses
     i = 0
@@ -177,7 +195,7 @@ def parse_term(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> 
             ops.append(tok)
             i += 1
             continue
-        if tok is None:
+        if tok is None or tok == ",":
             raise error("unexpected end of input")
         if tok in "|&)":  # true of "" too; any other token is 0, 1 or a name
             raise error(f"unexpected token {tok!r}")
@@ -196,9 +214,13 @@ def parse_term(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> 
                 ops.append(tok)
                 break
             if not ops:
-                if tok is not None:
+                if tok is not None and tok != ",":
                     raise error(f"trailing input {tok!r}")
-                return tuple(out)
+                terms.append(tuple(out))
+                if tok is None:
+                    return terms
+                out = []
+                break
             if tok != ")":
                 raise error("expected ')'")
             ops.pop()
@@ -206,21 +228,9 @@ def parse_term(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> 
         i += 1
 
 
-def parse_term_list(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> list[Term]:
-    """Parse a comma-separated list of expressions (possibly empty)."""
-    if not text.strip():
-        return []
-    names = None if gens is None else frozenset(gens)
-    terms = []
-    for chunk in text.split(","):
-        terms.append(parse_term(chunk, line, offset, names))
-        offset += len(chunk) + 1
-    return terms
-
-
 def parse_gen_list(text: str, line: int = 1, offset: int = 0) -> list[str]:
     names: dict[str, None] = {}
-    for m in re.finditer(r"\S+", text):
+    for m in _WORD.finditer(text):
         chunk = m.group()
         if not (chunk.isascii() and chunk.isidentifier()):  # [A-Za-z_][A-Za-z0-9_]*
             raise ParseError(f"bad generator name {chunk!r}", line, offset + m.start() + 1)

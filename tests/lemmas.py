@@ -23,7 +23,7 @@ from stonework.cli import _countable, _key_lines
 from stonework.errors import InvariantViolated, StoneworkError
 from stonework.interval import D0, D1, BitWord, Dyadic, IntervalUnion, _gaps
 from stonework.profinite import RelGraph, RelGraphTower, SeqDiagram, Vertex
-from stonework.terms import Gen, Not, Term, join, meet
+from stonework.terms import Gen, Gens, Not, Term, join, meet, parse_term
 from stonework.zhomology import (
     AbInvariants,
     ChainComplexZ,
@@ -496,6 +496,19 @@ def cech_complex(cov: FiniteCover) -> ChainComplexZ:
 
 def parse_tower_file(text: str) -> profinite.CountablePresentation:
     return _countable(_key_lines(text))
+
+
+def parse_term_list_by_chunks(text: str, line: int = 1, offset: int = 0, gens: Gens = None) -> list[Term]:
+    """Oracle for ``terms.parse_term_list``: split at every comma and parse
+    each chunk as one term from its own offset."""
+    if not text.strip():
+        return []
+    names = None if gens is None else frozenset(gens)
+    terms = []
+    for chunk in text.split(","):
+        terms.append(parse_term(chunk, line, offset, names))
+        offset += len(chunk) + 1
+    return terms
 
 
 Z = AbInvariants(1)

@@ -29,6 +29,8 @@ from stonework.cli import (
     parse_presentation,
 )
 from stonework.errors import ParseError
+from stonework.interval import interval_graph
+from stonework.profinite import RelGraphTower
 from stonework.terms import And, Gen, Not
 from test_golden import CASES as GOLDEN_CASES, FILES as GOLDEN_FILES, case_argv
 
@@ -281,6 +283,13 @@ class TestExitCodes:
         assert main(["tower", str(f)]) == EXIT_PROPERTY_FAILED
         assert capsys.readouterr() == ("", "error: transition 0 is not a total map between adjacent levels\n")
 
+    def test_failed_graph_tower_check_is_one_line(self, capsys, monkeypatch):
+        # a transition that sends a vertex to position 5 of a one-vertex level
+        tower = lambda depth: RelGraphTower((interval_graph(0), interval_graph(1)), ((0, 5),))
+        monkeypatch.setattr(cli.interval, "interval_tower", tower)
+        assert main(["stabilize", "interval", "--depth", "2"]) == EXIT_PROPERTY_FAILED
+        assert capsys.readouterr() == ("", "error: transition 0 has a position outside level 0\n")
+
     def test_size_beyond_memory_under_a_high_cap_exits_3(self, capsys, monkeypatch):
         # the cap admits 10**20 + 2 bits, which no tuple can hold; nothing is allocated
         monkeypatch.setenv("STONEWORK_CAP", "100")
@@ -398,6 +407,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "0xff" in err and "line 2, column 10" in err
+
+    # the line counts LFs, and the column counts the bytes after the last one,
+    # so the \xc3\xa9 of an "é" is two
+    @pytest.mark.parametrize("data, place", [
+        (b"gens: g0 g1\r\nrels: g0 & g1\r\nseq: g0, g1 \xff\r\n", "line 3, column 13"),
+        (b"gens: g0\r\n\r\nrels: ab\xc3\xa9 \xffx\r\n", "line 3, column 12"),
+    ])
+    def test_byte_not_utf8_in_a_crlf_file_is_placed_by_its_bytes(self, capsys, tmp_path, data, place):
+        f = tmp_path / "pres.txt"
+        f.write_bytes(data)
+        assert main(["spectrum", str(f)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: byte 0xff is not UTF-8 ({place})\n"
+
+    def test_crlf_and_cr_line_ends_read_as_lf(self, capsys, tmp_path):
+        text = "# three points\ngens: g0 g1\n\nrels: g0 & g1\n"
+        outputs = set()
+        for end in ("\n", "\r\n", "\r"):
+            f = tmp_path / "pres.txt"
+            f.write_bytes(text.replace("\n", end).encode())
+            for argv in (["spectrum", str(f)], ["--json", "spectrum", str(f)]):
+                assert main(argv) == EXIT_OK
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
+        assert "spectrum has 3 points" in outputs.pop()
 
     @pytest.mark.parametrize(
         "argv",
@@ -537,6 +570,15 @@ _REPORT_VALUES = st.recursive(
 class TestReportEncoder:
     @given(_REPORT_VALUES)
     def test_matches_json_dumps_with_indent_2(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    # a string list is one join when no item needs an escape
+    @pytest.mark.parametrize(
+        "value",
+        [["0", "12", "345"], [""], *(["ab", f"c{ch}d", "e"] for ch in ('"', "\\", "\x00", "\xe9", "\ud800"))],
+        ids=repr,
+    )
+    def test_string_lists_match_json_dumps(self, value):
         assert cli._json(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize("value", [1.5, (1, 2), {3}, {"a": [True, 0.0]}, [[()]]], ids=repr)

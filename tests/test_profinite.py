@@ -262,16 +262,16 @@ class TestLevelwiseFactor:
 
 class TestRelGraphs:
     def test_reflexivity_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolated):
             RelGraph((0, 1), ((0,), ()))
 
     def test_symmetry_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolated):
             RelGraph((0, 1), ((0, 1), (1,)))
 
     def test_repeated_vertex_rejected(self):
         # a connected graph listed as (0, 0, 1) once gave h0 = Z^2
-        with pytest.raises(ValueError, match="repeated vertex"):
+        with pytest.raises(InvariantViolated, match="repeated vertex"):
             RelGraph((0, 0, 1), ((0, 1, 2), (0, 1, 2), (0, 1, 2)))
 
     def test_equality_graph_components_are_singletons(self):
@@ -317,15 +317,15 @@ class TestRelGraphs:
     def test_transition_leaving_the_lower_level_is_rejected(self):
         levels = (equality_graph([0]), equality_graph([0, 1]))
         for image in ((0, 5), (0, -1)):
-            with pytest.raises(ValueError, match=r"^transition 0 has a position outside level 0$"):
+            with pytest.raises(InvariantViolated, match=r"^transition 0 has a position outside level 0$"):
                 RelGraphTower(levels, (image,))
-        with pytest.raises(ValueError, match=r"^transition 0 maps 1 of 2 vertices$"):
+        with pytest.raises(InvariantViolated, match=r"^transition 0 maps 1 of 2 vertices$"):
             RelGraphTower(levels, ((0,),))
 
     def test_one_neighbour_list_per_vertex(self):
         g = equality_graph([0, 1])
         for adjacent in (g.adjacent[:1], g.adjacent + ((2,),)):
-            with pytest.raises(ValueError, match="neighbour lists for 2 vertices"):
+            with pytest.raises(InvariantViolated, match="neighbour lists for 2 vertices"):
                 RelGraph(g.vertices, adjacent)
 
 
@@ -376,7 +376,7 @@ class TestNeighbourTuples:
         positions = st.integers(-1, size) if outside else st.integers(0, size - 1)
         tr = tuple(data.draw(positions) for _ in upper.vertices)
         if not all(0 <= p < size for p in tr):
-            with pytest.raises(ValueError, match="outside level 0"):
+            with pytest.raises(InvariantViolated, match="outside level 0"):
                 RelGraphTower((lower, upper), (tr,))
             return
         image = dict(zip(upper.vertices, (lower.vertices[p] for p in tr)))
@@ -399,7 +399,7 @@ class TestNeighbourTuples:
         assume(j != i and (kind != "descending" or len(g.adjacent[i]) > 1))
         adjacent = list(g.adjacent)
         adjacent[i] = MALFORMED[kind](adjacent[i], i, j, n)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolated):
             RelGraph(g.vertices, tuple(adjacent))
 
 

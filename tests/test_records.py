@@ -296,13 +296,21 @@ def test_normalized_fields():
         (lambda: SeqDiagram(((0,), (0, 1)), ((0,),)), InvariantViolated),
         (lambda: SeqDiagram(((0,), (0, 1)), ((0, 1),)), InvariantViolated),
         (lambda: SeqDiagram(((0,), (0, 1)), ((0, -1),)), InvariantViolated),
-        (lambda: RelGraph((0, 0), ((0,), (1,))), ValueError),
-        (lambda: RelGraph((0, 1), ((0,),)), ValueError),
-        (lambda: RelGraph((0, 1), ((0, 1), (1,))), ValueError),
-        (lambda: RelGraph((0, 1), ((1,), (0, 1))), ValueError),
+        pytest.param(lambda: RelGraph((0, 0), ((0,), (1,))), InvariantViolated, id="RelGraph-repeated-vertex"),
+        pytest.param(lambda: RelGraph((0, 1), ((0,),)), InvariantViolated, id="RelGraph-list-count"),
+        pytest.param(lambda: RelGraph((0, 1), ((0, 1), (1,))), InvariantViolated, id="RelGraph-not-symmetric"),
+        pytest.param(lambda: RelGraph((0, 1), ((1,), (0, 1))), InvariantViolated, id="RelGraph-not-reflexive"),
         (lambda: RelGraphTower((interval_graph(0), interval_graph(1)), ()), InvariantViolated),
-        (lambda: RelGraphTower((interval_graph(0), interval_graph(1)), ((0,),)), ValueError),
-        (lambda: RelGraphTower((interval_graph(0), interval_graph(1)), ((0, 1),)), ValueError),
+        pytest.param(
+            lambda: RelGraphTower((interval_graph(0), interval_graph(1)), ((0,),)),
+            InvariantViolated,
+            id="RelGraphTower-transition-length",
+        ),
+        pytest.param(
+            lambda: RelGraphTower((interval_graph(0), interval_graph(1)), ((0, 1),)),
+            InvariantViolated,
+            id="RelGraphTower-position-outside",
+        ),
         (lambda: RelGraphTower((RelGraph((0, 1), ((0,), (1,))), interval_graph(1)), ((0, 1),)), RelationNotPreserved),
         (lambda: IntMatrix(2, 2, ()), InvariantViolated),
         (lambda: IntMatrix(1, 2, (((1, 1), (0, 1)),)), InvariantViolated),

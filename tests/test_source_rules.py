@@ -23,6 +23,9 @@ called; the protocol dunders (``__init__``, ``__post_init__``, ``__eq__``,
 ``__hash__``, ``__repr__``, ``__str__``) come with their class.  The one
 exemption is ``RelGraph.related``, which only the benchmark's graph probe
 reads, and a test fails once that probe stops reading it.
+Every regex is a pattern that ``re.compile`` builds at module level, so a
+hot path never pays ``re``'s cache lookup for a string pattern, and ``re``
+is called nowhere else.
 Every command starts in a fresh process, so the frozen records are built by
 ``stonework.record``, which generates one ``__init__`` per class, and no
 module imports ``dataclasses``; importing ``stonework.cli`` in a bare
@@ -82,6 +85,17 @@ def _importers_of(module: str) -> list[str]:
         if isinstance(node, ast.Import) and any(a.name.split(".")[0] == module for a in node.names)
         or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module
     ]
+
+
+def _calls_re(node: ast.AST) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "re"
+
+
+def test_every_regex_is_compiled_at_module_level():
+    not_compile = _scopes_in_sources(lambda node: _calls_re(node) and node.func.attr != "compile")
+    in_a_body = [scope for scope in _scopes_in_sources(_calls_re) if len(scope) > 1]
+    assert not_compile + in_a_body == [], "re is called other than by a module-level re.compile"
 
 
 def test_only_cli_imports_gc():

@@ -2,11 +2,11 @@
 and JSON round-trips."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import term_from_json, term_strategy, term_to_json
-from lemmas import Or, render
+from lemmas import Or, parse_term_list_by_chunks, render
 from stonework.boolalg import Presentation
 from stonework.errors import ParseError, UnknownGenerator
 from stonework.terms import (
@@ -31,6 +31,9 @@ G0, G1, G2 = Gen("g0"), Gen("g1"), Gen("g2")
 
 # tokens, whitespace, and characters that start no token
 _PIECES = ["g0", "g1", "x", "0", "1", "&", "|", "~", "(", ")", ",", " ", "\t", "\n", "\xa0", "\x1c", "@", "é", "-", ">"]
+# known and unknown names, the operators, parentheses and commas, spaces and
+# a character that starts no token
+_LIST_PIECES = ["g0", "g1", "x", "0", "1", "~", "&", "|", "(", ")", ",", ",", " ", " ", "@"]
 
 
 class TestParser:
@@ -119,6 +122,22 @@ class TestParser:
         with pytest.raises(ParseError) as e:
             parse_term_list(text, line, offset)
         assert str(e.value) == message
+
+    @settings(max_examples=500)
+    @given(
+        st.lists(st.sampled_from(_LIST_PIECES), max_size=16).map("".join),
+        st.integers(1, 5),
+        st.integers(0, 9),
+    )
+    def test_term_list_matches_a_parse_per_chunk(self, text, line, offset):
+        for gens in (None, ["g0", "g1"]):
+            outcomes = []
+            for parse in (parse_term_list, parse_term_list_by_chunks):
+                try:
+                    outcomes.append(parse(text, line, offset, gens))
+                except ParseError as e:
+                    outcomes.append(str(e))
+            assert outcomes[0] == outcomes[1], (text, gens)
 
     @given(
         st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),

@@ -44,14 +44,21 @@ Result = tuple[str, dict, list[str], bool]
 
 def _read(path: str) -> str:
     """Text of an input file, its CR LF and CR line ends read as LF as text
-    mode does; bytes that are not UTF-8 are a parse error."""
+    mode does; bytes that are not UTF-8 are a parse error, placed by line and
+    character in that text."""
     try:
         with open(path, "rb", buffering=0) as fh:
-            return fh.readall().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            return _lf(fh.readall().decode("utf-8"))
     except UnicodeDecodeError as e:
-        lines = e.object[: e.start].split(b"\n")  # the last one ends at the bad byte
-        column = len(lines[-1]) + 1
-        raise errors.ParseError(f"byte {e.object[e.start]:#04x} is not UTF-8", len(lines), column) from None
+        # the bytes before the bad one decode, and are placed as any other parse error is
+        lines = _lf(e.object[: e.start].decode("utf-8")).split("\n")  # the last one ends at the bad byte
+        message = f"byte {e.object[e.start]:#04x} is not UTF-8"
+        raise errors.ParseError(message, len(lines), len(lines[-1]) + 1) from None
+
+
+def _lf(text: str) -> str:
+    """``text`` with CR LF and lone CR line ends read as LF."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _natural(value: int, flag: str) -> int:
@@ -304,8 +311,7 @@ def cmd_tower(args) -> Result:
             raise errors.ParseError(f"depth must be an integer, got {value!r}", line, col + 1) from None
     if depth is None:
         raise errors.ParseError("no depth given (file 'depth:' line or --depth)", 1, 1)
-    tower = profinite.truncation_tower(cp, _natural(depth, "depth"))
-    diagram = profinite.spectrum_tower(tower)
+    diagram = profinite.spectrum_tower(cp, _natural(depth, "depth"))
     sizes = [len(level) for level in diagram.levels]
     lines = [f"tower of depth {depth}; spectrum sizes per level: {sizes}"]
     return text, {"depth": depth, "level_sizes": sizes}, lines, True

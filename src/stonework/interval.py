@@ -14,7 +14,7 @@ import itertools
 from typing import Callable, Iterable, Sequence
 
 from .boolalg import check_cap
-from .errors import BadArgument
+from .errors import BadArgument, InvariantViolated
 from .profinite import RelGraph, RelGraphTower
 from .record import record
 
@@ -28,7 +28,7 @@ class Dyadic:
 
     def __post_init__(self):
         if self.exp < 0:
-            raise ValueError("negative exponent")
+            raise InvariantViolated("negative exponent")
         num, exp = self.num, self.exp
         while exp > 0 and num % 2 == 0:
             num //= 2
@@ -70,7 +70,7 @@ class BitWord:
 
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
+            raise InvariantViolated("bits must be 0 or 1")
 
     @staticmethod
     def parse(text: str) -> "BitWord":
@@ -150,15 +150,15 @@ class IntervalUnion:
 
     def __post_init__(self):
         if self.kind not in ("closed", "open"):
-            raise ValueError(f"bad kind {self.kind!r}")
+            raise InvariantViolated(f"bad kind {self.kind!r}")
         for lo, hi in self.parts:
             if self.kind == "closed" and not lo <= hi:
-                raise ValueError("part with lo > hi")
+                raise InvariantViolated("part with lo > hi")
             if self.kind == "open" and not lo < hi:
-                raise ValueError("empty open part")
+                raise InvariantViolated("empty open part")
         for (_, hi), (lo, _) in zip(self.parts, self.parts[1:]):
             if not hi < lo:
-                raise ValueError("parts not sorted/disjoint")
+                raise InvariantViolated("parts not sorted/disjoint")
 
     def __str__(self) -> str:
         if not self.parts:
@@ -204,5 +204,5 @@ def _gaps(parts: tuple[tuple[Dyadic, Dyadic], ...]) -> tuple[tuple[Dyadic, Dyadi
 def complement_closed_union(u: IntervalUnion) -> IntervalUnion:
     """Relative complement in [0,1] of a closed union, as open parts."""
     if u.kind != "closed":
-        raise ValueError("expected a closed union")
+        raise InvariantViolated("expected a closed union")
     return IntervalUnion("open", _gaps(u.parts))

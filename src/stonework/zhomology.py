@@ -56,7 +56,7 @@ class IntMatrix:
         - any other row sums its scaled rows of ``other`` in a dict, sorted.
         """
         if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+            raise InvariantViolated(f"shape mismatch {self.shape} @ {other.shape}")
         orows = other.rows
         rows = []
         for r in self.rows:

@@ -21,10 +21,9 @@ from stonework.boolalg import (
     minterm,
     spectrum,
 )
-from stonework.errors import UnknownGenerator
-from stonework.errors import RelationNotPreserved
+from stonework.errors import InvariantViolated, RelationNotPreserved, UnknownGenerator
 from stonework.interval import BitWord, interval_graph
-from stonework.profinite import CountablePresentation, RelGraph, RelGraphTower
+from stonework.profinite import CountablePresentation, RelGraph, RelGraphTower, SeqDiagram
 from stonework.terms import (
     And,
     Gen,
@@ -142,9 +141,67 @@ def codes_by_compress(p: Presentation) -> tuple[int, ...]:
     return tuple(itertools.compress(range(size), _bits_of(alive, size)))
 
 
+def truncation_tower(p: CountablePresentation, depth: int) -> tuple[FinBoolAlg, ...]:
+    """Finite truncations at levels 0..depth-1, as their spectra, each level
+    enumerated by the cube ``spectrum`` over all of its generators (an
+    oracle for ``spectrum_tower``'s levels)."""
+    return tuple(map(spectrum, truncations_from_scratch(p, depth)))
+
+
+def restriction_diagram(algebras: tuple[FinBoolAlg, ...]) -> SeqDiagram:
+    """Dualize a truncation tower by restriction (an oracle for
+    ``spectrum_tower``'s transitions): each point drops the bits of the
+    generators the lower level lacks, each run of kept bits moving down past
+    the dropped bits below it as (code >> shift) & mask, and one lookup in
+    the lower level's index gives its position; a code outside the lower
+    spectrum raises ``InvariantViolated``."""
+    levels = tuple(alg.codes for alg in algebras)
+    transitions = []
+    for n, (lower, upper) in enumerate(zip(algebras, algebras[1:])):
+        have = set(lower.source.gens)
+        kept = [b for b, g in enumerate(reversed(upper.source.gens)) if g in have]
+        runs: dict[int, int] = {}  # shift -> the lower bits its run fills
+        for k, b in enumerate(kept):  # the kth kept bit, b, moves down to bit k
+            runs[b - k] = runs.get(b - k, 0) | 1 << k
+        low = [0] * len(upper.codes)
+        for shift, mask in runs.items():
+            low = [x | code >> shift & mask for x, code in zip(low, upper.codes)]
+        try:
+            transitions.append(tuple(map(lower.index.__getitem__, low)))
+        except KeyError:
+            raise InvariantViolated(f"transition {n} is not a total map between adjacent levels") from None
+    return SeqDiagram(levels, tuple(transitions))
+
+
+def tower_point_by_point(p: CountablePresentation, depth: int) -> SeqDiagram:
+    """The truncation tower built one point at a time: each point of level n
+    and each assignment of level n+1's new generators makes a candidate,
+    kept when ``eval_term_reference`` gives relation n+1 the value 0, and the
+    level is sorted by code (an oracle that reaches levels of any width)."""
+    indices: list[int] = []
+    points: list[dict[int, int]] = [{}]  # index -> bit
+    levels, transitions = [], []
+    for n in range(depth):
+        r = p.relation(n)
+        new = sorted({n, *(int(g[1:]) for g in generators_of(r or ()))} - set(indices))
+        indices = sorted(indices + new)
+        level = []
+        for parent, point in enumerate(points):
+            for bits in itertools.product((0, 1), repeat=len(new)):
+                q = {**point, **dict(zip(new, bits))}
+                if r is None or eval_term_reference(r, {f"g{i}": v for i, v in q.items()}) == 0:
+                    level.append((code_of(q[i] for i in indices), parent, q))
+        level.sort(key=lambda c: c[0])
+        levels.append(tuple(code for code, _, _ in level))
+        if n:
+            transitions.append(tuple(parent for _, parent, _ in level))
+        points = [q for _, _, q in level]
+    return SeqDiagram(tuple(levels), tuple(transitions))
+
+
 def truncations_from_scratch(p: CountablePresentation, depth: int) -> list[Presentation]:
-    """Each level's presentation rebuilt from relation 0 up, as
-    ``truncation_tower`` did before it carried them up (an oracle)."""
+    """Each level's presentation rebuilt from relation 0 up: relations 0..n
+    and every generator they name, with g0..gn (an oracle)."""
     levels = []
     for n in range(depth):
         rels = [r for r in (p.relation(i) for i in range(n + 1)) if r is not None]

@@ -24,7 +24,10 @@ from conftest import (
     point_of,
     presentations,
     restrict_per_bit,
+    restriction_diagram,
     term_strategy,
+    tower_point_by_point,
+    truncation_tower,
     truncations_from_scratch,
     witness_from_scratch,
 )
@@ -39,7 +42,7 @@ from stonework.boolalg import (
     spectrum,
 )
 from stonework.errors import RelationNotKilled
-from stonework.profinite import FAMILIES, CountablePresentation, spectrum_tower, truncation_tower
+from stonework.profinite import FAMILIES, CountablePresentation, spectrum_tower
 from stonework.terms import And, Gen, Not, ONE, ZERO, eval_term, join, meet, substitute
 
 GENS = [f"g{i}" for i in range(8)]
@@ -152,7 +155,8 @@ def test_evaluation_commutes_with_substitution(m, n, width, data):
 @given(st.lists(terms_over(6, 3), max_size=5), st.integers(0, 5))
 def test_tower_transitions_match_brute_force(rels, depth):
     tower = truncation_tower(CountablePresentation(explicit_rels=tuple(rels)), depth)
-    diagram = spectrum_tower(tower)
+    diagram = spectrum_tower(CountablePresentation(explicit_rels=tuple(rels)), depth)
+    assert diagram.levels == tuple(level.codes for level in tower)
     for n, (lower, upper) in enumerate(zip(tower, tower[1:])):
         images = {g: Gen(g) for g in lower.source.gens}
         hom(lower.source, images, upper.source)  # each inclusion kills the lower relations
@@ -174,16 +178,80 @@ def test_tower_transitions_match_brute_force(rels, depth):
 @example([And(Gen("g0"), Gen("g6")), And(Gen("g1"), Not(Gen("g2"))), Or(Gen("g3"), Gen("g4"))], "none", 8)
 def test_tower_matches_the_from_scratch_oracle(rels, family, depth):
     p = CountablePresentation(explicit_rels=tuple(rels), family=FAMILIES[family])
-    tower = truncation_tower(p, depth)
     oracle = truncations_from_scratch(p, depth)
-    assert [level.source for level in tower] == oracle  # gens and rels
-    assert [level.codes for level in tower] == [codes_by_compress(q) for q in oracle]
-    diagram = spectrum_tower(tower)
-    assert diagram.levels == tuple(level.codes for level in tower)
+    diagram = spectrum_tower(p, depth)
+    assert diagram.levels == tuple(codes_by_compress(q) for q in oracle)
     for n, (lower, upper) in enumerate(zip(oracle, oracle[1:])):
         codes = diagram.levels[n]
         images = [codes[i] for i in diagram.transitions[n]]
         assert images == [restrict_per_bit(c, upper, lower) for c in diagram.levels[n + 1]]
+
+
+def ninf(count: int) -> list:
+    """g(i+1) & ~g(i) for i < count: the sequences that stay at 1 once they hit it"""
+    return [And(Gen(f"g{i + 1}"), Not(Gen(f"g{i}"))) for i in range(count)]
+
+
+# new generators below an old one: g0 & g6 first, then g1..g5 arrive under g6
+FAR = [
+    And(Gen("g0"), Gen("g6")), And(Gen("g1"), Not(Gen("g2"))), Or(Gen("g3"), Gen("g4")), And(Not(Gen("g5")), Gen("g7")),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([ZERO, ONE]), term_strategy([f"g{i}" for i in range(12)], max_depth=3)),
+        max_size=10,
+    ),
+    st.sampled_from(sorted(FAMILIES)),
+    st.integers(0, 10),
+)
+@example([ZERO], "none", 4)
+@example([ONE], "pairwise-meet-zero", 4)
+@example([ZERO, ONE, ZERO], "none", 5)
+@example([And(Gen("g9"), Gen("g3")), Gen("g1")], "none", 6)  # g1, g2 come in below g3 and g9
+@example(FAR, "pairwise-meet-zero", 10)
+def test_fibred_tower_matches_the_cube_oracle(rels, family, depth):
+    p = CountablePresentation(explicit_rels=tuple(rels), family=FAMILIES[family])
+    assert spectrum_tower(p, depth) == restriction_diagram(truncation_tower(p, depth))
+
+
+# the deepest level has 20 generators, as many as the cube enumerates at the default
+# cap, except for cantor, whose level of 16 already holds all 2^16 assignments
+@pytest.mark.parametrize("rels, family, depth", [
+    ([], "pairwise-meet-zero", 20),
+    (ninf(19), "none", 19),
+    (FAR, "none", 20),
+    (FAR, "pairwise-meet-zero", 20),
+    ([], "none", 16),
+], ids=["pmz", "ninf", "far", "far-pmz", "cantor"])
+def test_fibred_tower_matches_the_cube_oracle_up_to_the_cap(rels, family, depth):
+    p = CountablePresentation(explicit_rels=tuple(rels), family=FAMILIES[family])
+    assert spectrum_tower(p, depth) == restriction_diagram(truncation_tower(p, depth))
+
+
+def equal(a: str, b: str, flip: bool):
+    """The relation that holds when ``a`` equals ``b``, or ``~b`` when ``flip``."""
+    x, y = Gen(a), Not(Gen(b)) if flip else Gen(b)
+    return Or(And(x, Not(y)), And(y, Not(x)))
+
+
+# levels of more than 64 generators, whose codes do not fit a machine word
+@pytest.mark.parametrize("rels, depth", [
+    (ninf(100), 100),
+    ([And(Gen("g0"), Gen("g80")), *ninf(100)[1:]], 100),  # g1..g79 come in below g80
+    ([equal(f"g{i + 1}", f"g{i}", False) for i in range(100)], 100),
+    # g(3j) is g0 and every other generator its complement, so bits 1 and 64 below
+    # g0's differ from it; g0 is read from bit 64 up at level 64 on, and from bit
+    # 127 at level 127
+    ([equal(f"g{i + 1}", "g0", (i + 1) % 3 != 0) for i in range(130)], 130),
+], ids=["ninf", "ninf-below-g80", "constant", "alternating"])
+def test_wide_towers_match_the_point_by_point_oracle(rels, depth):
+    p = CountablePresentation(explicit_rels=tuple(rels))
+    diagram = spectrum_tower(p, depth)
+    assert max(diagram.levels[-1]).bit_length() > 64
+    assert diagram == tower_point_by_point(p, depth)
 
 
 @pytest.mark.parametrize("n", range(13))

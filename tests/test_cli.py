@@ -30,7 +30,7 @@ from stonework.cli import (
 )
 from stonework.errors import ParseError
 from stonework.interval import interval_graph
-from stonework.profinite import RelGraphTower
+from stonework.profinite import RelGraphTower, SeqDiagram
 from stonework.terms import And, Gen, Not
 from test_golden import CASES as GOLDEN_CASES, FILES as GOLDEN_FILES, case_argv
 
@@ -274,14 +274,50 @@ class TestExitCodes:
         )
 
     def test_failed_tower_check_is_one_line(self, capsys, tmp_path, monkeypatch):
-        # a lower level that kills g0 under an upper level that keeps it: no total transition
-        lower = boolalg.FinBoolAlg(boolalg.Presentation.make(["g0"], [Gen("g0")]), (0,))
-        upper = boolalg.FinBoolAlg(boolalg.Presentation.make(["g0", "g1"], []), (0, 1, 2, 3))
-        monkeypatch.setattr(cli.profinite, "truncation_tower", lambda p, depth: (lower, upper))
+        # level 1's second point maps to position 1 of a one-point level 0: no total transition
+        diagram = lambda p, depth: SeqDiagram(((0,), (0, 1)), ((0, 1),))
+        monkeypatch.setattr(cli.profinite, "spectrum_tower", diagram)
         f = tmp_path / "tower.txt"
         f.write_text("family: none\ndepth: 2\n")
         assert main(["tower", str(f)]) == EXIT_PROPERTY_FAILED
         assert capsys.readouterr() == ("", "error: transition 0 is not a total map between adjacent levels\n")
+
+    def test_ninf_tower_of_depth_1000_runs_within_a_second(self, capsys, monkeypatch, tmp_path):
+        # level n has the n + 3 sequences 1..10..0 of n + 2 bits; the cube enumeration
+        # of each level's generators stopped at depth 20 with exit 3
+        monkeypatch.delenv("STONEWORK_CAP", raising=False)
+        f = tmp_path / "ninf.txt"
+        f.write_text(GOLDEN_FILES["tower-ninf"])
+        start = time.perf_counter()
+        assert main(["--json", "tower", str(f)]) == EXIT_OK
+        assert time.perf_counter() - start < 1
+        assert json.loads(capsys.readouterr().out)["level_sizes"] == [n + 2 for n in range(1, 1001)]
+
+    @pytest.mark.parametrize("cap, text, stage", [
+        (None, f"rels: g0 , {' & '.join(f'g{i}' for i in range(1, 22))}\ndepth: 3\n",
+         "tower level 1 (1 x 2^21 candidates): enumeration over 2^21"),
+        # level 0 keeps all 8 points of g0, g1, g2; level 1 adds g3 and g4
+        ("4", "rels: 0 & g1 & g2 , g3 & g4\ndepth: 2\n", "tower level 1 (8 x 2^2 candidates): enumeration over 2^5"),
+        # 2^(n + 1) points at level n < 19, then 2^19 at every level: levels 0..18 keep
+        # 2^20 - 2 points, and the 981 levels to come count at least 1 each
+        (None, f"rels: {' , '.join(['0'] * 19 + [f'~g{i}' for i in range(19, 999)])}\ndepth: 1000\n",
+         "tower of depth 1000 at level 18 (1049555 points held): enumeration over 2^21"),
+        # every level is empty and counts as 1
+        (None, "rels: 1\ndepth: 1048577\n", "tower of depth 1048577 at level 0 (1048577 points held): enumeration over 2^21"),
+    ], ids=["new-generators", "points", "total", "depth"])
+    def test_tower_over_the_cap_names_its_level(self, capsys, monkeypatch, tmp_path, cap, text, stage):
+        # the cap bounds one level's candidates, its lower level's points times its new
+        # assignments, and the points of the whole tower, an empty level counting as 1
+        if cap is None:
+            monkeypatch.delenv("STONEWORK_CAP", raising=False)
+        else:
+            monkeypatch.setenv("STONEWORK_CAP", cap)
+        f = tmp_path / "tower.txt"
+        f.write_text(text)
+        start = time.perf_counter()
+        assert main(["tower", str(f)]) == EXIT_CAP
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", f"error: {stage} exceeds cap 2^{cap or 20}\n")
 
     def test_failed_graph_tower_check_is_one_line(self, capsys, monkeypatch):
         # a transition that sends a vertex to position 5 of a one-vertex level
@@ -408,13 +444,14 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "0xff" in err and "line 2, column 10" in err
 
-    # the line counts LFs, and the column counts the bytes after the last one,
-    # so the \xc3\xa9 of an "é" is two
+    # lines are counted after CR LF and CR are read as LF, and columns in
+    # characters, as for every other parse error: the \xc3\xa9 of an "é" is one
     @pytest.mark.parametrize("data, place", [
         (b"gens: g0 g1\r\nrels: g0 & g1\r\nseq: g0, g1 \xff\r\n", "line 3, column 13"),
-        (b"gens: g0\r\n\r\nrels: ab\xc3\xa9 \xffx\r\n", "line 3, column 12"),
-    ])
-    def test_byte_not_utf8_in_a_crlf_file_is_placed_by_its_bytes(self, capsys, tmp_path, data, place):
+        (b"gens: g0\r\n\r\nrels: ab\xc3\xa9 \xffx\r\n", "line 3, column 11"),
+        (b"gens: g0\rrels: g0 \xff\r", "line 2, column 10"),
+    ], ids=["crlf", "crlf-multibyte", "cr"])
+    def test_byte_not_utf8_is_placed_by_its_characters(self, capsys, tmp_path, data, place):
         f = tmp_path / "pres.txt"
         f.write_bytes(data)
         assert main(["spectrum", str(f)]) == EXIT_USAGE

@@ -37,6 +37,8 @@ FILES = {
     "tower-rels": "family: none\nrels: g0 & g1 , g1 & ~g2 , g2 & g3\ndepth: 4\n",
     # a relation on a far generator: lower levels lack middle generators
     "tower-far": "family: none\nrels: g0 & g6 , g1 & ~g2 , g3 | g4 , ~g5 & g7\ndepth: 7\n",
+    # the sequences that hit 1 at most once and stay there: level n has n + 3 points
+    "tower-ninf": f"family: none\nrels: {' , '.join(f'g{i + 1} & ~g{i}' for i in range(1000))}\ndepth: 1000\n",
     "sixteen": (
         "gens: g0 g1 g2 g3 g4 g5 g6 g7 g8 g9 g10 g11 g12 g13 g14 g15\n"
         "rels: g0 & g1 , g2 & g3 , g4 & g5 , g6 & g7 , g8 & g9 , g10 & g11 , g12 & g13 , g14 & g15 ,"
@@ -62,6 +64,8 @@ CASES = {
     "tower-rels": ["tower", "@tower-rels", "--depth", "3"],
     "tower-far": ["tower", "@tower-far"],
     "tower-far-14": ["tower", "@tower-far", "--depth", "14"],
+    "tower-ninf-19": ["tower", "@tower-ninf", "--depth", "19"],
+    "tower-ninf-1000": ["tower", "@tower-ninf"],
     "cohomology-interval-3": ["cohomology", "interval", "--level", "3"],
     "cohomology-circle-6": ["cohomology", "circle", "--level", "6"],
     "cohomology-interval-8": ["cohomology", "interval", "--level", "8"],

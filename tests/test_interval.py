@@ -18,7 +18,7 @@ from lemmas import (
     dyadic_sub,
     near,
 )
-from stonework.errors import CapExceeded
+from stonework.errors import CapExceeded, InvariantViolated
 from stonework.interval import (
     BitWord,
     D0,
@@ -62,7 +62,7 @@ class TestDyadic:
         assert str(D1) == "1"
 
     def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolated):
             Dyadic(1, -1)
 
     @given(st.integers(-64, 64), st.integers(0, 6), st.integers(-64, 64), st.integers(0, 6))
@@ -86,7 +86,7 @@ class TestBitWord:
         assert W("").value == 0
 
     def test_bad_bits_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolated):
             BitWord((0, 2))
 
     def test_all_words(self):
@@ -227,7 +227,7 @@ class TestIntervalUnions:
     def test_union_normalization_invariants(self):
         u = closed_union([(Dyadic(1, 1), Dyadic(3, 2)), (D0, Dyadic(1, 2))])
         assert u.parts == ((D0, Dyadic(1, 2)), (Dyadic(1, 1), Dyadic(3, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolated):
             # unsorted, overlapping parts may not be constructed directly
             type(u)("closed", ((Dyadic(1, 1), D1), (D0, Dyadic(3, 2))))
 
@@ -280,7 +280,7 @@ class TestIntervalUnions:
         u = closed_union([(D0, D1)])
         with pytest.raises(ValueError):
             complement_open_union(u)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolated):
             complement_closed_union(complement_closed_union(u))
 
 

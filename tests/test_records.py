@@ -286,12 +286,24 @@ def test_normalized_fields():
     [
         (lambda: Presentation(("a", "a"), ()), DuplicateGenerator),
         (lambda: Presentation(("a",), (Gen("b"),)), UnknownGenerator),
-        (lambda: Dyadic(1, -1), ValueError),
-        (lambda: BitWord((0, 2)), ValueError),
-        (lambda: IntervalUnion("half", ()), ValueError),
-        (lambda: IntervalUnion("closed", ((Dyadic(1, 0), Dyadic(0, 0)),)), ValueError),
-        (lambda: IntervalUnion("open", ((Dyadic(0, 0), Dyadic(0, 0)),)), ValueError),
-        (lambda: IntervalUnion("closed", ((Dyadic(0, 0), Dyadic(1, 1)), (Dyadic(1, 1), Dyadic(1, 0)))), ValueError),
+        pytest.param(lambda: Dyadic(1, -1), InvariantViolated, id="Dyadic-negative-exponent"),
+        pytest.param(lambda: BitWord((0, 2)), InvariantViolated, id="BitWord-bit-not-0-or-1"),
+        pytest.param(lambda: IntervalUnion("half", ()), InvariantViolated, id="IntervalUnion-bad-kind"),
+        pytest.param(
+            lambda: IntervalUnion("closed", ((Dyadic(1, 0), Dyadic(0, 0)),)),
+            InvariantViolated,
+            id="IntervalUnion-lo-above-hi",
+        ),
+        pytest.param(
+            lambda: IntervalUnion("open", ((Dyadic(0, 0), Dyadic(0, 0)),)),
+            InvariantViolated,
+            id="IntervalUnion-empty-open-part",
+        ),
+        pytest.param(
+            lambda: IntervalUnion("closed", ((Dyadic(0, 0), Dyadic(1, 1)), (Dyadic(1, 1), Dyadic(1, 0)))),
+            InvariantViolated,
+            id="IntervalUnion-parts-overlap",
+        ),
         (lambda: SeqDiagram(((0,), (0,)), ()), InvariantViolated),
         (lambda: SeqDiagram(((0,), (0, 1)), ((0,),)), InvariantViolated),
         (lambda: SeqDiagram(((0,), (0, 1)), ((0, 1),)), InvariantViolated),

@@ -26,6 +26,10 @@ reads, and a test fails once that probe stops reading it.
 Every regex is a pattern that ``re.compile`` builds at module level, so a
 hot path never pays ``re``'s cache lookup for a string pattern, and ``re``
 is called nowhere else.
+Every ``raise`` names a ``StoneworkError`` (or calls a function annotated to
+return one), so a broken input or invariant ends a command with its exit
+code and one line; the exceptions are the few that keep a Python contract,
+listed in ``API_ERRORS``.
 Every command starts in a fresh process, so the frozen records are built by
 ``stonework.record``, which generates one ``__init__`` per class, and no
 module imports ``dataclasses``; importing ``stonework.cli`` in a bare
@@ -36,11 +40,12 @@ import ast
 import importlib
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from stonework import cli
+from stonework import cli, errors
 from test_golden import CASES, case_argv
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "stonework").glob("*.py"))
@@ -114,6 +119,52 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout == "[]\n"
+
+
+STONEWORK_ERRORS = {
+    name for name, cls in vars(errors).items() if isinstance(cls, type) and issubclass(cls, errors.StoneworkError)
+}
+
+# raises that keep a Python contract, (file, enclosing function, exception) ->
+# how many: a term constructor or check given a non-term, a record assigned
+# to, the report encoder given a type json.dumps refuses, and the script's exit
+API_ERRORS = Counter({
+    ("terms.py", "Gen", "TypeError"): 1,
+    ("terms.py", "check_term", "TypeError"): 5,
+    ("record.py", "_setattr", "AttributeError"): 1,
+    ("record.py", "_delattr", "AttributeError"): 1,
+    ("cli.py", "_json", "TypeError"): 1,
+    ("cli.py", None, "SystemExit"): 1,
+})
+
+
+def _raises(node: ast.AST, function=None):
+    """(innermost enclosing function name or None, raised name) for every
+    raise statement under ``node``; the name is ``X`` in ``raise X(...)``,
+    ``raise errors.X(...)`` or ``raise X``, and None for a bare ``raise``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            yield function, exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+        yield from _raises(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+
+def test_every_raise_names_a_stonework_error():
+    # a function annotated to return a stonework error, such as profinite._not_total, may build it
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SOURCES}
+    makers = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and getattr(node.returns, "id", None) in STONEWORK_ERRORS
+    }
+    others = Counter(
+        (name, function, raised)
+        for name, tree in trees.items()
+        for function, raised in _raises(tree)
+        if raised not in STONEWORK_ERRORS | makers
+    )
+    assert others == API_ERRORS
 
 
 def _scopes_of(tree: ast.AST, hit, scope: tuple[str, ...] = ()) -> list[tuple[str, ...]]:

@@ -192,7 +192,7 @@ class TestIntMatrix:
         assert a @ b == from_rows(product, b.ncols)
 
     def test_matmul_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolated):
             zero_matrix(2, 3) @ zero_matrix(2, 3)
 
     def test_identity_and_zero(self):

@@ -355,8 +355,12 @@ def cmd_interval_image(args) -> Result:
 
 
 def cmd_stabilize(args) -> Result:
-    tower = getattr(interval, f"{args.space}_tower")(_natural(args.depth, "--depth"))
-    rep = zhomology.stabilization_report(tower)
+    depth = _natural(args.depth, "--depth")
+    # the deepest level first, so a tower past the cap builds nothing; the
+    # graphs are looked up as in cmd_cohomology, and built as the walk reads them
+    boolalg.check_cap(depth - 1, f"{args.space} graph at level {depth - 1}")
+    graph = getattr(interval, f"{args.space}_graph")
+    rep = zhomology.stabilization_report(map(graph, range(depth)), map(interval.restrict_graph_map, range(depth - 1)))
     fields = {
         "space": args.space,
         "levels": [_level_json(lc) for lc in rep.levels],

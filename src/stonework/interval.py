@@ -11,11 +11,11 @@ to [0,1].
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .boolalg import check_cap
 from .errors import BadArgument, InvariantViolated
-from .profinite import RelGraph, RelGraphTower
+from .profinite import RelGraph
 from .record import record
 
 
@@ -120,20 +120,6 @@ def restrict_graph_map(n: int) -> tuple[int, ...]:
     """Drop-last-bit vertex map from level n+1 down to level n, by position."""
     check_cap(n + 1, f"graph map from level {n + 1}")
     return tuple(k // 2 for k in range(2 ** (n + 1)))
-
-
-def _graph_tower(graph: Callable[[int], RelGraph], depth: int) -> RelGraphTower:
-    """Levels graph(0..depth-1) with bit-truncation transitions."""
-    levels = tuple(graph(n) for n in range(depth))
-    return RelGraphTower(levels, tuple(restrict_graph_map(n) for n in range(depth - 1)))
-
-
-def interval_tower(depth: int) -> RelGraphTower:
-    return _graph_tower(interval_graph, depth)
-
-
-def circle_tower(depth: int) -> RelGraphTower:
-    return _graph_tower(circle_graph, depth)
 
 
 @record

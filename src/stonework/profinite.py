@@ -7,7 +7,8 @@ quotients by those relations; their spectra keep each point as its
 ``boolalg`` integer code, generator i of n being bit n-1-i, and each level's
 spectrum is built over the one below.  Relation graphs
 carry a reflexive symmetric relation used as a finite approximation of a
-compact Hausdorff quotient.
+compact Hausdorff quotient; no class holds a tower of them, as
+``zhomology.stabilization_report`` reads its graphs one level at a time.
 """
 
 from __future__ import annotations
@@ -20,22 +21,18 @@ from math import isqrt
 from typing import Callable, Hashable, Optional, Sequence
 
 from .boolalg import enumeration_cap
-from .errors import BadArgument, CapExceeded, InvariantViolated, RelationNotPreserved
+from .errors import BadArgument, CapExceeded, InvariantViolated
 from .record import record
 from .terms import And, Gen, Term, check_term, eval_term, generators_of
 
 Vertex = Hashable
 
 
-def _not_total(n: int) -> InvariantViolated:
-    return InvariantViolated(f"transition {n} is not a total map between adjacent levels")
-
-
 @record
 class SeqDiagram:
-    """Finite sets with transition maps level n+1 -> level n, by position as in
-    ``RelGraphTower``: ``transitions[n][i]`` is the position in level n of the
-    image of level n+1's point i."""
+    """Finite sets with transition maps level n+1 -> level n, by position:
+    ``transitions[n][i]`` is the position in level n of the image of level
+    n+1's point i, as in the graph towers ``stabilization_report`` walks."""
 
     levels: tuple[tuple[Vertex, ...], ...]
     transitions: tuple[tuple[int, ...], ...]
@@ -46,7 +43,7 @@ class SeqDiagram:
         for n, image in enumerate(self.transitions):
             size = len(self.levels[n])
             if len(image) != len(self.levels[n + 1]) or image and not 0 <= min(image) <= max(image) < size:
-                raise _not_total(n)
+                raise InvariantViolated(f"transition {n} is not a total map between adjacent levels")
 
 
 @record
@@ -248,30 +245,3 @@ class RelGraph:
         """The relation as a set of ordered vertex pairs, for oracles and probes."""
         vs = self.vertices
         return frozenset((vs[i], vs[j]) for i, row in enumerate(self.adjacent) for j in row)
-
-
-@record
-class RelGraphTower:
-    """Relation graphs with relation-preserving transitions level n+1 -> n.
-
-    Transitions name vertices by position: ``transitions[n][i]`` is the
-    position in level n of the image of level n+1's vertex i.
-    """
-
-    levels: tuple[RelGraph, ...]
-    transitions: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.transitions) != max(len(self.levels) - 1, 0):
-            raise InvariantViolated("need one transition between each pair of adjacent levels")
-        for n, image in enumerate(self.transitions):
-            upper, lower = self.levels[n + 1], self.levels[n]
-            if len(image) != len(upper.vertices):
-                raise InvariantViolated(f"transition {n} maps {len(image)} of {len(upper.vertices)} vertices")
-            if not all(0 <= p < len(lower.vertices) for p in image):
-                raise InvariantViolated(f"transition {n} has a position outside level {n}")
-            for i, row in enumerate(upper.adjacent):
-                for j in row:
-                    if image[j] not in lower.adjacent[image[i]]:
-                        u, v = upper.vertices[i], upper.vertices[j]
-                        raise RelationNotPreserved(f"transition {n} breaks the pair ({u!r}, {v!r})")

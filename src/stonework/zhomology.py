@@ -15,7 +15,7 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantViolated, RelationNotPreserved
-from .profinite import RelGraph, RelGraphTower
+from .profinite import RelGraph
 from .record import record
 
 Op = tuple[int, int, int]  # (dst, src, k): add k times line src to line dst
@@ -544,17 +544,30 @@ class StabilizationReport:
     h1_iso: tuple[bool, ...]
 
 
-def stabilization_report(tower: RelGraphTower) -> StabilizationReport:
+def stabilization_report(levels: Iterable[RelGraph], transitions: Iterable[Sequence[int]]) -> StabilizationReport:
     """Per-level cohomology plus whether the induced maps are isomorphisms,
-    two levels at a time: a level's complex is dropped once its map to the
-    next level is checked."""
+    two levels at a time.
+
+    Graph n and transition n - 1, the position in level n - 1 of the image
+    of each vertex of level n, are read only when the walk reaches level n;
+    a graph is dropped once its complex is built, and a complex once the map
+    to the level above it is checked.  The walk checks that there is one
+    transition between each pair of adjacent levels and that each is a
+    total map by position; ``induced_cochain_map`` checks that it keeps
+    every related pair."""
     results, h0_iso, h1_iso = [], [], []
+    transitions = iter(transitions)
     coarse = None
-    for n, g in enumerate(tower.levels):
-        fine = graph_cech_complex(g)
+    for n, fine in enumerate(map(graph_cech_complex, levels)):
         results.append(_level_cohomology(n, fine))
         if coarse is not None:
-            image, lo, hi = tower.transitions[n - 1], results[-2], results[-1]
+            image, lo, hi = next(transitions, None), results[-2], results[-1]
+            if image is None:
+                raise _one_transition_each()
+            if len(image) != fine.d0.ncols:
+                raise InvariantViolated(f"transition {n - 1} maps {len(image)} of {fine.d0.ncols} vertices")
+            if image and not 0 <= min(image) <= max(image) < coarse.d0.ncols:
+                raise InvariantViolated(f"transition {n - 1} has a position outside level {n - 1}")
             # m1 maps im d0 into im d0, so coarse H1 covers fine H1 exactly when
             # the coarse representatives, pulled back and projected onto the fine
             # cochains that vanish on tree rows, generate the fine representatives
@@ -569,7 +582,13 @@ def stabilization_report(tower: RelGraphTower) -> StabilizationReport:
             h0_iso.append(lo.h0 == hi.h0 and len({comp[p] for p in image}) == hi.h0.rank)
             h1_iso.append(lo.h1 == hi.h1 and _covers_kernel(pulled, hi.h1.rank))
         coarse = fine
+    if next(transitions, None) is not None:
+        raise _one_transition_each()
     return StabilizationReport(tuple(results), tuple(h0_iso), tuple(h1_iso))
+
+
+def _one_transition_each() -> InvariantViolated:
+    return InvariantViolated("need one transition between each pair of adjacent levels")
 
 
 def graph_cohomology(g: RelGraph, level: int) -> LevelCohomology:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Callable
 
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from lemmas import Or, _check_lengths, _coboundary, hstack, realize
+from lemmas import Or, RelGraphTower, _check_lengths, _coboundary, hstack, realize
 from stonework.boolalg import (
     Bits,
     FinBoolAlg,
@@ -22,8 +23,8 @@ from stonework.boolalg import (
     spectrum,
 )
 from stonework.errors import InvariantViolated, RelationNotPreserved, UnknownGenerator
-from stonework.interval import BitWord, interval_graph
-from stonework.profinite import CountablePresentation, RelGraph, RelGraphTower, SeqDiagram
+from stonework.interval import BitWord, circle_graph, interval_graph, restrict_graph_map
+from stonework.profinite import CountablePresentation, RelGraph, SeqDiagram
 from stonework.terms import (
     And,
     Gen,
@@ -359,6 +360,20 @@ def square_graph(n: int) -> RelGraph:
         tuple(itertools.product(g.vertices, repeat=2)),
         tuple(tuple(a * size + b for a in u for b in v) for u, v in itertools.product(g.adjacent, repeat=2)),
     )
+
+
+def _graph_tower(graph: Callable[[int], RelGraph], depth: int) -> RelGraphTower:
+    """Levels graph(0..depth-1) with bit-truncation transitions, each pair of
+    each transition checked by the oracle tower."""
+    return RelGraphTower(tuple(map(graph, range(depth))), tuple(map(restrict_graph_map, range(depth - 1))))
+
+
+def interval_tower(depth: int) -> RelGraphTower:
+    return _graph_tower(interval_graph, depth)
+
+
+def circle_tower(depth: int) -> RelGraphTower:
+    return _graph_tower(circle_graph, depth)
 
 
 def square_tower(depth: int) -> RelGraphTower:

@@ -20,9 +20,10 @@ from stonework.boolalg import (
     spectrum,
 )
 from stonework.cli import _countable, _key_lines
-from stonework.errors import InvariantViolated, StoneworkError
+from stonework.errors import InvariantViolated, RelationNotPreserved, StoneworkError
 from stonework.interval import D0, D1, BitWord, Dyadic, IntervalUnion, _gaps
-from stonework.profinite import RelGraph, RelGraphTower, SeqDiagram, Vertex
+from stonework.profinite import RelGraph, SeqDiagram, Vertex
+from stonework.record import record
 from stonework.terms import Gen, Gens, Not, Term, join, meet, parse_term
 from stonework.zhomology import (
     AbInvariants,
@@ -276,6 +277,34 @@ def connected_component(g: RelGraph, v: Vertex) -> frozenset:
                 seen.add(j)
                 stack.append(j)
     return frozenset(g.vertices[i] for i in seen)
+
+
+@record
+class RelGraphTower:
+    """Relation graphs with relation-preserving transitions level n+1 -> n
+    (oracle for the checks of ``stabilization_report``'s walk).
+
+    Transitions name vertices by position: ``transitions[n][i]`` is the
+    position in level n of the image of level n+1's vertex i.
+    """
+
+    levels: tuple[RelGraph, ...]
+    transitions: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if len(self.transitions) != max(len(self.levels) - 1, 0):
+            raise InvariantViolated("need one transition between each pair of adjacent levels")
+        for n, image in enumerate(self.transitions):
+            upper, lower = self.levels[n + 1], self.levels[n]
+            if len(image) != len(upper.vertices):
+                raise InvariantViolated(f"transition {n} maps {len(image)} of {len(upper.vertices)} vertices")
+            if not all(0 <= p < len(lower.vertices) for p in image):
+                raise InvariantViolated(f"transition {n} has a position outside level {n}")
+            for i, row in enumerate(upper.adjacent):
+                for j in row:
+                    if image[j] not in lower.adjacent[image[i]]:
+                        u, v = upper.vertices[i], upper.vertices[j]
+                        raise RelationNotPreserved(f"transition {n} breaks the pair ({u!r}, {v!r})")
 
 
 def is_totally_disconnected(t: RelGraphTower, depth: int) -> bool:

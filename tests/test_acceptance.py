@@ -55,11 +55,11 @@ from stonework.errors import RelationNotKilled
 from stonework.interval import (
     BitWord,
     circle_graph,
-    circle_tower,
     cs_value,
     decidable_image,
     complement_closed_union,
     interval_graph,
+    restrict_graph_map,
 )
 from stonework.profinite import SeqDiagram
 from stonework.terms import And, Gen, Not, ONE, Term, ZERO
@@ -368,7 +368,7 @@ def test_12_circle_cohomology_stabilizes_from_level_two():
     for n in range(2, 9):
         lc = graph_cohomology(circle_graph(n), n)
         assert (lc.h0, lc.h1) == (Z, Z)
-    rep = stabilization_report(circle_tower(9))
+    rep = stabilization_report(map(circle_graph, range(9)), map(restrict_graph_map, range(8)))
     assert [lc.h1 for lc in rep.levels[2:]] == [Z] * 7
     for n in range(2, 8):
         assert rep.h0_iso[n]

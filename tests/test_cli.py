@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lemmas import parse_tower_file
-from stonework import boolalg, cli
+from stonework import boolalg, cli, interval
 from stonework.cli import (
     COMMANDS,
     EXIT_CAP,
@@ -29,8 +30,7 @@ from stonework.cli import (
     parse_presentation,
 )
 from stonework.errors import ParseError
-from stonework.interval import interval_graph
-from stonework.profinite import RelGraphTower, SeqDiagram
+from stonework.profinite import SeqDiagram
 from stonework.terms import And, Gen, Not
 from test_golden import CASES as GOLDEN_CASES, FILES as GOLDEN_FILES, case_argv
 
@@ -320,11 +320,22 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"error: {stage} exceeds cap 2^{cap or 20}\n")
 
     def test_failed_graph_tower_check_is_one_line(self, capsys, monkeypatch):
-        # a transition that sends a vertex to position 5 of a one-vertex level
-        tower = lambda depth: RelGraphTower((interval_graph(0), interval_graph(1)), ((0, 5),))
-        monkeypatch.setattr(cli.interval, "interval_tower", tower)
-        assert main(["stabilize", "interval", "--depth", "2"]) == EXIT_PROPERTY_FAILED
-        assert capsys.readouterr() == ("", "error: transition 0 has a position outside level 0\n")
+        # a transition that sends a vertex to position 5 of a one-vertex level,
+        # and one that maps one of the two vertices of level 1
+        for image, message in (((0, 5), "has a position outside level 0"), ((0,), "maps 1 of 2 vertices")):
+            monkeypatch.setattr(cli.interval, "restrict_graph_map", lambda n: image)
+            assert main(["stabilize", "interval", "--depth", "2"]) == EXIT_PROPERTY_FAILED
+            assert capsys.readouterr() == ("", f"error: transition 0 {message}\n")
+
+    @pytest.mark.parametrize("space, depth", [("circle", 1_000_000), ("interval", 22)])
+    def test_stabilize_past_the_cap_builds_no_graph(self, capsys, monkeypatch, space, depth):
+        # the deepest level is checked before the walk builds a graph or a complex
+        monkeypatch.delenv("STONEWORK_CAP", raising=False)
+        start = time.perf_counter()
+        assert main(["stabilize", space, "--depth", str(depth)]) == EXIT_CAP
+        assert time.perf_counter() - start < 1
+        stage = f"{space} graph at level {depth - 1}: enumeration over 2^{depth - 1} exceeds cap 2^20"
+        assert capsys.readouterr() == ("", f"error: {stage}\n")
 
     def test_size_beyond_memory_under_a_high_cap_exits_3(self, capsys, monkeypatch):
         # the cap admits 10**20 + 2 bits, which no tuple can hold; nothing is allocated
@@ -582,6 +593,23 @@ class TestExitCodes:
         assert main(["stabilize", "circle", "--depth", "4"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "h1 induced maps iso: [True, False, True]" in out
+
+    def test_stabilize_holds_at_most_two_graphs(self, capsys, monkeypatch):
+        # each graph is built as the walk reaches its level and dropped once its
+        # complex is built; looked up on the module, as the benchmark's tracer wraps it
+        alive, most = weakref.WeakSet(), []
+
+        def graph(n):
+            g = real_graph(n)
+            alive.add(g)
+            most.append(len(alive))
+            return g
+
+        real_graph = interval.circle_graph
+        monkeypatch.setattr(interval, "circle_graph", graph)
+        assert main(["--json", "stabilize", "circle", "--depth", "8"]) == EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)["levels"]) == len(most) == 8
+        assert max(most) <= 2
 
 
 # quotes, backslashes, control and non-ASCII characters, lone surrogates

@@ -87,6 +87,7 @@ CASES = {
     "stabilize-circle-12": ["stabilize", "circle", "--depth", "12"],
     "stabilize-circle-14": ["stabilize", "circle", "--depth", "14"],
     "stabilize-circle-16": ["stabilize", "circle", "--depth", "16"],
+    "stabilize-circle-18": ["stabilize", "circle", "--depth", "18"],
 }
 
 

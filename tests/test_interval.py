@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import near_companion
+from conftest import circle_tower, interval_tower, near_companion
 from lemmas import (
     OutOfRange,
     all_words,
@@ -25,13 +25,11 @@ from stonework.interval import (
     D1,
     Dyadic,
     circle_graph,
-    circle_tower,
     closed_union,
     complement_closed_union,
     cs_value,
     decidable_image,
     interval_graph,
-    interval_tower,
     restrict_graph_map,
 )
 

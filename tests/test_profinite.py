@@ -1,6 +1,7 @@
 """Towers of finite truncations, closed sub-towers and relation graphs."""
 
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import code_of, graph_from_pairs, pair_relations, point_of, restriction_diagram
 from lemmas import (
     ClosedTower,
+    RelGraphTower,
     SquareNotCommuting,
     bound_levelwise_nat_map,
     closed_from_decidables,
@@ -20,20 +22,24 @@ from lemmas import (
     points_at_depth,
 )
 from stonework.boolalg import FinBoolAlg, Presentation
-from stonework.errors import InvariantViolated, RelationNotPreserved
+from stonework.errors import InvariantViolated, RelationNotPreserved, StoneworkError
 from stonework.profinite import (
     CountablePresentation,
     FAMILIES,
     RelGraph,
-    RelGraphTower,
     SeqDiagram,
     pairwise_meet_zero_family,
     spectrum_tower,
 )
 from stonework.terms import And, Gen, ONE
+from stonework.zhomology import stabilization_report
 
 CANTOR = CountablePresentation()
 ATMOSTONE = CountablePresentation(family=pairwise_meet_zero_family)
+# a graph tower is checked by ``stabilization_report``'s walk, which leaves the
+# pairs to ``induced_cochain_map``, and by the oracle tower, which checks them itself
+GRAPH_TOWER_CHECKS = {"walk": stabilization_report, "oracle": RelGraphTower}
+ONE_EACH = "need one transition between each pair of adjacent levels"
 
 
 def cantor_diagram(depth: int) -> SeqDiagram:
@@ -53,8 +59,10 @@ class TestInvariants:
 
     def test_rel_graph_tower_needs_one_transition_per_step(self):
         g = equality_graph([0])
-        with pytest.raises(InvariantViolated):
-            RelGraphTower(levels=(g, g), transitions=())
+        for check in GRAPH_TOWER_CHECKS.values():
+            for transitions in ((), ((0,), (0,))):
+                with pytest.raises(InvariantViolated, match=f"^{ONE_EACH}$"):
+                    check((g, g), transitions)
 
 
 class TestFamilies:
@@ -291,8 +299,9 @@ class TestRelGraphs:
         lower = equality_graph([0, 1])
         pairs = {(a, b) for a in (0, 1) for b in (0, 1)}
         upper = graph_from_pairs((0, 1), pairs)
-        with pytest.raises(RelationNotPreserved):
-            RelGraphTower((lower, upper), ((0, 1),))
+        for check in GRAPH_TOWER_CHECKS.values():
+            with pytest.raises(RelationNotPreserved):
+                check((lower, upper), ((0, 1),))
 
     def test_totally_disconnected(self):
         levels = tuple(equality_graph(range(k + 1)) for k in range(3))
@@ -315,15 +324,28 @@ class TestRelGraphs:
         levels = (equality_graph([0]), equality_graph([0, 1]))
         for image in ((0, 5), (0, -1)):
             with pytest.raises(InvariantViolated, match=r"^transition 0 has a position outside level 0$"):
-                RelGraphTower(levels, (image,))
-        with pytest.raises(InvariantViolated, match=r"^transition 0 maps 1 of 2 vertices$"):
-            RelGraphTower(levels, ((0,),))
+                stabilization_report(levels, (image,))
+        for image in ((0,), (0, 0, 0)):
+            with pytest.raises(InvariantViolated, match=rf"^transition 0 maps {len(image)} of 2 vertices$"):
+                stabilization_report(levels, (image,))
+        # a later transition is named by its own index
+        with pytest.raises(InvariantViolated, match=r"^transition 1 has a position outside level 1$"):
+            stabilization_report((*levels, equality_graph([0])), ((0, 0), (2,)))
 
     def test_one_neighbour_list_per_vertex(self):
         g = equality_graph([0, 1])
         for adjacent in (g.adjacent[:1], g.adjacent + ((2,),)):
             with pytest.raises(InvariantViolated, match="neighbour lists for 2 vertices"):
                 RelGraph(g.vertices, adjacent)
+
+
+def walk_failure(levels, transitions) -> Optional[tuple[type, str]]:
+    """The class and message of the error ``stabilization_report`` raises, if any."""
+    try:
+        stabilization_report(levels, transitions)
+    except StoneworkError as e:
+        return type(e), str(e)
+    return None
 
 
 # ways to spoil vertex i's neighbour list; j is another position
@@ -372,18 +394,30 @@ class TestNeighbourTuples:
         assume(size or outside or not upper.vertices)
         positions = st.integers(-1, size) if outside else st.integers(0, size - 1)
         tr = tuple(data.draw(positions) for _ in upper.vertices)
+        levels = (lower, upper)
+        # too few transitions fail at once; too many fail the oracle at once,
+        # and the walk as the one it needs does, or after it if that one passes
+        for check in GRAPH_TOWER_CHECKS.values():
+            with pytest.raises(InvariantViolated, match=f"^{ONE_EACH}$"):
+                check(levels, ())
+        with pytest.raises(InvariantViolated, match=f"^{ONE_EACH}$"):
+            RelGraphTower(levels, (tr, tr))
+        one = walk_failure(levels, (tr,))
+        assert walk_failure(levels, (tr, tr)) == (one or (InvariantViolated, ONE_EACH))
         if not all(0 <= p < size for p in tr):
-            with pytest.raises(InvariantViolated, match="outside level 0"):
-                RelGraphTower((lower, upper), (tr,))
+            for check in GRAPH_TOWER_CHECKS.values():
+                with pytest.raises(InvariantViolated, match=r"^transition 0 has a position outside level 0$"):
+                    check(levels, (tr,))
             return
         image = dict(zip(upper.vertices, (lower.vertices[p] for p in tr)))
         preserved = all((image[u], image[v]) in low[1] for u, v in up[1])
-        try:
-            RelGraphTower((lower, upper), (tr,))
-        except RelationNotPreserved:
-            assert not preserved
-        else:
-            assert preserved
+        for check in GRAPH_TOWER_CHECKS.values():
+            try:
+                check(levels, (tr,))
+            except RelationNotPreserved:
+                assert not preserved
+            else:
+                assert preserved
 
     @pytest.mark.parametrize("kind", MALFORMED)
     @given(pair_relations(), st.data())

@@ -150,7 +150,7 @@ def _raises(node: ast.AST, function=None):
 
 
 def test_every_raise_names_a_stonework_error():
-    # a function annotated to return a stonework error, such as profinite._not_total, may build it
+    # a function annotated to return a stonework error, such as zhomology._one_transition_each, may build it
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SOURCES}
     makers = {
         node.name

@@ -68,6 +68,18 @@ def check_cap(n: int, stage: str) -> None:
         raise CapExceeded(n, limit, stage)
 
 
+def gen_index(name: str) -> Optional[int]:
+    """The index i of a generator named g<i>, i written in decimal digits, or
+    None for any other name; the one reader of such names."""
+    digits = name[1:]
+    if name[:1] != "g" or not digits.isdecimal():
+        return None
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() reads
+        raise BadArgument(f"generator index of {len(digits)} digits is out of range") from None
+
+
 @record
 class Presentation:
     """Ordered generators plus relations (each relation asserts term = 0)."""
@@ -357,9 +369,6 @@ def llpo_split(n: int) -> LlpoReport:
     )
 
 
-_GIDX = re.compile(r"^g(\d+)$")
-
-
 @record
 class WlpoReport:
     k: int
@@ -379,13 +388,9 @@ def wlpo_counterexample(c: Term) -> WlpoReport:
     """
     indices = []
     for name in generators_of(c):
-        m = _GIDX.match(name)
-        if m is None:
+        if (i := gen_index(name)) is None:
             raise UnknownGenerator(name)
-        try:
-            indices.append(int(m.group(1)))
-        except ValueError:  # more digits than int() reads
-            raise BadArgument(f"generator index of {len(m.group(1))} digits is out of range") from None
+        indices.append(i)
     k = max(indices) if indices else -1
     # beta and gamma differ only at g{k+1}, which the term does not see, and
     # are 0 on all of its own generators

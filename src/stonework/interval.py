@@ -21,7 +21,9 @@ from .record import record
 
 @record
 class Dyadic:
-    """Exact dyadic rational num/2^exp, normalized to an odd numerator."""
+    """Exact dyadic rational num/2^exp, normalized to an odd numerator or
+    exponent 0: the trailing zero bits of num, at most exp of them, are
+    shifted out at once (every one of them when num is 0)."""
 
     num: int
     exp: int
@@ -29,12 +31,9 @@ class Dyadic:
     def __post_init__(self):
         if self.exp < 0:
             raise InvariantViolated("negative exponent")
-        num, exp = self.num, self.exp
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+        zeros = min((self.num & -self.num).bit_length() - 1, self.exp) if self.num else self.exp
+        object.__setattr__(self, "num", self.num >> zeros)
+        object.__setattr__(self, "exp", self.exp - zeros)
 
     def _cmp_key(self, other: "Dyadic") -> tuple[int, int]:
         e = max(self.exp, other.exp)
@@ -48,10 +47,6 @@ class Dyadic:
         a, b = self._cmp_key(other)
         return a <= b
 
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        e = max(self.exp, other.exp)
-        return Dyadic((self.num << (e - self.exp)) + (other.num << (e - other.exp)), e)
-
     def __str__(self) -> str:
         if self.exp == 0:
             return str(self.num)
@@ -64,12 +59,13 @@ D1 = Dyadic(1, 0)
 
 @record
 class BitWord:
-    """Finite bit list; leading zeros are significant."""
+    """Finite bit list; leading zeros are significant.  ``value`` reads the
+    bits as one base-2 numeral, which ``int`` parses in a single call."""
 
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        if not {*self.bits} <= {0, 1}:
             raise InvariantViolated("bits must be 0 or 1")
 
     @staticmethod
@@ -86,13 +82,10 @@ class BitWord:
     @property
     def value(self) -> int:
         """Integer value with bit 0 most significant."""
-        k = 0
-        for b in self.bits:
-            k = 2 * k + b
-        return k
+        return int(str(self) or "0", 2)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return "".join(map("01".__getitem__, self.bits))
 
 
 def cs_value(w: BitWord) -> Dyadic:
@@ -174,11 +167,7 @@ def closed_union(parts: Iterable[tuple[Dyadic, Dyadic]]) -> IntervalUnion:
 
 def decidable_image(ws: Sequence[BitWord]) -> IntervalUnion:
     """Merged union of the cylinder images of the given words."""
-    parts = []
-    for w in ws:
-        lo = cs_value(w)
-        parts.append((lo, lo + Dyadic(1, w.length)))
-    return closed_union(parts)
+    return closed_union((cs_value(w), Dyadic(w.value + 1, w.length)) for w in ws)
 
 
 def _gaps(parts: tuple[tuple[Dyadic, Dyadic], ...]) -> tuple[tuple[Dyadic, Dyadic], ...]:

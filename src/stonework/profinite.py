@@ -20,7 +20,7 @@ from itertools import compress
 from math import isqrt
 from typing import Callable, Hashable, Optional, Sequence
 
-from .boolalg import enumeration_cap
+from .boolalg import enumeration_cap, gen_index
 from .errors import BadArgument, CapExceeded, InvariantViolated
 from .record import record
 from .terms import And, Gen, Term, check_term, eval_term, generators_of
@@ -79,12 +79,9 @@ FAMILIES: dict[str, Optional[Callable[[int], Term]]] = {
 
 
 def _gen_index(name: str) -> int:
-    if not name.startswith("g") or not name[1:].isdigit():
+    if (i := gen_index(name)) is None:
         raise BadArgument(f"countable presentations use generators g0,g1,...; got {name!r}")
-    try:
-        return int(name[1:])
-    except ValueError:  # more digits than int() reads
-        raise BadArgument(f"generator index of {len(name) - 1} digits is out of range") from None
+    return i
 
 
 def spectrum_tower(p: CountablePresentation, depth: int) -> SeqDiagram:
@@ -169,7 +166,7 @@ def _fibres(codes: Sequence[int], old: list[int], new: list[int], r: Optional[Te
     if r is not None:
         tables, limbs = {}, {}
         for g in generators_of(r):
-            i = int(g[1:])
+            i = gen_index(g)
             if i in new:  # assignment bit k-1-j for the jth new generator
                 column = _runs(1 << k - 1 - new.index(i), m) * size
             else:

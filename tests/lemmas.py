@@ -328,6 +328,14 @@ def all_words(n: int) -> list[BitWord]:
     return [BitWord(bits) for bits in itertools.product((0, 1), repeat=n)]
 
 
+def bit_loop_value(bits: Sequence[int]) -> int:
+    """The value of a bit list with bit 0 most significant, one bit at a time."""
+    k = 0
+    for b in bits:
+        k = 2 * k + b
+    return k
+
+
 def _check_lengths(n: int, s: BitWord, t: BitWord) -> None:
     if s.length != n or t.length != n:
         raise ValueError(f"expected words of length {n}, got {s.length} and {t.length}")

@@ -26,6 +26,7 @@ from stonework.boolalg import (
     check_duality,
     enumeration_cap,
     evaluate,
+    gen_index,
     hom,
     llpo_product_presentation,
     llpo_split,
@@ -37,6 +38,7 @@ from stonework.boolalg import (
     wlpo_counterexample,
 )
 from stonework.errors import (
+    BadArgument,
     CapExceeded,
     DuplicateGenerator,
     NotDisjoint,
@@ -498,6 +500,25 @@ class TestWlpo:
     def test_non_indexed_generator_rejected(self):
         with pytest.raises(UnknownGenerator):
             wlpo_counterexample(Gen("x"))
+
+    def test_non_decimal_digit_is_unknown(self):
+        # U+1369 is a digit to str.isdigit but not a decimal one
+        with pytest.raises(UnknownGenerator, match="^unknown generator 'g\u1369'$"):
+            wlpo_counterexample(Gen("g\u1369"))
+
+
+class TestGenIndex:
+    @pytest.mark.parametrize("name, index", [("g0", 0), ("g12", 12), ("g007", 7), ("g\uff13", 3)])
+    def test_g_then_decimal_digits(self, name, index):
+        assert gen_index(name) == index
+
+    @pytest.mark.parametrize("name", ["g", "x1", "G1", "g-1", "g 1", "g1a", "g\u1369", "g\u00b2", ""])
+    def test_any_other_name_is_none(self, name):
+        assert gen_index(name) is None
+
+    def test_index_past_int_digits_is_out_of_range(self):
+        with pytest.raises(BadArgument, match="^generator index of 5000 digits is out of range$"):
+            gen_index("g" + "1" * 5000)
 
 
 class TestMinimalJoinWitness:

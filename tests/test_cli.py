@@ -589,6 +589,21 @@ class TestExitCodes:
         assert err == message * 2 and "Traceback" not in err
         assert out.startswith("image of 1 cylinders: [") and out.count("\n") == 2
 
+    def test_million_bit_word_hits_the_cap_at_once(self, capsys):
+        # the word's value and the dyadics at its ends are each read in one call,
+        # so the time is linear in the word's length
+        word = "1" + "0" * 10**6
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            start = time.perf_counter()
+            assert main(["interval-image", "--cylinders", word]) == EXIT_CAP
+            assert time.perf_counter() - start < 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+        stage = "interval-image word of 1000001 bits: enumeration over 2^1000001 exceeds cap 2^14284"
+        assert capsys.readouterr() == ("", f"error: {stage}\n")
+
     def test_stabilize(self, capsys):
         assert main(["stabilize", "circle", "--depth", "4"]) == EXIT_OK
         out = capsys.readouterr().out

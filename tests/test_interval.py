@@ -11,6 +11,7 @@ from conftest import circle_tower, interval_tower, near_companion
 from lemmas import (
     OutOfRange,
     all_words,
+    bit_loop_value,
     complement_open_union,
     contains,
     cs_fiber,
@@ -50,7 +51,6 @@ class TestDyadic:
         assert not Dyadic(3, 2) < Dyadic(1, 1)
 
     def test_arithmetic(self):
-        assert Dyadic(1, 2) + Dyadic(1, 2) == Dyadic(1, 1)
         assert dyadic_sub(Dyadic(3, 2), Dyadic(1, 2)) == Dyadic(1, 1)
         assert dyadic_abs(dyadic_sub(Dyadic(-1, 3), Dyadic(1, 3))) == Dyadic(1, 2)
 
@@ -63,12 +63,19 @@ class TestDyadic:
         with pytest.raises(InvariantViolated):
             Dyadic(1, -1)
 
+    @given(st.integers(-(2**40), 2**40), st.integers(0, 90), st.integers(0, 90))
+    def test_normalization_agrees_with_fractions(self, m, zeros, e):
+        # m << zeros has at least ``zeros`` trailing zero bits to shift out; when
+        # e is smaller, the exponent runs out first and an even numerator stays
+        d = Dyadic(m << zeros, e)
+        assert Fraction(d.num, 2**d.exp) == Fraction(m << zeros, 2**e)
+        assert d.num % 2 == 1 or d.exp == 0
+
     @given(st.integers(-64, 64), st.integers(0, 6), st.integers(-64, 64), st.integers(0, 6))
     def test_agrees_with_fractions(self, a, e, b, f):
         x, y = Dyadic(a, e), Dyadic(b, f)
         fx, fy = Fraction(a, 2**e), Fraction(b, 2**f)
         assert (x < y) == (fx < fy)
-        assert Fraction((x + y).num, 2 ** (x + y).exp) == fx + fy
         assert Fraction(dyadic_sub(x, y).num, 2 ** dyadic_sub(x, y).exp) == fx - fy
 
 
@@ -82,6 +89,10 @@ class TestBitWord:
         assert W("101").value == 5
         assert W("011").value == 3
         assert W("").value == 0
+
+    @given(st.lists(st.integers(0, 1), max_size=200))
+    def test_value_agrees_with_bit_loop(self, bits):
+        assert BitWord(tuple(bits)).value == bit_loop_value(bits)
 
     def test_bad_bits_rejected(self):
         with pytest.raises(InvariantViolated):

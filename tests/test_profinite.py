@@ -22,7 +22,7 @@ from lemmas import (
     points_at_depth,
 )
 from stonework.boolalg import FinBoolAlg, Presentation
-from stonework.errors import InvariantViolated, RelationNotPreserved, StoneworkError
+from stonework.errors import BadArgument, InvariantViolated, RelationNotPreserved, StoneworkError
 from stonework.profinite import (
     CountablePresentation,
     FAMILIES,
@@ -124,6 +124,12 @@ class TestSpectrumTower:
     def test_empty_levels(self):
         d = spectrum_tower(CountablePresentation(explicit_rels=(ONE,)), 2)
         assert d.levels == ((), ())
+
+    def test_non_decimal_digit_is_not_a_countable_generator(self):
+        # U+1369 is a digit to str.isdigit, which int() does not read, but not a decimal one
+        p = CountablePresentation(explicit_rels=(Gen("g\u1369"),))
+        with pytest.raises(BadArgument, match="^countable presentations use generators g0,g1,...; got 'g\u1369'$"):
+            spectrum_tower(p, 1)
 
     def test_points_at_depth_counts_chains(self):
         d = cantor_diagram(3)

@@ -17,7 +17,7 @@ definition a command reaches, and every method and property (a ``def`` in a
 class body, ``staticmethod`` and ``cached_property`` included) and every
 annotated field of a record is read as an attribute by one.  ``ast`` cannot
 type an operand, so the operator dunders a
-class defines (``__add__``, ``__lt__``, ``__matmul__``, ...) are checked by
+class defines (``__lt__``, ``__le__``, ``__matmul__``, ...) are checked by
 running the small golden commands with a counter on each, and each must be
 called; the protocol dunders (``__init__``, ``__post_init__``, ``__eq__``,
 ``__hash__``, ``__repr__``, ``__str__``) come with their class.  The one

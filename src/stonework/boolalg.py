@@ -43,7 +43,8 @@ from .terms import (
 )
 
 DEFAULT_CAP = 20
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+# the translations from an ASCII digit to its bit and back
+BIT_VALUES, DIGITS = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"\0\1", b"01")
 _ONE = re.compile("1")
 
 Bits = tuple[int, ...]
@@ -145,7 +146,7 @@ class FinBoolAlg:
 
 def _bits_of(v: int, n: int) -> Bits:
     """The low ``n`` bits of ``v``, least significant first."""
-    return tuple(format(v | 1 << n, "b")[:0:-1].encode().translate(_BIT_VALUES))
+    return tuple(format(v | 1 << n, "b")[:0:-1].encode().translate(BIT_VALUES))
 
 
 def spectrum(p: Presentation) -> FinBoolAlg:

@@ -186,11 +186,8 @@ def _level_json(lc: zhomology.LevelCohomology) -> dict:
     return {"level": lc.level, "dims": list(lc.dims), "h0": _group_json(lc.h0), "h1": _group_json(lc.h1)}
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
 def _bits(v: Sequence[int]) -> str:
-    return bytes(v).translate(_DIGITS).decode()
+    return bytes(v).translate(boolalg.DIGITS).decode()
 
 
 def cmd_spectrum(args) -> Result:

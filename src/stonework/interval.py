@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .boolalg import check_cap
+from .boolalg import BIT_VALUES, DIGITS, check_cap
 from .errors import BadArgument, InvariantViolated
 from .profinite import RelGraph
 from .record import record
@@ -73,7 +73,7 @@ class BitWord:
         word = text.strip()
         if word.strip("01"):
             raise BadArgument(f"bit word {word!r} has a character other than 0 or 1")
-        return BitWord(tuple(map(int, word)))
+        return BitWord(tuple(word.encode().translate(BIT_VALUES)))
 
     @property
     def length(self) -> int:
@@ -85,12 +85,7 @@ class BitWord:
         return int(str(self) or "0", 2)
 
     def __str__(self) -> str:
-        return "".join(map("01".__getitem__, self.bits))
-
-
-def cs_value(w: BitWord) -> Dyadic:
-    """Truncated binary-expansion value sum bits(i)/2^(i+1) = k/2^n."""
-    return Dyadic(w.value, w.length)
+        return bytes(self.bits).translate(DIGITS).decode()
 
 
 def interval_graph(n: int) -> RelGraph:
@@ -166,8 +161,9 @@ def closed_union(parts: Iterable[tuple[Dyadic, Dyadic]]) -> IntervalUnion:
 
 
 def decidable_image(ws: Sequence[BitWord]) -> IntervalUnion:
-    """Merged union of the cylinder images of the given words."""
-    return closed_union((cs_value(w), Dyadic(w.value + 1, w.length)) for w in ws)
+    """Merged union of the cylinder images of the given words: a word of
+    value k and length n covers [k/2^n, (k+1)/2^n]."""
+    return closed_union((Dyadic(k := w.value, w.length), Dyadic(k + 1, w.length)) for w in ws)
 
 
 def _gaps(parts: tuple[tuple[Dyadic, Dyadic], ...]) -> tuple[tuple[Dyadic, Dyadic], ...]:

@@ -3,11 +3,12 @@
 Levels are finite point lists; transitions map level n+1 down to level n.
 Algebra towers follow the truncation schedule: level n keeps generators
 g0..gn together with anything mentioned by the first n+1 relations, and
-quotients by those relations; their spectra keep each point as its
-``boolalg`` integer code, generator i of n being bit n-1-i, and each level's
-spectrum is built over the one below.  Relation graphs
-carry a reflexive symmetric relation used as a finite approximation of a
-compact Hausdorff quotient; no class holds a tower of them, as
+quotients by those relations.  Each level's spectrum is built over the one
+below: a point's code is its parent's code followed by the bits of the
+generators its level adds, in order of arrival (``boolalg``'s order where
+they arrive in ascending order).  Relation graphs carry a reflexive
+symmetric relation used as a finite approximation of a compact Hausdorff
+quotient; no class holds a tower of them, as
 ``zhomology.stabilization_report`` reads its graphs one level at a time.
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left
 from itertools import compress
 from math import isqrt
 from typing import Callable, Hashable, Optional, Sequence
@@ -32,18 +32,28 @@ Vertex = Hashable
 class SeqDiagram:
     """Finite sets with transition maps level n+1 -> level n, by position:
     ``transitions[n][i]`` is the position in level n of the image of level
-    n+1's point i, as in the graph towers ``stabilization_report`` walks."""
+    n+1's point i, as in the graph towers ``stabilization_report`` walks;
+    ``check_transition`` checks each."""
 
     levels: tuple[tuple[Vertex, ...], ...]
     transitions: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if len(self.transitions) != max(len(self.levels) - 1, 0):
-            raise InvariantViolated("need one transition between each pair of adjacent levels")
+            raise InvariantViolated(ONE_TRANSITION_EACH)
         for n, image in enumerate(self.transitions):
-            size = len(self.levels[n])
-            if len(image) != len(self.levels[n + 1]) or image and not 0 <= min(image) <= max(image) < size:
-                raise InvariantViolated(f"transition {n} is not a total map between adjacent levels")
+            check_transition(n, image, len(self.levels[n + 1]), len(self.levels[n]))
+
+
+ONE_TRANSITION_EACH = "need one transition between each pair of adjacent levels"
+
+
+def check_transition(n: int, image: Sequence[int], above: int, below: int) -> None:
+    """Check that transition ``n`` maps the ``above`` points of level n+1 into the ``below`` of level n."""
+    if len(image) != above:
+        raise InvariantViolated(f"transition {n} maps {len(image)} of {above} vertices")
+    if image and not 0 <= min(image) <= max(image) < below:
+        raise InvariantViolated(f"transition {n} has a position outside level {n}")
 
 
 @record
@@ -98,8 +108,7 @@ def spectrum_tower(p: CountablePresentation, depth: int) -> SeqDiagram:
     """
     cap = enumeration_cap()
     held = depth  # the points kept so far, plus 1 for each level still to come
-    indices: list[int] = []  # the level's generator indices, ascending
-    have: set[int] = set()
+    place: dict[int, int] = {}  # generator index -> arrival place, from 0
     codes: Sequence[int] = (0,)  # below level 0: the one point of no generators
     levels, transitions = [], []
     for n in range(depth):
@@ -108,71 +117,48 @@ def spectrum_tower(p: CountablePresentation, depth: int) -> SeqDiagram:
         if r is not None:
             named.update(map(_gen_index, generators_of(r)))
             check_term(r, {f"g{i}" for i in named})  # so g05 is unknown, as only g5 names index 5
-        new = sorted(named - have)
+        new = sorted(named.difference(place))
         size, k = len(codes), len(new)
         if (need := max(size - 1, 0).bit_length() + k) > cap:
             raise CapExceeded(need, cap, f"tower level {n} ({size} x 2^{k} candidates)")
-        codes, image = _fibres(codes, indices, new, r) if codes else ((), ())
+        place.update(zip(new, range(len(place), len(place) + k)))
+        codes, image = _fibres(codes, place, k, r) if codes else ((), ())
         held += max(len(codes), 1) - 1
         if (need := (held - 1).bit_length()) > cap:
             raise CapExceeded(need, cap, f"tower of depth {depth} at level {n} ({held} points held)")
-        have.update(new)
-        if indices and new and new[0] < indices[-1]:
-            indices = sorted(have)
-        else:
-            indices += new  # in place: a long tower of small levels stays linear
         levels.append(codes)
         if n:
             transitions.append(image)
     return SeqDiagram(tuple(levels), tuple(transitions))
 
 
-def _fibres(codes: Sequence[int], old: list[int], new: list[int], r: Optional[Term]):
-    """The points that extend ``codes`` (over generator indices ``old``) by
-    the generators ``new`` and kill ``r`` (None kills nothing), ascending,
-    with the position of the point each one extends.
+def _fibres(codes: Sequence[int], place: dict[int, int], k: int, r: Optional[Term]):
+    """The points that extend ``codes`` by the last ``k`` generators to
+    arrive in ``place`` and kill ``r`` (None kills nothing), ascending, with
+    the position of the point each one extends.
 
-    Candidates run parent-major, each parent's assignments ascending, with
-    the first new generator as an assignment's high bit.  Each generator
+    A candidate's code is its parent's shifted past its assignment's k bits
+    and ORed with them, so parent-major candidates ascend.  Each generator
     that ``r`` names gets a table with one byte per candidate: an old one's
     is sliced out of the parents' codes, written as 8-byte words, and a new
-    one's is a fixed pattern.
-    ``r`` is evaluated once over the tables, and the bytes of its complement
-    select the survivors.  A candidate's code spreads its parent's bits over
-    the old generators' places and its assignment's over the new ones'; when
-    a new generator sits below an old one, codes do not ascend in candidate
-    order, and the level is sorted.
+    one's is a fixed pattern.  ``r`` is evaluated once over the tables, and
+    the bytes of its complement select the survivors.
     """
-    k, size = len(new), len(codes)
-    m = 1 << k
-    ordered = not old or not new or new[0] > old[-1]
-    if ordered:  # the new generators take the low bits
-        spread, lift = list(map(k.__rlshift__, codes)), range(m)
-    else:
-        moves: dict[int, int] = {}  # shift -> the old bits it moves
-        lift_bits: list[int] = []  # the code bit of each assignment bit, low first
-        for b, i in enumerate(sorted(old + new, reverse=True)):  # bit b: the bth largest index
-            if i in new:
-                lift_bits.append(b)
-            else:
-                moves[len(lift_bits)] = moves.get(len(lift_bits), 0) | 1 << b - len(lift_bits)
-        spread = [0] * size
-        for shift, mask in moves.items():
-            spread = [x | (c & mask) << shift for x, c in zip(spread, codes)]
-        lift = [sum(1 << b for t, b in enumerate(lift_bits) if a >> t & 1) for a in range(m)]
+    size, m, top = len(codes), 1 << k, len(place) - 1
+    shifted = list(map(k.__rlshift__, codes))
     candidates, parents = [0] * (size * m), [0] * (size * m)
     for a in range(m):
-        candidates[a::m], parents[a::m] = map(lift[a].__or__, spread) if a else spread, range(size)
+        candidates[a::m], parents[a::m] = map(a.__or__, shifted) if a else shifted, range(size)
     if r is not None:
         tables, limbs = {}, {}
         for g in generators_of(r):
-            i = gen_index(g)
-            if i in new:  # assignment bit k-1-j for the jth new generator
-                column = _runs(1 << k - 1 - new.index(i), m) * size
+            b = top - place[gen_index(g)]  # its bit in a candidate's code
+            if b < k:
+                column = _runs(1 << b, m) * size
             else:
-                b = len(old) - 1 - bisect_left(old, i)  # its bit in a parent's code
+                b -= k  # its bit in a parent's code
                 if b >> 6 not in limbs:
-                    limbs[b >> 6] = _limb(codes, b >> 6, len(old) > 64)
+                    limbs[b >> 6] = _limb(codes, b >> 6, top - k >= 64)
                 column = limbs[b >> 6][(b & 63) >> 3 :: 8].translate(_BIT[b & 7])
                 if m > 1:
                     column = column.replace(b"\0", bytes(m)).replace(b"\1", b"\1" * m)
@@ -180,10 +166,7 @@ def _fibres(codes: Sequence[int], old: list[int], new: list[int], r: Optional[Te
         full = int.from_bytes(b"\1" * len(candidates), "big")
         keep = (full ^ eval_term(r, tables, full)).to_bytes(len(candidates), "big")
         candidates, parents = compress(candidates, keep), compress(parents, keep)
-    if ordered:
-        return tuple(candidates), tuple(parents)
-    pairs = sorted(zip(candidates, parents))
-    return tuple(c for c, _ in pairs), tuple(i for _, i in pairs)
+    return tuple(candidates), tuple(parents)
 
 
 def _runs(run: int, length: int) -> bytes:

@@ -15,7 +15,7 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantViolated, RelationNotPreserved
-from .profinite import RelGraph
+from .profinite import ONE_TRANSITION_EACH, RelGraph, check_transition
 from .record import record
 
 Op = tuple[int, int, int]  # (dst, src, k): add k times line src to line dst
@@ -552,9 +552,9 @@ def stabilization_report(levels: Iterable[RelGraph], transitions: Iterable[Seque
     of each vertex of level n, are read only when the walk reaches level n;
     a graph is dropped once its complex is built, and a complex once the map
     to the level above it is checked.  The walk checks that there is one
-    transition between each pair of adjacent levels and that each is a
-    total map by position; ``induced_cochain_map`` checks that it keeps
-    every related pair."""
+    transition between each pair of adjacent levels and, by
+    ``profinite.check_transition``, that each is a total map by position;
+    ``induced_cochain_map`` checks that it keeps every related pair."""
     results, h0_iso, h1_iso = [], [], []
     transitions = iter(transitions)
     coarse = None
@@ -563,11 +563,8 @@ def stabilization_report(levels: Iterable[RelGraph], transitions: Iterable[Seque
         if coarse is not None:
             image, lo, hi = next(transitions, None), results[-2], results[-1]
             if image is None:
-                raise _one_transition_each()
-            if len(image) != fine.d0.ncols:
-                raise InvariantViolated(f"transition {n - 1} maps {len(image)} of {fine.d0.ncols} vertices")
-            if image and not 0 <= min(image) <= max(image) < coarse.d0.ncols:
-                raise InvariantViolated(f"transition {n - 1} has a position outside level {n - 1}")
+                raise InvariantViolated(ONE_TRANSITION_EACH)
+            check_transition(n - 1, image, fine.d0.ncols, coarse.d0.ncols)
             # m1 maps im d0 into im d0, so coarse H1 covers fine H1 exactly when
             # the coarse representatives, pulled back and projected onto the fine
             # cochains that vanish on tree rows, generate the fine representatives
@@ -583,12 +580,8 @@ def stabilization_report(levels: Iterable[RelGraph], transitions: Iterable[Seque
             h1_iso.append(lo.h1 == hi.h1 and _covers_kernel(pulled, hi.h1.rank))
         coarse = fine
     if next(transitions, None) is not None:
-        raise _one_transition_each()
+        raise InvariantViolated(ONE_TRANSITION_EACH)
     return StabilizationReport(tuple(results), tuple(h0_iso), tuple(h1_iso))
-
-
-def _one_transition_each() -> InvariantViolated:
-    return InvariantViolated("need one transition between each pair of adjacent levels")
 
 
 def graph_cohomology(g: RelGraph, level: int) -> LevelCohomology:

@@ -22,7 +22,7 @@ from stonework.boolalg import (
     minterm,
     spectrum,
 )
-from stonework.errors import InvariantViolated, RelationNotPreserved, UnknownGenerator
+from stonework.errors import RelationNotPreserved, UnknownGenerator
 from stonework.interval import BitWord, circle_graph, interval_graph, restrict_graph_map
 from stonework.profinite import CountablePresentation, RelGraph, SeqDiagram
 from stonework.terms import (
@@ -155,10 +155,10 @@ def restriction_diagram(algebras: tuple[FinBoolAlg, ...]) -> SeqDiagram:
     generators the lower level lacks, each run of kept bits moving down past
     the dropped bits below it as (code >> shift) & mask, and one lookup in
     the lower level's index gives its position; a code outside the lower
-    spectrum raises ``InvariantViolated``."""
+    spectrum gets position -1, which ``SeqDiagram`` refuses."""
     levels = tuple(alg.codes for alg in algebras)
     transitions = []
-    for n, (lower, upper) in enumerate(zip(algebras, algebras[1:])):
+    for lower, upper in zip(algebras, algebras[1:]):
         have = set(lower.source.gens)
         kept = [b for b, g in enumerate(reversed(upper.source.gens)) if g in have]
         runs: dict[int, int] = {}  # shift -> the lower bits its run fills
@@ -167,10 +167,7 @@ def restriction_diagram(algebras: tuple[FinBoolAlg, ...]) -> SeqDiagram:
         low = [0] * len(upper.codes)
         for shift, mask in runs.items():
             low = [x | code >> shift & mask for x, code in zip(low, upper.codes)]
-        try:
-            transitions.append(tuple(map(lower.index.__getitem__, low)))
-        except KeyError:
-            raise InvariantViolated(f"transition {n} is not a total map between adjacent levels") from None
+        transitions.append(tuple(lower.index.get(c, -1) for c in low))
     return SeqDiagram(levels, tuple(transitions))
 
 

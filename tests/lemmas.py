@@ -24,7 +24,7 @@ from stonework.errors import InvariantViolated, RelationNotPreserved, StoneworkE
 from stonework.interval import D0, D1, BitWord, Dyadic, IntervalUnion, _gaps
 from stonework.profinite import RelGraph, SeqDiagram, Vertex
 from stonework.record import record
-from stonework.terms import Gen, Gens, Not, Term, join, meet, parse_term
+from stonework.terms import Gen, Gens, Not, Term, generators_of, join, meet, parse_term
 from stonework.zhomology import (
     AbInvariants,
     ChainComplexZ,
@@ -160,6 +160,34 @@ def binfty_normal_form(v: Bits, n: int) -> NormalFormBInfty:
 def image_of(d: SeqDiagram, n: int) -> dict:
     """Transition n as a map from level n+1's points to level n's points."""
     return dict(zip(d.levels[n + 1], map(d.levels[n].__getitem__, d.transitions[n])))
+
+
+def in_index_order(d: SeqDiagram, p: profinite.CountablePresentation) -> SeqDiagram:
+    """A diagram of ``spectrum_tower(p, depth)`` with each code's bits moved
+    from order of arrival to index order (generator i of n at bit n-1-i),
+    each level re-sorted and the transitions remapped: the layout of the
+    cube oracle ``truncation_tower``.  A level of ``d`` that does not
+    strictly ascend raises ``InvariantViolated``."""
+    arrived: list[int] = []  # generator indices in order of arrival
+    levels, transitions, rank = [], [], {}
+    for n, codes in enumerate(d.levels):
+        if any(a >= b for a, b in zip(codes, codes[1:])):
+            raise InvariantViolated(f"level {n} does not ascend")
+        named = {n, *(int(g[1:]) for g in generators_of(p.relation(n) or ()))}
+        arrived += sorted(named.difference(arrived))
+        top, order = len(arrived) - 1, sorted(arrived)
+        runs: dict[int, int] = {}  # shift up -> the code bits it moves
+        for j, i in enumerate(arrived):  # bit top - j moves to bit top - order.index(i)
+            shift = j - order.index(i)
+            runs[shift] = runs.get(shift, 0) | 1 << top - j
+        recoded = [sum((c & m) << s if s >= 0 else (c & m) >> -s for s, m in runs.items()) for c in codes]
+        ranked = sorted(range(len(codes)), key=recoded.__getitem__)
+        levels.append(tuple(recoded[i] for i in ranked))
+        if n:
+            image = d.transitions[n - 1]
+            transitions.append(tuple(rank[image[i]] for i in ranked))
+        rank = {old: new for new, old in enumerate(ranked)}
+    return SeqDiagram(tuple(levels), tuple(transitions))
 
 
 @dataclass(frozen=True)
@@ -326,6 +354,11 @@ def bound_levelwise_nat_map(
 
 def all_words(n: int) -> list[BitWord]:
     return [BitWord(bits) for bits in itertools.product((0, 1), repeat=n)]
+
+
+def cs_value(w: BitWord) -> Dyadic:
+    """Truncated binary-expansion value sum bits(i)/2^(i+1) = k/2^n."""
+    return Dyadic(w.value, w.length)
 
 
 def bit_loop_value(bits: Sequence[int]) -> int:

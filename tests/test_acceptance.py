@@ -31,6 +31,7 @@ from lemmas import (
     complement_open_union,
     constraint_emptiness_witness,
     contains,
+    cs_value,
     from_rows,
     near,
     points_at_depth,
@@ -55,7 +56,6 @@ from stonework.errors import RelationNotKilled
 from stonework.interval import (
     BitWord,
     circle_graph,
-    cs_value,
     decidable_image,
     complement_closed_union,
     interval_graph,

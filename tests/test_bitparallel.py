@@ -31,7 +31,7 @@ from conftest import (
     truncations_from_scratch,
     witness_from_scratch,
 )
-from lemmas import Or, free
+from lemmas import Or, free, in_index_order
 from stonework.boolalg import (
     Presentation,
     analyze_morphism,
@@ -154,8 +154,9 @@ def test_evaluation_commutes_with_substitution(m, n, width, data):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(terms_over(6, 3), max_size=5), st.integers(0, 5))
 def test_tower_transitions_match_brute_force(rels, depth):
-    tower = truncation_tower(CountablePresentation(explicit_rels=tuple(rels)), depth)
-    diagram = spectrum_tower(CountablePresentation(explicit_rels=tuple(rels)), depth)
+    p = CountablePresentation(explicit_rels=tuple(rels))
+    tower = truncation_tower(p, depth)
+    diagram = in_index_order(spectrum_tower(p, depth), p)
     assert diagram.levels == tuple(level.codes for level in tower)
     for n, (lower, upper) in enumerate(zip(tower, tower[1:])):
         images = {g: Gen(g) for g in lower.source.gens}
@@ -179,7 +180,7 @@ def test_tower_transitions_match_brute_force(rels, depth):
 def test_tower_matches_the_from_scratch_oracle(rels, family, depth):
     p = CountablePresentation(explicit_rels=tuple(rels), family=FAMILIES[family])
     oracle = truncations_from_scratch(p, depth)
-    diagram = spectrum_tower(p, depth)
+    diagram = in_index_order(spectrum_tower(p, depth), p)
     assert diagram.levels == tuple(codes_by_compress(q) for q in oracle)
     for n, (lower, upper) in enumerate(zip(oracle, oracle[1:])):
         codes = diagram.levels[n]
@@ -214,7 +215,7 @@ FAR = [
 @example(FAR, "pairwise-meet-zero", 10)
 def test_fibred_tower_matches_the_cube_oracle(rels, family, depth):
     p = CountablePresentation(explicit_rels=tuple(rels), family=FAMILIES[family])
-    assert spectrum_tower(p, depth) == restriction_diagram(truncation_tower(p, depth))
+    assert in_index_order(spectrum_tower(p, depth), p) == restriction_diagram(truncation_tower(p, depth))
 
 
 # the deepest level has 20 generators, as many as the cube enumerates at the default
@@ -228,7 +229,28 @@ def test_fibred_tower_matches_the_cube_oracle(rels, family, depth):
 ], ids=["pmz", "ninf", "far", "far-pmz", "cantor"])
 def test_fibred_tower_matches_the_cube_oracle_up_to_the_cap(rels, family, depth):
     p = CountablePresentation(explicit_rels=tuple(rels), family=FAMILIES[family])
-    assert spectrum_tower(p, depth) == restriction_diagram(truncation_tower(p, depth))
+    assert in_index_order(spectrum_tower(p, depth), p) == restriction_diagram(truncation_tower(p, depth))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(term_strategy([f"g{i}" for i in range(12)], max_depth=3), max_size=10),
+    st.sampled_from(sorted(FAMILIES)),
+    st.integers(0, 10),
+)
+@example(FAR, "none", 7)  # the tower-far golden
+@example(FAR, "pairwise-meet-zero", 10)
+@example([And(Gen("g9"), Gen("g3")), Gen("g1")], "none", 6)
+def test_each_level_extends_its_parents_codes(rels, family, depth):
+    # a point's code is its parent's followed by the bits of the k generators its level adds
+    p = CountablePresentation(explicit_rels=tuple(rels), family=FAMILIES[family])
+    diagram = spectrum_tower(p, depth)
+    widths = [len(q.gens) for q in truncations_from_scratch(p, depth)]
+    for codes in diagram.levels:
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+    for n, image in enumerate(diagram.transitions):
+        k = widths[n + 1] - widths[n]
+        assert [c >> k for c in diagram.levels[n + 1]] == [diagram.levels[n][i] for i in image]
 
 
 def equal(a: str, b: str, flip: bool):
@@ -251,7 +273,7 @@ def test_wide_towers_match_the_point_by_point_oracle(rels, depth):
     p = CountablePresentation(explicit_rels=tuple(rels))
     diagram = spectrum_tower(p, depth)
     assert max(diagram.levels[-1]).bit_length() > 64
-    assert diagram == tower_point_by_point(p, depth)
+    assert in_index_order(diagram, p) == tower_point_by_point(p, depth)
 
 
 @pytest.mark.parametrize("n", range(13))

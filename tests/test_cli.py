@@ -280,7 +280,7 @@ class TestExitCodes:
         f = tmp_path / "tower.txt"
         f.write_text("family: none\ndepth: 2\n")
         assert main(["tower", str(f)]) == EXIT_PROPERTY_FAILED
-        assert capsys.readouterr() == ("", "error: transition 0 is not a total map between adjacent levels\n")
+        assert capsys.readouterr() == ("", "error: transition 0 has a position outside level 0\n")
 
     def test_ninf_tower_of_depth_1000_runs_within_a_second(self, capsys, monkeypatch, tmp_path):
         # level n has the n + 3 sequences 1..10..0 of n + 2 bits; the cube enumeration

@@ -15,6 +15,7 @@ from lemmas import (
     complement_open_union,
     contains,
     cs_fiber,
+    cs_value,
     dyadic_abs,
     dyadic_sub,
     near,
@@ -28,7 +29,6 @@ from stonework.interval import (
     circle_graph,
     closed_union,
     complement_closed_union,
-    cs_value,
     decidable_image,
     interval_graph,
     restrict_graph_map,

@@ -30,6 +30,10 @@ Every ``raise`` names a ``StoneworkError`` (or calls a function annotated to
 return one), so a broken input or invariant ends a command with its exit
 code and one line; the exceptions are the few that keep a Python contract,
 listed in ``API_ERRORS``.
+A transition between adjacent levels is checked by
+``profinite.check_transition`` alone, so only it raises the ``transition
+{n} ...`` messages, and the count message is written once, at module level
+in ``profinite.py``.
 Every command starts in a fresh process, so the frozen records are built by
 ``stonework.record``, which generates one ``__init__`` per class, and no
 module imports ``dataclasses``; importing ``stonework.cli`` in a bare
@@ -150,7 +154,7 @@ def _raises(node: ast.AST, function=None):
 
 
 def test_every_raise_names_a_stonework_error():
-    # a function annotated to return a stonework error, such as zhomology._one_transition_each, may build it
+    # a function annotated to return a stonework error, such as the parser's error in terms.py, may build it
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SOURCES}
     makers = {
         node.name
@@ -199,6 +203,17 @@ def test_diagonalize_is_called_only_from_the_memo():
     tree = ast.parse((SOURCES[0].parent / "zhomology.py").read_text(encoding="utf-8"))
     memo = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_reduction")
     assert [ast.unparse(d) for d in memo.decorator_list] == ["functools.cached_property"]
+
+
+def test_transition_messages_come_from_one_check():
+    def raises_a_transition_message(node: ast.AST) -> bool:
+        return isinstance(node, ast.Raise) and "f'transition {" in ast.unparse(node)
+
+    def spells_the_count_message(node: ast.AST) -> bool:
+        return isinstance(node, ast.Constant) and "one transition between" in str(node.value)
+
+    assert _scopes_in_sources(raises_a_transition_message) == [("profinite.py", "check_transition")] * 2
+    assert _scopes_in_sources(spells_the_count_message) == [("profinite.py",)]
 
 
 # terms.py's names for its marker tokens, and the operator characters

@@ -316,9 +316,11 @@ def cmd_tower(args) -> Result:
 
 def cmd_cohomology(args) -> Result:
     # looked up by name on the module at call time, so a wrapper installed on
-    # interval.<space>_graph (as the benchmark's tracer does) sees the call
-    graph = getattr(interval, f"{args.space}_graph")(_natural(args.level, "--level"))
-    rep = zhomology.graph_cohomology(graph, args.level)
+    # interval.<space>_graph (as the benchmark's tracer does) sees the call;
+    # no name holds the graph, so it is freed once its complex is built
+    graph = getattr(interval, f"{args.space}_graph")
+    cx = zhomology.graph_cech_complex(graph(_natural(args.level, "--level")))
+    rep = zhomology.level_cohomology(args.level, cx)
     exact = list(rep.exact_at)
     fields = {"space": args.space, **_level_json(rep), "exact": exact}
     lines = [

@@ -12,6 +12,8 @@ from __future__ import annotations
 import functools
 import math
 from heapq import heapify, heappop, heappush
+from itertools import compress, count
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantViolated, RelationNotPreserved
@@ -27,7 +29,9 @@ class IntMatrix:
 
     ``rows[i]`` holds the nonzero entries of row i as (column, value) pairs
     in ascending column order.  The form is canonical, so ``==`` compares
-    matrices.
+    matrices.  Every matrix but a graph's d0, which is an ``Incidence``, is
+    one of these, and its invariants and kernel come from one Smith
+    reduction unless it has no rows, one row or one column.
     """
 
     nrows: int
@@ -45,38 +49,20 @@ class IntMatrix:
                 prev = j
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """The product, row by row, on one of four paths:
-
-        - an empty row gives an empty row;
-        - a one-entry row a * e_k gives row k of ``other``, scaled by a;
-        - a two-entry row whose two rows of ``other`` hold one entry each
-          (a graph's d0 against ``aug`` or a vertex map's m0) gives those
-          two entries as an ascending pair, or their sum when their columns
-          agree, dropped when it is 0;
-        - any other row sums its scaled rows of ``other`` in a dict, sorted.
-        """
+        """The product, row by row: an empty row gives an empty row, a
+        one-entry row a * e_k gives row k of ``other`` scaled by a, and any
+        other row sums its scaled rows of ``other`` in a dict, sorted."""
         if self.ncols != other.nrows:
             raise InvariantViolated(f"shape mismatch {self.shape} @ {other.shape}")
         orows = other.rows
         rows = []
         for r in self.rows:
-            n = len(r)
-            if n == 1:  # a multiple of one sorted row of ``other``
+            if len(r) == 1:  # a multiple of one sorted row of ``other``
                 ((k, a),) = r
                 row = orows[k]
                 rows.append(row if a == 1 else tuple((j, a * b) for j, b in row))
             elif not r:
                 rows.append(r)
-            elif n == 2 and len(x := orows[r[0][0]]) == 1 == len(y := orows[r[1][0]]):
-                (_, a), (_, b) = r
-                ((i, u),), ((j, v),) = x, y
-                if i < j:
-                    rows.append(((i, a * u), (j, b * v)))
-                elif j < i:
-                    rows.append(((j, b * v), (i, a * u)))
-                else:
-                    s = a * u + b * v
-                    rows.append(((i, s),) if s else ())
             else:
                 acc: dict[int, int] = {}
                 for k, coeff in r:
@@ -97,33 +83,56 @@ class IntMatrix:
         """The one Smith reduction of this matrix, which every reader shares."""
         return _diagonalize(self)
 
+
+@record
+class Incidence:
+    """A graph's degree-0 coboundary, stored as its edges' endpoints.
+
+    Row e is -e_tails[e] + e_heads[e], so on a vertex cochain y it reads
+    y[heads[e]] - y[tails[e]].  Each edge has 0 <= tail < head < ncols.
+    ``rows`` gives the same rows in ``IntMatrix`` form, built on first read.
+    """
+
+    ncols: int
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+
+    def __post_init__(self):
+        tails, heads, n = self.tails, self.heads, self.ncols
+        if len(tails) != len(heads):
+            raise InvariantViolated(f"{len(tails)} tails for {len(heads)} heads")
+        if tails and not (min(tails) >= 0 and max(heads) < n and all(map(lt, tails, heads))):
+            e = next(e for e, (i, j) in enumerate(zip(tails, heads)) if not 0 <= i < j < n)
+            raise InvariantViolated(f"edge {e} = ({tails[e]}, {heads[e]}) is not 0 <= tail < head < {n}")
+
+    @property
+    def nrows(self) -> int:
+        return len(self.tails)
+
     @functools.cached_property
-    def _forest(self) -> Optional[tuple[list[int], list[tuple[int, int, int, int]], list[int]]]:
-        """A breadth-first spanning forest of this matrix read as a graph's d0,
-        or None unless every row is -e_i + e_j with i < j, as in
-        ``graph_cech_complex``.
+    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(((i, -1), (j, 1)) for i, j in zip(self.tails, self.heads))
+
+    @functools.cached_property
+    def _forest(self) -> tuple[list[int], list[tuple[int, int, int]], list[int]]:
+        """A breadth-first spanning forest.
 
         Returns each column's component number (components numbered by their
         least column), the tree rows in breadth-first order as (row, parent,
-        child, sign), and the other rows in ascending order.  Row ``row``
-        reads sign * (y[child] - y[parent]) off a vertex cochain y.  Pairing
-        each child with its tree row is the vertex-edge half of a discrete
-        Morse matching (Forman, Adv. Math. 134, 1998): the roots and the
-        other rows are the critical cells.  A matrix with no rows is its own
-        forest: every column is a root.
+        child), and the other rows in ascending order.  Row ``row`` reads
+        y[child] - y[parent] off a vertex cochain y when parent < child, and
+        its negative otherwise.  Pairing each child with its tree row is the
+        vertex-edge half of a discrete Morse matching (Forman, Adv. Math.
+        134, 1998): the roots and the other rows are the critical cells.
         """
-        if not self.nrows:
-            return list(range(self.ncols)), [], []
-        nbrs: list[list[tuple[int, int, int]]] = [[] for _ in range(self.ncols)]
-        for r, row in enumerate(self.rows):
-            if len(row) != 2 or row[0][1] != -1 or row[1][1] != 1:
-                return None
-            (i, _), (j, _) = row
-            nbrs[i].append((r, j, 1))
-            nbrs[j].append((r, i, -1))
+        tails, heads = self.tails, self.heads
+        ends: list[list[int]] = [[] for _ in range(self.ncols)]
+        for r, i, j in zip(count(), tails, heads):
+            ends[i].append(r)
+            ends[j].append(r)
         comp = [-1] * self.ncols
-        tree: list[tuple[int, int, int, int]] = []
-        in_tree = bytearray(self.nrows)
+        tree: list[tuple[int, int, int]] = []
+        cotree = bytearray(b"\x01") * len(tails)
         roots = 0
         for s in range(self.ncols):
             if comp[s] >= 0:
@@ -131,14 +140,15 @@ class IntMatrix:
             comp[s] = roots
             queue = [s]
             for u in queue:
-                for r, v, sign in nbrs[u]:
+                for r in ends[u]:
+                    v = tails[r] + heads[r] - u  # the row's other end
                     if comp[v] < 0:
                         comp[v] = roots
-                        tree.append((r, u, v, sign))
-                        in_tree[r] = 1
+                        tree.append((r, u, v))
+                        cotree[r] = 0
                         queue.append(v)
             roots += 1
-        return comp, tree, [r for r in range(self.nrows) if not in_tree[r]]
+        return comp, tree, list(compress(range(len(tails)), cotree))
 
 
 def _sparse_row(entries: dict[int, int]) -> tuple[tuple[int, int], ...]:
@@ -305,26 +315,41 @@ def _v_columns(m: IntMatrix, cols: Sequence[int]) -> IntMatrix:
     return IntMatrix(m.ncols, len(cols), tuple(map(_sparse_row, vectors)))
 
 
-def snf_invariants(m: IntMatrix) -> list[int]:
+Matrix = IntMatrix | Incidence
+
+
+def _forest_of(m: Matrix) -> Optional[tuple[Sequence[int], list, list]]:
+    """The spanning forest of a graph's d0, or of a matrix with no rows
+    (every column a root, no tree row); None for any other matrix."""
+    if isinstance(m, Incidence):
+        return m._forest
+    return None if m.nrows else (range(m.ncols), [], [])
+
+
+def snf_invariants(m: Matrix) -> list[int]:
     """Diagonal of the Smith form, read off the pivots alone, or without a
-    reduction for one row or one column (its one factor is the entries'
-    gcd) and for a graph's d0, which is totally unimodular: its rank is the
-    number of tree rows of its spanning forest, and each factor is 1."""
-    if min(m.shape) == 1:
+    reduction for a graph's d0, which is totally unimodular (its rank is
+    the number of tree rows of its spanning forest, and each factor is 1),
+    for a matrix with no rows, and for one row or one column (its one
+    factor is the entries' gcd)."""
+    forest = _forest_of(m)
+    if forest is not None:
+        factors = [1] * len(forest[1])
+    elif min(m.shape) == 1:
         return [math.gcd(*(x for row in m.rows for _, x in row))]
-    if m._forest is not None:
-        factors = [1] * len(m._forest[1])
     else:
         factors = [abs(x) for _, _, x in m._reduction[0]]
     return factors + [0] * (min(m.nrows, m.ncols) - len(factors))
 
 
-def kernel_basis(m: IntMatrix) -> IntMatrix:
+def kernel_basis(m: Matrix) -> IntMatrix:
     """Never-pivoted columns of V: they generate the integer kernel lattice of
-    ``m``.  A graph's d0 has one column per component instead, its indicator."""
-    if m._forest is not None:
-        comp = m._forest[0]
-        return IntMatrix(m.ncols, m.ncols - len(m._forest[1]), tuple(((k, 1),) for k in comp))
+    ``m``.  A graph's d0 has one column per component instead, its
+    indicator, and a matrix with no rows has the identity."""
+    forest = _forest_of(m)
+    if forest is not None:
+        comp, tree, _ = forest
+        return IntMatrix(m.ncols, m.ncols - len(tree), tuple(((k, 1),) for k in comp))
     pivoted = {c for _, c, _ in m._reduction[0]}
     return _v_columns(m, [j for j in range(m.ncols) if j not in pivoted])
 
@@ -356,25 +381,53 @@ class AbInvariants:
 
 @record
 class ChainComplexZ:
-    """Three-term integer cochain complex with its augmentation."""
+    """Three-term integer cochain complex with its augmentation.
 
-    d0: IntMatrix  # C0 -> C1
+    A graph's complex has an ``Incidence`` d0, and d1 * d0 = 0 and
+    d0 * aug = 0 are checked on its endpoints: each row of d1, spread onto
+    the two ends of its edges, must cancel at every vertex, and aug must
+    agree at the two ends of every edge.  Any other d0 is an ``IntMatrix``,
+    and both products are computed.
+    """
+
+    d0: Matrix  # C0 -> C1
     d1: IntMatrix  # C1 -> C2
     aug: IntMatrix  # Z -> C0
 
     def __post_init__(self):
-        if self.d1.ncols != self.d0.nrows:
+        d0, d1, aug = self.d0, self.d1, self.aug
+        if d1.ncols != d0.nrows:
             raise InvariantViolated("d1 and d0 dimensions disagree")
-        if not (self.d1 @ self.d0).is_zero():
+        graph = isinstance(d0, Incidence)
+        if not (_kills_incidence(d1, d0) if graph else (d1 @ d0).is_zero()):
             raise InvariantViolated("d1 * d0 != 0")
-        if self.aug.nrows != self.d0.ncols or self.aug.ncols != 1:
+        if aug.nrows != d0.ncols or aug.ncols != 1:
             raise InvariantViolated("augmentation has wrong shape")
-        if not (self.d0 @ self.aug).is_zero():
+        if graph:  # aug has one column, so equal rows are equal values
+            rows = aug.rows
+            zero = list(map(rows.__getitem__, d0.tails)) == list(map(rows.__getitem__, d0.heads))
+        else:
+            zero = (d0 @ aug).is_zero()
+        if not zero:
             raise InvariantViolated("d0 * aug != 0")
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.d0.ncols, self.d0.nrows, self.d1.nrows)
+
+
+def _kills_incidence(d1: IntMatrix, d0: Incidence) -> bool:
+    """Is d1 * d0 = 0?  Row e of d0 is -e_tails[e] + e_heads[e]."""
+    tails, heads = d0.tails, d0.heads
+    for row in d1.rows:
+        acc: dict[int, int] = {}
+        for e, x in row:
+            i, j = tails[e], heads[e]
+            acc[i] = acc.get(i, 0) - x
+            acc[j] = acc.get(j, 0) + x
+        if any(acc.values()):
+            return False
+    return True
 
 
 @record
@@ -395,15 +448,15 @@ def homology(c: ChainComplexZ) -> HomologyResult:
     as ker d0 when g = 0.
     """
     c0, c1, _ = c.dims
-    inv0 = [x for x in snf_invariants(c.d0) if x != 0]
+    inv0 = list(filter(None, snf_invariants(c.d0)))  # the nonzero factors
     rank0 = len(inv0)
-    rank1 = sum(1 for x in snf_invariants(c.d1) if x != 0)
+    rank1 = len(list(filter(None, snf_invariants(c.d1))))
     h0 = AbInvariants(rank=c0 - rank0)
     h1 = AbInvariants(
         rank=(c1 - rank1) - rank0,
-        torsion=tuple(x for x in inv0 if x > 1),
+        torsion=tuple(filter((1).__lt__, inv0)),
     )
-    g = math.gcd(*(x for r in c.aug.rows for _, x in r))
+    g = math.gcd(*(x for r in set(c.aug.rows) for _, x in r))  # equal rows add no factor
     return HomologyResult(h0=h0, h1=h1, exact_at=(g != 0, g <= 1 and h0.rank == g, h1.trivial))
 
 
@@ -417,6 +470,8 @@ def graph_cech_complex(g: RelGraph) -> ChainComplexZ:
     repeats included (Munkres, Elements of Algebraic Topology, section 13).
     It stops at triangles, which is enough for H0 and H1: a graph with
     4-cliques, such as the king's graph, needs no degree-3 simplex for them.
+    d0 is the ``Incidence`` of the edges, read straight off the neighbour
+    tuples; d1 and the augmentation are ``IntMatrix`` rows.
     """
     n, adj = len(g.vertices), g.adjacent
     # the neighbour lists ascend, so edges, triangles and their faces come out sorted
@@ -424,8 +479,9 @@ def graph_cech_complex(g: RelGraph) -> ChainComplexZ:
     triangles = [(i, j, k) for i, j in edges for k in adj[j] if j < k and k in adj[i]]
     at = {e: m for m, e in enumerate(edges)} if triangles else {}
     d1 = tuple(((at[i, j], 1), (at[i, k], -1), (at[j, k], 1)) for i, j, k in triangles)
+    tails, heads = zip(*edges) if edges else ((), ())
     return ChainComplexZ(
-        d0=IntMatrix(len(edges), n, tuple(((i, -1), (j, 1)) for i, j in edges)),
+        d0=Incidence(n, tails, heads),
         d1=IntMatrix(len(triangles), len(edges), d1),
         aug=IntMatrix(n, 1, (((0, 1),),) * n),
     )
@@ -436,32 +492,50 @@ def induced_cochain_map(fine: ChainComplexZ, coarse: ChainComplexZ, image: Seque
 
     Fine vertex i goes to coarse position image[i]; the pullbacks m0, m1 and
     m2 send coarse cochains to fine cochains, and each is checked to commute
-    with the boundary maps and the augmentations, though only m1 is
-    returned.  In degree q = 1, 2, row s of fine.d_(q-1) @ m_(q-1) is zero
-    when simplex s's image repeats a vertex, and otherwise plus or minus the
-    row of coarse.d_(q-1) with the same columns, which belongs to the
-    simplex the image sorts to: that simplex and the sign make row s of m_q.
+    with the coboundaries and the augmentations, though only m1 is
+    returned.  Both complexes are graph complexes.  Fine edge (i, j) reads
+    -e_p + e_q off fine.d0 @ m0, p and q the images of i and j: it is zero
+    when p = q, and otherwise it is row e of m1 @ coarse.d0 exactly when m1
+    sends the edge to the coarse edge between p and q, with sign +1 when
+    p < q and -1 when q < p, so finding that coarse edge by its endpoints is
+    the degree-1 square.  In degree 2, row s of fine.d1 @ m1 is zero when
+    triangle s's image repeats a vertex, and otherwise plus or minus the
+    row of coarse.d1 with the same columns, which belongs to the triangle
+    the image sorts to: that triangle and the sign make row s of m2, and
+    m2 @ coarse.d1 is compared with fine.d1 @ m1.  Row i of m0 @ coarse.aug
+    is row image[i] of coarse.aug, compared with fine.aug.
     """
-    if not all(0 <= p < coarse.d0.ncols for p in image):
+    f0, c0, c1 = fine.d0, coarse.d0, coarse.d1
+    if len(image) != f0.ncols:
+        raise InvariantViolated(f"shape mismatch {(f0.nrows, f0.ncols)} @ {(len(image), c0.ncols)}")
+    if image and not (min(image) >= 0 and max(image) < c0.ncols):
         raise RelationNotPreserved("the vertex map leaves the coarse vertices")
-    maps = [IntMatrix(len(image), coarse.d0.ncols, tuple(((p, 1),) for p in image))]
-    for q, (fd, cd) in enumerate(((fine.d0, coarse.d0), (fine.d1, coarse.d1)), 1):
-        pulled = fd @ maps[-1]
-        at = {tuple(j for j, _ in r): m for m, r in enumerate(cd.rows)}
-        rows = []
-        for r in pulled.rows:
-            if not r:  # the image repeats a vertex
-                rows.append(())
-                continue
-            m = at.get(tuple(j for j, _ in r))
-            if m is None:
-                raise RelationNotPreserved(f"no degree-{q} coarse simplex has the coboundary {r}")
-            rows.append(((m, r[0][1] // cd.rows[m][0][1]),))
-        maps.append(IntMatrix(len(rows), cd.nrows, tuple(rows)))
-        if maps[-1] @ cd != pulled:
-            raise RelationNotPreserved(f"pullback does not commute with d{q - 1}")
-    m0, m1, _ = maps
-    if m0 @ coarse.aug != fine.aug:
+    at = dict(zip(zip(c0.tails, c0.heads), count()))
+    rows = []
+    for p, q in zip(map(image.__getitem__, f0.tails), map(image.__getitem__, f0.heads)):
+        if p == q:  # the edge collapses
+            rows.append(())
+            continue
+        m = at.get((p, q) if p < q else (q, p))
+        if m is None:
+            r = ((p, -1), (q, 1)) if p < q else ((q, 1), (p, -1))
+            raise RelationNotPreserved(f"no degree-1 coarse simplex has the coboundary {r}")
+        rows.append(((m, 1 if p < q else -1),))
+    m1 = IntMatrix(len(rows), c0.nrows, tuple(rows))
+    pulled = fine.d1 @ m1
+    at = {tuple(j for j, _ in r): m for m, r in enumerate(c1.rows)}
+    rows = []
+    for r in pulled.rows:
+        if not r:  # the image repeats a vertex
+            rows.append(())
+            continue
+        m = at.get(tuple(j for j, _ in r))
+        if m is None:
+            raise RelationNotPreserved(f"no degree-2 coarse simplex has the coboundary {r}")
+        rows.append(((m, r[0][1] // c1.rows[m][0][1]),))
+    if IntMatrix(len(rows), c1.nrows, tuple(rows)) @ c1 != pulled:
+        raise RelationNotPreserved("pullback does not commute with d1")
+    if list(map(coarse.aug.rows.__getitem__, image)) != list(fine.aug.rows):
         raise RelationNotPreserved("pullback does not commute with the augmentation")
     return m1
 
@@ -494,14 +568,17 @@ def _h1_representatives(cx: ChainComplexZ) -> IntMatrix:
     return IntMatrix(cx.d0.nrows, k.ncols, tuple(rows))
 
 
-def _project_off_tree(x: IntMatrix, d0: IntMatrix) -> IntMatrix:
+def _project_off_tree(x: IntMatrix, d0: Incidence) -> IntMatrix:
     """Each column of x minus the coboundary d0 y that clears it on the tree
     rows of d0's forest, read on the other rows.
 
     The potentials y follow the tree from each root, where y is 0: a tree
-    row (row, parent, child, sign) sets y[child] = y[parent] + sign * x[row].
+    row (row, parent, child) reads y[child] - y[parent] when parent < child
+    and its negative otherwise, so it sets y[child] to y[parent] plus or
+    minus x[row].  A non-tree row e then keeps x[e] - y[heads[e]] + y[tails[e]].
     """
     _, tree, cotree = d0._forest
+    tails, heads = d0.tails, d0.heads
     columns = [[0] * x.nrows for _ in range(x.ncols)]
     for r, row in enumerate(x.rows):
         for c, v in row:
@@ -509,11 +586,10 @@ def _project_off_tree(x: IntMatrix, d0: IntMatrix) -> IntMatrix:
     out: list[list[tuple[int, int]]] = [[] for _ in cotree]
     for c, col in enumerate(columns):
         y = [0] * d0.ncols
-        for r, parent, child, sign in tree:
-            y[child] = y[parent] + sign * col[r]
+        for r, parent, child in tree:
+            y[child] = y[parent] + col[r] if parent < child else y[parent] - col[r]
         for k, e in enumerate(cotree):
-            (i, _), (j, _) = d0.rows[e]
-            val = col[e] - y[j] + y[i]
+            val = col[e] - y[heads[e]] + y[tails[e]]
             if val:
                 out[k].append((c, val))
     return IntMatrix(len(cotree), x.ncols, tuple(map(tuple, out)))
@@ -522,16 +598,17 @@ def _project_off_tree(x: IntMatrix, d0: IntMatrix) -> IntMatrix:
 @record
 class LevelCohomology:
     level: int
-    dims: tuple[int, int, int]  # of the ordered complex, see _level_cohomology
+    dims: tuple[int, int, int]  # of the ordered complex, see level_cohomology
     h0: AbInvariants
     h1: AbInvariants
     exact_at: tuple[bool, ...]
 
 
-def _level_cohomology(level: int, cx: ChainComplexZ) -> LevelCohomology:
-    """The cohomology of an oriented graph complex with V vertices, E edges
-    and T triangles, reporting the dims (V, V + 2E, V + 6E + 6T) of the
-    ordered complex on all related tuples, repeats included."""
+def level_cohomology(level: int, cx: ChainComplexZ) -> LevelCohomology:
+    """The cohomology of one level of a graph tower, such as the interval's
+    or the circle's, from its oriented complex with V vertices, E edges and
+    T triangles, reporting the dims (V, V + 2E, V + 6E + 6T) of the ordered
+    complex on all related tuples, repeats included."""
     v, e, t = cx.dims
     h = homology(cx)
     return LevelCohomology(level, (v, v + 2 * e, v + 6 * e + 6 * t), h.h0, h.h1, h.exact_at)
@@ -559,7 +636,7 @@ def stabilization_report(levels: Iterable[RelGraph], transitions: Iterable[Seque
     transitions = iter(transitions)
     coarse = None
     for n, fine in enumerate(map(graph_cech_complex, levels)):
-        results.append(_level_cohomology(n, fine))
+        results.append(level_cohomology(n, fine))
         if coarse is not None:
             image, lo, hi = next(transitions, None), results[-2], results[-1]
             if image is None:
@@ -582,8 +659,3 @@ def stabilization_report(levels: Iterable[RelGraph], transitions: Iterable[Seque
     if next(transitions, None) is not None:
         raise InvariantViolated(ONE_TRANSITION_EACH)
     return StabilizationReport(tuple(results), tuple(h0_iso), tuple(h1_iso))
-
-
-def graph_cohomology(g: RelGraph, level: int) -> LevelCohomology:
-    """Cohomology of one level of a graph tower, such as the interval's or the circle's."""
-    return _level_cohomology(level, graph_cech_complex(g))

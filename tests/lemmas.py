@@ -28,6 +28,7 @@ from stonework.terms import Gen, Gens, Not, Term, generators_of, join, meet, par
 from stonework.zhomology import (
     AbInvariants,
     ChainComplexZ,
+    Incidence,
     IntMatrix,
     _replay,
     _sparse_row,
@@ -594,6 +595,14 @@ def from_rows(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> Int
     return IntMatrix(
         len(rows), ncols, tuple(tuple((j, int(x)) for j, x in enumerate(r) if x) for r in rows)
     )
+
+
+def incidence_matrix(d0: Incidence) -> IntMatrix:
+    """A graph's d0 rebuilt from its endpoints as an ``IntMatrix``, row e
+    being -e_tails[e] + e_heads[e], so that Smith reduction and the matrix
+    oracles read the same map."""
+    rows = tuple(((i, -1), (j, 1)) for i, j in zip(d0.tails, d0.heads))
+    return IntMatrix(len(rows), d0.ncols, rows)
 
 
 def zero_matrix(nrows: int, ncols: int) -> IntMatrix:

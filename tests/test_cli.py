@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lemmas import parse_tower_file
-from stonework import boolalg, cli, interval
+from stonework import boolalg, cli, interval, zhomology
 from stonework.cli import (
     COMMANDS,
     EXIT_CAP,
@@ -625,6 +625,28 @@ class TestExitCodes:
         assert main(["--json", "stabilize", "circle", "--depth", "8"]) == EXIT_OK
         assert len(json.loads(capsys.readouterr().out)["levels"]) == len(most) == 8
         assert max(most) <= 2
+
+    @pytest.mark.parametrize("space", ["interval", "circle"])
+    def test_cohomology_drops_its_graph_before_homology(self, capsys, monkeypatch, space):
+        # the graph is needed only to build the complex; the forests and the
+        # Smith reductions run without it
+        built, alive_at_homology = [], []
+
+        def graph(n):
+            g = real_graph(n)
+            built.append(weakref.ref(g))
+            return g
+
+        def homology(cx):
+            alive_at_homology.append([ref() is not None for ref in built])
+            return real_homology(cx)
+
+        real_graph, real_homology = getattr(interval, f"{space}_graph"), zhomology.homology
+        monkeypatch.setattr(interval, f"{space}_graph", graph)
+        monkeypatch.setattr(zhomology, "homology", homology)
+        assert main(["cohomology", space, "--level", "5"]) == EXIT_OK
+        assert "h0 = Z" in capsys.readouterr().out
+        assert alive_at_homology == [[False]]
 
 
 # quotes, backslashes, control and non-ASCII characters, lone surrogates

@@ -9,7 +9,7 @@ import pickle
 
 import pytest
 
-from lemmas import Or, RelGraphTower
+from lemmas import Or, RelGraphTower, incidence_matrix
 from stonework import boolalg, interval, profinite, terms, zhomology
 from stonework.boolalg import (
     DualityReport,
@@ -39,10 +39,12 @@ from stonework.zhomology import (
     AbInvariants,
     ChainComplexZ,
     HomologyResult,
+    Incidence,
     IntMatrix,
     LevelCohomology,
     StabilizationReport,
     graph_cech_complex,
+    snf_invariants,
     stabilization_report,
 )
 
@@ -128,6 +130,11 @@ SAMPLES = {
         lambda: IntMatrix(1, 2, (((0, 1), (1, -1)),)),
         "IntMatrix(nrows=1, ncols=2, rows=(((0, -1), (1, 1)),))",
     ),
+    Incidence: (
+        lambda: Incidence(3, (0, 1), (1, 2)),
+        lambda: Incidence(3, (0, 0), (1, 2)),
+        "Incidence(ncols=3, tails=(0, 1), heads=(1, 2))",
+    ),
     AbInvariants: (lambda: AbInvariants(1, (2, 4)), lambda: AbInvariants(1, (4,)), "AbInvariants(rank=1, torsion=(2, 4))"),
     ChainComplexZ: (
         lambda: ChainComplexZ(D0, IntMatrix(0, 1, ()), AUG0),
@@ -185,7 +192,7 @@ def test_every_record_class_is_sampled():
         if isinstance(obj, type) and obj.__module__ == module.__name__ and "__match_args__" in vars(obj)
     }
     # with the oracle of the graph-tower checks, which lives in the tests
-    assert records | {RelGraphTower} == set(CLASSES) and len(CLASSES) == 20
+    assert records | {RelGraphTower} == set(CLASSES) and len(CLASSES) == 21
 
 
 def _hash_or_error(x):
@@ -340,6 +347,12 @@ def test_normalized_fields():
         (lambda: ChainComplexZ(D0, IntMatrix(1, 1, (((0, 1),),)), AUG0), InvariantViolated),
         (lambda: ChainComplexZ(D0, D1, IntMatrix(1, 1, (((0, 1),),))), InvariantViolated),
         (lambda: ChainComplexZ(D0, D1, IntMatrix(2, 1, (((0, 1),), ()))), InvariantViolated),
+        pytest.param(lambda: Incidence(3, (1,), (1,)), InvariantViolated, id="Incidence-tail-not-below-head"),
+        pytest.param(lambda: Incidence(3, (2,), (1,)), InvariantViolated, id="Incidence-tail-above-head"),
+        pytest.param(lambda: Incidence(3, (0, 1), (1, 3)), InvariantViolated, id="Incidence-head-past-columns"),
+        pytest.param(lambda: Incidence(3, (-1,), (1,)), InvariantViolated, id="Incidence-negative-tail"),
+        pytest.param(lambda: Incidence(3, (0, 1), (1,)), InvariantViolated, id="Incidence-unequal-lengths"),
+        pytest.param(lambda: Incidence(0, (0,), (1,)), InvariantViolated, id="Incidence-edge-without-vertices"),
     ],
 )
 def test_post_init_rejections(make, error):
@@ -355,7 +368,12 @@ def test_cached_properties():
     d0 = graph_cech_complex(interval_graph(2)).d0
     comp, tree, cotree = d0._forest
     assert comp == [0, 0, 0, 0] and len(tree) == 3 and cotree == [] and d0._forest is d0._forest
-    assert IntMatrix(1, 2, (((0, 2), (1, 1)),))._forest is None
+    assert d0.rows == incidence_matrix(d0).rows and d0.rows is d0.rows
+    # the same map as an IntMatrix is reduced by Smith, once
+    m = incidence_matrix(d0)
+    assert "_reduction" not in vars(m)
+    assert snf_invariants(m) == snf_invariants(d0) == [1, 1, 1]
+    assert "_reduction" in vars(m) and m._reduction is m._reduction
 
 
 def test_post_init_is_looked_up_when_called(monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from lemmas import (
     from_rows,
     hstack,
     identity_matrix,
+    incidence_matrix,
     quotient_invariants,
     snf,
     snf_diagonal,
@@ -50,12 +52,13 @@ from stonework.profinite import RelGraph
 from stonework.zhomology import (
     AbInvariants,
     ChainComplexZ,
+    Incidence,
     IntMatrix,
     graph_cech_complex,
-    graph_cohomology,
     homology,
     induced_cochain_map,
     kernel_basis,
+    level_cohomology,
     snf_invariants,
     stabilization_report,
 )
@@ -438,16 +441,24 @@ class TestForestMatchesSmith:
     @example(FOREST_EXAMPLES[5])
     def test_invariants_and_kernel(self, g: RelGraph):
         d0 = graph_cech_complex(g).d0
+        m = incidence_matrix(d0)
+        assert d0.rows == m.rows and d0.rows is d0.rows
         comp, tree, cotree = d0._forest
         assert comp == component_numbers(g)
         assert sorted([r for r, *_ in tree] + cotree) == list(range(d0.nrows))
         assert len(tree) == d0.ncols - len(set(comp))
-        assert snf_invariants(d0) == smith_invariants(d0)
+        # each tree row joins its parent, reached earlier, to its child
+        reached = {v for v in range(d0.ncols) if comp.index(comp[v]) == v}
+        for r, parent, child in tree:
+            assert {d0.tails[r], d0.heads[r]} == {parent, child}
+            assert parent in reached and child not in reached
+            reached.add(child)
+        assert snf_invariants(d0) == smith_invariants(m)
         k = kernel_basis(d0)
-        assert (d0 @ k).is_zero()
+        assert (m @ k).is_zero()
         # the forest's kernel and the Smith kernel generate the same lattice
-        pivoted = {c for _, c, _ in d0._reduction[0]}
-        smith = zhomology._v_columns(d0, [j for j in range(d0.ncols) if j not in pivoted])
+        pivoted = {c for _, c, _ in m._reduction[0]}
+        smith = zhomology._v_columns(m, [j for j in range(m.ncols) if j not in pivoted])
         assert k.ncols == smith.ncols
         if k.ncols:
             solve_exact(k, smith)
@@ -463,21 +474,24 @@ class TestForestMatchesSmith:
     @settings(max_examples=100, deadline=None)
     def test_stabilization_matches_ordered_oracle(self, tower: RelGraphTower):
         assert stabilization_report(tower.levels, tower.transitions) == ordered_stabilization_report(tower)
-        # the oracle's d0 has a zero row per vertex, so it is reduced by Smith
+        # the oracle's d0 is an IntMatrix, so it is reduced by Smith unless it
+        # has one row or one column
         for g in tower.levels:
-            if g.vertices:
-                assert ordered_graph_complex(g).d0._forest is None
+            cx = ordered_graph_complex(g)
+            homology(cx)
+            assert ("_reduction" in vars(cx.d0)) == (min(cx.d0.shape) > 1)
 
 
 def check_projection(cx: ChainComplexZ, gens: IntMatrix) -> None:
     """Cocycles gens and d0 cover ker d1 exactly when the projections of gens
     onto the cochains that vanish on tree rows cover those cocycles."""
     assert (cx.d1 @ gens).is_zero()
-    rank0 = rational_rank(cx.d0)
+    d0 = incidence_matrix(cx.d0)
+    rank0 = rational_rank(d0)
     projected = zhomology._project_off_tree(gens, cx.d0)
-    assert projected.shape == (cx.d0.nrows - rank0, gens.ncols)
+    assert projected.shape == (d0.nrows - rank0, gens.ncols)
     for rank in range(gens.ncols + 2):
-        expected = covers_by_smith(hstack(gens, cx.d0), rank + rank0)
+        expected = covers_by_smith(hstack(gens, d0), rank + rank0)
         assert zhomology._covers_kernel(projected, rank) == expected
 
 
@@ -487,7 +501,7 @@ class TestProjectionOffTheTree:
     def test_matches_the_stacked_reduction(self, g: RelGraph, data):
         cx = graph_cech_complex(g)
         # random integer combinations of cocycles and coboundaries
-        cocycles = hstack(kernel_basis(cx.d1), cx.d0)
+        cocycles = hstack(kernel_basis(cx.d1), incidence_matrix(cx.d0))
         ncols = data.draw(st.integers(0, 3))
         entries = st.lists(st.sampled_from((0, 0, 1, -1, 2, -3)), min_size=ncols, max_size=ncols)
         coeffs = [data.draw(entries) for _ in range(cocycles.ncols)]
@@ -516,11 +530,24 @@ class TestKernel:
     def test_full_rank_matrix_has_trivial_kernel(self):
         assert kernel_basis(identity_matrix(3)).shape == (3, 0)
 
+    @pytest.mark.parametrize("ncols", [0, 1, 5])
+    def test_rowless_matrices_need_no_reduction(self, monkeypatch, ncols):
+        # every circle and interval d1 from level 2 on has no rows, and so
+        # does the restricted d1 of the h1 check on those levels
+        def refuse(m):
+            raise AssertionError(f"reduced a {m.shape} matrix")
+
+        monkeypatch.setattr(zhomology, "_diagonalize", refuse)
+        m = zero_matrix(0, ncols)
+        assert snf_invariants(m) == []
+        assert kernel_basis(m) == identity_matrix(ncols)
+        assert "_reduction" not in vars(m)
+
     @given(matrix_strategy)
     @settings(max_examples=60, deadline=None)
     @example(from_rows(ZERO_MULTIPLE_OPS[0]))
     @example(from_rows(ZERO_MULTIPLE_OPS[1]))
-    @example(zero_matrix(0, 3))  # rowless: its own forest
+    @example(zero_matrix(0, 3))  # rowless: answered without a reduction
     def test_kernel_properties(self, m: IntMatrix):
         snf(m)
         assert snf_invariants(m) == smith_invariants(m)
@@ -593,15 +620,58 @@ class TestChainComplex:
     def test_non_complex_rejected(self):
         d0 = from_rows([[1], [0]])
         d1 = from_rows([[1, 0]])
-        with pytest.raises(InvariantViolated):
+        with pytest.raises(InvariantViolated, match=r"^d1 \* d0 != 0$"):
             ChainComplexZ(d0, d1, zero_matrix(1, 1))
 
     def test_bad_augmentation_rejected(self):
         d0 = from_rows([[1, -1]])
         d1 = zero_matrix(0, 1)
         aug = from_rows([[1], [2]])
-        with pytest.raises(InvariantViolated):
+        with pytest.raises(InvariantViolated, match=r"^d0 \* aug != 0$"):
             ChainComplexZ(d0, d1, aug=aug)
+        with pytest.raises(InvariantViolated, match="^augmentation has wrong shape$"):
+            ChainComplexZ(d0, d1, aug=from_rows([[1], [1], [1]]))
+
+    # the path 0 - 1 - 2 with its d0 as endpoints, and the same checks on it
+    PATH = Incidence(3, (0, 1), (1, 2))
+
+    def test_incidence_complex_checks(self):
+        ones = from_rows([[1]] * 3)
+        assert homology(ChainComplexZ(self.PATH, zero_matrix(0, 2), ones)).h0 == Z
+        with pytest.raises(InvariantViolated, match="^d1 and d0 dimensions disagree$"):
+            ChainComplexZ(self.PATH, zero_matrix(0, 3), ones)
+        # e_01 + e_12 has the coboundary -e_0 + e_2
+        with pytest.raises(InvariantViolated, match=r"^d1 \* d0 != 0$"):
+            ChainComplexZ(self.PATH, from_rows([[1, 1]]), ones)
+        with pytest.raises(InvariantViolated, match="^augmentation has wrong shape$"):
+            ChainComplexZ(self.PATH, zero_matrix(0, 2), from_rows([[1]] * 2))
+        with pytest.raises(InvariantViolated, match=r"^d0 \* aug != 0$"):
+            ChainComplexZ(self.PATH, zero_matrix(0, 2), from_rows([[1], [1], [2]]))
+        # the zero augmentation, and one that is zero on one vertex only
+        assert homology(ChainComplexZ(self.PATH, zero_matrix(0, 2), zero_matrix(3, 1))).exact_at[0] is False
+        with pytest.raises(InvariantViolated, match=r"^d0 \* aug != 0$"):
+            ChainComplexZ(self.PATH, zero_matrix(0, 2), from_rows([[1], [1], [0]]))
+
+    @given(rel_graphs(max_vertices=7), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_endpoint_checks_match_the_products(self, g: RelGraph, data):
+        # a graph's d1 and aug, and random integer changes to them, pass the
+        # endpoint checks of an Incidence d0 exactly when they pass the
+        # products with the same d0 as an IntMatrix
+        cx = graph_cech_complex(g)
+        v, e, t = cx.dims
+        small = st.sampled_from((0, 0, 0, 1, -1, 2))
+        bump = [[data.draw(small) for _ in range(e)] for _ in range(t + 1)]
+        d1 = from_rows([[x + y for x, y in zip(row, extra)] for row, extra in zip(dense(cx.d1) + [[0] * e], bump)], e)
+        aug = from_rows([[x + data.draw(small)] for x, in dense(cx.aug)], 1)
+        for d1_, aug_ in ((cx.d1, cx.aug), (d1, cx.aug), (cx.d1, aug), (d1, aug)):
+            outcomes = []
+            for d0 in (cx.d0, incidence_matrix(cx.d0)):
+                try:
+                    outcomes.append(homology(ChainComplexZ(d0, d1_, aug_)))
+                except InvariantViolated as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1]
 
     def test_torsion_in_h1(self):
         # Z --2--> Z --0--> 0 gives h1 = Z/2
@@ -664,7 +734,7 @@ class TestGraphComplex:
         assert oriented_bases(g) == (b0, b1, b2)
         # d0 and d1 are the alternating face sums over those position tuples
         cx = graph_cech_complex(g)
-        assert cx.d0 == _coboundary(b1, b0)
+        assert incidence_matrix(cx.d0) == _coboundary(b1, b0)
         assert cx.d1 == _coboundary(b2, b1)
 
     @given(rel_graphs(max_vertices=7))
@@ -674,7 +744,7 @@ class TestGraphComplex:
         oriented = graph_cech_complex(g)
         # h0, h1 with its torsion, the reduced h0 and every exactness flag
         assert homology(oriented) == homology(ordered)
-        assert graph_cohomology(g, 0).dims == ordered.dims
+        assert level_cohomology(0, graph_cech_complex(g)).dims == ordered.dims
 
     @pytest.mark.parametrize("tower", [interval_tower, circle_tower])
     @pytest.mark.parametrize("depth", range(1, 9))
@@ -694,7 +764,7 @@ class TestGraphComplex:
 
     def test_interval_level_two_dimensions(self):
         # the ordered counts are reported; the oriented matrices are smaller
-        assert graph_cohomology(interval_graph(2), 2).dims == (4, 10, 22)
+        assert level_cohomology(2, graph_cech_complex(interval_graph(2))).dims == (4, 10, 22)
         cx = graph_cech_complex(interval_graph(2))
         assert cx.dims == (4, 3, 0)
         assert cx.aug.shape == (4, 1)
@@ -740,6 +810,43 @@ class TestInducedMaps:
         for image in ((0, 1, 1, 2), (0, 0, 1, -1)):
             with pytest.raises(RelationNotPreserved, match="leaves the coarse vertices"):
                 induced_cochain_map(fine, coarse, image)
+        with pytest.raises(InvariantViolated, match=r"^shape mismatch \(3, 4\) @ \(3, 2\)$"):
+            induced_cochain_map(fine, coarse, (0, 0, 1))
+
+    # circle level 3 -> 2 with the images of two fine vertices swapped: with
+    # 0 and 2, fine edge (0, 7) goes to 1 -> 3, and with 0 and 4, edge (0, 1)
+    # goes to 2 -> 0; neither pair is related at level 2, and each coboundary
+    # lists its two columns in ascending order
+    @pytest.mark.parametrize("swap, coboundary", [
+        ((0, 2), "((1, -1), (3, 1))"),
+        ((0, 4), "((0, 1), (2, -1))"),
+    ])
+    def test_a_broken_pair_names_its_coboundary(self, swap, coboundary):
+        image = list(restrict_graph_map(2))
+        a, b = swap
+        image[a], image[b] = image[b], image[a]
+        message = f"^no degree-1 coarse simplex has the coboundary {re.escape(coboundary)}$"
+        with pytest.raises(RelationNotPreserved, match=message):
+            stabilization_report(map(circle_graph, range(4)), (*map(restrict_graph_map, range(2)), image))
+        fine, coarse = graph_cech_complex(circle_graph(3)), graph_cech_complex(circle_graph(2))
+        with pytest.raises(RelationNotPreserved, match=message):
+            induced_cochain_map(fine, coarse, tuple(image))
+
+    def test_every_swap_of_two_images_agrees_with_the_oracle(self):
+        # the pullback exists exactly when the sort-and-sign oracle finds
+        # every image simplex, and then the two agree
+        fine, coarse = circle_graph(3), circle_graph(2)
+        fine_cx, coarse_cx = graph_cech_complex(fine), graph_cech_complex(coarse)
+        for a, b in itertools.combinations(range(8), 2):
+            image = list(restrict_graph_map(2))
+            image[a], image[b] = image[b], image[a]
+            try:
+                oracle = signed_pullback(fine, coarse, image)[1]
+            except RelationNotPreserved:
+                with pytest.raises(RelationNotPreserved, match="^no degree-1 coarse simplex"):
+                    induced_cochain_map(fine_cx, coarse_cx, tuple(image))
+            else:
+                assert induced_cochain_map(fine_cx, coarse_cx, tuple(image)) == oracle
 
     def test_degree_two_and_augmentation_checks_reject(self):
         # hand-built coarse complexes: the triangle's d1 row is missing, or
@@ -753,18 +860,19 @@ class TestInducedMaps:
     def test_reflection_negates_the_loop_class(self):
         pairs = {(v, w) for v in range(4) for w in range(4) if (v - w) % 4 in (0, 1, 3)}
         cx = graph_cech_complex(graph_from_pairs(range(4), pairs))
-        assert [tuple(j for j, _ in r) for r in cx.d0.rows] == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        assert list(zip(cx.d0.tails, cx.d0.heads)) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        d0 = incidence_matrix(cx.d0)
         m1 = induced_cochain_map(cx, cx, tuple(-v % 4 for v in range(4)))
         assert dense(m1) == [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
         # the loop 0 -> 1 -> 2 -> 3 -> 0 pairs with the generator to 1
         loop = from_rows([[1, -1, 1, 1]])
-        assert (loop @ cx.d0).is_zero()
+        assert (loop @ d0).is_zero()
         gen = from_rows([[1], [0], [0], [0]])
         assert dense(loop @ gen) == [[1]]
         assert dense(loop @ m1 @ gen) == [[-1]]
         # the pulled-back generator plus the generator is a coboundary
         pulled = [x for x, in dense(m1 @ gen)]
-        solve_exact(cx.d0, from_rows([[x + y] for x, y in zip(pulled, [1, 0, 0, 0])]))
+        solve_exact(d0, from_rows([[x + y] for x, y in zip(pulled, [1, 0, 0, 0])]))
 
     def test_collapsed_simplices_give_zero_rows(self):
         fine = graph_from_pairs((0, 1, 2), itertools.product(range(3), repeat=2))
@@ -797,18 +905,18 @@ class TestInducedMaps:
 class TestLevelCohomology:
     def test_interval_levels_are_contractible(self):
         for n in (0, 1, 3):
-            lc = graph_cohomology(interval_graph(n), n)
+            lc = level_cohomology(n, graph_cech_complex(interval_graph(n)))
             assert lc.h0 == Z
             assert lc.h1 == TRIVIAL_GROUP
             assert lc.exact_at == (True, True, True)
 
     def test_circle_level_one_not_yet_a_circle(self):
-        lc = graph_cohomology(circle_graph(1), 1)
+        lc = level_cohomology(1, graph_cech_complex(circle_graph(1)))
         assert (lc.h0, lc.h1) == (Z, TRIVIAL_GROUP)
 
     def test_circle_levels_two_plus(self):
         for n in (2, 3):
-            lc = graph_cohomology(circle_graph(n), n)
+            lc = level_cohomology(n, graph_cech_complex(circle_graph(n)))
             assert (lc.h0, lc.h1) == (Z, Z)
 
 
@@ -906,8 +1014,8 @@ class TestStabilization:
 
     def test_circle_tower_reduces_nothing(self, monkeypatch):
         # every d0 is read off its forest, and a circle level's d1 and its
-        # restriction to the non-tree edges have no rows, so they are forests
-        # too; the h0 check compares component labels, and the h1 check's
+        # restriction to the non-tree edges have no rows, which need no
+        # reduction either; the h0 check compares component labels, and the h1 check's
         # matrices have one row from level 2 on and no rows below
         reduced, complexes = self.reductions(monkeypatch, circle_tower(5))
         assert len(complexes) == 5

@@ -5,9 +5,11 @@ relation ``r`` meaning ``r = 0`` in the quotient.  The spectrum of a
 presentation is the finite set of 0/1 assignments satisfying every
 relation.  A point is kept as its integer code: generator i of n is bit
 n-1-i, so ascending codes are the lexicographic order of the bit-strings
-under the presentation's generator order, and ``FinBoolAlg.points`` gives
-those strings.  The spectrum is found by evaluating each relation once, as
-a truth table with one bit per assignment.  Elements of the algebra are
+under the presentation's generator order.  ``digit_rows`` writes those
+strings from the codes' bit columns, one column per generator, with the
+64-bit words that the towers of ``profinite`` also slice.  The spectrum is
+found by evaluating each relation once, as a truth table with one bit per
+assignment.  Elements of the algebra are
 represented canonically as bit-vectors over the spectrum points, so that
 equality of elements is equality of vectors.  The duality check certifies
 the bijection with one truth table per point, not one per vector.
@@ -18,7 +20,9 @@ from __future__ import annotations
 import functools
 import os
 import re
-from typing import Mapping, Optional, Sequence
+import sys
+from array import array
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     BadArgument,
@@ -37,7 +41,6 @@ from .terms import (
     check_term,
     eval_term,
     generators_of,
-    join,
     meet,
     substitute,
 )
@@ -48,6 +51,43 @@ BIT_VALUES, DIGITS = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"\0\1", b
 _ONE = re.compile("1")
 
 Bits = tuple[int, ...]
+
+
+def _runs(run: int, length: int) -> bytes:
+    """``length`` bytes of alternating runs of ``run`` 0s and ``run`` 1s: bit
+    j of 0, 1, 2, ... is ``_runs(1 << j, ...)``."""
+    return (bytes(run) + b"\1" * run) * (length // (2 * run))
+
+
+_BIT = [_runs(1 << j, 256) for j in range(8)]  # the translation from a byte to its bit j
+_DIGIT = [t.translate(DIGITS) for t in _BIT]  # ... and to that bit's ASCII digit
+_WORD = (1 << 64) - 1
+
+
+def _limb(codes: Iterable[int], j: int, wide: bool) -> bytes:
+    """Bits 64j..64j+63 of each code, as one little-endian 8-byte word per
+    code; ``wide`` says some code may not fit in 64 bits."""
+    if j:
+        codes = map((64 * j).__rrshift__, codes)
+    words = array("Q", map(_WORD.__and__, codes) if wide else codes)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tobytes()
+
+
+def digit_rows(codes: Sequence[int], n: int, sep: str) -> str:
+    """Each code's n-bit string, generator 0 (bit n-1) first, each followed
+    by ``sep``.  The rows are written a column at a time: generator j's
+    digits are one strided slice of the codes' 64-bit words, translated to
+    ASCII and assigned with the rows' stride."""
+    tail = sep.encode()
+    width = n + len(tail)
+    rows = bytearray((bytes(n) + tail) * len(codes))
+    words = [_limb(codes, j, n > 64) for j in range(n + 63 >> 6)]
+    for j in range(n):
+        b = n - 1 - j
+        rows[j::width] = words[b >> 6][(b & 63) >> 3 :: 8].translate(_DIGIT[b & 7])
+    return rows.decode()
 
 
 def enumeration_cap() -> int:
@@ -131,16 +171,10 @@ class FinBoolAlg:
         return {c: i for i, c in enumerate(self.codes)}
 
     @functools.cached_property
-    def points(self) -> list[str]:
-        """The points' bit-strings, generator 0 first: what the reports print."""
-        top = 1 << len(self.source.gens)
-        return [bin(c | top)[3:] for c in self.codes]
-
-    @functools.cached_property
     def masks(self) -> dict[str, int]:
         """Truth tables of the generators: bit i of masks[g] is g at point i."""
         n = len(self.source.gens)
-        digits = "".join(self.points)
+        digits = digit_rows(self.codes, n, "")
         return {g: int(digits[j::n][::-1] or "0", 2) for j, g in enumerate(self.source.gens)}
 
 
@@ -169,17 +203,10 @@ def spectrum(p: Presentation) -> FinBoolAlg:
     return FinBoolAlg(p, tuple(map(re.Match.start, _ONE.finditer(format(alive, "b")[::-1]))))
 
 
-def evaluate(t: Term, a: FinBoolAlg) -> Bits:
-    """Bit-vector of ``t`` over the spectrum points (the evaluation map)."""
-    return _bits_of(eval_term(t, a.masks, (1 << a.n_points) - 1), a.n_points)
-
-
 def minterm(a: FinBoolAlg, i: int) -> Term:
     """Full conjunction selecting exactly point ``i`` of the spectrum."""
-    parts = []
-    for g, bit in zip(a.source.gens, a.points[i]):
-        parts.append(Gen(g) if bit == "1" else Not(Gen(g)))
-    return meet(parts)
+    code, top = a.codes[i], len(a.source.gens) - 1
+    return meet([Gen(g) if code >> top - j & 1 else Not(Gen(g)) for j, g in enumerate(a.source.gens)])
 
 
 @record
@@ -416,16 +443,18 @@ def minimal_join_witness(
     """Least k <= bound with p quotiented by rels[0..k] trivial, if any."""
     if bound < 0 or not rels:
         return None
-    return _first_clearing(spectrum(p), rels[: bound + 1])
+    a = spectrum(p)
+    full = (1 << a.n_points) - 1
+    return _first_clearing(full, (eval_term(r, a.masks, full) for r in rels[: bound + 1]))
 
 
-def _first_clearing(a: FinBoolAlg, rels: Sequence[Term]) -> Optional[int]:
-    """Least k with no point of ``a`` killing all of rels[0..k], if any: the
-    quotient by them is then trivial.  rels[k] is cleared from the table of
-    points one k at a time, so each relation is evaluated once."""
-    alive = full = (1 << a.n_points) - 1
-    for k, r in enumerate(rels):
-        alive &= ~eval_term(r, a.masks, full)
+def _first_clearing(full: int, tables: Iterable[int]) -> Optional[int]:
+    """Least k with no point of the ``full`` table outside all of tables[0..k],
+    if any: the quotient by their relations is then trivial.  The tables are
+    read one k at a time, so none past the first clearing prefix is made."""
+    alive = full
+    for k, table in enumerate(tables):
+        alive &= ~table
         if not alive:
             return k
     return None
@@ -441,20 +470,25 @@ def separate_closed(
     F is the set of points killing every f, G the set killing every g.  The
     interleaved sequence f0,g0,f1,g1,... is searched for the least prefix
     whose quotient is trivial; with I,J the f/g indices of that prefix,
-    D(x) holds iff x evaluates the join of the selected g's to 1.  The
-    search runs on the spectrum, so each relation of ``p`` is evaluated once.
+    D(x) holds iff x evaluates the join of the selected g's to 1.  Each f
+    and g is evaluated once over the spectrum, fs first, and the search, the
+    disjointness check and the separator read those tables.
     """
     a = spectrum(p)
+    full = (1 << a.n_points) - 1
+    tables = [eval_term(t, a.masks, full) for t in (*fs, *gs)]
+    f_tables, g_tables = tables[: len(fs)], tables[len(fs) :]
     # a point of both sets kills every f and every g
-    if not all(evaluate(join([*fs, *gs]), a)):
+    if functools.reduce(int.__or__, tables, 0) != full:
         raise NotDisjoint("the closed sets intersect")
 
-    interleaved: list[tuple[str, Term]] = []
+    interleaved: list[tuple[str, int]] = []
     for i in range(max(len(fs), len(gs))):
         if i < len(fs):
-            interleaved.append(("f", fs[i]))
+            interleaved.append(("f", f_tables[i]))
         if i < len(gs):
-            interleaved.append(("g", gs[i]))
-    k = _first_clearing(a, [h for _, h in interleaved])
+            interleaved.append(("g", g_tables[i]))
+    k = _first_clearing(full, [table for _, table in interleaved])
     prefix = interleaved if k is None else interleaved[: k + 1]
-    return evaluate(join([h for tag, h in prefix if tag == "g"]), a)
+    separator = functools.reduce(int.__or__, [table for tag, table in prefix if tag == "g"], 0)
+    return _bits_of(separator, a.n_points)

@@ -13,7 +13,7 @@ import gc
 import hashlib
 import json
 import sys
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import boolalg, errors, interval, profinite, zhomology
 from .terms import Term, parse_gen_list, parse_term, parse_term_list
@@ -38,8 +38,9 @@ EXIT_CODES = (
 )
 
 # a cmd_* function returns the text that the report's "input" digest covers, the
-# other report fields, the text lines, and whether the checked property held
-Result = tuple[str, dict, list[str], bool]
+# other report fields, the text lines, and whether the checked property held;
+# the lines are read only when text mode prints them
+Result = tuple[str, dict, Iterable[str], bool]
 
 
 def _read(path: str) -> str:
@@ -155,11 +156,15 @@ _SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}
 
 def _json(v, indent: str = "\n") -> str:
     """``json.dumps(v, indent=2)`` for the types a report holds: dict with str
-    keys, list, str, int, bool and None; any other type is a TypeError."""
+    keys, list, str, int, bool and None, and a spectrum, written as the list
+    of its points' bit-strings; any other type is a TypeError."""
     cls = type(v)
     if cls in _SCALARS:
         return _SCALARS[cls](v)
     inner = indent + "  "
+    if cls is boolalg.FinBoolAlg:  # each row ends in the separator; of the last one, only its '"' is kept
+        rows = boolalg.digit_rows(v.codes, len(v.source.gens), sep := f'",{inner}"')
+        return f'[{inner}"{rows[: 1 - len(sep)]}{indent}]' if v.codes else "[]"
     if cls is dict:
         body = f",{inner}".join(f"{_quote(k)}: {_json(x, inner)}" for k, x in v.items())
         return f"{{{inner}{body}{indent}}}" if body else "{}"
@@ -194,13 +199,14 @@ def cmd_spectrum(args) -> Result:
     text = _read(args.file)
     p = parse_presentation(text)
     alg = boolalg.spectrum(p)
-    points = alg.points
-    fields = {"gens": list(p.gens), "n_points": alg.n_points, "points": points}
-    lines = [
-        f"presentation with {len(p.gens)} generators, {len(p.rels)} relations",
-        f"spectrum has {alg.n_points} points: {' '.join(points) if points else '(none)'}",
-    ]
-    return text, fields, lines, True
+    fields = {"gens": list(p.gens), "n_points": alg.n_points, "points": alg}
+
+    def lines():
+        yield f"presentation with {len(p.gens)} generators, {len(p.rels)} relations"
+        points = boolalg.digit_rows(alg.codes, len(p.gens), " ")[:-1] if alg.codes else "(none)"
+        yield f"spectrum has {alg.n_points} points: {points}"
+
+    return text, fields, lines(), True
 
 
 def cmd_duality(args) -> Result:

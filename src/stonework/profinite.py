@@ -14,13 +14,11 @@ quotient; no class holds a tower of them, as
 
 from __future__ import annotations
 
-import sys
-from array import array
 from itertools import compress
 from math import isqrt
 from typing import Callable, Hashable, Optional, Sequence
 
-from .boolalg import enumeration_cap, gen_index
+from .boolalg import _BIT, _limb, _runs, enumeration_cap, gen_index
 from .errors import BadArgument, CapExceeded, InvariantViolated
 from .record import record
 from .terms import And, Gen, Term, check_term, eval_term, generators_of
@@ -140,9 +138,11 @@ def _fibres(codes: Sequence[int], place: dict[int, int], k: int, r: Optional[Ter
     A candidate's code is its parent's shifted past its assignment's k bits
     and ORed with them, so parent-major candidates ascend.  Each generator
     that ``r`` names gets a table with one byte per candidate: an old one's
-    is sliced out of the parents' codes, written as 8-byte words, and a new
-    one's is a fixed pattern.  ``r`` is evaluated once over the tables, and
-    the bytes of its complement select the survivors.
+    is a bit column sliced out of the parents' codes, written as 8-byte
+    words by ``boolalg._limb`` (as ``boolalg.digit_rows`` slices a
+    spectrum's), and a new one's is a fixed pattern.  ``r`` is evaluated
+    once over the tables, and the bytes of its complement select the
+    survivors.
     """
     size, m, top = len(codes), 1 << k, len(place) - 1
     shifted = list(map(k.__rlshift__, codes))
@@ -167,29 +167,6 @@ def _fibres(codes: Sequence[int], place: dict[int, int], k: int, r: Optional[Ter
         keep = (full ^ eval_term(r, tables, full)).to_bytes(len(candidates), "big")
         candidates, parents = compress(candidates, keep), compress(parents, keep)
     return tuple(candidates), tuple(parents)
-
-
-def _runs(run: int, length: int) -> bytes:
-    """``length`` bytes of alternating runs of ``run`` 0s and ``run`` 1s: bit
-    j of 0, 1, 2, ... is ``_runs(1 << j, ...)``."""
-    return (bytes(run) + b"\1" * run) * (length // (2 * run))
-
-
-_BIT = [_runs(1 << j, 256) for j in range(8)]  # the translation from a byte to its bit j
-
-
-def _limb(codes: Sequence[int], j: int, wide: bool) -> bytes:
-    """Bits 64j..64j+63 of each code, as one little-endian 8-byte word per
-    code; ``wide`` says some code may not fit in 64 bits."""
-    if j:
-        codes = map((64 * j).__rrshift__, codes)
-    words = array("Q", map(_WORD.__and__, codes) if wide else codes)
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words.tobytes()
-
-
-_WORD = (1 << 64) - 1
 
 
 @record

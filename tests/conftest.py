@@ -10,7 +10,7 @@ from typing import Callable
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from lemmas import Or, RelGraphTower, _check_lengths, _coboundary, hstack, realize
+from lemmas import Or, RelGraphTower, _check_lengths, _coboundary, evaluate, hstack, realize
 from stonework.boolalg import (
     Bits,
     FinBoolAlg,
@@ -18,7 +18,6 @@ from stonework.boolalg import (
     MorphismReport,
     Presentation,
     _bits_of,
-    evaluate,
     minterm,
     spectrum,
 )

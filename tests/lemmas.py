@@ -1,5 +1,6 @@
 """The paper's finite-stage lemma checks, which the tests run and no command
-does (README lists them), and builders of test matrices and elements."""
+does (README lists them), the evaluation map of terms to elements, and
+builders of test matrices and elements."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from stonework.boolalg import (
     FinBoolAlg,
     Morphism,
     Presentation,
+    _bits_of,
     binfty,
     hom,
     minterm,
@@ -24,7 +26,7 @@ from stonework.errors import InvariantViolated, RelationNotPreserved, StoneworkE
 from stonework.interval import D0, D1, BitWord, Dyadic, IntervalUnion, _gaps
 from stonework.profinite import RelGraph, SeqDiagram, Vertex
 from stonework.record import record
-from stonework.terms import Gen, Gens, Not, Term, generators_of, join, meet, parse_term
+from stonework.terms import Gen, Gens, Not, Term, eval_term, generators_of, join, meet, parse_term
 from stonework.zhomology import (
     AbInvariants,
     ChainComplexZ,
@@ -81,6 +83,11 @@ def render(t: Term) -> str:
             stack.append((x, 3))
     [(text, _)] = stack
     return text
+
+
+def evaluate(t: Term, a: FinBoolAlg) -> Bits:
+    """Bit-vector of ``t`` over the spectrum points (the evaluation map)."""
+    return _bits_of(eval_term(t, a.masks, (1 << a.n_points) - 1), a.n_points)
 
 
 def realize(v: Bits, a: FinBoolAlg) -> Term:

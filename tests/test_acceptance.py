@@ -32,6 +32,7 @@ from lemmas import (
     constraint_emptiness_witness,
     contains,
     cs_value,
+    evaluate,
     from_rows,
     near,
     points_at_depth,
@@ -43,7 +44,6 @@ from stonework.boolalg import (
     analyze_morphism,
     binfty,
     check_duality,
-    evaluate,
     hom,
     llpo_product_presentation,
     llpo_split,

@@ -7,7 +7,9 @@ The code scan of ``spectrum`` and the level-by-level towers are compared
 with the table scan and the from-scratch truncations of ``conftest``; the
 incremental trivializing prefix with one rebuilt presentation per prefix;
 and ``hom`` and ``analyze_morphism``, which read cached image tables, with
-a morphism report computed from scratch.
+a morphism report computed from scratch.  ``digit_rows``, which writes the
+points' bit-strings a generator column at a time, is compared with one
+formatted string per code.
 """
 
 import itertools
@@ -31,11 +33,11 @@ from conftest import (
     truncations_from_scratch,
     witness_from_scratch,
 )
-from lemmas import Or, free, in_index_order
+from lemmas import Or, evaluate, free, in_index_order
 from stonework.boolalg import (
     Presentation,
     analyze_morphism,
-    evaluate,
+    digit_rows,
     hom,
     minimal_join_witness,
     point_map,
@@ -327,3 +329,17 @@ def test_deep_term_does_not_hit_the_recursion_limit():
         t = Not(t)
     assert evaluate(t, spectrum(free(1))) == (0, 1)
     assert eval_term(Not(t), {"g0": 1}) == 0
+
+
+# the JSON report's separator at depth 1, and codes past one 64-bit word
+@settings(max_examples=300)
+@given(
+    st.integers(0, 70).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2**n - 1), max_size=40))),
+    st.sampled_from(["", " ", '",\n    "']),
+)
+@example((0, []), " ")
+@example((70, [2**70 - 1, 2**64, 2**64 - 1, 0]), "")
+def test_digit_rows_match_one_string_per_code(case, sep):
+    n, codes = case
+    rows = [format(c | 1 << n, "b")[1:] for c in codes]  # n digits, also for n = 0
+    assert digit_rows(codes, n, sep) == sep.join(rows) + (sep if rows else "")

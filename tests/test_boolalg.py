@@ -16,7 +16,7 @@ from conftest import (
     random_term,
     witness_from_scratch,
 )
-from lemmas import Or, binfty_normal_form, epi_mono_factor, free, identity, one_element, realize, zero_element
+from lemmas import Or, binfty_normal_form, epi_mono_factor, evaluate, free, identity, one_element, realize, zero_element
 from stonework import boolalg, cli
 from stonework.boolalg import (
     DEFAULT_CAP,
@@ -25,7 +25,6 @@ from stonework.boolalg import (
     binfty,
     check_duality,
     enumeration_cap,
-    evaluate,
     gen_index,
     hom,
     llpo_product_presentation,

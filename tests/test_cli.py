@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import presentations
 from lemmas import parse_tower_file
 from stonework import boolalg, cli, interval, zhomology
 from stonework.cli import (
@@ -682,6 +683,15 @@ class TestReportEncoder:
     )
     def test_string_lists_match_json_dumps(self, value):
         assert cli._json(value) == json.dumps(value, indent=2)
+
+    # a spectrum is written as the list of its points, at any depth of the report
+    @given(presentations(max_gens=10), _REPORT_VALUES)
+    def test_a_report_holding_a_spectrum_matches_json_dumps_of_its_points(self, p, value):
+        alg = boolalg.spectrum(p)
+        points = [format(c | 1 << len(p.gens), "b")[1:] for c in alg.codes]
+        report = {"gens": list(p.gens), "points": alg, "nested": [{"again": alg}, value]}
+        expected = {"gens": list(p.gens), "points": points, "nested": [{"again": points}, value]}
+        assert cli._json(report) == json.dumps(expected, indent=2)
 
     @pytest.mark.parametrize("value", [1.5, (1, 2), {3}, {"a": [True, 0.0]}, [[()]]], ids=repr)
     def test_other_types_are_refused(self, value):

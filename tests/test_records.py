@@ -362,7 +362,8 @@ def test_post_init_rejections(make, error):
 
 def test_cached_properties():
     a = spectrum(binfty(2))
-    assert a.points == ["00", "01", "10"] and a.points is a.points
+    assert boolalg.digit_rows(a.codes, 2, " ") == "00 01 10 "
+    assert a.masks == {"g0": 0b100, "g1": 0b010} and a.masks is a.masks
     m = Morphism(P2, P2, {"g0": Gen("g1"), "g1": Gen("g0")})
     assert m.image_tables == {"g0": 0b010, "g1": 0b100} and m.image_tables is m.image_tables
     d0 = graph_cech_complex(interval_graph(2)).d0

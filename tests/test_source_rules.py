@@ -2,7 +2,9 @@
 
 ``python -O`` strips ``assert`` statements, so invariants must raise errors
 instead.  The enumeration cap comes from ``STONEWORK_CAP`` alone, so no
-function takes a ``cap`` parameter.  Relation graphs are read through their
+function takes a ``cap`` parameter.  A code reaches report text only through
+``boolalg.digit_rows``, which writes its bit columns, and ``boolalg._bits_of``,
+so no module calls ``bin``.  Relation graphs are read through their
 neighbour tuples, so no module reads the derived pair set ``.related``.
 Each matrix is Smith-reduced once, so ``_diagonalize`` is called only from
 the memo ``IntMatrix._reduction``.  The cyclic collector is paused around a
@@ -77,6 +79,13 @@ def test_no_cap_parameter(path):
         if isinstance(arg, ast.arg) and arg.arg == "cap"
     ]
     assert not found, f"{path.name}: functions with a cap parameter: {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_bin_calls(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "bin"]
+    assert not lines, f"{path.name}: bin() calls at lines {lines}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -46,11 +46,7 @@ from .terms import (
 )
 
 DEFAULT_CAP = 20
-# the translations from an ASCII digit to its bit and back
-BIT_VALUES, DIGITS = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"\0\1", b"01")
 _ONE = re.compile("1")
-
-Bits = tuple[int, ...]
 
 
 def _runs(run: int, length: int) -> bytes:
@@ -60,7 +56,7 @@ def _runs(run: int, length: int) -> bytes:
 
 
 _BIT = [_runs(1 << j, 256) for j in range(8)]  # the translation from a byte to its bit j
-_DIGIT = [t.translate(DIGITS) for t in _BIT]  # ... and to that bit's ASCII digit
+_DIGIT = [t.translate(bytes.maketrans(b"\0\1", b"01")) for t in _BIT]  # ... and to that bit's ASCII digit
 _WORD = (1 << 64) - 1
 
 
@@ -178,9 +174,9 @@ class FinBoolAlg:
         return {g: int(digits[j::n][::-1] or "0", 2) for j, g in enumerate(self.source.gens)}
 
 
-def _bits_of(v: int, n: int) -> Bits:
-    """The low ``n`` bits of ``v``, least significant first."""
-    return tuple(format(v | 1 << n, "b")[:0:-1].encode().translate(BIT_VALUES))
+def _bits_of(v: int, n: int) -> str:
+    """The low ``n`` bits of ``v`` as digits, least significant first."""
+    return format(v | 1 << n, "b")[:0:-1]
 
 
 def spectrum(p: Presentation) -> FinBoolAlg:
@@ -285,7 +281,7 @@ def point_map(m: Morphism) -> list[int]:
     src_alg, n = m.src_alg, m.dst_alg.n_points
     codes = [0] * n
     for g in m.src.gens:  # g's image evaluated at each point is its next bit
-        codes = [c << 1 | b for c, b in zip(codes, _bits_of(m.image_tables[g], n))]
+        codes = [c << 1 | (b == "1") for c, b in zip(codes, _bits_of(m.image_tables[g], n))]
     return [src_alg.index[c] for c in codes]
 
 
@@ -293,7 +289,7 @@ def point_map(m: Morphism) -> list[int]:
 class MorphismReport:
     injective: bool
     kernel_size: int
-    kernel_top: Bits  # largest element mapped to 0
+    kernel_top: str  # largest element mapped to 0, one digit per src point
     point_map: tuple[int, ...]  # Sp(dst) -> Sp(src), indices into src points
     point_map_surjective: bool
     axiom2_consistent: bool
@@ -312,8 +308,8 @@ def analyze_morphism(m: Morphism) -> MorphismReport:
     src_alg, dst_alg = m.src_alg, m.dst_alg
     masks, full = dst_alg.masks, (1 << dst_alg.n_points) - 1
     images = (substitute(minterm(src_alg, i), m.images) for i in range(src_alg.n_points))
-    kernel_top = tuple(int(not eval_term(t, masks, full)) for t in images)
-    killed = kernel_top.count(1)
+    kernel_top = "".join("0" if eval_term(t, masks, full) else "1" for t in images)
+    killed = kernel_top.count("1")
     pm = point_map(m)
     surjective = set(pm) == set(range(src_alg.n_points))
     injective = not killed
@@ -332,7 +328,7 @@ class LlpoReport:
     stage: int
     injective: bool
     spectrum_map_surjective: bool
-    decode: tuple[tuple[str, Bits], ...]  # per src point: (side, stage-n point)
+    decode: tuple[tuple[str, str], ...]  # per src point: (side, stage-n point's digits)
     decode_consistent: bool
 
 
@@ -377,13 +373,13 @@ def llpo_split(n: int) -> LlpoReport:
 
     src_alg, dst_alg = f.src_alg, f.dst_alg
     pm = report.point_map
-    decode: list[tuple[str, Bits]] = []
+    decode: list[tuple[str, str]] = []
     consistent = True
     for i, code in enumerate(src_alg.codes):
         first = 2 * n - code.bit_length()  # least generator a nonzero point hits
         side = "right" if code and first % 2 else "left"
         beta = 1 << n - 1 - first // 2 if code else 0
-        decode.append((side, _bits_of(beta, n)[::-1]))
+        decode.append((side, format(beta, f"0{n}b")))
         # the decoded point, as a product-spectrum point e a0.. b0.., must map back
         dst_code = 1 << 2 * n | beta << n if side == "left" else beta
         if pm[dst_alg.index[dst_code]] != i:
@@ -400,8 +396,8 @@ def llpo_split(n: int) -> LlpoReport:
 @record
 class WlpoReport:
     k: int
-    beta: tuple[int, ...]  # assignment to g0..g{k+1}
-    gamma: tuple[int, ...]
+    beta: str  # assignment to g0..g{k+1}, one digit each
+    gamma: str
     value_beta: int
     value_gamma: int
     verdict: str  # "fails_on_beta" | "fails_on_gamma"
@@ -424,11 +420,10 @@ def wlpo_counterexample(c: Term) -> WlpoReport:
     # are 0 on all of its own generators
     value = eval_term(c, {f"g{i}": 0 for i in indices})
     check_cap((k + 1).bit_length(), f"wlpo sequences of {k + 2} bits")
-    beta = (0,) * (k + 2)
     return WlpoReport(
         k=k,
-        beta=beta,
-        gamma=beta[:-1] + (1,),
+        beta="0" * (k + 2),
+        gamma="0" * (k + 1) + "1",
         value_beta=value,
         value_gamma=value,
         verdict="fails_on_beta" if value == 1 else "fails_on_gamma",
@@ -464,7 +459,7 @@ def separate_closed(
     p: Presentation,
     fs: Sequence[Term],
     gs: Sequence[Term],
-) -> Bits:
+) -> str:
     """Decidable separator of two disjoint closed sets.
 
     F is the set of points killing every f, G the set killing every g.  The

@@ -13,7 +13,7 @@ import gc
 import hashlib
 import json
 import sys
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, NoReturn, Optional, Sequence
 
 from . import boolalg, errors, interval, profinite, zhomology
 from .terms import Term, parse_gen_list, parse_term, parse_term_list
@@ -41,6 +41,9 @@ EXIT_CODES = (
 # other report fields, the text lines, and whether the checked property held;
 # the lines are read only when text mode prints them
 Result = tuple[str, dict, Iterable[str], bool]
+
+# the keys any input file may hold, so one file serves several commands (spectrum reads a markov file)
+KEYS = {"gens", "rels", "seq", "fs", "gs", "src-gens", "src-rels", "dst-gens", "dst-rels", "map", "family", "depth"}
 
 
 def _read(path: str) -> str:
@@ -81,6 +84,8 @@ def _key_lines(text: str) -> dict[str, tuple[str, int, int]]:
             raise errors.ParseError("expected 'key: value'", lineno, 1)
         key, _, value = raw.partition(":")
         key = key.strip()
+        if key not in KEYS:
+            raise errors.ParseError(f"unknown key {key!r}", lineno, 1)
         if key in out:
             raise errors.ParseError(f"duplicate key {key!r}", lineno, 1)
         value = value.lstrip()
@@ -191,8 +196,10 @@ def _level_json(lc: zhomology.LevelCohomology) -> dict:
     return {"level": lc.level, "dims": list(lc.dims), "h0": _group_json(lc.h0), "h1": _group_json(lc.h1)}
 
 
-def _bits(v: Sequence[int]) -> str:
-    return bytes(v).translate(boolalg.DIGITS).decode()
+def _unprintable(bits: int, stage: str) -> NoReturn:
+    """Raise CapExceeded for a number of ``bits`` bits that has more decimal
+    digits than sys.get_int_max_str_digits() lets ``str`` write."""
+    raise errors.CapExceeded(bits, (10 ** sys.get_int_max_str_digits()).bit_length() - 1, stage) from None
 
 
 def cmd_spectrum(args) -> Result:
@@ -225,13 +232,13 @@ def cmd_morphism(args) -> Result:
     rep = boolalg.analyze_morphism(parse_morphism_file(text))
     try:
         str(rep.kernel_size)
-    except ValueError:  # 2^k has more digits than sys.get_int_max_str_digits() allows
-        k, printable = rep.kernel_size.bit_length() - 1, (10 ** sys.get_int_max_str_digits()).bit_length() - 1
-        raise errors.CapExceeded(k, printable, f"kernel of {k} killed points") from None
+    except ValueError:  # 2^k has more digits than str() writes
+        k = rep.kernel_size.bit_length() - 1
+        _unprintable(k, f"kernel of {k} killed points")
     fields = {
         "injective": rep.injective,
         "kernel_size": rep.kernel_size,
-        "kernel_top": _bits(rep.kernel_top),
+        "kernel_top": rep.kernel_top,
         "point_map": list(rep.point_map),
         "point_map_surjective": rep.point_map_surjective,
         "axiom2_consistent": rep.axiom2_consistent,
@@ -250,7 +257,7 @@ def cmd_llpo(args) -> Result:
         "stage": rep.stage,
         "injective": rep.injective,
         "spectrum_map_surjective": rep.spectrum_map_surjective,
-        "decode": [{"side": side, "point": _bits(beta)} for side, beta in rep.decode],
+        "decode": [{"side": side, "point": beta} for side, beta in rep.decode],
         "decode_consistent": rep.decode_consistent,
     }
     lines = [
@@ -266,8 +273,8 @@ def cmd_wlpo(args) -> Result:
     rep = boolalg.wlpo_counterexample(parse_term(args.term))
     fields = {
         "k": rep.k,
-        "beta": _bits(rep.beta),
-        "gamma": _bits(rep.gamma),
+        "beta": rep.beta,
+        "gamma": rep.gamma,
         "value_beta": rep.value_beta,
         "value_gamma": rep.value_gamma,
         "verdict": rep.verdict,
@@ -296,7 +303,7 @@ def cmd_separate(args) -> Result:
     p = _presentation(entries)
     fs = parse_term_list(*_require(entries, "fs"), p.gens)
     gs = parse_term_list(*_require(entries, "gs"), p.gens)
-    separator = _bits(boolalg.separate_closed(p, fs, gs))
+    separator = boolalg.separate_closed(p, fs, gs)
     lines = [f"decidable separator D (bit per spectrum point): {separator}"]
     return text, {"separator": separator}, lines, True
 
@@ -334,14 +341,12 @@ def cmd_cohomology(args) -> Result:
         f"h0 = {rep.h0}, h1 = {rep.h1}",
         f"augmented complex exact at: {exact}",
     ]
-    if rep.h0.torsion or rep.h1.torsion:
-        lines.append("warning: torsion appeared where none was expected")
     ok = args.space != "interval" or all(rep.exact_at)
     return f"{args.space}:{args.level}", fields, lines, ok
 
 
 def cmd_interval_image(args) -> Result:
-    words = [interval.BitWord.parse(w) for w in args.cylinders.split(",") if w.strip()]
+    words = [w.strip() for w in args.cylinders.split(",") if w.strip()]
     image = interval.decidable_image(words)
     complement = interval.complement_closed_union(image)
     try:
@@ -349,9 +354,9 @@ def cmd_interval_image(args) -> Result:
             "image": [[str(lo), str(hi)] for lo, hi in image.parts],
             "complement": [[str(lo), str(hi)] for lo, hi in complement.parts],
         }
-    except ValueError:  # a numerator over sys.get_int_max_str_digits(); it has no more bits than the longest word
-        n, printable = max(w.length for w in words), (10 ** sys.get_int_max_str_digits()).bit_length() - 1
-        raise errors.CapExceeded(n, printable, f"interval-image word of {n} bits") from None
+    except ValueError:  # a numerator too long for str(); it has no more bits than the longest word
+        n = max(map(len, words))
+        _unprintable(n, f"interval-image word of {n} bits")
     lines = [
         f"image of {len(words)} cylinders: {image}",
         f"relative complement: {complement}",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .boolalg import BIT_VALUES, DIGITS, check_cap
+from .boolalg import check_cap
 from .errors import BadArgument, InvariantViolated
 from .profinite import RelGraph
 from .record import record
@@ -55,37 +55,6 @@ class Dyadic:
 
 D0 = Dyadic(0, 0)
 D1 = Dyadic(1, 0)
-
-
-@record
-class BitWord:
-    """Finite bit list; leading zeros are significant.  ``value`` reads the
-    bits as one base-2 numeral, which ``int`` parses in a single call."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if not {*self.bits} <= {0, 1}:
-            raise InvariantViolated("bits must be 0 or 1")
-
-    @staticmethod
-    def parse(text: str) -> "BitWord":
-        word = text.strip()
-        if word.strip("01"):
-            raise BadArgument(f"bit word {word!r} has a character other than 0 or 1")
-        return BitWord(tuple(word.encode().translate(BIT_VALUES)))
-
-    @property
-    def length(self) -> int:
-        return len(self.bits)
-
-    @property
-    def value(self) -> int:
-        """Integer value with bit 0 most significant."""
-        return int(str(self) or "0", 2)
-
-    def __str__(self) -> str:
-        return bytes(self.bits).translate(DIGITS).decode()
 
 
 def interval_graph(n: int) -> RelGraph:
@@ -160,10 +129,15 @@ def closed_union(parts: Iterable[tuple[Dyadic, Dyadic]]) -> IntervalUnion:
     return IntervalUnion("closed", tuple((lo, hi) for lo, hi in merged))
 
 
-def decidable_image(ws: Sequence[BitWord]) -> IntervalUnion:
-    """Merged union of the cylinder images of the given words: a word of
-    value k and length n covers [k/2^n, (k+1)/2^n]."""
-    return closed_union((Dyadic(k := w.value, w.length), Dyadic(k + 1, w.length)) for w in ws)
+def decidable_image(words: Sequence[str]) -> IntervalUnion:
+    """Merged union of the cylinder images of the given bit words: a word of
+    n digits, the base-2 numeral k, covers [k/2^n, (k+1)/2^n]."""
+    parts = []
+    for w in words:
+        if w.strip("01"):  # int(w, 2) would also take "_", "0b", a sign or a non-ASCII digit
+            raise BadArgument(f"bit word {w!r} has a character other than 0 or 1")
+        parts.append((Dyadic(k := int(w or "0", 2), len(w)), Dyadic(k + 1, len(w))))
+    return closed_union(parts)
 
 
 def _gaps(parts: tuple[tuple[Dyadic, Dyadic], ...]) -> tuple[tuple[Dyadic, Dyadic], ...]:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from lemmas import Or, RelGraphTower, _check_lengths, _coboundary, evaluate, hstack, realize
 from stonework.boolalg import (
-    Bits,
     FinBoolAlg,
     Morphism,
     MorphismReport,
@@ -22,7 +21,7 @@ from stonework.boolalg import (
     spectrum,
 )
 from stonework.errors import RelationNotPreserved, UnknownGenerator
-from stonework.interval import BitWord, circle_graph, interval_graph, restrict_graph_map
+from stonework.interval import circle_graph, interval_graph, restrict_graph_map
 from stonework.profinite import CountablePresentation, RelGraph, SeqDiagram
 from stonework.terms import (
     And,
@@ -138,7 +137,7 @@ def codes_by_compress(p: Presentation) -> tuple[int, ...]:
     full = alive = (1 << size) - 1
     for r in p.rels:
         alive &= ~eval_term(r, masks, full)
-    return tuple(itertools.compress(range(size), _bits_of(alive, size)))
+    return tuple(itertools.compress(range(size), map("1".__eq__, _bits_of(alive, size))))
 
 
 def truncation_tower(p: CountablePresentation, depth: int) -> tuple[FinBoolAlg, ...]:
@@ -252,12 +251,11 @@ def term_from_json(obj) -> Term:
     raise ValueError(f"bad term encoding: {obj!r}")
 
 
-def duality_failures_exhaustive(a: FinBoolAlg) -> tuple[Bits, ...]:
+def duality_failures_exhaustive(a: FinBoolAlg) -> tuple[str, ...]:
     """Every bit-vector over the spectrum that ``realize`` then ``evaluate``
     does not give back, one vector at a time (independent oracle)."""
-    return tuple(
-        v for v in itertools.product((0, 1), repeat=a.n_points) if evaluate(realize(v, a), a) != v
-    )
+    vectors = map("".join, itertools.product("01", repeat=a.n_points))
+    return tuple(v for v in vectors if evaluate(realize(v, a), a) != v)
 
 
 def witness_from_scratch(p: Presentation, rels, bound: int):
@@ -276,17 +274,17 @@ def morphism_report_by_substitution(m: Morphism) -> MorphismReport:
     spectrum (an oracle)."""
     src_alg, dst_alg = spectrum(m.src), spectrum(m.dst)
     killed = [
-        i for i in range(src_alg.n_points) if not any(evaluate(substitute(minterm(src_alg, i), m.images), dst_alg))
+        i for i in range(src_alg.n_points) if "1" not in evaluate(substitute(minterm(src_alg, i), m.images), dst_alg)
     ]
     codes = [0] * dst_alg.n_points
     for g in m.src.gens:
-        codes = [c << 1 | b for c, b in zip(codes, evaluate(m.images[g], dst_alg))]
+        codes = [c << 1 | int(b) for c, b in zip(codes, evaluate(m.images[g], dst_alg))]
     pm = tuple(src_alg.codes.index(c) for c in codes)
     surjective = set(pm) == set(range(src_alg.n_points))
     return MorphismReport(
         injective=not killed,
         kernel_size=2 ** len(killed),
-        kernel_top=tuple(int(i in killed) for i in range(src_alg.n_points)),
+        kernel_top="".join("1" if i in killed else "0" for i in range(src_alg.n_points)),
         point_map=pm,
         point_map_surjective=surjective,
         axiom2_consistent=(not killed) == surjective,
@@ -507,12 +505,12 @@ def rational_rank(m: IntMatrix) -> int:
     return rank
 
 
-def _pattern(u: tuple[int, ...], first: int, repeat: int, n: int) -> tuple[int, ...]:
-    word = u + (first,) + (repeat,) * max(n - len(u) - 1, 0)
+def _pattern(u: str, first: str, repeat: str, n: int) -> str:
+    word = u + first + repeat * max(n - len(u) - 1, 0)
     return word[:n]
 
 
-def near_companion(n: int, s: BitWord, t: BitWord) -> bool:
+def near_companion(n: int, s: str, t: str) -> bool:
     """Nearness via an exhaustive search for a common witness prefix u
     (independent oracle for ``near``).
 
@@ -521,9 +519,9 @@ def near_companion(n: int, s: BitWord, t: BitWord) -> bool:
     """
     _check_lengths(n, s, t)
     for m in range(n + 1):
-        for u in itertools.product((0, 1), repeat=m):
-            p0 = _pattern(u, 0, 1, n)
-            p1 = _pattern(u, 1, 0, n)
-            if s.bits in (p0, p1) and t.bits in (p0, p1):
+        for u in map("".join, itertools.product("01", repeat=m)):
+            p0 = _pattern(u, "0", "1", n)
+            p1 = _pattern(u, "1", "0", n)
+            if s in (p0, p1) and t in (p0, p1):
                 return True
     return False

@@ -10,7 +10,6 @@ from typing import Callable, Optional, Sequence
 
 from stonework import profinite
 from stonework.boolalg import (
-    Bits,
     FinBoolAlg,
     Morphism,
     Presentation,
@@ -23,7 +22,7 @@ from stonework.boolalg import (
 )
 from stonework.cli import _countable, _key_lines
 from stonework.errors import InvariantViolated, RelationNotPreserved, StoneworkError
-from stonework.interval import D0, D1, BitWord, Dyadic, IntervalUnion, _gaps
+from stonework.interval import D0, D1, Dyadic, IntervalUnion, _gaps
 from stonework.profinite import RelGraph, SeqDiagram, Vertex
 from stonework.record import record
 from stonework.terms import Gen, Gens, Not, Term, eval_term, generators_of, join, meet, parse_term
@@ -85,19 +84,20 @@ def render(t: Term) -> str:
     return text
 
 
-def evaluate(t: Term, a: FinBoolAlg) -> Bits:
-    """Bit-vector of ``t`` over the spectrum points (the evaluation map)."""
+def evaluate(t: Term, a: FinBoolAlg) -> str:
+    """Bit-vector of ``t`` over the spectrum points, one digit per point (the
+    evaluation map)."""
     return _bits_of(eval_term(t, a.masks, (1 << a.n_points) - 1), a.n_points)
 
 
-def realize(v: Bits, a: FinBoolAlg) -> Term:
+def realize(v: str, a: FinBoolAlg) -> Term:
     """A term whose evaluation is ``v``: disjunction of selected minterms.
 
     Over the empty spectrum this is the empty disjunction 0.
     """
     if len(v) != a.n_points:
         raise ValueError(f"vector length {len(v)} != {a.n_points} points")
-    return join([minterm(a, i) for i, bit in enumerate(v) if bit])
+    return join([minterm(a, i) for i, bit in enumerate(v) if bit == "1"])
 
 
 def identity(p: Presentation) -> Morphism:
@@ -112,7 +112,7 @@ def epi_mono_factor(m: Morphism) -> tuple[Morphism, FinBoolAlg, Morphism]:
     """
     src_alg = m.src_alg
     image = set(point_map(m))
-    cokernel_vec = tuple(0 if i in image else 1 for i in range(src_alg.n_points))
+    cokernel_vec = "".join("0" if i in image else "1" for i in range(src_alg.n_points))
     extra = realize(cokernel_vec, src_alg)
     middle_pres = Presentation.make(m.src.gens, list(m.src.rels) + [extra])
     epi = hom(m.src, {g: Gen(g) for g in m.src.gens}, middle_pres)
@@ -147,7 +147,7 @@ def _binfty_point_roles(a: FinBoolAlg) -> dict[int, int]:
     return {i: n - c.bit_length() for i, c in enumerate(a.codes) if c}
 
 
-def binfty_normal_form(v: Bits, n: int) -> NormalFormBInfty:
+def binfty_normal_form(v: str, n: int) -> NormalFormBInfty:
     """Classify an element of binfty(n) as Join(I) or MeetNeg(I).
 
     MeetNeg(I) iff the all-zero point is selected, with I the generator
@@ -158,10 +158,10 @@ def binfty_normal_form(v: Bits, n: int) -> NormalFormBInfty:
     if len(v) != a.n_points:
         raise ValueError(f"vector length {len(v)} != {a.n_points} points")
     onehot = _binfty_point_roles(a)
-    if v[0]:
-        indices = frozenset(g for i, g in onehot.items() if not v[i])
+    if v[0] == "1":
+        indices = frozenset(g for i, g in onehot.items() if v[i] == "0")
         return NormalFormBInfty("meetneg", indices)
-    indices = frozenset(g for i, g in onehot.items() if v[i])
+    indices = frozenset(g for i, g in onehot.items() if v[i] == "1")
     return NormalFormBInfty("join", indices)
 
 
@@ -360,32 +360,39 @@ def bound_levelwise_nat_map(
     return k, values
 
 
-def all_words(n: int) -> list[BitWord]:
-    return [BitWord(bits) for bits in itertools.product((0, 1), repeat=n)]
+def all_words(n: int) -> list[str]:
+    return ["".join(bits) for bits in itertools.product("01", repeat=n)]
 
 
-def cs_value(w: BitWord) -> Dyadic:
+def value(w: str) -> int:
+    """The bit word ``w`` read as one base-2 numeral, its first digit most
+    significant; the empty word is 0."""
+    return int(w or "0", 2)
+
+
+def cs_value(w: str) -> Dyadic:
     """Truncated binary-expansion value sum bits(i)/2^(i+1) = k/2^n."""
-    return Dyadic(w.value, w.length)
+    return Dyadic(value(w), len(w))
 
 
-def bit_loop_value(bits: Sequence[int]) -> int:
-    """The value of a bit list with bit 0 most significant, one bit at a time."""
+def bit_loop_value(w: str) -> int:
+    """The value of a bit word with its first digit most significant, one
+    digit at a time."""
     k = 0
-    for b in bits:
-        k = 2 * k + b
+    for b in w:
+        k = 2 * k + (b == "1")
     return k
 
 
-def _check_lengths(n: int, s: BitWord, t: BitWord) -> None:
-    if s.length != n or t.length != n:
-        raise ValueError(f"expected words of length {n}, got {s.length} and {t.length}")
+def _check_lengths(n: int, s: str, t: str) -> None:
+    if len(s) != n or len(t) != n:
+        raise ValueError(f"expected words of length {n}, got {len(s)} and {len(t)}")
 
 
-def near(n: int, s: BitWord, t: BitWord) -> bool:
+def near(n: int, s: str, t: str) -> bool:
     """Nearness as adjacency: |value(s) - value(t)| <= 1."""
     _check_lengths(n, s, t)
-    return abs(s.value - t.value) <= 1
+    return abs(value(s) - value(t)) <= 1
 
 
 def dyadic_sub(x: Dyadic, y: Dyadic) -> Dyadic:
@@ -420,12 +427,11 @@ def complement_open_union(u: IntervalUnion) -> IntervalUnion:
 class FiberPoint:
     """Eventually constant binary sequence: finite prefix then a repeated bit."""
 
-    prefix: BitWord
+    prefix: str
     repeat: int
 
-    def truncate(self, m: int) -> BitWord:
-        bits = (self.prefix.bits + (self.repeat,) * m)[:m]
-        return BitWord(bits)
+    def truncate(self, m: int) -> str:
+        return (self.prefix + str(self.repeat) * m)[:m]
 
     def __str__(self) -> str:
         bar = "0..." if self.repeat == 0 else "1..."
@@ -441,13 +447,13 @@ def cs_fiber(d: Dyadic) -> list[FiberPoint]:
     if d < D0 or D1 < d:
         raise OutOfRange(str(d))
     if d == D0:
-        return [FiberPoint(BitWord(()), 0)]
+        return [FiberPoint("", 0)]
     if d == D1:
-        return [FiberPoint(BitWord(()), 1)]
+        return [FiberPoint("", 1)]
     # d = num/2^exp with num odd, 0 < num < 2^exp, exp >= 1
-    bits = tuple((d.num >> (d.exp - 1 - i)) & 1 for i in range(d.exp))
-    low = FiberPoint(BitWord(bits), 0)  # ...w 1 0 0 0
-    high = FiberPoint(BitWord(bits[:-1] + (0,)), 1)  # ...w 0 1 1 1
+    bits = format(d.num, f"0{d.exp}b")
+    low = FiberPoint(bits, 0)  # ...w 1 0 0 0
+    high = FiberPoint(bits[:-1] + "0", 1)  # ...w 0 1 1 1
     return [low, high]
 
 
@@ -627,9 +633,9 @@ def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(a.nrows, a.ncols + b.ncols, rows)
 
 
-def zero_element(a: FinBoolAlg) -> Bits:
-    return (0,) * a.n_points
+def zero_element(a: FinBoolAlg) -> str:
+    return "0" * a.n_points
 
 
-def one_element(a: FinBoolAlg) -> Bits:
-    return (1,) * a.n_points
+def one_element(a: FinBoolAlg) -> str:
+    return "1" * a.n_points

@@ -38,6 +38,7 @@ from lemmas import (
     points_at_depth,
     snf,
     snf_diagonal,
+    value,
 )
 from stonework.boolalg import (
     Presentation,
@@ -54,7 +55,6 @@ from stonework.boolalg import (
 )
 from stonework.errors import RelationNotKilled
 from stonework.interval import (
-    BitWord,
     circle_graph,
     decidable_image,
     complement_closed_union,
@@ -147,7 +147,7 @@ def test_03_stagewise_normal_forms_classify_and_round_trip():
         a = spectrum(binfty(n))
         assert a.n_points == n + 1
         seen = set()
-        for v in itertools.product((0, 1), repeat=a.n_points):
+        for v in map("".join, itertools.product("01", repeat=a.n_points)):
             nf = binfty_normal_form(v, n)
             key = (nf.kind, nf.indices)
             assert key not in seen  # classification is unique
@@ -167,10 +167,11 @@ def test_04_interleaving_split_is_injective_with_exact_decode():
         src = spectrum(binfty(2 * n))
         dst = spectrum(llpo_product_presentation(n))
         for i, (side, beta) in enumerate(rep.decode):
+            bits = tuple(map(int, beta))
             if side == "left":
-                dst_pt = (1,) + beta + (0,) * n
+                dst_pt = (1,) + bits + (0,) * n
             else:
-                dst_pt = (0,) + (0,) * n + beta
+                dst_pt = (0,) + (0,) * n + bits
             assert code_of(dst_pt) in dst.codes
             assert code_of(interleaving_pullback(dst_pt, n)) == src.codes[i]
         images = {code_of(interleaving_pullback(point_of(c, 2 * n + 1), n)) for c in dst.codes}
@@ -186,8 +187,8 @@ def test_05_every_candidate_zero_decider_is_refuted():
         # the two probe sequences evaluate identically...
         assert rep.value_beta == rep.value_gamma
         # ...while exactly one of them is all-zero
-        assert all(b == 0 for b in rep.beta)
-        assert sum(rep.gamma) == 1 and rep.gamma[-1] == 1
+        assert set(rep.beta) == {"0"}
+        assert rep.gamma.count("1") == 1 and rep.gamma[-1] == "1"
         assert rep.verdict in ("fails_on_beta", "fails_on_gamma")
 
 
@@ -252,13 +253,13 @@ def test_07_separator_contains_f_and_misses_g():
         gs = [random_term(rng, gens, 3) for _ in range(rng.randint(1, 3))]
         f_vecs = [evaluate(f, a) for f in fs]
         g_vecs = [evaluate(g, a) for g in gs]
-        in_f = [all(v[i] == 0 for v in f_vecs) for i in range(a.n_points)]
-        in_g = [all(v[i] == 0 for v in g_vecs) for i in range(a.n_points)]
+        in_f = [all(v[i] == "0" for v in f_vecs) for i in range(a.n_points)]
+        in_g = [all(v[i] == "0" for v in g_vecs) for i in range(a.n_points)]
         if any(f and g for f, g in zip(in_f, in_g)):
             continue
         d = separate_closed(p, fs, gs)
-        assert all(d[i] == 1 for i in range(a.n_points) if in_f[i])  # F inside D
-        assert all(d[i] == 0 for i in range(a.n_points) if in_g[i])  # G outside D
+        assert all(d[i] == "1" for i in range(a.n_points) if in_f[i])  # F inside D
+        assert all(d[i] == "0" for i in range(a.n_points) if in_g[i])  # G outside D
         done += 1
 
 
@@ -272,9 +273,9 @@ def _companion_pairs(n: int) -> set:
     """
     pairs = set()
     for m in range(n + 1):
-        for u in itertools.product((0, 1), repeat=m):
-            p0 = (u + (0,) + (1,) * n)[:n]
-            p1 = (u + (1,) + (0,) * n)[:n]
+        for u in map("".join, itertools.product("01", repeat=m)):
+            p0 = (u + "0" + "1" * n)[:n]
+            p1 = (u + "1" + "0" * n)[:n]
             for s in (p0, p1):
                 for t in (p0, p1):
                     pairs.add((s, t))
@@ -290,7 +291,7 @@ def test_08_adjacency_equals_common_witness_nearness():
             for t in words:
                 c = near_companion(n, s, t)
                 assert c == near(n, s, t)
-                assert c == ((s.bits, t.bits) in witnessed)
+                assert c == ((s, t) in witnessed)
     # n = 7, 8: the witness relation is enumerated once and compared
     # exhaustively; the pairwise search is spot-checked against it
     rng = random.Random(808)
@@ -298,12 +299,12 @@ def test_08_adjacency_equals_common_witness_nearness():
         words = all_words(n)
         witnessed = _companion_pairs(n)
         for s in words:
-            sv = s.value
+            sv = value(s)
             for t in words:
-                assert (abs(sv - t.value) <= 1) == ((s.bits, t.bits) in witnessed)
+                assert (abs(sv - value(t)) <= 1) == ((s, t) in witnessed)
         for _ in range(300):
             s, t = rng.choice(words), rng.choice(words)
-            assert near_companion(n, s, t) == ((s.bits, t.bits) in witnessed)
+            assert near_companion(n, s, t) == ((s, t) in witnessed)
 
 
 def test_09_cylinder_images_match_pointwise_brute_force():
@@ -312,14 +313,14 @@ def test_09_cylinder_images_match_pointwise_brute_force():
         d = cs_value(u)
         probes.append((d, Fraction(d.num, 2**d.exp)))
 
-    def oracle(words: list[BitWord], x: Fraction) -> bool:
+    def oracle(words: list[str], x: Fraction) -> bool:
         for w in words:
-            lo = Fraction(w.value, 2**w.length)
-            if lo <= x <= lo + Fraction(1, 2**w.length):
+            lo = Fraction(value(w), 2 ** len(w))
+            if lo <= x <= lo + Fraction(1, 2 ** len(w)):
                 return True
         return False
 
-    def check(words: list[BitWord]) -> None:
+    def check(words: list[str]) -> None:
         u = decidable_image(words)
         # normalized: ordered parts with genuine gaps
         for (lo, hi), (lo2, _) in zip(u.parts, u.parts[1:]):

@@ -110,35 +110,35 @@ class TestSpectrum:
 class TestEvaluateRealize:
     def test_generator_column_over_free_two(self):
         a = spectrum(free(2))
-        assert evaluate(G0, a) == (0, 0, 1, 1)
-        assert evaluate(G1, a) == (0, 1, 0, 1)
-        assert evaluate(ZERO, a) == (0, 0, 0, 0)
-        assert evaluate(ONE, a) == (1, 1, 1, 1)
+        assert evaluate(G0, a) == "0011"
+        assert evaluate(G1, a) == "0101"
+        assert evaluate(ZERO, a) == "0000"
+        assert evaluate(ONE, a) == "1111"
 
     def test_minterm_selects_exactly_one_point(self):
         a = spectrum(free(3))
         for i in range(a.n_points):
             v = evaluate(minterm(a, i), a)
-            assert v == tuple(1 if j == i else 0 for j in range(a.n_points))
+            assert v == "".join("1" if j == i else "0" for j in range(a.n_points))
 
     def test_realize_round_trip_exhaustive_free_three(self):
         a = spectrum(free(3))
-        for v in itertools.product((0, 1), repeat=a.n_points):
+        for v in map("".join, itertools.product("01", repeat=a.n_points)):
             assert evaluate(realize(v, a), a) == v
 
     def test_realize_over_empty_spectrum(self):
         a = spectrum(Presentation.make(["g0"], [ONE]))
-        assert realize((), a) == ZERO
+        assert realize("", a) == ZERO
 
     def test_realize_length_mismatch(self):
         a = spectrum(free(1))
         with pytest.raises(ValueError):
-            realize((0, 1, 0), a)
+            realize("010", a)
 
     @given(st.integers(0, 2**5 - 1))
     def test_realize_round_trip_binfty4(self, bits: int):
         a = spectrum(binfty(4))
-        v = tuple((bits >> i) & 1 for i in range(a.n_points))
+        v = "".join(str(bits >> i & 1) for i in range(a.n_points))
         assert evaluate(realize(v, a), a) == v
 
 
@@ -248,7 +248,7 @@ class TestMorphisms:
         rep = analyze_morphism(m)
         assert not rep.injective
         assert rep.kernel_size == 2
-        assert rep.kernel_top == (0, 1)  # the element g0, i.e. true at point (1,)
+        assert rep.kernel_top == "01"  # the element g0, i.e. true at point (1,)
         assert not rep.point_map_surjective
         assert rep.axiom2_consistent
 
@@ -334,7 +334,7 @@ class TestMorphismEvaluations:
         minterms = [minterm(m.src_alg, i) for i in range(m.src_alg.n_points)]
         assert substituted == [(t, images) for t in minterms]
         assert evaluated == [*src.rels, *(substitute(t, images) for t in minterms)]
-        assert rep.kernel_top == (1,) * len(minterms)
+        assert rep.kernel_top == "1" * len(minterms)
         assert (rep.kernel_size, rep.point_map) == (2 ** len(minterms), ())
 
 
@@ -364,7 +364,7 @@ class TestBinftyNormalForm:
     def test_round_trip_exhaustive_small_stages(self):
         for n in range(0, 6):
             a = spectrum(binfty(n))
-            for v in itertools.product((0, 1), repeat=a.n_points):
+            for v in map("".join, itertools.product("01", repeat=a.n_points)):
                 nf = binfty_normal_form(v, n)
                 assert evaluate(nf.to_term(), a) == v
 
@@ -372,7 +372,7 @@ class TestBinftyNormalForm:
         n = 4
         a = spectrum(binfty(n))
         seen = set()
-        for v in itertools.product((0, 1), repeat=a.n_points):
+        for v in map("".join, itertools.product("01", repeat=a.n_points)):
             nf = binfty_normal_form(v, n)
             key = (nf.kind, nf.indices)
             assert key not in seen
@@ -385,7 +385,7 @@ class TestBinftyNormalForm:
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            binfty_normal_form((0, 0), 3)
+            binfty_normal_form("00", 3)
 
 
 class TestSpectrumReuse:
@@ -437,11 +437,11 @@ class TestLlpo:
             pt = point_of(code, 4)
             support = [j for j, b in enumerate(pt) if b]
             if not support:
-                assert side == "left" and beta == (0, 0)
+                assert side == "left" and beta == "00"
             elif support[0] % 2 == 0:
-                assert side == "left" and beta[support[0] // 2] == 1
+                assert side == "left" and beta[support[0] // 2] == "1"
             else:
-                assert side == "right" and beta[support[0] // 2] == 1
+                assert side == "right" and beta[support[0] // 2] == "1"
 
     def test_stage_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -452,16 +452,16 @@ class TestWlpo:
     def test_single_generator(self):
         rep = wlpo_counterexample(G0)
         assert rep.k == 0
-        assert rep.beta == (0, 0)
-        assert rep.gamma == (0, 1)
+        assert rep.beta == "00"
+        assert rep.gamma == "01"
         assert rep.value_beta == rep.value_gamma == 0
         assert rep.verdict == "fails_on_gamma"
 
     def test_constant_one(self):
         rep = wlpo_counterexample(ONE)
         assert rep.k == -1
-        assert rep.beta == (0,)
-        assert rep.gamma == (1,)
+        assert rep.beta == "0"
+        assert rep.gamma == "1"
         assert rep.value_beta == 1
         assert rep.verdict == "fails_on_beta"
 
@@ -479,10 +479,10 @@ class TestWlpo:
             t = random_term(rng, gens, 4)
             rep = wlpo_counterexample(t)
             assert rep.value_beta == rep.value_gamma
-            assert rep.gamma[-1] == 1 and all(b == 0 for b in rep.beta)
+            assert rep.gamma[-1] == "1" and set(rep.beta) == {"0"}
             # the two k+2-bit sequences, evaluated in full
             names = [f"g{i}" for i in range(rep.k + 2)]
-            assert rep.beta == (0,) * len(names) and rep.gamma == rep.beta[:-1] + (1,)
+            assert rep.beta == "0" * len(names) and rep.gamma == rep.beta[:-1] + "1"
             assert rep.value_beta == eval_term(t, dict.fromkeys(names, 0))
             assert rep.value_gamma == eval_term(t, {**dict.fromkeys(names, 0), names[-1]: 1})
 
@@ -563,11 +563,11 @@ class TestSeparateClosed:
     def test_complement_pair(self):
         # F = {x : x(g0) = 0}, G = {x : x(g0) = 1}; D must contain F, avoid G
         d = separate_closed(free(1), [G0], [Not(G0)])
-        assert d == (1, 0)
+        assert d == "10"
 
     def test_whole_space_against_empty(self):
         d = separate_closed(free(1), [ZERO], [ONE])
-        assert d == (1, 1)
+        assert d == "11"
 
     def test_intersecting_sets_rejected(self):
         with pytest.raises(NotDisjoint):
@@ -584,7 +584,7 @@ class TestSeparateClosed:
         assert cli.main(["--json", "separate", str(f)]) == cli.EXIT_OK
         assert [t for t in evaluated if t in rels] == list(rels)
         evaluated.clear()
-        assert separate_closed(Presentation.make(["g0", "g1", "g2"], rels), [G0, G2], [Not(G0)]) == (1, 1, 1, 0, 0)
+        assert separate_closed(Presentation.make(["g0", "g1", "g2"], rels), [G0, G2], [Not(G0)]) == "11100"
         assert [t for t in evaluated if t in rels] == list(rels)
 
     def test_separator_properties_on_random_pairs(self):
@@ -601,14 +601,14 @@ class TestSeparateClosed:
             gs = [random_term(rng, gens, 2) for _ in range(rng.randint(1, 3))]
             f_vecs = [evaluate(f, a) for f in fs]
             g_vecs = [evaluate(g, a) for g in gs]
-            in_f = [all(v[i] == 0 for v in f_vecs) for i in range(a.n_points)]
-            in_g = [all(v[i] == 0 for v in g_vecs) for i in range(a.n_points)]
+            in_f = [all(v[i] == "0" for v in f_vecs) for i in range(a.n_points)]
+            in_g = [all(v[i] == "0" for v in g_vecs) for i in range(a.n_points)]
             if any(f and g for f, g in zip(in_f, in_g)):
                 continue
             d = separate_closed(p, fs, gs)
             for i in range(a.n_points):
                 if in_f[i]:
-                    assert d[i] == 1
+                    assert d[i] == "1"
                 if in_g[i]:
-                    assert d[i] == 0
+                    assert d[i] == "0"
             done += 1

@@ -71,6 +71,35 @@ class TestPresentationFormat:
         assert p.rels == (And(Gen("g0"), Gen("g1")), Not(Gen("g0")))
 
 
+class TestUnknownKeys:
+    """A misspelt key is refused, not skipped: read without it, the file
+    would ask a different question and get an answer with exit 0."""
+
+    @pytest.mark.parametrize("argv, text, line, right", [
+        (["spectrum"], "gens: g0 g1\nrles: g0 & g1\n", 2, "rels"),
+        (["morphism"], "src-gens: a0 a1\nsrc-rel: a0 & a1\ndst-gens: b0\nmap: a0 -> b0, a1 -> ~b0\n", 2, "src-rels"),
+        (["markov", "--bound", "3"], "gens: g0\nrels:\nsequence: g0\n", 3, "seq"),
+        (["separate"], "gens: g0\nrels:\nfs: g0\ng: ~g0\n", 4, "gs"),
+        (["tower"], "famly: pairwise-meet-zero\nrels:\ndepth: 4\n", 1, "family"),
+    ], ids=["presentation", "morphism", "markov", "separate", "tower"])
+    def test_misspelt_key_is_a_parse_error(self, capsys, tmp_path, argv, text, line, right):
+        f = tmp_path / "input.txt"
+        f.write_text(text)
+        key = text.splitlines()[line - 1].partition(":")[0]
+        assert key not in cli.KEYS and right in cli.KEYS
+        assert main([argv[0], str(f), *argv[1:]]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: unknown key {key!r} (line {line}, column 1)\n")
+        f.write_text(text.replace(f"{key}:", f"{right}:"))
+        assert main([argv[0], str(f), *argv[1:]]) == EXIT_OK
+
+    def test_one_file_serves_several_commands(self, capsys, tmp_path):
+        f = tmp_path / "markov.txt"
+        f.write_text("gens: g0 g1\nrels: g0 & g1\nseq: g0, g1, ~g0 & ~g1\n")
+        assert main(["markov", str(f), "--bound", "3"]) == EXIT_OK
+        assert main(["spectrum", str(f)]) == EXIT_OK
+        assert "spectrum has 3 points" in capsys.readouterr().out
+
+
 class TestErrorColumns:
     """Columns count from the start of the line, not of the value or chunk."""
 
@@ -590,6 +619,12 @@ class TestExitCodes:
         assert err == message * 2 and "Traceback" not in err
         assert out.startswith("image of 1 cylinders: [") and out.count("\n") == 2
 
+    @pytest.mark.parametrize("word", ["1_0", "0b1", "+1", "-1", "\uff11"])
+    def test_word_that_int_reads_is_still_refused(self, capsys, word):
+        # int(word, 2) takes each of these, so the digits are checked first
+        assert main(["interval-image", "--cylinders", f"01,{word}"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: bit word {word!r} has a character other than 0 or 1\n")
+
     def test_million_bit_word_hits_the_cap_at_once(self, capsys):
         # the word's value and the dyadics at its ends are each read in one call,
         # so the time is linear in the word's length
@@ -975,6 +1010,20 @@ class TestEmptySpectra:
         assert main(["--json", "spectrum", str(f)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert (report["gens"], report["n_points"], report["points"]) == ([], len(points), points)
+
+
+    def test_empty_bit_strings(self, capsys, tmp_path):
+        # a morphism out of an algebra with no points, and two closed sets of no points
+        f = tmp_path / "empty.txt"
+        f.write_text("src-gens: a\nsrc-rels: 1\ndst-gens: b\ndst-rels: 1\nmap: a -> b\n")
+        assert main(["--json", "morphism", str(f)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert (report["kernel_size"], report["kernel_top"], report["point_map"]) == (1, "", [])
+        f.write_text("gens: g0\nrels: 1\nfs: g0\ngs: ~g0\n")
+        assert main(["--json", "separate", str(f)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["separator"] == ""
+        assert main(["separate", str(f)]) == EXIT_OK
+        assert capsys.readouterr().out == "decidable separator D (bit per spectrum point): \n"
 
 
 class TestJsonReports:

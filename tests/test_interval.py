@@ -1,6 +1,7 @@
 """Dyadics, bit words, nearness, graph towers and interval unions."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,10 @@ from lemmas import (
     dyadic_abs,
     dyadic_sub,
     near,
+    value,
 )
-from stonework.errors import CapExceeded, InvariantViolated
+from stonework.errors import BadArgument, CapExceeded, InvariantViolated
 from stonework.interval import (
-    BitWord,
     D0,
     D1,
     Dyadic,
@@ -33,10 +34,6 @@ from stonework.interval import (
     interval_graph,
     restrict_graph_map,
 )
-
-
-def W(text: str) -> BitWord:
-    return BitWord.parse(text)
 
 
 class TestDyadic:
@@ -79,24 +76,35 @@ class TestDyadic:
         assert Fraction(dyadic_sub(x, y).num, 2 ** dyadic_sub(x, y).exp) == fx - fy
 
 
+def cylinder(w: str) -> tuple[Dyadic, Dyadic]:
+    """The one part ``decidable_image`` gives the single word ``w``."""
+    (part,) = decidable_image([w]).parts
+    return part
+
+
 class TestBitWord:
+    """A bit word is the digit string it is read from: its length counts its
+    leading zeros, and ``decidable_image`` reads it as one base-2 numeral."""
+
     def test_parse_and_str(self):
-        assert W("101").bits == (1, 0, 1)
-        assert str(W("0010")) == "0010"
-        assert W("").bits == ()
+        assert cylinder("101") == (Dyadic(5, 3), Dyadic(6, 3))
+        assert cylinder("0010") == (Dyadic(2, 4), Dyadic(3, 4))  # not the cylinder of "10"
+        assert cylinder("") == (D0, D1)
 
     def test_value_bit_zero_most_significant(self):
-        assert W("101").value == 5
-        assert W("011").value == 3
-        assert W("").value == 0
+        assert cylinder("101")[0] == Dyadic(5, 3)
+        assert cylinder("011")[0] == Dyadic(3, 3)
+        assert cylinder("")[0] == D0
 
-    @given(st.lists(st.integers(0, 1), max_size=200))
-    def test_value_agrees_with_bit_loop(self, bits):
-        assert BitWord(tuple(bits)).value == bit_loop_value(bits)
+    @given(st.text("01", max_size=200))
+    def test_value_agrees_with_bit_loop(self, w):
+        assert value(w) == bit_loop_value(w)
+        assert cylinder(w)[0] == Dyadic(bit_loop_value(w), len(w))
 
     def test_bad_bits_rejected(self):
-        with pytest.raises(InvariantViolated):
-            BitWord((0, 2))
+        for word in ("02", " 1", "1\n"):  # the command line strips a word before this reads it
+            with pytest.raises(BadArgument, match=re.escape(f"bit word {word!r} has a character other than 0 or 1")):
+                decidable_image(["1", word])
 
     def test_all_words(self):
         ws = all_words(2)
@@ -105,10 +113,10 @@ class TestBitWord:
 
 class TestCsValue:
     def test_examples(self):
-        assert cs_value(W("101")) == Dyadic(5, 3)
-        assert cs_value(W("11")) == Dyadic(3, 2)
-        assert cs_value(W("")) == D0
-        assert cs_value(W("0000")) == D0
+        assert cs_value("101") == Dyadic(5, 3)
+        assert cs_value("11") == Dyadic(3, 2)
+        assert cs_value("") == D0
+        assert cs_value("0000") == D0
 
     def test_range(self):
         for w in all_words(4):
@@ -118,22 +126,22 @@ class TestCsValue:
 
 class TestNearness:
     def test_near_examples(self):
-        assert near(2, W("01"), W("10"))
-        assert near(2, W("00"), W("01"))
-        assert not near(2, W("00"), W("11"))
-        assert near(3, W("011"), W("100"))
+        assert near(2, "01", "10")
+        assert near(2, "00", "01")
+        assert not near(2, "00", "11")
+        assert near(3, "011", "100")
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            near(3, W("01"), W("010"))
+            near(3, "01", "010")
         with pytest.raises(ValueError):
-            near_companion(2, W("01"), W("010"))
+            near_companion(2, "01", "010")
 
     def test_companion_witness_examples(self):
         # 011 and 100 are the two truncations below the witness u = (empty)
-        assert near_companion(3, W("011"), W("100"))
-        assert near_companion(3, W("010"), W("011"))
-        assert not near_companion(3, W("000"), W("111"))
+        assert near_companion(3, "011", "100")
+        assert near_companion(3, "010", "011")
+        assert not near_companion(3, "000", "111")
 
     def test_companion_reflexive(self):
         for w in all_words(3):
@@ -146,14 +154,13 @@ class TestNearness:
                     assert near(n, s, t) == near_companion(n, s, t)
 
     def test_near_not_transitive(self):
-        assert near(2, W("00"), W("01")) and near(2, W("01"), W("10"))
-        assert not near(2, W("00"), W("10"))
+        assert near(2, "00", "01") and near(2, "01", "10")
+        assert not near(2, "00", "10")
 
     @given(st.integers(0, 6), st.integers(0, 63), st.integers(0, 63))
     def test_near_matches_dyadic_distance(self, n, a, b):
         a, b = a % (2**n), b % (2**n)
-        s = BitWord(tuple((a >> (n - 1 - i)) & 1 for i in range(n)))
-        t = BitWord(tuple((b >> (n - 1 - i)) & 1 for i in range(n)))
+        s, t = (format(x | 1 << n, "b")[1:] for x in (a, b))  # n digits each
         lhs = near(n, s, t)
         rhs = dyadic_abs(dyadic_sub(cs_value(s), cs_value(t))) <= Dyadic(1, n)
         assert lhs == rhs
@@ -207,20 +214,20 @@ class TestGraphs:
 
 class TestIntervalUnions:
     def test_cylinder_image_examples(self):
-        u = decidable_image([W("01")])
+        u = decidable_image(["01"])
         assert u.parts == ((Dyadic(1, 2), Dyadic(1, 1)),)
         assert str(u) == "[1/2^2, 1/2^1]"
-        u = decidable_image([W("1")])
+        u = decidable_image(["1"])
         assert u.parts == ((Dyadic(1, 1), D1),)
-        u = decidable_image([W("")])
+        u = decidable_image([""])
         assert u.parts == ((D0, D1),)
 
     def test_decidable_image_merges_adjacent(self):
-        u = decidable_image([W("0"), W("1")])
+        u = decidable_image(["0", "1"])
         assert u.parts == ((D0, D1),)
 
     def test_decidable_image_disjoint_parts(self):
-        u = decidable_image([W("00"), W("10")])
+        u = decidable_image(["00", "10"])
         assert u.parts == (
             (D0, Dyadic(1, 2)),
             (Dyadic(1, 1), Dyadic(3, 2)),
@@ -257,7 +264,7 @@ class TestIntervalUnions:
         assert spaced.parts == ((D0, Dyadic(1, 4)), (Dyadic(1, 3), Dyadic(3, 4)), (Dyadic(3, 2), D1))
 
     def test_contains_closed_endpoints(self):
-        u = decidable_image([W("01")])
+        u = decidable_image(["01"])
         assert contains(u, Dyadic(1, 2))
         assert contains(u, Dyadic(1, 1))
         assert contains(u, Dyadic(3, 3))
@@ -280,7 +287,7 @@ class TestIntervalUnions:
         assert complement_closed_union(empty).parts == ((D0, D1),)
 
     def test_double_complement_round_trip(self):
-        u = decidable_image([W("00"), W("10")])
+        u = decidable_image(["00", "10"])
         back = complement_open_union(complement_closed_union(u))
         assert back.kind == "closed"
         assert back.parts == u.parts
@@ -296,9 +303,9 @@ class TestIntervalUnions:
 class TestFibers:
     def test_endpoints_have_single_expansion(self):
         (f,) = cs_fiber(D0)
-        assert (f.prefix.bits, f.repeat) == ((), 0)
+        assert (f.prefix, f.repeat) == ("", 0)
         (f,) = cs_fiber(D1)
-        assert (f.prefix.bits, f.repeat) == ((), 1)
+        assert (f.prefix, f.repeat) == ("", 1)
 
     def test_half_has_two_expansions(self):
         low, high = cs_fiber(Dyadic(1, 1))

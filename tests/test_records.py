@@ -28,7 +28,7 @@ from stonework.errors import (
     RelationNotPreserved,
     UnknownGenerator,
 )
-from stonework.interval import BitWord, Dyadic, IntervalUnion, interval_graph
+from stonework.interval import Dyadic, IntervalUnion, interval_graph
 from stonework.profinite import (
     CountablePresentation,
     RelGraph,
@@ -81,24 +81,23 @@ SAMPLES = {
         "images={'g0': ('g1',), 'g1': ('g0',)})",
     ),
     MorphismReport: (
-        lambda: MorphismReport(True, 1, (0, 0), (0, 2, 1), True, True),
-        lambda: MorphismReport(True, 1, (0, 0), (0, 1, 2), True, True),
-        "MorphismReport(injective=True, kernel_size=1, kernel_top=(0, 0), point_map=(0, 2, 1), "
+        lambda: MorphismReport(True, 1, "00", (0, 2, 1), True, True),
+        lambda: MorphismReport(True, 1, "00", (0, 1, 2), True, True),
+        "MorphismReport(injective=True, kernel_size=1, kernel_top='00', point_map=(0, 2, 1), "
         "point_map_surjective=True, axiom2_consistent=True)",
     ),
     LlpoReport: (
-        lambda: LlpoReport(1, True, True, (("a", (0,)), ("b", (1,))), True),
-        lambda: LlpoReport(2, True, True, (("a", (0,)), ("b", (1,))), True),
+        lambda: LlpoReport(1, True, True, (("a", "0"), ("b", "1")), True),
+        lambda: LlpoReport(2, True, True, (("a", "0"), ("b", "1")), True),
         "LlpoReport(stage=1, injective=True, spectrum_map_surjective=True, "
-        "decode=(('a', (0,)), ('b', (1,))), decode_consistent=True)",
+        "decode=(('a', '0'), ('b', '1')), decode_consistent=True)",
     ),
     WlpoReport: (
-        lambda: WlpoReport(0, (0, 0), (0, 1), 0, 0, "fails_on_gamma"),
-        lambda: WlpoReport(0, (0, 0), (0, 1), 1, 1, "fails_on_beta"),
-        "WlpoReport(k=0, beta=(0, 0), gamma=(0, 1), value_beta=0, value_gamma=0, verdict='fails_on_gamma')",
+        lambda: WlpoReport(0, "00", "01", 0, 0, "fails_on_gamma"),
+        lambda: WlpoReport(0, "00", "01", 1, 1, "fails_on_beta"),
+        "WlpoReport(k=0, beta='00', gamma='01', value_beta=0, value_gamma=0, verdict='fails_on_gamma')",
     ),
     Dyadic: (lambda: Dyadic(12, 4), lambda: Dyadic(3, 3), "Dyadic(num=3, exp=2)"),
-    BitWord: (lambda: BitWord((0, 1, 1)), lambda: BitWord((1, 1)), "BitWord(bits=(0, 1, 1))"),
     IntervalUnion: (
         lambda: IntervalUnion("closed", ((Dyadic(0, 0), Dyadic(1, 1)),)),
         lambda: IntervalUnion("open", ((Dyadic(0, 0), Dyadic(1, 1)),)),
@@ -192,7 +191,7 @@ def test_every_record_class_is_sampled():
         if isinstance(obj, type) and obj.__module__ == module.__name__ and "__match_args__" in vars(obj)
     }
     # with the oracle of the graph-tower checks, which lives in the tests
-    assert records | {RelGraphTower} == set(CLASSES) and len(CLASSES) == 21
+    assert records | {RelGraphTower} == set(CLASSES) and len(CLASSES) == 20
 
 
 def _hash_or_error(x):
@@ -295,7 +294,6 @@ def test_normalized_fields():
         (lambda: Presentation(("a", "a"), ()), DuplicateGenerator),
         (lambda: Presentation(("a",), (Gen("b"),)), UnknownGenerator),
         pytest.param(lambda: Dyadic(1, -1), InvariantViolated, id="Dyadic-negative-exponent"),
-        pytest.param(lambda: BitWord((0, 2)), InvariantViolated, id="BitWord-bit-not-0-or-1"),
         pytest.param(lambda: IntervalUnion("half", ()), InvariantViolated, id="IntervalUnion-bad-kind"),
         pytest.param(
             lambda: IntervalUnion("closed", ((Dyadic(1, 0), Dyadic(0, 0)),)),

@@ -3,8 +3,8 @@
 ``python -O`` strips ``assert`` statements, so invariants must raise errors
 instead.  The enumeration cap comes from ``STONEWORK_CAP`` alone, so no
 function takes a ``cap`` parameter.  A code reaches report text only through
-``boolalg.digit_rows``, which writes its bit columns, and ``boolalg._bits_of``,
-so no module calls ``bin``.  Relation graphs are read through their
+``boolalg.digit_rows``, which writes its bit columns, ``boolalg._bits_of`` and
+``format``, and is then held as that digit string, so no module calls ``bin``.  Relation graphs are read through their
 neighbour tuples, so no module reads the derived pair set ``.related``.
 Each matrix is Smith-reduced once, so ``_diagonalize`` is called only from
 the memo ``IntMatrix._reduction``.  The cyclic collector is paused around a
